@@ -3,24 +3,29 @@
 Subcommands: energy | region | stress | laminate | relax | scan | verify
 | energy3d.  Structured output is JSON (stdout) or CSV (scan files);
 floats are printed with shortest round-trip precision.  Exit codes:
-0 ok, 2 usage/parse error, 3 domain error, 4 I/O error.
-
-The environment variable ``NEMEM_THREADS`` caps the scan worker count
-(0 or unset = auto); results are merged in deterministic row order, so
-serial and parallel runs are bit-identical.
+0 ok, 2 usage/parse error, 3 domain error, 4 I/O error.  JSON never
+holds a bare ``Infinity`` or ``NaN``: non-finite floats are written as
+the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
 """
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .algebra import svd32
 from .constitutive import MaterialParams, bulk_energy, entropic_energy
-from .membrane import DomainError, Region, classify, membrane_stress, psi
+from .membrane import (
+    DomainError,
+    Region,
+    classify,
+    membrane_stress,
+    principal_stresses,
+    psi,
+    region_tags,
+)
 from .microstructure import measure_to_json_dict, young_measure_for
 from .relaxation import OracleConfig, relax_lamination
 from .verification import DEFAULT_R_VALUES, run_suites
@@ -32,8 +37,19 @@ class SystemExit2(Exception):
     """Parse-level failure; the offending token is in the message."""
 
 
-def _fmt(x):
-    return repr(float(x))
+def _finite_json(obj):
+    # Non-finite floats become strings, so the text is standard JSON.
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value) for value in obj]
+    return obj
+
+
+def _json_text(obj):
+    return json.dumps(_finite_json(obj), allow_nan=False)
 
 
 def _parse_matrix(text, rows, cols):
@@ -75,52 +91,55 @@ def _params(args):
         raise SystemExit2(str(exc)) from None
 
 
-def _invariants(args):
+def _invariants(args, params):
     # Matrix input wins; otherwise the diagonal realization of the pair.
+    # F is None for an unrealizable pair; each command decides what that means.
     if getattr(args, "F", None) is not None:
         F = _parse_matrix(args.F, 3, 2)
         sd = svd32(F)
-        return F, sd.lamM, sd.delta
+        return F, sd.lamM, sd.delta, classify(sd.lamM, sd.delta, params)
     if args.lamM is None or args.delta is None:
         raise SystemExit2("need either --F or both --lamM and --delta")
-    if args.lamM < 0 or args.delta < 0:
-        raise SystemExit2("--lamM and --delta must be non-negative")
     lam, dlt = args.lamM, args.delta
-    if dlt > lam * lam * (1.0 + 1e-12):
-        return None, lam, dlt  # unrealizable pair; handled per command
+    if not (math.isfinite(lam) and math.isfinite(dlt)):
+        raise SystemExit2("--lamM and --delta must be finite")
+    if lam < 0 or dlt < 0:
+        raise SystemExit2("--lamM and --delta must be non-negative")
+    region = classify(lam, dlt, params)
+    if region is Region.INVALID:
+        return None, lam, dlt, region
     F = np.array([[lam, 0.0], [0.0, dlt / lam if lam > 0 else 0.0], [0.0, 0.0]])
-    return F, lam, dlt
+    return F, lam, dlt, region
+
+
+def _unrealizable(lam, dlt):
+    return DomainError(f"(lamM, delta) = ({lam}, {dlt}) is not realizable by a 3x2 matrix")
 
 
 def _cmd_energy(args):
     params = _params(args)
-    _, lam, dlt = _invariants(args)
-    region = classify(lam, dlt, params)
+    _, lam, dlt, region = _invariants(args, params)
     if region is Region.INVALID:
-        raise DomainError(
-            f"(lamM, delta) = ({lam}, {dlt}) is not realizable by a 3x2 matrix"
-        )
+        raise _unrealizable(lam, dlt)
     energy = psi(lam, dlt, params)
     if args.normalized:
         energy = energy / (0.5 * params.mu)
-    print(json.dumps({"region": region.value, "energy": energy}))
+    print(_json_text({"region": region.value, "energy": energy}))
     return 0
 
 
 def _cmd_region(args):
     params = _params(args)
-    _, lam, dlt = _invariants(args)
-    print(json.dumps({"region": classify(lam, dlt, params).value}))
+    _, _, _, region = _invariants(args, params)
+    print(_json_text({"region": region.value}))
     return 0
 
 
 def _cmd_stress(args):
     params = _params(args)
-    F, lam, dlt = _invariants(args)
+    F, lam, dlt, _ = _invariants(args, params)
     if F is None:
-        raise DomainError(
-            f"(lamM, delta) = ({lam}, {dlt}) is not realizable by a 3x2 matrix"
-        )
+        raise _unrealizable(lam, dlt)
     state = membrane_stress(F, params)
     out = {
         "region": state.region.value,
@@ -129,7 +148,7 @@ def _cmd_stress(args):
         "principal_values": list(state.principal_values),
         "principal_dirs": [d.tolist() for d in state.principal_dirs],
     }
-    print(json.dumps(out))
+    print(_json_text(out))
     return 0
 
 
@@ -141,7 +160,7 @@ def _cmd_energy3d(args):
         energy = entropic_energy(F, n, params)
     else:
         energy = bulk_energy(F, params)
-    print(json.dumps({"energy": energy if np.isfinite(energy) else "inf"}))
+    print(_json_text({"energy": energy}))
     return 0
 
 
@@ -149,7 +168,7 @@ def _cmd_laminate(args):
     params = _params(args)
     F = _parse_matrix(args.F, 3, 2)
     nu = young_measure_for(F, params)
-    print(json.dumps(measure_to_json_dict(nu)))
+    print(_json_text(measure_to_json_dict(nu)))
     return 0
 
 
@@ -170,36 +189,8 @@ def _cmd_relax(args):
         "gap": res.gap,
         "best_measure": measure_to_json_dict(res.best_measure),
     }
-    print(json.dumps(out))
+    print(_json_text(out))
     return 0
-
-
-def _thread_count():
-    raw = os.environ.get("NEMEM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def _scan_row(lam, deltas, params):
-    cells = []
-    for dlt in deltas:
-        region = classify(lam, dlt, params)
-        if region is Region.INVALID:
-            cells.append((lam, dlt, region.value, None, None, None))
-            continue
-        energy = psi(lam, dlt, params)
-        if 0.0 < dlt < lam * lam:
-            F = np.array([[lam, 0.0], [0.0, dlt / lam], [0.0, 0.0]])
-            s1, s2 = membrane_stress(F, params).principal_values
-        else:
-            s1 = s2 = None
-        cells.append((lam, dlt, region.value, energy, s1, s2))
-    return cells
 
 
 def _cmd_scan(args):
@@ -208,44 +199,43 @@ def _cmd_scan(args):
         ("lamM", args.lamM_min, args.lamM_max, args.lamM_count),
         ("delta", args.delta_min, args.delta_max, args.delta_count),
     ):
+        for end, value in (("min", lo), ("max", hi)):
+            if not math.isfinite(value):
+                raise SystemExit2(f"--{name}-{end} must be finite, got {value}")
         if count < 2:
             raise SystemExit2(f"--{name}-count must be >= 2")
         if not (0.0 <= lo < hi):
             raise SystemExit2(f"--{name} range needs 0 <= min < max")
-    lams = np.linspace(args.lamM_min, args.lamM_max, args.lamM_count)
-    deltas = np.linspace(args.delta_min, args.delta_max, args.delta_count)
+    lam, dlt = np.meshgrid(
+        np.linspace(args.lamM_min, args.lamM_max, args.lamM_count),
+        np.linspace(args.delta_min, args.delta_max, args.delta_count),
+        indexing="ij",
+    )
+    lam, dlt = lam.ravel(), dlt.ravel()  # row-major: lamM outer, delta inner
 
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(lambda lam: _scan_row(lam, deltas, params), lams))
-    else:
-        rows = [_scan_row(lam, deltas, params) for lam in lams]
+    tags = region_tags(lam, dlt, params)
+    energy = np.where(tags != Region.INVALID.value, psi(lam, dlt, params), None)
+    # Stress is defined on the open set 0 < delta < lamM^2 only.
+    stressed = (0.0 < dlt) & (dlt < lam * lam)
+    s1 = np.where(stressed, 0.0, None)
+    s2 = s1.copy()
+    for region in (Region.M, Region.W, Region.S):
+        cells = stressed & (tags == region.value)
+        s1[cells], s2[cells] = principal_stresses(lam[cells], dlt[cells], region, params)
+    rows = zip(*(col.tolist() for col in (lam, dlt, tags, energy, s1, s2)))
 
     try:
         with open(args.out, "w", newline="") as fh:
             if args.format == "csv":
                 fh.write("lamM,delta,region,energy,sigma1,sigma2\n")
-                for row in rows:
-                    for lam, dlt, tag, energy, s1, s2 in row:
-                        fields = [_fmt(lam), _fmt(dlt), tag]
-                        fields += ["" if v is None else _fmt(v) for v in (energy, s1, s2)]
-                        fh.write(",".join(fields) + "\n")
+                # tolist() gives Python floats, whose repr is the shortest round trip.
+                for lm, dl, tag, e, a, b in rows:
+                    fields = [repr(lm), repr(dl), tag]
+                    fields += ["" if v is None else repr(v) for v in (e, a, b)]
+                    fh.write(",".join(fields) + "\n")
             else:
-                records = [
-                    {
-                        "lamM": lam,
-                        "delta": dlt,
-                        "region": tag,
-                        "energy": energy,
-                        "sigma1": s1,
-                        "sigma2": s2,
-                    }
-                    for row in rows
-                    for lam, dlt, tag, energy, s1, s2 in row
-                ]
-                json.dump(records, fh)
-                fh.write("\n")
+                keys = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
+                fh.write(_json_text([dict(zip(keys, row)) for row in rows]) + "\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 4
@@ -267,7 +257,7 @@ def _cmd_verify(args):
         raise SystemExit2(str(exc)) from None
     ok = True
     for rep in reports:
-        print(json.dumps(rep.to_json_dict()))
+        print(_json_text(rep.to_json_dict()))
         ok = ok and rep.passed
     return 0 if ok else 1
 

@@ -16,6 +16,7 @@ matrix-level entry points go through :func:`nemem.algebra.svd32`.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,9 @@ __all__ = [
     "minimize_thickness_vector",
     "plane_energy",
     "plane_energy_values",
+    "principal_stresses",
     "psi",
+    "region_tags",
     "relaxed_energy",
     "relaxed_energy_grad_fd",
     "relaxed_growth_constant",
@@ -94,10 +97,37 @@ class StressState:
     region: Region
 
 
+# Regions in precedence order: a pair lies in the first one whose test in
+# ``_region_tests`` holds, so boundary points go to L, then S, then W.
+_PRECEDENCE = (Region.INVALID, Region.L, Region.S, Region.W, Region.M)
+
+
+def _region_tests(lamM, delta, r):
+    """Tests of the regions in ``_PRECEDENCE``, on floats or arrays.
+
+    The one copy of the region logic: ``classify``, ``region_tags`` and
+    the masks of ``psi`` all read it.  M's test is ``True`` because M is
+    whatever the others leave.  Invariants must be finite and
+    non-negative.
+    """
+    # math.sqrt keeps scalar classify free of numpy calls; both round exactly.
+    root = math.sqrt(lamM) if lamM.__class__ is float else np.sqrt(lamM)
+    square = lamM * lamM
+    return (
+        delta > square * (1.0 + _INVALID_TOL),
+        (lamM <= r ** (1.0 / 3.0)) & (delta <= r ** (1.0 / 6.0)),
+        (root <= delta) & (delta <= square / math.sqrt(r)),
+        delta < root,
+        True,
+    )
+
+
 def _check_invariants(lamM, delta):
     lamM = np.asarray(lamM, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if np.any(lamM < 0.0) or np.any(delta < 0.0):
+    if not (np.isfinite(lamM).all() and np.isfinite(delta).all()):
+        raise ValueError("stretch invariants must be finite")
+    if (lamM < 0.0).any() or (delta < 0.0).any():
         raise ValueError("stretch invariants must be non-negative")
     return lamM, delta
 
@@ -113,27 +143,37 @@ def classify(lamM, delta, params):
     Parameters
     ----------
     lamM, delta : float
-        Largest singular value and areal stretch, both >= 0.
+        Largest singular value and areal stretch, both finite and >= 0.
     params : MaterialParams
 
     Returns
     -------
     Region
+
+    Raises
+    ------
+    ValueError
+        For a negative, infinite or NaN invariant.
     """
     lamM = float(lamM)
     delta = float(delta)
-    if lamM < 0.0 or delta < 0.0:
-        raise ValueError(f"invariants must be non-negative, got ({lamM}, {delta})")
-    if delta > lamM * lamM * (1.0 + _INVALID_TOL):
-        return Region.INVALID
-    r = params.r
-    if lamM <= r ** (1.0 / 3.0) and delta <= r ** (1.0 / 6.0):
-        return Region.L
-    if np.sqrt(lamM) <= delta <= lamM * lamM / np.sqrt(r):
-        return Region.S
-    if delta < np.sqrt(lamM):
-        return Region.W
-    return Region.M
+    if not (0.0 <= lamM < math.inf and 0.0 <= delta < math.inf):
+        if lamM < 0.0 or delta < 0.0:
+            raise ValueError(f"invariants must be non-negative, got ({lamM}, {delta})")
+        raise ValueError(f"invariants must be finite, got ({lamM}, {delta})")
+    return _PRECEDENCE[_region_tests(lamM, delta, params.r).index(True)]
+
+
+def region_tags(lamM, delta, params):
+    """Region tags (the ``Region`` values) of arrays of invariant pairs.
+
+    The vectorized ``classify``: same tests, same precedence, and the
+    same rejection of negative and non-finite input.
+    """
+    lamM, delta = _check_invariants(lamM, delta)
+    tests = _region_tests(lamM, delta, params.r)
+    tags = [region.value for region in _PRECEDENCE]
+    return np.select(tests[:-1], tags[:-1], tags[-1])
 
 
 def psi(lamM, delta, params):
@@ -149,12 +189,17 @@ def psi(lamM, delta, params):
     Parameters
     ----------
     lamM, delta : array_like
-        Non-negative invariants.
+        Finite, non-negative invariants.
     params : MaterialParams
 
     Returns
     -------
     ndarray or float
+
+    Raises
+    ------
+    ValueError
+        If any invariant is negative, infinite or NaN.
     """
     lamM, delta = _check_invariants(lamM, delta)
     scalar = lamM.ndim == 0 and delta.ndim == 0
@@ -163,12 +208,11 @@ def psi(lamM, delta, params):
 
     r, mu = params.r, params.mu
     rc = r ** (1.0 / 3.0)
-    rs = r ** (1.0 / 6.0)
     sqr = np.sqrt(r)
 
-    in_L = (s <= rc) & (t <= rs)
-    in_S = ~in_L & (np.sqrt(s) <= t) & (t * sqr <= s * s)
-    in_W = ~in_L & ~in_S & (t < np.sqrt(s))
+    _, in_L, solid, wrinkled, _ = _region_tests(s, t, r)
+    in_S = ~in_L & solid
+    in_W = ~(in_L | in_S) & wrinkled
     in_M = ~(in_L | in_S | in_W)
 
     out = np.zeros_like(s)
@@ -301,18 +345,7 @@ def membrane_stress(Ft, params):
             f"lamM^2 = {lamM * lamM} (violates delta < lamM^2)"
         )
     region = classify(lamM, delta, params)
-    r, mu = params.r, params.mu
-    scale = mu * r ** (1.0 / 3.0)
-    if region is Region.L:
-        s1 = s2 = 0.0
-    elif region is Region.M:
-        s1 = s2 = scale * (delta / np.sqrt(r) - 1.0 / delta**2)
-    elif region is Region.W:
-        s1 = scale * (lamM**2 / r - 1.0 / lamM)
-        s2 = 0.0
-    else:
-        s1 = scale * (lamM**2 / r - 1.0 / delta**2)
-        s2 = scale * ((delta / lamM) ** 2 - 1.0 / delta**2)
+    s1, s2 = principal_stresses(lamM, delta, region, params)
     e1, e2 = sd.e1, sd.e2
     sigma = s1 * np.outer(e1, e1) + s2 * np.outer(e2, e2)
     labels = {
@@ -328,6 +361,28 @@ def membrane_stress(Ft, params):
         principal_dirs=(e1.copy(), e2.copy()),
         region=region,
     )
+
+
+def principal_stresses(lamM, delta, region, params):
+    """Principal Cauchy stresses ``(sigma1, sigma2)`` of pairs in ``region``.
+
+    Floats or arrays of pairs that all lie in ``region`` and in the open
+    set 0 < delta < lamM^2; zero, uniaxial, equi-biaxial and biaxial
+    tension on L, W, M and S.  A zero stress comes back as the float 0.0.
+    """
+    r = params.r
+    scale = params.mu * r ** (1.0 / 3.0)
+    if region is Region.M:
+        s = scale * (delta / math.sqrt(r) - 1.0 / delta**2)
+        return s, s
+    if region is Region.W:
+        return scale * (lamM**2 / r - 1.0 / lamM), 0.0
+    if region is Region.S:
+        return (
+            scale * (lamM**2 / r - 1.0 / delta**2),
+            scale * ((delta / lamM) ** 2 - 1.0 / delta**2),
+        )
+    return 0.0, 0.0
 
 
 def relaxed_energy_grad_fd(Ft, params, h=None):

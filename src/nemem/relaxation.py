@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import singular_values, svd32
-from .membrane import plane_energy_values, psi
+from .membrane import DomainError, plane_energy_values, psi
 from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
@@ -397,6 +397,13 @@ def relax_lamination(Ft, params, cfg=None):
     OracleResult
         ``gap = value - closed_form`` where ``closed_form`` is the
         closed-form relaxed energy at ``Ft``.
+
+    Raises
+    ------
+    DomainError
+        When no tree searched has a finite pairing, so there is no
+        witness; the plane energy is +inf at a rank-deficient ``Ft``,
+        and the search may find no split that leaves it.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -471,6 +478,11 @@ def relax_lamination(Ft, params, cfg=None):
             best = DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree))
         else:
             break
+    if best is None:
+        raise DomainError(
+            f"no lamination witness with finite plane energy was found for "
+            f"(lamM, delta) = ({sd.lamM}, {sd.delta})"
+        )
     return OracleResult(
         value=best_pairing,
         best_measure=best,

@@ -1,14 +1,14 @@
 """Command-line interface: parsing, exit codes, file emission, determinism."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
+from nemem.algebra import diag_embed
 from nemem.cli import main
 from nemem.constitutive import MaterialParams
-from nemem.membrane import psi
+from nemem.membrane import Region, classify, membrane_stress, psi
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +89,32 @@ def test_energy3d_minimized_over_director(capsys):
         "--r", "8", "--mu", "2",
     )
     assert json.loads(out_min)["energy"] <= json.loads(out_n)["energy"] + 1e-12
+
+
+@pytest.mark.parametrize("command", ["energy", "region", "stress"])
+@pytest.mark.parametrize("lam, dlt", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("2", "inf")])
+def test_non_finite_invariants_exit_2(capsys, command, lam, dlt):
+    code, out, err = run_cli(capsys, command, "--lamM", lam, "--delta", dlt, "--r", "8")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_non_finite_energy_is_a_json_string(capsys):
+    # lamM^2 overflows, so the W energy is +inf; standard JSON has no token for it.
+    with np.errstate(over="ignore"):
+        code, out, _ = run_cli(capsys, "energy", "--lamM", "1e200", "--delta", "1", "--r", "8")
+    assert code == 0
+    assert "Infinity" not in out
+    assert json.loads(out) == {"region": "W", "energy": "inf"}
+
+
+def test_relax_rank_deficient_exit_code(capsys):
+    code, out, err = run_cli(
+        capsys, "relax", "--F", "0 0; 0 0; 0 0", "--r", "8", "--mu", "2",
+        "--n-dirs", "128", "--t-grid", "16", "--refine-iters", "10",
+    )
+    assert code == 3 and out == ""
+    assert "domain error" in err
 
 
 def test_parse_error_names_bad_token(capsys):
@@ -230,6 +256,58 @@ def test_scan_count_validation(capsys):
         "--r", "8", "--out", "x.csv",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--lamM-min", "--lamM-max", "--delta-min", "--delta-max"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
+    bounds = {"--lamM-min": "0.2", "--lamM-max": "4", "--delta-min": "0", "--delta-max": "3"}
+    bounds[flag] = value
+    argv = ["scan", "--lamM-count", "3", "--delta-count", "3", "--r", "8"]
+    for name, text in bounds.items():
+        argv += [name, text]
+    out_path = tmp_path / "scan.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert flag in err and "finite" in err
+    assert not out_path.exists()
+
+
+README_SCAN = [
+    "scan",
+    "--lamM-min", "0.2", "--lamM-max", "4", "--lamM-count", "100",
+    "--delta-min", "0", "--delta-max", "3", "--delta-count", "100",
+    "--mu", "2",
+]
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_scan_agrees_with_scalar_api(tmp_path, capsys, r):
+    # The scan evaluates the grid with array calls; every cell must match
+    # the scalar functions it replaces.
+    args = README_SCAN + ["--r", repr(r)]
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "a.csv"))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(tmp_path / "b.csv"))[0] == 0
+    text = (tmp_path / "a.csv").read_bytes()
+    assert text == (tmp_path / "b.csv").read_bytes()
+
+    p = MaterialParams(mu=2.0, r=r)
+    lines = text.decode().splitlines()
+    assert len(lines) == 1 + 100 * 100
+    for line in lines[1:]:
+        lam_s, dlt_s, tag, energy_s, s1_s, s2_s = line.split(",")
+        lam, dlt = float(lam_s), float(dlt_s)
+        region = classify(lam, dlt, p)
+        assert tag == region.value
+        if region is Region.INVALID:
+            assert energy_s == s1_s == s2_s == ""
+            continue
+        assert energy_s == repr(psi(lam, dlt, p))
+        if not 0.0 < dlt < lam * lam:
+            assert s1_s == s2_s == ""
+            continue
+        ref = membrane_stress(diag_embed(lam, dlt / lam), p).principal_values
+        np.testing.assert_allclose([float(s1_s), float(s2_s)], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_scan_serial_parallel_identical(tmp_path, capsys, monkeypatch):

@@ -53,6 +53,16 @@ def test_classify_rejects_negative():
         classify(1.0, -0.5, P8)
 
 
+@pytest.mark.parametrize("lam, dlt", [(1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf)])
+def test_non_finite_invariants_are_rejected(lam, dlt):
+    with pytest.raises(ValueError, match="finite"):
+        classify(lam, dlt, P8)
+    with pytest.raises(ValueError, match="finite"):
+        psi(lam, dlt, P8)
+    with pytest.raises(ValueError, match="finite"):
+        psi(np.array([1.0, lam]), np.array([0.5, dlt]), P8)
+
+
 def test_classify_partition_is_total():
     # Everything with delta <= lamM^2 lands in exactly one of L/M/W/S.
     rng = np.random.default_rng(0)

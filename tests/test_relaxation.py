@@ -5,7 +5,7 @@ import pytest
 
 from nemem.algebra import diag_embed, rank_one_gap
 from nemem.constitutive import MaterialParams
-from nemem.membrane import plane_energy
+from nemem.membrane import DomainError, plane_energy
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import OracleConfig, OracleResult, relax_along_line, relax_lamination
 
@@ -97,6 +97,16 @@ def test_result_type():
     res = relax_lamination(diag_embed(2.0, 1.0), P8, CFG)
     assert isinstance(res, OracleResult)
     assert res.gap == res.value - res.closed_form
+
+
+@pytest.mark.parametrize(
+    "F", [np.zeros((3, 2)), diag_embed(0.5, 1e-13), diag_embed(1e-8, 1e-8)]
+)
+def test_rank_deficient_target_without_witness_is_a_domain_error(F):
+    # The plane energy is +inf at F, and no searched split reaches finite
+    # endpoints: an unwitnessed value must not come back as a result.
+    with pytest.raises(DomainError, match="witness"):
+        relax_lamination(F, P8, CFG)
 
 
 def test_line_relaxation_convex_direction_returns_value():
