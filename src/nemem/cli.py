@@ -5,7 +5,9 @@ Subcommands: energy | region | stress | laminate | relax | scan | verify
 floats are printed with shortest round-trip precision.  Exit codes:
 0 ok, 2 usage/parse error, 3 domain error, 4 I/O error.  JSON never
 holds a bare ``Infinity`` or ``NaN``: non-finite floats are written as
-the strings ``"inf"``, ``"-inf"`` and ``"nan"``.
+the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  The material flags are
+``--r`` and ``--mu``.  ``--config`` reads a flat ``key=value`` defaults
+file; a key that no subcommand defines is a usage error.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import numpy as np
 from .algebra import svd32
 from .constitutive import MaterialParams, bulk_energy, entropic_energy
 from .membrane import (
+    _INVARIANT_MAX,
     DomainError,
     Region,
     classify,
@@ -86,7 +89,7 @@ def _parse_vector(text, n):
 
 def _params(args):
     try:
-        return MaterialParams(mu=args.mu, r=args.r, kappa=getattr(args, "kappa", 0.0))
+        return MaterialParams(mu=args.mu, r=args.r)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
 
@@ -101,11 +104,7 @@ def _invariants(args, params):
     if args.lamM is None or args.delta is None:
         raise SystemExit2("need either --F or both --lamM and --delta")
     lam, dlt = args.lamM, args.delta
-    if not (math.isfinite(lam) and math.isfinite(dlt)):
-        raise SystemExit2("--lamM and --delta must be finite")
-    if lam < 0 or dlt < 0:
-        raise SystemExit2("--lamM and --delta must be non-negative")
-    region = classify(lam, dlt, params)
+    region = classify(lam, dlt, params)  # rejects negative, non-finite and huge pairs
     if region is Region.INVALID:
         return None, lam, dlt, region
     F = np.array([[lam, 0.0], [0.0, dlt / lam if lam > 0 else 0.0], [0.0, 0.0]])
@@ -200,8 +199,10 @@ def _cmd_scan(args):
         ("delta", args.delta_min, args.delta_max, args.delta_count),
     ):
         for end, value in (("min", lo), ("max", hi)):
-            if not math.isfinite(value):
-                raise SystemExit2(f"--{name}-{end} must be finite, got {value}")
+            if not value <= _INVARIANT_MAX:
+                raise SystemExit2(
+                    f"--{name}-{end} must be finite and at most {_INVARIANT_MAX:g}, got {value}"
+                )
         if count < 2:
             raise SystemExit2(f"--{name}-count must be >= 2")
         if not (0.0 <= lo < hi):
@@ -265,7 +266,6 @@ def _cmd_verify(args):
 def _add_material_flags(p, mu_default=1.0):
     p.add_argument("--r", type=float, default=1.0, help="chain anisotropy (>= 1)")
     p.add_argument("--mu", type=float, default=mu_default, help="shear modulus (> 0)")
-    p.add_argument("--kappa", type=float, default=0.0, help="curvature modulus (>= 0)")
 
 
 def _build_parser():
@@ -366,7 +366,12 @@ def _apply_config(argv, parser):
             raise SystemExit2(f"bad config line {line!r}")
         key, value = line.split("=", 1)
         defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in parser._subparsers._group_actions[0].choices.values():
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    known = {act.dest for action in subparsers for act in action._actions}
+    unknown = sorted(set(defaults) - known)
+    if unknown:
+        raise SystemExit2(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    for action in subparsers:
         coerced = {}
         for act in action._actions:
             if act.dest in defaults and act.type is not None:

@@ -7,6 +7,7 @@ Off the incompressibility shell every density is the floating-point
 infinity, which is treated as a value and never mixed into arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,19 +30,19 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Material constants: shear modulus mu > 0 (pressure units),
-    chain anisotropy r >= 1 (dimensionless, r = 1 is neo-Hookean), and
-    an optional curvature modulus kappa >= 0 for director gradients."""
+    """Material constants: finite shear modulus mu > 0 (pressure units),
+    finite chain anisotropy r >= 1 (dimensionless, r = 1 is neo-Hookean),
+    and an optional curvature modulus kappa >= 0 for director gradients."""
 
     mu: float
     r: float
     kappa: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if not (self.r >= 1.0):
-            raise ValueError(f"r must be >= 1, got {self.r}")
+        if not (0.0 < self.mu < math.inf):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not (1.0 <= self.r < math.inf):
+            raise ValueError(f"r must be >= 1 and finite, got {self.r}")
         if not (self.kappa >= 0.0):
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
 

@@ -45,6 +45,10 @@ __all__ = [
 
 # Relative slack accepted before (lamM, delta) is declared unrealizable.
 _INVALID_TOL = 1e-12
+# Largest invariant accepted: squares and products of invariants, the
+# largest powers in the energy and stress formulas, stay below 1e200, far
+# from overflow.
+_INVARIANT_MAX = 1e100
 # A 3x2 matrix counts as rank two when delta exceeds this relative floor.
 _RANK_TOL = 1e-12
 # Closed comparison tolerance for the finite window of the third branch.
@@ -122,11 +126,33 @@ def _region_tests(lamM, delta, r):
     )
 
 
+def _plane_branches(lamM, delta, r):
+    """Branches ``(phi1, phi2, phi3, window)`` of the plane energy, on
+    floats or arrays.
+
+    The one copy of the branch formulas: the plane energy is ``mu/2``
+    times the least of ``phi1``, ``phi2`` and, where the closed test
+    ``window`` holds, ``phi3``.  ``lamM`` and ``delta`` must be positive.
+    """
+    rc = r ** (1.0 / 3.0)
+    sqr = math.sqrt(r)
+    ratio2 = (delta / lamM) ** 2
+    inv_t2 = 1.0 / (delta * delta)
+    prod = lamM * delta
+    return (
+        rc * (lamM * lamM / r + ratio2 + inv_t2) - 3.0,
+        rc * (lamM * lamM + ratio2 + inv_t2 / r) - 3.0,
+        rc * (ratio2 + 2.0 * lamM / (sqr * delta)) - 3.0,
+        (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr),
+    )
+
+
 def _check_invariants(lamM, delta):
     lamM = np.asarray(lamM, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    if not (np.isfinite(lamM).all() and np.isfinite(delta).all()):
-        raise ValueError("stretch invariants must be finite")
+    # Written so that NaN fails the comparison too.
+    if not ((lamM <= _INVARIANT_MAX).all() and (delta <= _INVARIANT_MAX).all()):
+        raise ValueError(f"stretch invariants must be finite and at most {_INVARIANT_MAX:g}")
     if (lamM < 0.0).any() or (delta < 0.0).any():
         raise ValueError("stretch invariants must be non-negative")
     return lamM, delta
@@ -143,7 +169,8 @@ def classify(lamM, delta, params):
     Parameters
     ----------
     lamM, delta : float
-        Largest singular value and areal stretch, both finite and >= 0.
+        Largest singular value and areal stretch, both >= 0 and at most
+        ``_INVARIANT_MAX``.
     params : MaterialParams
 
     Returns
@@ -153,14 +180,16 @@ def classify(lamM, delta, params):
     Raises
     ------
     ValueError
-        For a negative, infinite or NaN invariant.
+        For a negative, infinite, NaN or too large invariant.
     """
     lamM = float(lamM)
     delta = float(delta)
-    if not (0.0 <= lamM < math.inf and 0.0 <= delta < math.inf):
+    if not (0.0 <= lamM <= _INVARIANT_MAX and 0.0 <= delta <= _INVARIANT_MAX):
         if lamM < 0.0 or delta < 0.0:
             raise ValueError(f"invariants must be non-negative, got ({lamM}, {delta})")
-        raise ValueError(f"invariants must be finite, got ({lamM}, {delta})")
+        raise ValueError(
+            f"invariants must be finite and at most {_INVARIANT_MAX:g}, got ({lamM}, {delta})"
+        )
     return _PRECEDENCE[_region_tests(lamM, delta, params.r).index(True)]
 
 
@@ -168,7 +197,7 @@ def region_tags(lamM, delta, params):
     """Region tags (the ``Region`` values) of arrays of invariant pairs.
 
     The vectorized ``classify``: same tests, same precedence, and the
-    same rejection of negative and non-finite input.
+    same rejection of negative, non-finite and too large input.
     """
     lamM, delta = _check_invariants(lamM, delta)
     tests = _region_tests(lamM, delta, params.r)
@@ -189,7 +218,7 @@ def psi(lamM, delta, params):
     Parameters
     ----------
     lamM, delta : array_like
-        Finite, non-negative invariants.
+        Non-negative invariants, at most ``_INVARIANT_MAX``.
     params : MaterialParams
 
     Returns
@@ -199,7 +228,8 @@ def psi(lamM, delta, params):
     Raises
     ------
     ValueError
-        If any invariant is negative, infinite or NaN.
+        If any invariant is negative, infinite, NaN or above
+        ``_INVARIANT_MAX``.
     """
     lamM, delta = _check_invariants(lamM, delta)
     scalar = lamM.ndim == 0 and delta.ndim == 0
@@ -217,8 +247,7 @@ def psi(lamM, delta, params):
 
     out = np.zeros_like(s)
     if np.any(in_S):
-        ss, tt = s[in_S], t[in_S]
-        out[in_S] = rc * (ss * ss / r + (tt / ss) ** 2 + 1.0 / tt**2) - 3.0
+        out[in_S] = _plane_branches(s[in_S], t[in_S], r)[0]
     if np.any(in_W):
         ss = s[in_W]
         out[in_W] = rc * (ss * ss / r + 2.0 / ss) - 3.0
@@ -244,22 +273,12 @@ def plane_energy_values(lamM, delta, params):
         np.atleast_1d(lamM).astype(float), np.atleast_1d(delta).astype(float)
     )
 
-    r, mu = params.r, params.mu
-    rc = r ** (1.0 / 3.0)
-    sqr = np.sqrt(r)
-
     rank_ok = t > _RANK_TOL * np.maximum(1.0, s * s)
     out = np.full(s.shape, np.inf)
     if np.any(rank_ok):
-        ss, tt = s[rank_ok], t[rank_ok]
-        ratio2 = (tt / ss) ** 2
-        inv_t2 = 1.0 / tt**2
-        phi1 = rc * (ss * ss / r + ratio2 + inv_t2) - 3.0
-        phi2 = rc * (ss * ss + ratio2 + inv_t2 / r) - 3.0
-        prod = ss * tt
-        gate = (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr)
-        phi3 = np.where(gate, rc * (ratio2 + 2.0 * ss / (sqr * tt)) - 3.0, np.inf)
-        out[rank_ok] = 0.5 * mu * np.minimum(np.minimum(phi1, phi2), phi3)
+        phi1, phi2, phi3, window = _plane_branches(s[rank_ok], t[rank_ok], params.r)
+        phi3 = np.where(window, phi3, np.inf)
+        out[rank_ok] = 0.5 * params.mu * np.minimum(np.minimum(phi1, phi2), phi3)
     return float(out[0]) if scalar else out.reshape(np.broadcast(lamM, delta).shape)
 
 
@@ -401,6 +420,11 @@ def relaxed_energy_grad_fd(Ft, params, h=None):
     Ft = np.asarray(Ft, dtype=float)
     if h is None:
         h = 1e-5 * max(1.0, float(np.linalg.norm(Ft)))
+    return _central_difference(lambda G: relaxed_energy(G, params).energy, Ft, h)
+
+
+def _central_difference(energy, Ft, h):
+    # Entrywise central differences of ``energy`` at the 3x2 matrix ``Ft``.
     grad = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -408,9 +432,7 @@ def relaxed_energy_grad_fd(Ft, params, h=None):
             Fm = Ft.copy()
             Fp[i, j] += h
             Fm[i, j] -= h
-            ep = relaxed_energy(Fp, params).energy
-            em = relaxed_energy(Fm, params).energy
-            grad[i, j] = (ep - em) / (2.0 * h)
+            grad[i, j] = (energy(Fp) - energy(Fm)) / (2.0 * h)
     return grad
 
 

@@ -17,12 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import singular_values, svd32
-from .membrane import DomainError, plane_energy_values, psi
+from .membrane import (
+    _RANK_TOL,
+    DomainError,
+    _plane_branches,
+    _region_tests,
+    plane_energy_values,
+    psi,
+)
 from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
 _THETA_DEN = 16  # split weights searched on the grid k/16
+_N_AZ = 8  # azimuths of the 3-vector per polar ring of the direction grid
+_N_BETA = 8  # angles of the 2-vector on the half circle
 _BIG = 1e30  # finite stand-in for +inf inside chord arithmetic
 
 
@@ -32,9 +41,10 @@ class OracleConfig:
 
     ``n_dirs`` is the total rank-one direction budget, laid out as a
     polar x azimuthal grid for the 3-vector times a half-circle grid for
-    the 2-vector (16 x 8 x 8 by default); frame-aligned directions of the
-    target are always seeded on top.  ``seed`` fixes the deterministic
-    orientation jitter of the raw grid.
+    the 2-vector (16 x 8 x 8 by default), so it must be a positive
+    multiple of 64; frame-aligned directions of the target are always
+    seeded on top.  ``seed`` fixes the deterministic orientation jitter
+    of the raw grid.
     """
 
     depth: int = 2
@@ -49,6 +59,9 @@ class OracleConfig:
         for name in ("n_dirs", "t_grid", "refine_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        ring = _N_AZ * _N_BETA
+        if self.n_dirs % ring:
+            raise ValueError(f"n_dirs must be a multiple of {ring}, got {self.n_dirs}")
 
 
 @dataclass(frozen=True)
@@ -78,21 +91,11 @@ def _w2d_scalar(G, params):
     lamM = math.sqrt(max(half + disc, 0.0))
     lamm = math.sqrt(max(half - disc, 0.0))
     delta = lamM * lamm
-    if delta <= 1e-12 * max(1.0, lamM * lamM):
+    if delta <= _RANK_TOL * max(1.0, lamM * lamM):
         return math.inf
-    r, mu = params.r, params.mu
-    rc = r ** (1.0 / 3.0)
-    sqr = math.sqrt(r)
-    ratio2 = (delta / lamM) ** 2
-    inv_t2 = 1.0 / (delta * delta)
-    phi = min(
-        rc * (lamM * lamM / r + ratio2 + inv_t2) - 3.0,
-        rc * (lamM * lamM + ratio2 + inv_t2 / r) - 3.0,
-    )
-    prod = lamM * delta
-    if (1.0 - 1e-14) / sqr <= prod <= (1.0 + 1e-14) * sqr:
-        phi = min(phi, rc * (ratio2 + 2.0 * lamM / (sqr * delta)) - 3.0)
-    return 0.5 * mu * phi
+    phi1, phi2, phi3, window = _plane_branches(lamM, delta, params.r)
+    phi = min(phi1, phi2, phi3) if window else min(phi1, phi2)
+    return 0.5 * params.mu * phi
 
 
 def _frame_directions(F, ambient=True):
@@ -110,17 +113,15 @@ def _frame_directions(F, ambient=True):
 
 
 def _grid_directions(n_dirs, seed):
-    n_b = 8
-    n_az = 8
-    n_pol = max(1, n_dirs // (n_b * n_az))
+    n_pol = n_dirs // (_N_AZ * _N_BETA)
     pol = (np.arange(n_pol) + 0.5) * (0.5 * np.pi) / n_pol
-    az = np.arange(n_az) * (2.0 * np.pi) / n_az
-    beta = np.arange(n_b) * np.pi / n_b
+    az = np.arange(_N_AZ) * (2.0 * np.pi) / _N_AZ
+    beta = np.arange(_N_BETA) * np.pi / _N_BETA
     a = np.stack(
         [
             np.outer(np.sin(pol), np.cos(az)).ravel(),
             np.outer(np.sin(pol), np.sin(az)).ravel(),
-            np.outer(np.cos(pol), np.ones(n_az)).ravel(),
+            np.outer(np.cos(pol), np.ones(_N_AZ)).ravel(),
         ],
         axis=1,
     )
@@ -409,7 +410,7 @@ def relax_lamination(Ft, params, cfg=None):
         cfg = OracleConfig()
     F = np.asarray(Ft, dtype=float)
     sd = svd32(F)
-    if sd.delta > sd.lamM**2 * (1.0 + 1e-12):
+    if _region_tests(sd.lamM, sd.delta, params.r)[0]:  # the Invalid region
         raise ValueError("invariants are not realizable by a 3x2 matrix")
     closed = psi(sd.lamM, sd.delta, params)
 

@@ -18,10 +18,11 @@ from .algebra import svd32
 from .constitutive import entropic_energy, growth_constant
 from .membrane import (
     Region,
+    _central_difference,
+    _plane_branches,
     classify,
     membrane_stress,
     plane_energy,
-    plane_energy_values,
     psi,
     relaxed_energy_grad_fd,
     relaxed_growth_constant,
@@ -85,17 +86,6 @@ class _Worst:
             self.point = (float(lam.ravel()[k]), float(dlt.ravel()[k]))
 
 
-def _phi_branches(lam, dlt, params):
-    r, mu = params.r, params.mu
-    rc = r ** (1.0 / 3.0)
-    ratio2 = np.where(lam > 0, (dlt / np.where(lam > 0, lam, 1.0)) ** 2, 0.0)
-    inv_t2 = 1.0 / dlt**2
-    phi1 = 0.5 * mu * (rc * (lam * lam / r + ratio2 + inv_t2) - 3.0)
-    phi2 = 0.5 * mu * (rc * (lam * lam + ratio2 + inv_t2 / r) - 3.0)
-    phi3 = 0.5 * mu * (rc * (ratio2 + 2.0 * lam / (np.sqrt(r) * dlt)) - 3.0)
-    return phi1, phi2, phi3
-
-
 def verify_energy_bounds(params, grid_n=200):
     """Bound the relaxed energy by each candidate branch, region by region.
 
@@ -116,7 +106,7 @@ def verify_energy_bounds(params, grid_n=200):
     L, Frac = np.meshgrid(lam, frac, indexing="ij")
     Dlt = Frac * L**2
     W = psi(L, Dlt, params)
-    phi1, phi2, phi3 = _phi_branches(L, Dlt, params)
+    phi1, phi2, phi3 = (0.5 * mu * phi for phi in _plane_branches(L, Dlt, r)[:3])
     prod = L * Dlt
 
     m1 = prod >= sqr
@@ -174,7 +164,7 @@ def verify_energy_bounds(params, grid_n=200):
     lam_e = np.linspace(r ** (1.0 / 3.0), 3.0 * r ** (1.0 / 3.0), grid_n)
     d_e = np.sqrt(lam_e)
     w_e = psi(lam_e, d_e, params)
-    p1_e, _, _ = _phi_branches(lam_e, d_e, params)
+    p1_e = 0.5 * mu * _plane_branches(lam_e, d_e, r)[0]
     worst.update(np.abs(w_e - p1_e), lam_e, d_e)
     checks.append("equality-on-wrinkle-edge")
 
@@ -264,15 +254,7 @@ def _fd_plane_gradient(G, params, h=None):
     G = np.asarray(G, dtype=float)
     if h is None:
         h = 1e-7 * max(1.0, float(np.linalg.norm(G)))
-    out = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            Gp = G.copy()
-            Gm = G.copy()
-            Gp[i, j] += h
-            Gm[i, j] -= h
-            out[i, j] = (plane_energy(Gp, params) - plane_energy(Gm, params)) / (2 * h)
-    return out
+    return _central_difference(lambda X: plane_energy(X, params), G, h)
 
 
 def verify_stress_identities(params, n_samples=50, seed=0):

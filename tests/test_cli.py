@@ -92,7 +92,9 @@ def test_energy3d_minimized_over_director(capsys):
 
 
 @pytest.mark.parametrize("command", ["energy", "region", "stress"])
-@pytest.mark.parametrize("lam, dlt", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("2", "inf")])
+@pytest.mark.parametrize(
+    "lam, dlt", [("nan", "1"), ("1", "nan"), ("inf", "1"), ("2", "inf"), ("1e200", "1")]
+)
 def test_non_finite_invariants_exit_2(capsys, command, lam, dlt):
     code, out, err = run_cli(capsys, command, "--lamM", lam, "--delta", dlt, "--r", "8")
     assert code == 2 and out == ""
@@ -100,12 +102,12 @@ def test_non_finite_invariants_exit_2(capsys, command, lam, dlt):
 
 
 def test_non_finite_energy_is_a_json_string(capsys):
-    # lamM^2 overflows, so the W energy is +inf; standard JSON has no token for it.
-    with np.errstate(over="ignore"):
-        code, out, _ = run_cli(capsys, "energy", "--lamM", "1e200", "--delta", "1", "--r", "8")
+    # Off the incompressibility shell the 3D density is +inf; standard JSON
+    # has no token for it.
+    code, out, _ = run_cli(capsys, "energy3d", "--F", "2 0 0; 0 1 0; 0 0 1", "--r", "8")
     assert code == 0
     assert "Infinity" not in out
-    assert json.loads(out) == {"region": "W", "energy": "inf"}
+    assert json.loads(out) == {"energy": "inf"}
 
 
 def test_relax_rank_deficient_exit_code(capsys):
@@ -259,7 +261,7 @@ def test_scan_count_validation(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--lamM-min", "--lamM-max", "--delta-min", "--delta-max"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e200"])
 def test_scan_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
     bounds = {"--lamM-min": "0.2", "--lamM-max": "4", "--delta-min": "0", "--delta-max": "3"}
     bounds[flag] = value
@@ -334,6 +336,16 @@ def test_config_file_defaults(tmp_path, capsys):
     rec = json.loads(out)
     assert rec["region"] == "W"
     assert abs(rec["energy"] - 0.58333333) <= 1e-8
+
+
+def test_config_unknown_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("r = 8\nkappa = 2\n")
+    code, out, err = run_cli(
+        capsys, "--config", str(cfg), "energy", "--lamM", "3", "--delta", "1"
+    )
+    assert code == 2 and out == ""
+    assert "kappa" in err
 
 
 def test_config_flags_override(tmp_path, capsys):

@@ -26,7 +26,17 @@ def _random_unimodular(rng):
     return F / np.sign(det) / abs(det) ** (1.0 / 3.0)
 
 
-@pytest.mark.parametrize("bad", [dict(mu=0.0, r=2.0), dict(mu=1.0, r=0.5), dict(mu=1.0, r=2.0, kappa=-1.0)])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(mu=0.0, r=2.0),
+        dict(mu=1.0, r=0.5),
+        dict(mu=1.0, r=2.0, kappa=-1.0),
+        dict(mu=1.0, r=float("inf")),
+        dict(mu=float("inf"), r=2.0),
+        dict(mu=1.0, r=float("nan")),
+    ],
+)
 def test_material_params_validation(bad):
     with pytest.raises(ValueError):
         MaterialParams(**bad)

@@ -53,7 +53,10 @@ def test_classify_rejects_negative():
         classify(1.0, -0.5, P8)
 
 
-@pytest.mark.parametrize("lam, dlt", [(1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf)])
+@pytest.mark.parametrize(
+    "lam, dlt",
+    [(1.0, np.nan), (np.nan, 1.0), (np.inf, 1.0), (1.0, np.inf), (1e200, 1.0), (1.0, 1e200)],
+)
 def test_non_finite_invariants_are_rejected(lam, dlt):
     with pytest.raises(ValueError, match="finite"):
         classify(lam, dlt, P8)

@@ -5,9 +5,15 @@ import pytest
 
 from nemem.algebra import diag_embed, rank_one_gap
 from nemem.constitutive import MaterialParams
-from nemem.membrane import DomainError, plane_energy
+from nemem.membrane import _RANK_TOL, DomainError, plane_energy, plane_energy_values
 from nemem.microstructure import measure_pairing
-from nemem.relaxation import OracleConfig, OracleResult, relax_along_line, relax_lamination
+from nemem.relaxation import (
+    OracleConfig,
+    OracleResult,
+    _w2d_scalar,
+    relax_along_line,
+    relax_lamination,
+)
 
 P8 = MaterialParams(mu=2.0, r=8.0)
 CFG = OracleConfig()
@@ -18,6 +24,54 @@ def test_config_validation():
         OracleConfig(depth=0)
     with pytest.raises(ValueError):
         OracleConfig(t_grid=0)
+
+
+@pytest.mark.parametrize("n_dirs", [10, 100, 1000])
+def test_n_dirs_must_be_a_multiple_of_the_grid(n_dirs):
+    # The direction grid has 64 directions per polar ring, so no other
+    # budget can be honoured.
+    with pytest.raises(ValueError, match="multiple of 64"):
+        OracleConfig(n_dirs=n_dirs)
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_scalar_plane_energy_matches_array_kernel(r):
+    # The oracle's pure-float kernel against plane_energy_values.  It takes
+    # its singular values from the Gram matrix, whose smaller one loses
+    # relative accuracy like eps * (lamM / lamm)^2, so the random pairs keep
+    # lamm / lamM = delta / lamM^2 >= 0.1.
+    params = MaterialParams(mu=2.0, r=r)
+    rng = np.random.default_rng(11)
+    lam = rng.uniform(0.2, 3.0 * r ** (1.0 / 3.0), 2000)
+    dlt = rng.uniform(0.1, 1.0, lam.size) * lam * lam
+    # lamM * delta on both closed edges of the third branch's window.
+    prods = [(1.0 + k * 1e-14) * e for k in (-1, 1) for e in (1.0 / np.sqrt(r), np.sqrt(r))]
+    lam_e = np.array([(p / f) ** (1.0 / 3.0) for p in prods for f in (0.2, 0.5, 0.9)])
+    dlt_e = np.repeat(prods, 3) / lam_e
+    # delta at the rank floor, and just around it where lamM is small
+    # enough (lamM < 1) for the Gram matrix to resolve delta.
+    lam_f = np.array([2e-6, 2.5e-6, 3e-6])
+    L = np.concatenate([lam, lam_e, lam[:50], lam_f, lam_f])
+    D = np.concatenate(
+        [
+            dlt,
+            dlt_e,
+            _RANK_TOL * np.maximum(1.0, lam[:50] ** 2),
+            _RANK_TOL * (1.0 + 1e-9) * np.ones(3),
+            _RANK_TOL * (1.0 - 1e-9) * np.ones(3),
+        ]
+    )
+    expect_finite = np.arange(L.size) < lam.size + lam_e.size
+    expect_finite[-6:-3] = True
+
+    scalar = np.array([_w2d_scalar(diag_embed(l, d / l), params) for l, d in zip(L, D)])
+    array = plane_energy_values(L, D, params)
+    np.testing.assert_array_equal(np.isfinite(array), expect_finite)
+    np.testing.assert_array_equal(np.isfinite(scalar), expect_finite)
+    # The branches subtract 3, so near the energy well the rounding error
+    # is absolute, on the scale of mu.
+    finite = np.isfinite(array)
+    np.testing.assert_allclose(scalar[finite], array[finite], rtol=1e-13, atol=1e-13 * params.mu)
 
 
 def test_identity_relaxes_to_zero():
