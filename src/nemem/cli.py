@@ -310,7 +310,13 @@ def _build_parser():
     _add_material_flags(p)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--n-dirs", dest="n_dirs", type=int, default=1024)
-    p.add_argument("--t-grid", dest="t_grid", type=int, default=40)
+    p.add_argument(
+        "--t-grid",
+        dest="t_grid",
+        type=int,
+        default=40,
+        help="offsets per side of each rank-one line searched (geometric ladder)",
+    )
     p.add_argument("--refine-iters", dest="refine_iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_relax)

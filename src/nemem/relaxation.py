@@ -1,13 +1,17 @@
 """Numerical rank-one convexification of the plane energy.
 
 A depth-limited lamination search gives an upper bound on the rank-one
-convex envelope without trusting the closed-form relaxed energy.  Depth
-one splits the target along rank-one directions and scores endpoints by
-the plane energy; depth two scans two-level trees whose first split is
-scored by a vectorized depth-one estimate of both endpoints (a chord
-minimization along each endpoint's frame directions).  The best
-candidate is polished by derivative-free pattern search, and the
-reported value is always the plane-energy pairing of an explicit
+convex envelope without trusting the closed-form relaxed energy.  Along
+one rank-one line ``F + s a b^T`` the best single split is the lower
+convex envelope of the plane energy at ``s = 0``: the lowest chord
+through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
+One kernel, ``_chords``, scores such chords everywhere.  Depth one takes
+the lowest chord between geometric ladders of offsets on both sides of
+the target along each searched direction; depth two scans two-level
+trees whose first split is a chord between depth-one estimates of both
+endpoints (each the lowest chord along the endpoint's frame directions).
+The best candidate is polished by derivative-free pattern search, and
+the reported value is always the plane-energy pairing of an explicit
 witness measure.
 """
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from .algebra import singular_values, svd32
 from .membrane import (
+    _INVARIANT_MAX,
     _RANK_TOL,
     DomainError,
     _plane_branches,
@@ -29,10 +34,23 @@ from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
-_THETA_DEN = 16  # split weights searched on the grid k/16
 _N_AZ = 8  # azimuths of the 3-vector per polar ring of the direction grid
 _N_BETA = 8  # angles of the 2-vector on the half circle
 _BIG = 1e30  # finite stand-in for +inf inside chord arithmetic
+_CHUNK = 256  # directions per plane-energy batch of the grid search
+# Largest offsets, in units of max(1, |F|) of the matrix split: single
+# splits, first splits of two-level trees, and the frame chords that
+# score their endpoints.
+_SPLIT_TOP = 10.0
+_PAIR_TOP = 6.0
+_ENDPOINT_TOP = 8.0
+# A two-level tree's endpoints lie within (1 + _PAIR_TOP) max(1, |F|), and
+# the ladders from there reach (1 + max(_SPLIT_TOP, _ENDPOINT_TOP)) times
+# farther.  A matrix of norm R has delta <= R^2 / 2, so targets up to this
+# norm keep every laddered invariant within _INVARIANT_MAX.
+_NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
+    (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
+)
 
 
 @dataclass(frozen=True)
@@ -43,8 +61,11 @@ class OracleConfig:
     polar x azimuthal grid for the 3-vector times a half-circle grid for
     the 2-vector (16 x 8 x 8 by default), so it must be a positive
     multiple of 64; frame-aligned directions of the target are always
-    seeded on top.  ``seed`` fixes the deterministic orientation jitter
-    of the raw grid.
+    seeded on top.  ``t_grid`` is the number of offsets per side of each
+    rank-one line, a geometric ladder from 1e-3 to 10 times
+    ``max(1, |F|)``; every chord between the two sides is a candidate
+    split, so there is no separate weight grid.  ``seed`` fixes the
+    deterministic orientation jitter of the raw direction grid.
     """
 
     depth: int = 2
@@ -98,17 +119,24 @@ def _w2d_scalar(G, params):
     return 0.5 * params.mu * phi
 
 
+def _chords(w_pos, w_neg, s_pos, s_neg):
+    """Values at offset 0 of the chords from ``(s_pos[i], w_pos[..., i])``
+    to ``(-s_neg[j], w_neg[..., j])``, with shape ``(..., i, j)``.
+
+    The one copy of the chord formula.  The offsets are positive and
+    broadcast against the leading axes of the values; a chord with an
+    infinite end is infinite.
+    """
+    sp = np.asarray(s_pos)[..., :, None]
+    sm = np.asarray(s_neg)[..., None, :]
+    return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
+
+
 def _frame_directions(F, ambient=True):
     sd = svd32(F)
     dirs = [(sd.Q[:, i].copy(), sd.R[j, :].copy()) for i in range(3) for j in range(2)]
     if ambient:
-        for i in range(3):
-            for j in range(2):
-                a = np.zeros(3)
-                a[i] = 1.0
-                b = np.zeros(2)
-                b[j] = 1.0
-                dirs.append((a, b))
+        dirs += [(a, b) for a in np.eye(3) for b in np.eye(2)]
     return dirs
 
 
@@ -134,12 +162,17 @@ def _grid_directions(n_dirs, seed):
     return [(av, bv) for av in a for bv in b]
 
 
-def _split_objective(F, params, a, b, t, theta):
-    D = np.outer(a, b)
-    wp = _w2d_scalar(F + (1.0 - theta) * t * D, params)
-    wm = _w2d_scalar(F - theta * t * D, params)
+def _weight(theta):
+    return min(max(theta, 1e-6), 1.0 - 1e-6)
+
+
+def _split_objective(F, params, split):
+    Gp, Gm = _split_endpoints(F, split)
+    wp = _w2d_scalar(Gp, params)
+    wm = _w2d_scalar(Gm, params)
     if not (math.isfinite(wp) and math.isfinite(wm)):
         return math.inf
+    theta = split[3]
     return theta * wp + (1.0 - theta) * wm
 
 
@@ -190,61 +223,52 @@ def _vectors_of(pol, az, beta):
     return a, b
 
 
-def _refine_split(F, params, split, iters, refine_direction=True):
+def _refine_split(F, params, split, iters):
     a, b, t, theta = split
-    pol, az, beta = _angles_of(a, b)
-    x0 = [pol, az, beta, math.log(t), theta]
-    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / (2 * _THETA_DEN)]
-    active = [0, 1, 2, 3, 4] if refine_direction else [3, 4]
+    x0 = [*_angles_of(a, b), math.log(t), theta]
 
-    def value(xs):
-        av, bv = _vectors_of(xs[0], xs[1], xs[2])
-        th = min(max(xs[4], 1e-6), 1.0 - 1e-6)
-        return _split_objective(F, params, av, bv, math.exp(xs[3]), th)
+    def split_of(xs):
+        return (*_vectors_of(xs[0], xs[1], xs[2]), math.exp(xs[3]), _weight(xs[4]))
 
-    best, x = _pattern_search(value, x0, steps, iters, active)
-    av, bv = _vectors_of(x[0], x[1], x[2])
-    th = min(max(x[4], 1e-6), 1.0 - 1e-6)
-    return best, (av, bv, math.exp(x[3]), th)
+    best, x = _pattern_search(
+        lambda xs: _split_objective(F, params, split_of(xs)),
+        x0,
+        [0.1, 0.1, 0.1, 0.35, 1.0 / 32],
+        iters,
+        range(5),
+    )
+    return best, split_of(x)
 
 
-def _grid_search(F, params, dirs, t_vals, thetas, top_k, chunk=256):
-    """Top candidates over the direction/magnitude/weight product grid,
-    at most one candidate per direction, ranked by split value with ties
-    broken on the global candidate index (chunked == serial)."""
-    nt, nth = len(t_vals), len(thetas)
-    s_plus = np.outer(t_vals, 1.0 - thetas).ravel()
-    s_minus = -np.outer(t_vals, thetas).ravel()
-    s_all, inverse = np.unique(np.concatenate([s_plus, s_minus]), return_inverse=True)
-    idx_p = inverse[: nt * nth]
-    idx_m = inverse[nt * nth :]
-    theta_flat = np.tile(thetas, nt)
+def _grid_search(F, params, dirs, offsets, top_k):
+    """Top candidates over the searched directions, at most one per
+    direction: the lowest chord through ``F`` between the ``offsets``
+    ladders on either side, ranked by value with ties broken on the
+    direction index (chunked == serial).
 
+    A chord from ``s+`` to ``-s-`` is the split ``t = s+ + s-``,
+    ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
+    """
+    n = len(offsets)
+    s = np.concatenate([offsets, -offsets])
     A = np.stack([np.outer(a, b) for a, b in dirs])
     per_dir_best = np.empty(len(dirs))
     per_dir_arg = np.empty(len(dirs), dtype=int)
-    for start in range(0, len(dirs), chunk):
-        block = A[start : start + chunk]
-        G = F[None, None] + s_all[None, :, None, None] * block[:, None]
-        W = _w2d(G, params)
-        cand = theta_flat[None, :] * W[:, idx_p] + (1.0 - theta_flat[None, :]) * W[
-            :, idx_m
-        ]
-        per_dir_best[start : start + len(block)] = np.min(cand, axis=1)
-        per_dir_arg[start : start + len(block)] = np.argmin(cand, axis=1)
-    order = np.argsort(per_dir_best, kind="stable")[:top_k]
+    for start in range(0, len(dirs), _CHUNK):
+        block = A[start : start + _CHUNK]
+        W = _w2d(F + s[:, None, None] * block[:, None], params)
+        chords = _chords(W[:, :n], W[:, n:], offsets, offsets).reshape(len(block), -1)
+        per_dir_best[start : start + len(block)] = np.min(chords, axis=1)
+        per_dir_arg[start : start + len(block)] = np.argmin(chords, axis=1)
     out = []
-    for d in order:
+    for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
         if not np.isfinite(per_dir_best[d]):
             continue
-        t_idx, th_idx = divmod(int(per_dir_arg[d]), nth)
+        i, j = divmod(int(per_dir_arg[d]), n)
+        s_pos, s_neg = float(offsets[i]), float(offsets[j])
         a, b = dirs[d]
-        out.append(
-            (
-                float(per_dir_best[d]),
-                (a, b, float(t_vals[t_idx]), float(thetas[th_idx])),
-            )
-        )
+        t = s_pos + s_neg
+        out.append((float(per_dir_best[d]), (a, b, t, s_neg / t)))
     return out
 
 
@@ -257,17 +281,13 @@ def _depth1(F, params, cfg, light=False):
     scale = max(1.0, float(np.linalg.norm(F)))
     if light:
         dirs = _frame_directions(F)
-        t_vals = np.geomspace(1e-3, 10.0, 16) * scale
-        thetas = np.arange(1, 8) / 8.0
-        top_k, iters = 3, 14
+        n, top_k, iters = 16, 3, 14
     else:
         dirs = _frame_directions(F) + _grid_directions(cfg.n_dirs, cfg.seed)
-        t_vals = np.geomspace(1e-3, 10.0, cfg.t_grid) * scale
-        thetas = np.arange(1, _THETA_DEN) / _THETA_DEN
-        top_k, iters = 6, cfg.refine_iters
-    candidates = _grid_search(F, params, dirs, t_vals, thetas, top_k)
+        n, top_k, iters = cfg.t_grid, 6, cfg.refine_iters
+    offsets = np.geomspace(1e-3, _SPLIT_TOP, n) * scale
     best_val, best_split = math.inf, None
-    for base_val, split in candidates:
+    for _, split in _grid_search(F, params, dirs, offsets, top_k):
         val, refined = _refine_split(F, params, split, iters)
         if val < best_val:
             best_val, best_split = val, refined
@@ -277,40 +297,27 @@ def _depth1(F, params, cfg, light=False):
     return best_val, best_split
 
 
-def _endpoint_depth1_estimate(E, params, n_s2=14):
+def _endpoint_depth1_estimate(E, params):
     """Vectorized depth-one estimate for a batch of endpoint matrices.
 
-    For each endpoint the estimate is the minimum over its six
-    frame-aligned rank-one directions of the best chord value at zero
-    offset (equivalently the best equal-barycenter split along that
-    direction with both magnitudes on a log grid), never below the
-    unsplit plane energy of the other branch.  Upper bound by
-    construction; used only to rank first-level splits of two-level
+    For each endpoint the estimate is the least of its own plane energy
+    and the lowest chord through it along its six frame-aligned rank-one
+    directions, with offsets on a log ladder on both sides.  Upper bound
+    by construction; used only to rank first-level splits of two-level
     trees.
     """
     E = np.asarray(E, dtype=float)
     n = E.shape[0]
-    dirs = np.empty((n, 6, 3, 2))
-    for i in range(n):
-        sd = svd32(E[i])
-        k = 0
-        for col in range(3):
-            for row in range(2):
-                dirs[i, k] = np.outer(sd.Q[:, col], sd.R[row, :])
-                k += 1
+    dirs = np.array([[np.outer(a, b) for a, b in _frame_directions(G, ambient=False)] for G in E])
     scale = np.maximum(1.0, np.linalg.norm(E.reshape(n, -1), axis=1))
-    base = np.geomspace(1e-2, 8.0, n_s2)
-    s2 = scale[:, None] * base[None, :]  # (n, ns)
+    s2 = scale[:, None] * np.geomspace(1e-2, _ENDPOINT_TOP, 14)[None, :]  # (n, ns)
     G_pos = E[:, None, None] + s2[:, None, :, None, None] * dirs[:, :, None]
     G_neg = E[:, None, None] - s2[:, None, :, None, None] * dirs[:, :, None]
     W_pos = np.minimum(_w2d(G_pos, params), _BIG)  # (n, 6, ns)
     W_neg = np.minimum(_w2d(G_neg, params), _BIG)
     W_self = np.minimum(_w2d(E, params), _BIG)  # (n,)
-    sp = s2[:, None, :, None]
-    sm = s2[:, None, None, :]
-    chord = (sp * W_neg[:, :, None, :] + sm * W_pos[:, :, :, None]) / (sp + sm)
-    best_chord = chord.min(axis=(1, 2, 3))
-    return np.minimum(W_self, best_chord)
+    chords = _chords(W_pos, W_neg, s2[:, None, :], s2[:, None, :])
+    return np.minimum(W_self, chords.min(axis=(1, 2, 3)))
 
 
 def _two_level(F, params, cfg):
@@ -319,7 +326,7 @@ def _two_level(F, params, cfg):
     (t, theta) polish.  Returns ``(estimate, first_split)``."""
     scale = max(1.0, float(np.linalg.norm(F)))
     dirs = _frame_directions(F, ambient=False)
-    base = np.geomspace(1e-2, 6.0, 24) * scale
+    base = np.geomspace(1e-2, _PAIR_TOP, 24) * scale
     n_dir, ns = len(dirs), len(base)
     E = np.empty((n_dir, 2 * ns, 3, 2))
     for d, (a, b) in enumerate(dirs):
@@ -327,33 +334,21 @@ def _two_level(F, params, cfg):
         E[d, :ns] = F[None] + base[:, None, None] * D[None]
         E[d, ns:] = F[None] - base[:, None, None] * D[None]
     R1 = _endpoint_depth1_estimate(E.reshape(-1, 3, 2), params).reshape(n_dir, 2 * ns)
-    R_pos, R_neg = R1[:, :ns], R1[:, ns:]
-    sp = base[None, :, None]
-    sm = base[None, None, :]
-    pairing = (sp * R_neg[:, None, :] + sm * R_pos[:, :, None]) / (sp + sm)
-    flat = int(np.argmin(pairing))
-    est = float(pairing.ravel()[flat])
-    d_idx, rem = divmod(flat, ns * ns)
+    pairing = _chords(R1[:, :ns], R1[:, ns:], base, base)
+    d_idx, rem = divmod(int(np.argmin(pairing)), ns * ns)
     ip, im = divmod(rem, ns)
     a, b = dirs[d_idx]
-    s_pos, s_neg = float(base[ip]), -float(base[im])
-    t = s_pos - s_neg
-    theta = -s_neg / t
+    s_pos, s_neg = float(base[ip]), float(base[im])
+    t = s_pos + s_neg
 
     def value(xs):
-        log_t, th = xs
-        th = min(max(th, 1e-6), 1.0 - 1e-6)
-        tt = math.exp(log_t)
-        D = np.outer(a, b)
-        pair = np.stack([F + (1.0 - th) * tt * D, F - th * tt * D])
+        th = _weight(xs[1])
+        pair = np.stack(_split_endpoints(F, (a, b, math.exp(xs[0]), th)))
         vp, vm = _endpoint_depth1_estimate(pair, params)
         return th * vp + (1.0 - th) * vm
 
-    est, x = _pattern_search(
-        value, [math.log(t), theta], [0.3, 1.0 / 16], 10, [0, 1]
-    )
-    theta = min(max(x[1], 1e-6), 1.0 - 1e-6)
-    return est, (a, b, math.exp(x[0]), theta)
+    est, x = _pattern_search(value, [math.log(t), s_neg / t], [0.3, 1.0 / 16], 10, [0, 1])
+    return est, (a, b, math.exp(x[0]), _weight(x[1]))
 
 
 def _split_endpoints(F, split):
@@ -386,12 +381,13 @@ def _witness_pairing(atoms, params):
 def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
-    Searches rank-one splits of ``Ft`` over a direction/magnitude/weight
-    grid (known optimal families seeded in the target's singular frame)
-    with pattern-search refinement; at depth two, scans two-level trees
-    whose endpoints are scored by their own depth-one relaxation.  The
-    value is the plane-energy pairing of the returned witness measure,
-    an upper bound on the rank-one convex envelope by construction.
+    Takes the lowest chord through ``Ft`` along each searched rank-one
+    direction (a direction grid plus the target's singular frame) as a
+    candidate split, and polishes the best ones by pattern search; at
+    depth two, scans two-level trees whose endpoints are scored by their
+    own depth-one relaxation.  The value is the plane-energy pairing of
+    the returned witness measure, an upper bound on the rank-one convex
+    envelope by construction.
 
     Returns
     -------
@@ -402,9 +398,11 @@ def relax_lamination(Ft, params, cfg=None):
     Raises
     ------
     DomainError
-        When no tree searched has a finite pairing, so there is no
-        witness; the plane energy is +inf at a rank-deficient ``Ft``,
-        and the search may find no split that leaves it.
+        When ``|Ft|`` exceeds ``_NORM_MAX``, so that the search offsets
+        would reach invariants above ``_INVARIANT_MAX``; or when no tree
+        searched has a finite pairing, so there is no witness (the plane
+        energy is +inf at a rank-deficient ``Ft``, and the search may
+        find no split that leaves it).
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -413,6 +411,12 @@ def relax_lamination(Ft, params, cfg=None):
     if _region_tests(sd.lamM, sd.delta, params.r)[0]:  # the Invalid region
         raise ValueError("invariants are not realizable by a 3x2 matrix")
     closed = psi(sd.lamM, sd.delta, params)
+    norm = float(np.linalg.norm(F))
+    if norm > _NORM_MAX:
+        raise DomainError(
+            f"|F| = {norm:.6g} is above {_NORM_MAX:.6g}, the largest norm whose "
+            f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
+        )
 
     value1, split1 = _depth1(F, params, cfg)
     trees = [(value1, split1, None, None)]
@@ -495,9 +499,12 @@ def relax_lamination(Ft, params, cfg=None):
 def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
     """One-dimensional convexification of the plane energy along a line.
 
-    Samples ``t -> W(Ft + t a b^T)`` on a symmetric grid, drops infinite
-    samples, builds the lower convex envelope of the remaining points,
-    and returns its value at t = 0.
+    Samples ``s -> W(Ft + s a b^T)`` at ``n_samples // 2`` evenly spaced
+    offsets on each side of 0 out to ``span`` and returns the lower
+    convex envelope of the samples at ``s = 0``: the least of ``W(Ft)``
+    and the lowest chord through 0 between samples on either side.
+    Infinite samples never win; the result is +inf only when every
+    candidate is.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -506,27 +513,9 @@ def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
     F = np.asarray(Ft, dtype=float)
     if span is None:
         span = 10.0 * max(1.0, float(np.linalg.norm(F)))
-    if n_samples % 2 == 0:
-        n_samples += 1  # keep t = 0 on the grid
-    ts = np.linspace(-span, span, n_samples)
-    G = F[None] + ts[:, None, None] * np.outer(a, b)[None]
-    vals = _w2d(G, params)
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        return np.inf
-    hull_t, hull_v = _lower_hull(ts[finite], vals[finite])
-    return float(np.interp(0.0, hull_t, hull_v))
-
-
-def _lower_hull(ts, vs):
-    # Andrew's monotone chain, lower hull only; input sorted in t.
-    hull = []
-    for p in zip(ts, vs):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return np.array([p[0] for p in hull]), np.array([p[1] for p in hull])
+    half = n_samples // 2
+    s = span * np.arange(1, half + 1) / half
+    offsets = np.concatenate([[0.0], s, -s])
+    W = _w2d(F[None] + offsets[:, None, None] * np.outer(a, b)[None], params)
+    chords = _chords(W[1 : half + 1], W[half + 1 :], s, s)
+    return float(np.min(chords, initial=W[0]))

@@ -56,6 +56,25 @@ def sample_invariants(region, r, u, v):
     return lam, delta_fn(lam, v)
 
 
+def lower_hull_at_zero(ts, vs):
+    """Value at t = 0 of the lower convex hull of the finite samples
+    ``(ts, vs)``, ``ts`` sorted: Andrew's monotone chain, lower half
+    only, then linear interpolation; +inf when no sample is finite."""
+    finite = np.isfinite(vs)
+    hull = []
+    for p in zip(ts[finite], vs[finite]):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    if not hull:
+        return np.inf
+    return float(np.interp(0.0, [p[0] for p in hull], [p[1] for p in hull]))
+
+
 def plane_energy_direct(Ft, params, n_az=64, n_pol=32, refine_iters=60):
     """Direct numerical minimization of the 3D density over the thickness
     vector and the director.

@@ -9,6 +9,7 @@ from nemem.algebra import diag_embed
 from nemem.cli import main
 from nemem.constitutive import MaterialParams
 from nemem.membrane import Region, classify, membrane_stress, psi
+from nemem.relaxation import _NORM_MAX
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,14 @@ def test_relax_rank_deficient_exit_code(capsys):
     )
     assert code == 3 and out == ""
     assert "domain error" in err
+
+
+def test_relax_huge_target_exit_code(capsys):
+    # Invariants of the target are within bounds (delta 8.1e99), those the
+    # search would reach are not: a domain error naming the bound.
+    code, out, err = run_cli(capsys, "relax", "--F", "9e49 0; 0 9e49; 0 0", "--r", "8")
+    assert code == 3 and out == ""
+    assert "domain error" in err and f"{_NORM_MAX:.6g}" in err
 
 
 def test_parse_error_names_bad_token(capsys):

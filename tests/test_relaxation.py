@@ -2,14 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nemem.algebra import diag_embed, rank_one_gap
+from helpers import lower_hull_at_zero, matrix_from_invariants, sample_invariants
+from nemem.algebra import diag_embed, rank_one_gap, singular_values
 from nemem.constitutive import MaterialParams
-from nemem.membrane import _RANK_TOL, DomainError, plane_energy, plane_energy_values
+from nemem.membrane import (
+    _INVARIANT_MAX,
+    _RANK_TOL,
+    DomainError,
+    Region,
+    classify,
+    plane_energy,
+    plane_energy_values,
+)
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
+    _NORM_MAX,
     OracleConfig,
     OracleResult,
+    _frame_directions,
+    _grid_directions,
+    _grid_search,
+    _two_level,
     _w2d_scalar,
     relax_along_line,
     relax_lamination,
@@ -185,3 +201,100 @@ def test_line_relaxation_through_infinite_point():
 def test_line_relaxation_rejects_non_unit_directions():
     with pytest.raises(ValueError):
         relax_along_line(diag_embed(1.0, 1.0), np.array([2.0, 0, 0]), np.array([1.0, 0]), P8)
+
+
+def test_huge_target_is_a_domain_error_before_the_search():
+    # The target's own invariants are below _INVARIANT_MAX, but the search
+    # offsets would leave it.
+    F = diag_embed(9e49, 9e49)
+    with pytest.raises(DomainError) as err:
+        relax_lamination(F, P8, CFG)
+    assert f"{_NORM_MAX:.6g}" in str(err.value) and f"{_INVARIANT_MAX:g}" in str(err.value)
+
+
+def test_large_target_keeps_a_witness():
+    F = diag_embed(9e30, 9e30)
+    res = relax_lamination(F, P8, CFG)
+    paired = measure_pairing(res.best_measure, lambda G: plane_energy(G, P8))
+    assert np.isfinite(res.value) and paired == pytest.approx(res.value, rel=1e-12)
+    np.testing.assert_allclose(res.best_measure.barycenter(), F, atol=1e-9 * np.linalg.norm(F))
+
+
+_unit_entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    F=st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=6, max_size=6),
+    a=st.lists(_unit_entries, min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
+    b=st.lists(_unit_entries, min_size=2, max_size=2).filter(lambda v: np.linalg.norm(v) > 0.1),
+)
+def test_line_relaxation_matches_lower_hull_reference(r, F, a, b):
+    # The lowest chord through 0 against the lower convex hull of the same
+    # samples, built independently and read at 0.
+    params = MaterialParams(mu=2.0, r=r)
+    F = np.reshape(F, (3, 2))
+    a = np.array(a) / np.linalg.norm(a)
+    b = np.array(b) / np.linalg.norm(b)
+    v = relax_along_line(F, a, b, params)
+    ts = np.linspace(-1.0, 1.0, 1601) * 10.0 * max(1.0, float(np.linalg.norm(F)))
+    lamM, lamm = singular_values(F[None] + ts[:, None, None] * np.outer(a, b)[None])
+    ref = lower_hull_at_zero(ts, plane_energy_values(lamM, lamM * lamm, params))
+    if np.isinf(ref):
+        assert v == ref
+    else:
+        assert abs(v - ref) <= 1e-12 * max(1.0, abs(v))
+
+
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_grid_candidates_are_the_splits_of_their_chords(region):
+    # Each candidate's value is the weighted plane energy of the split it
+    # names: weight theta on F + (1 - theta) t a b^T.
+    rng = np.random.default_rng(5)
+    lamM, delta = sample_invariants(region, 8.0, 0.4, 0.6)
+    assert classify(lamM, delta, P8) is region
+    F = matrix_from_invariants(lamM, delta, rng)
+    offsets = np.geomspace(1e-3, 10.0, 40) * max(1.0, float(np.linalg.norm(F)))
+    dirs = _frame_directions(F) + _grid_directions(256, 0)
+    candidates = _grid_search(F, P8, dirs, offsets, 6)
+    assert len(candidates) == 6
+    for value, (a, b, t, theta) in candidates:
+        assert t > 0.0 and 0.0 < theta < 1.0
+        D = np.outer(a, b)
+        split = theta * plane_energy(F + (1.0 - theta) * t * D, P8) + (
+            1.0 - theta
+        ) * plane_energy(F - theta * t * D, P8)
+        assert abs(value - split) <= 1e-12 * max(1.0, abs(split))
+
+
+# (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
+_TWO_LEVEL_PINS = [
+    (
+        diag_embed(1.0, 1.0),
+        8.0,
+        (5.3069448391340757e-08, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.617169830541779, 0.5),
+    ),
+    (
+        diag_embed(0.44, 0.08 / 0.44),
+        2.0,
+        (1.6086464862397065e-06, [0.0, 0.0, 1.0], [-0.0, 1.0], 2.3445125572794394, 0.5),
+    ),
+    (
+        np.array([[1.2, 0.3], [-0.4, 0.9], [0.5, 0.2]]),
+        8.0,
+        (
+            1.6544493552927975e-09,
+            [0.898280455039458, -0.22028534876224184, 0.3802191331519258],
+            [-0.10795950712881482, 0.994155292105063],
+            2.160986190540832,
+            0.5,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("F, r, pinned", _TWO_LEVEL_PINS)
+def test_two_level_scan_is_pinned(F, r, pinned):
+    est, (a, b, t, theta) = _two_level(F, MaterialParams(mu=2.0, r=r), OracleConfig())
+    assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
