@@ -5,14 +5,15 @@ convex envelope without trusting the closed-form relaxed energy.  Along
 one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
-One kernel, ``_chords``, scores such chords everywhere.  Depth one takes
-the lowest chord between geometric ladders of offsets on both sides of
-the target along each searched direction; depth two scans two-level
-trees whose first split is a chord between depth-one estimates of both
-endpoints (each the lowest chord along the endpoint's frame directions).
-The best candidate is polished by derivative-free pattern search, and
-the reported value is always the plane-energy pairing of an explicit
-witness measure.
+One function, ``_ladder_chords``, scores such chords everywhere, over
+ladders of offsets on both sides of the target, and one kernel, ``_w2d``,
+evaluates every plane energy.  Depth one takes the lowest chord along
+each searched direction; depth two scans two-level trees whose first
+split is a chord between depth-one estimates of both endpoints (each the
+lowest chord along the endpoint's frame directions).  The best candidates
+are polished side by side by a derivative-free pattern search that
+evaluates the moves ahead of each search in batches, and the reported
+value is always the plane-energy pairing of an explicit witness measure.
 """
 
 import math
@@ -23,9 +24,7 @@ import numpy as np
 from .algebra import singular_values, svd32
 from .membrane import (
     _INVARIANT_MAX,
-    _RANK_TOL,
     DomainError,
-    _plane_branches,
     _region_tests,
     plane_energy_values,
     psi,
@@ -36,7 +35,6 @@ __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination
 
 _N_AZ = 8  # azimuths of the 3-vector per polar ring of the direction grid
 _N_BETA = 8  # angles of the 2-vector on the half circle
-_BIG = 1e30  # finite stand-in for +inf inside chord arithmetic
 _CHUNK = 256  # directions per plane-energy batch of the grid search
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
@@ -94,29 +92,10 @@ class OracleResult:
 
 
 def _w2d(G, params):
+    """Plane energy of a batch of 3x2 matrices, shape ``(..., 3, 2)``: the
+    one plane-energy path of the oracle."""
     lamM, lamm = singular_values(G)
     return plane_energy_values(lamM, lamM * lamm, params)
-
-
-def _w2d_scalar(G, params):
-    # Pure-float plane energy of one 3x2 matrix; the refinement loops
-    # call this thousands of times, so it avoids array overhead.
-    g11, g12 = G[0, 0], G[0, 1]
-    g21, g22 = G[1, 0], G[1, 1]
-    g31, g32 = G[2, 0], G[2, 1]
-    a = g11 * g11 + g21 * g21 + g31 * g31
-    c = g12 * g12 + g22 * g22 + g32 * g32
-    b = g11 * g12 + g21 * g22 + g31 * g32
-    half = 0.5 * (a + c)
-    disc = math.hypot(0.5 * (a - c), b)
-    lamM = math.sqrt(max(half + disc, 0.0))
-    lamm = math.sqrt(max(half - disc, 0.0))
-    delta = lamM * lamm
-    if delta <= _RANK_TOL * max(1.0, lamM * lamM):
-        return math.inf
-    phi1, phi2, phi3, window = _plane_branches(lamM, delta, params.r)
-    phi = min(phi1, phi2, phi3) if window else min(phi1, phi2)
-    return 0.5 * params.mu * phi
 
 
 def _chords(w_pos, w_neg, s_pos, s_neg):
@@ -132,6 +111,21 @@ def _chords(w_pos, w_neg, s_pos, s_neg):
     return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
 
 
+def _ladder_chords(value, F, D, s):
+    """Chords through each ``F`` between ``value(F + s_i D)`` and
+    ``value(F - s_j D)``, with shape ``(..., i, j)``.
+
+    ``F`` and ``D`` are ``(..., 3, 2)`` and ``s`` is ``(..., n)``, all
+    broadcast against each other; ``value`` maps a batch of matrices to
+    their values and is called once, on both sides of the ladder.
+    """
+    s = np.asarray(s)
+    n = s.shape[-1]
+    both = np.concatenate([s, -s], axis=-1)[..., :, None, None]
+    W = value(F[..., None, :, :] + both * D[..., None, :, :])
+    return _chords(W[..., :n], W[..., n:], s, s)
+
+
 def _frame_directions(F, ambient=True):
     sd = svd32(F)
     dirs = [(sd.Q[:, i].copy(), sd.R[j, :].copy()) for i in range(3) for j in range(2)]
@@ -140,72 +134,13 @@ def _frame_directions(F, ambient=True):
     return dirs
 
 
-def _grid_directions(n_dirs, seed):
-    n_pol = n_dirs // (_N_AZ * _N_BETA)
-    pol = (np.arange(n_pol) + 0.5) * (0.5 * np.pi) / n_pol
-    az = np.arange(_N_AZ) * (2.0 * np.pi) / _N_AZ
-    beta = np.arange(_N_BETA) * np.pi / _N_BETA
-    a = np.stack(
-        [
-            np.outer(np.sin(pol), np.cos(az)).ravel(),
-            np.outer(np.sin(pol), np.sin(az)).ravel(),
-            np.outer(np.cos(pol), np.ones(_N_AZ)).ravel(),
-        ],
-        axis=1,
-    )
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    a = a @ Q.T
-    b = np.stack([np.cos(beta), np.sin(beta)], axis=1)
-    return [(av, bv) for av in a for bv in b]
-
-
-def _weight(theta):
-    return min(max(theta, 1e-6), 1.0 - 1e-6)
-
-
-def _split_objective(F, params, split):
-    Gp, Gm = _split_endpoints(F, split)
-    wp = _w2d_scalar(Gp, params)
-    wm = _w2d_scalar(Gm, params)
-    if not (math.isfinite(wp) and math.isfinite(wm)):
-        return math.inf
-    theta = split[3]
-    return theta * wp + (1.0 - theta) * wm
-
-
-def _pattern_search(value, x0, steps, iters, active):
-    """Derivative-free coordinate descent with step expansion and
-    shrinking; deterministic for a fixed starting point."""
-    x = list(x0)
-    best = value(x)
-    steps = list(steps)
-    for _ in range(iters):
-        improved = False
-        for k in active:
-            for sign in (1.0, -1.0):
-                trial = list(x)
-                trial[k] = x[k] + sign * steps[k]
-                v = value(trial)
-                if v < best:
-                    best, x = v, trial
-                    improved = True
-                    # Expand while the move keeps paying off.
-                    for _ in range(10):
-                        trial = list(x)
-                        trial[k] = x[k] + sign * steps[k] * 2.0
-                        v = value(trial)
-                        if v < best:
-                            best, x = v, trial
-                            steps[k] *= 2.0
-                        else:
-                            break
-                    break
-        if not improved:
-            steps = [0.5 * s for s in steps]
-    return best, x
+def _unit_vectors(pol, az, beta):
+    """The angle map of the search: unit 3-vectors ``a`` from polar and
+    azimuthal angles, unit 2-vectors ``b`` from one angle; on arrays."""
+    pol, az = np.broadcast_arrays(pol, az)
+    a = np.stack([np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)], axis=-1)
+    b = np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+    return a, b
 
 
 def _angles_of(a, b):
@@ -215,29 +150,119 @@ def _angles_of(a, b):
     return pol, az, beta
 
 
-def _vectors_of(pol, az, beta):
-    a = np.array(
-        [math.sin(pol) * math.cos(az), math.sin(pol) * math.sin(az), math.cos(pol)]
-    )
-    b = np.array([math.cos(beta), math.sin(beta)])
-    return a, b
+def _grid_directions(n_dirs, seed):
+    n_pol = n_dirs // (_N_AZ * _N_BETA)
+    pol = (np.arange(n_pol) + 0.5) * (0.5 * np.pi) / n_pol
+    az = np.arange(_N_AZ) * (2.0 * np.pi) / _N_AZ
+    beta = np.arange(_N_BETA) * np.pi / _N_BETA
+    a, b = _unit_vectors(pol[:, None], az[None, :], beta)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    a = a.reshape(-1, 3) @ Q.T
+    return [(av, bv) for av in a for bv in b]
 
 
-def _refine_split(F, params, split, iters):
+def _weight(theta):
+    return np.clip(theta, 1e-6, 1.0 - 1e-6)
+
+
+def _split_endpoints(F, split):
+    """Endpoints ``F + (1 - theta) t a b^T`` and ``F - theta t a b^T`` of
+    one split or of a batch, ``a`` of shape ``(..., 3)``, ``b`` of shape
+    ``(..., 2)``, ``t`` and ``theta`` of shape ``(...)``."""
     a, b, t, theta = split
-    x0 = [*_angles_of(a, b), math.log(t), theta]
+    D = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    t = np.asarray(t)[..., None, None]
+    theta = np.asarray(theta)[..., None, None]
+    return F + (1.0 - theta) * t * D, F - theta * t * D
 
-    def split_of(xs):
-        return (*_vectors_of(xs[0], xs[1], xs[2]), math.exp(xs[3]), _weight(xs[4]))
 
-    best, x = _pattern_search(
-        lambda xs: _split_objective(F, params, split_of(xs)),
-        x0,
-        [0.1, 0.1, 0.1, 0.35, 1.0 / 32],
-        iters,
-        range(5),
-    )
-    return best, split_of(x)
+def _splits_of(X):
+    """Splits ``(a, b, t, theta)`` of the polish coordinates, rows
+    ``(pol, az, beta, log t, theta)``."""
+    a, b = _unit_vectors(X[..., 0], X[..., 1], X[..., 2])
+    return a, b, np.exp(X[..., 3]), _weight(X[..., 4])
+
+
+def _split_values(F, params, X):
+    """Weighted plane energy of the split of each row of ``X``, the
+    batched objective of the polish (coordinates as in ``_splits_of``)."""
+    split = _splits_of(X)
+    W = _w2d(np.stack(_split_endpoints(F, split)), params)
+    theta = split[3]
+    return theta * W[0] + (1.0 - theta) * W[1]
+
+
+def _pattern_search(values, starts, steps, iters, active):
+    """Derivative-free coordinate descent from each point of ``starts``,
+    with step expansion and shrinking; deterministic.
+
+    A sweep visits the ``active`` coordinates in order and tries ``+step``
+    before ``-step``, taking the first move that improves and doubling it
+    while that keeps paying; all steps halve after a sweep without
+    improvement.  ``values`` maps a batch of points, shape
+    ``(m, len(x0))``, to their values.  The searches run side by side,
+    and a value that a search needs and has not seen is evaluated with
+    every move still ahead of it in its sweep: one call per round serves
+    all the searches waiting for a value.  Each search takes the path it
+    would take evaluating one point at a time.  Returns ``(best, x)`` for
+    each start.
+    """
+    known = {}
+    moves = [(k, sign) for k in active for sign in (1.0, -1.0)]
+
+    def moved(x, k, d):
+        trial = list(x)
+        trial[k] = x[k] + d
+        return trial
+
+    def value(point, base, ahead, steps):
+        # Yields the points to evaluate when ``point`` is new: it and the
+        # moves ``ahead`` from ``base``.
+        if tuple(point) not in known:
+            yield [tuple(point)] + [tuple(moved(base, k, sign * steps[k])) for k, sign in ahead]
+        return known[tuple(point)]
+
+    def search(x, steps):
+        best = yield from value(x, x, moves, steps)
+        for _ in range(iters):
+            improved = False
+            for c, k in enumerate(active):
+                for sign in (1.0, -1.0):
+                    trial = moved(x, k, sign * steps[k])
+                    v = yield from value(trial, x, moves[2 * c :], steps)
+                    if v < best:
+                        best, x = v, trial
+                        improved = True
+                        # Expand while the move keeps paying off.
+                        for _ in range(10):
+                            trial = moved(x, k, sign * steps[k] * 2.0)
+                            v = yield from value(trial, x, moves[2 * c + 2 :], steps)
+                            if v < best:
+                                best, x = v, trial
+                                steps[k] *= 2.0
+                            else:
+                                break
+                        break
+            if not improved:
+                steps = [0.5 * s for s in steps]
+        return best, np.array(x)
+
+    runs = [search(list(x0), list(steps)) for x0 in starts]
+    asks = {i: next(run) for i, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while asks:
+        batch = [p for p in dict.fromkeys(p for ask in asks.values() for p in ask) if p not in known]
+        known.update(zip(batch, values(np.array(batch)).tolist()))
+        for i in list(asks):
+            try:
+                asks[i] = next(runs[i])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+    return results
 
 
 def _grid_search(F, params, dirs, offsets, top_k):
@@ -250,14 +275,13 @@ def _grid_search(F, params, dirs, offsets, top_k):
     ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
     """
     n = len(offsets)
-    s = np.concatenate([offsets, -offsets])
     A = np.stack([np.outer(a, b) for a, b in dirs])
     per_dir_best = np.empty(len(dirs))
     per_dir_arg = np.empty(len(dirs), dtype=int)
     for start in range(0, len(dirs), _CHUNK):
         block = A[start : start + _CHUNK]
-        W = _w2d(F + s[:, None, None] * block[:, None], params)
-        chords = _chords(W[:, :n], W[:, n:], offsets, offsets).reshape(len(block), -1)
+        chords = _ladder_chords(lambda G: _w2d(G, params), F, block, offsets)
+        chords = chords.reshape(len(block), -1)
         per_dir_best[start : start + len(block)] = np.min(chords, axis=1)
         per_dir_arg[start : start + len(block)] = np.argmin(chords, axis=1)
     out = []
@@ -273,11 +297,12 @@ def _grid_search(F, params, dirs, offsets, top_k):
 
 
 def _depth1(F, params, cfg, light=False):
-    """Best single split (or none): grid scan plus pattern-search polish.
+    """Best single split (or none): grid scan plus pattern-search polish
+    of the top candidates, side by side.
 
     Returns ``(value, split_or_None)`` with ``split = (a, b, t, theta)``.
     """
-    w0 = _w2d_scalar(F, params)
+    w0 = _w2d(F, params)
     scale = max(1.0, float(np.linalg.norm(F)))
     if light:
         dirs = _frame_directions(F)
@@ -286,11 +311,16 @@ def _depth1(F, params, cfg, light=False):
         dirs = _frame_directions(F) + _grid_directions(cfg.n_dirs, cfg.seed)
         n, top_k, iters = cfg.t_grid, 6, cfg.refine_iters
     offsets = np.geomspace(1e-3, _SPLIT_TOP, n) * scale
+    starts = [
+        [*_angles_of(a, b), math.log(t), theta]
+        for _, (a, b, t, theta) in _grid_search(F, params, dirs, offsets, top_k)
+    ]
+    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
+    polished = _pattern_search(lambda X: _split_values(F, params, X), starts, steps, iters, range(5))
     best_val, best_split = math.inf, None
-    for _, split in _grid_search(F, params, dirs, offsets, top_k):
-        val, refined = _refine_split(F, params, split, iters)
+    for val, x in polished:
         if val < best_val:
-            best_val, best_split = val, refined
+            best_val, best_split = val, _splits_of(x)
     # A split that wins by rounding noise only is reported as no split.
     if w0 <= best_val + 1e-12 * max(1.0, abs(w0)):
         return w0, None
@@ -298,7 +328,8 @@ def _depth1(F, params, cfg, light=False):
 
 
 def _endpoint_depth1_estimate(E, params):
-    """Vectorized depth-one estimate for a batch of endpoint matrices.
+    """Vectorized depth-one estimate for endpoint matrices of any leading
+    shape, ``(..., 3, 2) -> (...)``.
 
     For each endpoint the estimate is the least of its own plane energy
     and the lowest chord through it along its six frame-aligned rank-one
@@ -307,17 +338,14 @@ def _endpoint_depth1_estimate(E, params):
     trees.
     """
     E = np.asarray(E, dtype=float)
-    n = E.shape[0]
-    dirs = np.array([[np.outer(a, b) for a, b in _frame_directions(G, ambient=False)] for G in E])
-    scale = np.maximum(1.0, np.linalg.norm(E.reshape(n, -1), axis=1))
-    s2 = scale[:, None] * np.geomspace(1e-2, _ENDPOINT_TOP, 14)[None, :]  # (n, ns)
-    G_pos = E[:, None, None] + s2[:, None, :, None, None] * dirs[:, :, None]
-    G_neg = E[:, None, None] - s2[:, None, :, None, None] * dirs[:, :, None]
-    W_pos = np.minimum(_w2d(G_pos, params), _BIG)  # (n, 6, ns)
-    W_neg = np.minimum(_w2d(G_neg, params), _BIG)
-    W_self = np.minimum(_w2d(E, params), _BIG)  # (n,)
-    chords = _chords(W_pos, W_neg, s2[:, None, :], s2[:, None, :])
-    return np.minimum(W_self, chords.min(axis=(1, 2, 3)))
+    lead = E.shape[:-2]
+    flat = E.reshape(-1, 3, 2)
+    dirs = np.array([[np.outer(a, b) for a, b in _frame_directions(G, ambient=False)] for G in flat])
+    dirs = dirs.reshape(lead + (6, 3, 2))
+    scale = np.maximum(1.0, np.linalg.norm(flat.reshape(-1, 6), axis=1)).reshape(lead)
+    s = scale[..., None] * np.geomspace(1e-2, _ENDPOINT_TOP, 14)
+    chords = _ladder_chords(lambda G: _w2d(G, params), E[..., None, :, :], dirs, s[..., None, :])
+    return np.minimum(_w2d(E, params), chords.min(axis=(-3, -2, -1)))
 
 
 def _two_level(F, params, cfg):
@@ -327,55 +355,46 @@ def _two_level(F, params, cfg):
     scale = max(1.0, float(np.linalg.norm(F)))
     dirs = _frame_directions(F, ambient=False)
     base = np.geomspace(1e-2, _PAIR_TOP, 24) * scale
-    n_dir, ns = len(dirs), len(base)
-    E = np.empty((n_dir, 2 * ns, 3, 2))
-    for d, (a, b) in enumerate(dirs):
-        D = np.outer(a, b)
-        E[d, :ns] = F[None] + base[:, None, None] * D[None]
-        E[d, ns:] = F[None] - base[:, None, None] * D[None]
-    R1 = _endpoint_depth1_estimate(E.reshape(-1, 3, 2), params).reshape(n_dir, 2 * ns)
-    pairing = _chords(R1[:, :ns], R1[:, ns:], base, base)
-    d_idx, rem = divmod(int(np.argmin(pairing)), ns * ns)
-    ip, im = divmod(rem, ns)
+    D = np.stack([np.outer(a, b) for a, b in dirs])
+    pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, D, base)
+    d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
     a, b = dirs[d_idx]
     s_pos, s_neg = float(base[ip]), float(base[im])
     t = s_pos + s_neg
 
-    def value(xs):
-        th = _weight(xs[1])
-        pair = np.stack(_split_endpoints(F, (a, b, math.exp(xs[0]), th)))
-        vp, vm = _endpoint_depth1_estimate(pair, params)
+    def values(X):
+        th = _weight(X[:, 1])
+        ends = np.stack(_split_endpoints(F, (a, b, np.exp(X[:, 0]), th)))
+        vp, vm = _endpoint_depth1_estimate(ends, params)
         return th * vp + (1.0 - th) * vm
 
-    est, x = _pattern_search(value, [math.log(t), s_neg / t], [0.3, 1.0 / 16], 10, [0, 1])
-    return est, (a, b, math.exp(x[0]), _weight(x[1]))
+    [(est, x)] = _pattern_search(values, [[math.log(t), s_neg / t]], [0.3, 1.0 / 16], 10, [0, 1])
+    return est, (a, b, float(np.exp(x[0])), float(_weight(x[1])))
 
 
-def _split_endpoints(F, split):
+def _split_atom(w, G, split, level, tree):
+    """The atoms of ``(w, G)`` after ``split``, which is recorded in
+    ``tree`` at ``level``; the atom itself when ``split`` is None."""
+    if split is None:
+        return [(w, G)]
     a, b, t, theta = split
-    D = np.outer(a, b)
-    return F + (1.0 - theta) * t * D, F - theta * t * D
-
-
-def _as_tree_entry(split, level):
-    a, b, t, theta = split
-    return {
-        "level": level,
-        "a": np.asarray(a, dtype=float),
-        "b": np.asarray(b, dtype=float),
-        "magnitude": float(t),
-        "weight": float(theta),
-    }
+    tree.append(
+        {
+            "level": level,
+            "a": np.asarray(a, dtype=float),
+            "b": np.asarray(b, dtype=float),
+            "magnitude": float(t),
+            "weight": float(theta),
+        }
+    )
+    Gp, Gm = _split_endpoints(G, split)
+    return [(w * theta, Gp), (w * (1.0 - theta), Gm)]
 
 
 def _witness_pairing(atoms, params):
-    total = 0.0
-    for w, G in atoms:
-        v = _w2d_scalar(np.asarray(G, dtype=float), params)
-        if not math.isfinite(v):
-            return math.inf
-        total += w * v
-    return total
+    # The weights are positive, so an infinite atom makes the sum infinite.
+    W = _w2d(np.stack([G for _, G in atoms]), params)
+    return sum(w * v for (w, _), v in zip(atoms, W.tolist()))
 
 
 def relax_lamination(Ft, params, cfg=None):
@@ -419,7 +438,7 @@ def relax_lamination(Ft, params, cfg=None):
         )
 
     value1, split1 = _depth1(F, params, cfg)
-    trees = [(value1, split1, None, None)]
+    trees = [(split1, None, None)]
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
@@ -428,54 +447,38 @@ def relax_lamination(Ft, params, cfg=None):
         est, split = _two_level(F, params, cfg)
         if est < value1:
             Gp, Gm = _split_endpoints(F, split)
-            vp, sp = _depth1(Gp, params, cfg, light=True)
-            vm, sm = _depth1(Gm, params, cfg, light=True)
-            theta = split[3]
-            trees.append((theta * vp + (1.0 - theta) * vm, split, sp, sm))
+            _, sp = _depth1(Gp, params, cfg, light=True)
+            _, sm = _depth1(Gm, params, cfg, light=True)
+            trees.append((split, sp, sm))
 
     best = None
     best_pairing = math.inf
-    for _, split, sp, sm in trees:
-        atoms = []
+    for split, sp, sm in trees:
         tree = []
-        if split is None:
-            atoms.append((1.0, F))
-        else:
-            Gp, Gm = _split_endpoints(F, split)
-            theta = split[3]
-            tree.append(_as_tree_entry(split, 1))
-            for w_end, G_end, sub in ((theta, Gp, sp), (1.0 - theta, Gm, sm)):
-                if sub is None:
-                    atoms.append((w_end, G_end))
-                else:
-                    Gpp, Gmm = _split_endpoints(G_end, sub)
-                    th2 = sub[3]
-                    tree.append(_as_tree_entry(sub, 2))
-                    atoms.append((w_end * th2, Gpp))
-                    atoms.append((w_end * (1.0 - th2), Gmm))
+        atoms = [
+            atom
+            for (w, G), sub in zip(_split_atom(1.0, F, split, 1, tree), (sp, sm))
+            for atom in _split_atom(w, G, sub, 2, tree)
+        ]
         paired = _witness_pairing(atoms, params)
         if paired < best_pairing:
             best_pairing = paired
             best = DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree))
+    if best is None:
+        raise DomainError(
+            f"no lamination witness with finite plane energy was found for "
+            f"(lamM, delta) = ({sd.lamM}, {sd.delta})"
+        )
 
     # Exploration depths beyond two: keep splitting witness atoms with a
     # light single-split pass while it pays.
     for level in range(3, cfg.depth + 1):
         atoms = []
         tree = list(best.tree)
-        changed = False
         for w, G in best.atoms:
-            v, sub = _depth1(np.asarray(G, dtype=float), params, cfg, light=True)
-            if sub is None:
-                atoms.append((w, G))
-            else:
-                Gp, Gm = _split_endpoints(np.asarray(G, dtype=float), sub)
-                th = sub[3]
-                tree.append(_as_tree_entry(sub, level))
-                atoms.append((w * th, Gp))
-                atoms.append((w * (1.0 - th), Gm))
-                changed = True
-        if not changed:
+            _, sub = _depth1(G, params, cfg, light=True)
+            atoms += _split_atom(w, G, sub, level, tree)
+        if len(tree) == len(best.tree):  # no atom split
             break
         paired = _witness_pairing(atoms, params)
         if paired < best_pairing:
@@ -483,11 +486,6 @@ def relax_lamination(Ft, params, cfg=None):
             best = DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree))
         else:
             break
-    if best is None:
-        raise DomainError(
-            f"no lamination witness with finite plane energy was found for "
-            f"(lamM, delta) = ({sd.lamM}, {sd.delta})"
-        )
     return OracleResult(
         value=best_pairing,
         best_measure=best,
@@ -515,7 +513,5 @@ def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
         span = 10.0 * max(1.0, float(np.linalg.norm(F)))
     half = n_samples // 2
     s = span * np.arange(1, half + 1) / half
-    offsets = np.concatenate([[0.0], s, -s])
-    W = _w2d(F[None] + offsets[:, None, None] * np.outer(a, b)[None], params)
-    chords = _chords(W[1 : half + 1], W[half + 1 :], s, s)
-    return float(np.min(chords, initial=W[0]))
+    chords = _ladder_chords(lambda G: _w2d(G, params), F, np.outer(a, b), s)
+    return float(np.min(chords, initial=_w2d(F, params)))

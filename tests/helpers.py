@@ -75,6 +75,40 @@ def lower_hull_at_zero(ts, vs):
     return float(np.interp(0.0, [p[0] for p in hull], [p[1] for p in hull]))
 
 
+def pattern_search_reference(value, x0, steps, iters, active):
+    """Serial pattern search, one point per call of the scalar objective
+    ``value``: each sweep visits the ``active`` coordinates in order,
+    tries ``+step`` before ``-step``, takes the first move that improves
+    and doubles it while that keeps paying; all steps halve after a sweep
+    without improvement.  The reference for the oracle's batched search."""
+    x = list(x0)
+    best = value(x)
+    steps = list(steps)
+    for _ in range(iters):
+        improved = False
+        for k in active:
+            for sign in (1.0, -1.0):
+                trial = list(x)
+                trial[k] = x[k] + sign * steps[k]
+                v = value(trial)
+                if v < best:
+                    best, x = v, trial
+                    improved = True
+                    for _ in range(10):
+                        trial = list(x)
+                        trial[k] = x[k] + sign * steps[k] * 2.0
+                        v = value(trial)
+                        if v < best:
+                            best, x = v, trial
+                            steps[k] *= 2.0
+                        else:
+                            break
+                    break
+        if not improved:
+            steps = [0.5 * s for s in steps]
+    return best, x
+
+
 def plane_energy_direct(Ft, params, n_az=64, n_pol=32, refine_iters=60):
     """Direct numerical minimization of the 3D density over the thickness
     vector and the director.

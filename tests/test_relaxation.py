@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lower_hull_at_zero, matrix_from_invariants, sample_invariants
+from helpers import (
+    lower_hull_at_zero,
+    matrix_from_invariants,
+    pattern_search_reference,
+    sample_invariants,
+)
 from nemem.algebra import diag_embed, rank_one_gap, singular_values
 from nemem.constitutive import MaterialParams
 from nemem.membrane import (
@@ -16,17 +21,21 @@ from nemem.membrane import (
     classify,
     plane_energy,
     plane_energy_values,
+    psi,
 )
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
     _NORM_MAX,
     OracleConfig,
     OracleResult,
+    _angles_of,
     _frame_directions,
     _grid_directions,
     _grid_search,
+    _pattern_search,
+    _split_values,
     _two_level,
-    _w2d_scalar,
+    _w2d,
     relax_along_line,
     relax_lamination,
 )
@@ -52,9 +61,10 @@ def test_n_dirs_must_be_a_multiple_of_the_grid(n_dirs):
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 def test_scalar_plane_energy_matches_array_kernel(r):
-    # The oracle's pure-float kernel against plane_energy_values.  It takes
-    # its singular values from the Gram matrix, whose smaller one loses
-    # relative accuracy like eps * (lamM / lamm)^2, so the random pairs keep
+    # The oracle's plane-energy kernel, one matrix per call, against
+    # plane_energy_values.  It takes its singular values from the Gram
+    # matrix, whose smaller one loses relative accuracy like
+    # eps * (lamM / lamm)^2, so the random pairs keep
     # lamm / lamM = delta / lamM^2 >= 0.1.
     params = MaterialParams(mu=2.0, r=r)
     rng = np.random.default_rng(11)
@@ -80,7 +90,7 @@ def test_scalar_plane_energy_matches_array_kernel(r):
     expect_finite = np.arange(L.size) < lam.size + lam_e.size
     expect_finite[-6:-3] = True
 
-    scalar = np.array([_w2d_scalar(diag_embed(l, d / l), params) for l, d in zip(L, D)])
+    scalar = np.array([_w2d(diag_embed(l, d / l), params) for l, d in zip(L, D)])
     array = plane_energy_values(L, D, params)
     np.testing.assert_array_equal(np.isfinite(array), expect_finite)
     np.testing.assert_array_equal(np.isfinite(scalar), expect_finite)
@@ -177,6 +187,12 @@ def test_rank_deficient_target_without_witness_is_a_domain_error(F):
     # endpoints: an unwitnessed value must not come back as a result.
     with pytest.raises(DomainError, match="witness"):
         relax_lamination(F, P8, CFG)
+
+
+def test_rank_deficient_target_is_a_domain_error_at_depth_three():
+    # The deeper passes split the witness atoms, and there are none.
+    with pytest.raises(DomainError, match="witness"):
+        relax_lamination(np.zeros((3, 2)), P8, OracleConfig(depth=3))
 
 
 def test_line_relaxation_convex_direction_returns_value():
@@ -298,3 +314,67 @@ _TWO_LEVEL_PINS = [
 def test_two_level_scan_is_pinned(F, r, pinned):
     est, (a, b, t, theta) = _two_level(F, MaterialParams(mu=2.0, r=r), OracleConfig())
     assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
+
+
+@pytest.mark.parametrize("x", [1e15, 1e16, 9e30])
+def test_two_level_estimate_is_not_below_the_closed_form(x):
+    # Every estimate is a weighted sum of chords of plane energies, so it
+    # bounds the rank-one convex envelope from above also where those
+    # energies are huge.
+    est, _ = _two_level(diag_embed(x, x), P8, CFG)
+    assert est >= (1.0 - 1e-12) * psi(x, x * x, P8)
+
+
+def _plateau_objective(rng, dim):
+    # A rounded quadratic with coupled coordinates (plateaus, so ties, and
+    # moves that depend on the order of the sweep) that is +inf beyond a
+    # wall.
+    center = rng.uniform(-1.0, 1.0, dim)
+    A = rng.normal(size=(dim, dim))
+    M = A @ A.T + 0.1 * np.eye(dim)
+    wall = center[0] + rng.uniform(0.5, 1.5)
+
+    def values(X):
+        Y = X - center
+        # Elementwise only, so a row's value does not depend on the batch.
+        q = sum(M[i, j] * Y[:, i] * Y[:, j] for i in range(dim) for j in range(dim))
+        q = np.floor(16.0 * q) / 16.0
+        return np.where(X[:, 0] > wall, np.inf, q)
+
+    return values
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pattern_search_matches_serial_reference(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    values = _plateau_objective(rng, dim)
+    starts = rng.uniform(-2.0, 2.0, (3, dim)).tolist()
+    steps = rng.uniform(0.05, 0.5, dim).tolist()
+    active = rng.permutation(dim)[: int(rng.integers(1, dim + 1))].tolist()
+    # The three searches run side by side; each must take its own path.
+    for x0, (best, x) in zip(starts, _pattern_search(values, starts, steps, 30, active)):
+        ref_best, ref_x = pattern_search_reference(
+            lambda xs: values(np.array([xs]))[0], x0, steps, 30, active
+        )
+        assert best == ref_best and x.tolist() == ref_x
+
+
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_split_polish_matches_serial_reference(region):
+    # The polish of the oracle's grid candidates, batched and one row per
+    # call of the same objective.
+    rng = np.random.default_rng(7)
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.3, 0.7), rng)
+    offsets = np.geomspace(1e-3, 10.0, 16) * max(1.0, float(np.linalg.norm(F)))
+    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
+    starts = [
+        [*_angles_of(a, b), np.log(t), theta]
+        for _, (a, b, t, theta) in _grid_search(F, P8, _frame_directions(F), offsets, 3)
+    ]
+    found = _pattern_search(lambda X: _split_values(F, P8, X), starts, steps, 50, range(5))
+    for x0, (best, x) in zip(starts, found):
+        ref_best, ref_x = pattern_search_reference(
+            lambda xs: _split_values(F, P8, np.array([xs]))[0], x0, steps, 50, range(5)
+        )
+        assert best == ref_best and x.tolist() == ref_x
