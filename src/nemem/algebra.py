@@ -2,10 +2,11 @@
 
 Everything a membrane calculation needs from linear algebra lives here:
 the vector of 2x2 minors (``adj2``), a closed-form singular value
-decomposition of 3x2 matrices (``svd32``), and a rank-one certificate
-(``rank_one_gap``).  The SVD is computed analytically from the 2x2
-symmetric eigenproblem of F^T F, so it is exact up to rounding and has
-no iteration or library dependency.
+decomposition with frames of one 3x2 matrix or a batch (``svd32``), the
+batched singular values alone (``singular_values``), and a rank-one
+certificate (``rank_one_gap``).  The SVD is computed analytically from
+the 2x2 symmetric eigenproblem of F^T F, so it is exact up to rounding
+and has no iteration and no LAPACK call.
 """
 
 from dataclasses import dataclass
@@ -28,19 +29,22 @@ _FRAME_TOL = 1e-13
 
 @dataclass(frozen=True)
 class SingularData:
-    """Singular value decomposition F = Q D R of a 3x2 matrix.
+    """Singular value decomposition F = Q D R of a 3x2 matrix or a batch.
+
+    For one matrix the singular values are floats; for a batch of shape
+    ``(..., 3, 2)`` every field is an array with those leading axes.
 
     Attributes
     ----------
-    lamM, lamm : float
+    lamM, lamm : float or ndarray, shape (...)
         Singular values, ``lamM >= lamm >= 0``.
-    delta : float
+    delta : float or ndarray, shape (...)
         Areal stretch ``lamM * lamm`` (equals ``|adj2(F)|``).
-    Q : ndarray, shape (3, 3)
-        Rotation (det Q = +1) whose first two columns are the left
+    Q : ndarray, shape (..., 3, 3)
+        Rotations (det Q = +1) whose first two columns are the left
         singular vectors.
-    R : ndarray, shape (2, 2)
-        Orthogonal matrix whose rows are the right singular vectors.
+    R : ndarray, shape (..., 2, 2)
+        Orthogonal matrices whose rows are the right singular vectors.
     """
 
     lamM: float
@@ -49,33 +53,24 @@ class SingularData:
     Q: np.ndarray
     R: np.ndarray
 
-    @property
-    def e1(self):
-        return self.Q[:, 0]
-
-    @property
-    def e2(self):
-        return self.Q[:, 1]
-
-    @property
-    def f1(self):
-        return self.R[0, :]
-
-    @property
-    def f2(self):
-        return self.R[1, :]
-
-    @property
-    def D(self):
-        return diag_embed(self.lamM, self.lamm)
+    # Left singular vectors (columns of Q), right ones (rows of R).
+    e1 = property(lambda self: self.Q[..., :, 0])
+    e2 = property(lambda self: self.Q[..., :, 1])
+    f1 = property(lambda self: self.R[..., 0, :])
+    f2 = property(lambda self: self.R[..., 1, :])
+    D = property(lambda self: diag_embed(self.lamM, self.lamm))
 
     def reconstruct(self):
         return self.Q @ self.D @ self.R
 
 
 def diag_embed(a, b):
-    """3x2 matrix with ``a`` and ``b`` on the diagonal and a zero third row."""
-    return np.array([[a, 0.0], [0.0, b], [0.0, 0.0]], dtype=float)
+    """3x2 matrices with ``a`` and ``b`` on the diagonal and a zero third
+    row; ``a`` and ``b`` broadcast, and two numbers give one matrix."""
+    out = np.zeros(np.broadcast(a, b).shape + (3, 2))
+    out[..., 0, 0] = a
+    out[..., 1, 1] = b
+    return out
 
 
 def adj2(F):
@@ -102,100 +97,104 @@ def adj2(F):
     )
 
 
-def _right_vector(C):
-    # Leading unit eigenvector of the symmetric 2x2 matrix C, with a
-    # deterministic sign and a tie-break along the first axis.
-    a, c = C[0, 0], C[1, 1]
-    b = C[0, 1]
-    half_gap = 0.5 * (a - c)
-    disc = np.hypot(half_gap, b)
-    scale = max(abs(a), abs(c), 1.0)
-    if disc <= 1e-15 * scale:
-        # Repeated singular values: any frame works, pick the first axis.
-        return np.array([1.0, 0.0])
-    s1sq = 0.5 * (a + c) + disc
-    # Two algebraically equivalent eigenvector expressions; use the
-    # better conditioned one.
-    v_a = np.array([b, s1sq - a])
-    v_b = np.array([s1sq - c, b])
-    v = v_a if v_a @ v_a >= v_b @ v_b else v_b
-    v = v / np.linalg.norm(v)
-    # Deterministic sign: first component of significant size positive.
-    if abs(v[0]) > 1e-12:
-        if v[0] < 0.0:
-            v = -v
-    elif v[1] < 0.0:
-        v = -v
-    return v
-
-
-def _complete_left(u1):
-    # Deterministic unit vector orthogonal to u1: start from the basis
-    # vector least aligned with u1, then fix the sign.
-    k = int(np.argmin(np.abs(u1)))
-    u2 = np.zeros(3)
-    u2[k] = 1.0
-    u2 = u2 - (u2 @ u1) * u1
-    u2 = u2 / np.linalg.norm(u2)
-    for comp in u2:
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                u2 = -u2
-            break
-    return u2
-
-
 def svd32(F):
-    """Closed-form singular value decomposition of a 3x2 matrix.
+    """Closed-form singular value decomposition of 3x2 matrices.
 
     Solves the 2x2 symmetric eigenproblem of F^T F analytically and
-    assembles F = Q D R with Q in SO(3) and R orthogonal.  Repeated or
-    zero singular values get a deterministic frame; only ``lamM``,
-    ``lamm`` and the reconstruction are unique in those cases.
+    assembles F = Q D R with Q in SO(3) and R orthogonal, for one matrix
+    or a batch.  A batch is one array computation whose products are the
+    one-matrix ``@`` calls stacked, so every element gets the bits of
+    its own call; the rare cases are masked and skipped when no element
+    has them.  Repeated or zero singular values get a deterministic
+    frame; only ``lamM``, ``lamm`` and the reconstruction are unique in
+    those cases.
 
     Parameters
     ----------
-    F : ndarray, shape (3, 2)
+    F : ndarray, shape (..., 3, 2)
 
     Returns
     -------
     SingularData
+        Float singular values for one matrix, arrays for a batch.
     """
     F = np.asarray(F, dtype=float)
-    if F.shape != (3, 2):
-        raise ValueError(f"expected a 3x2 matrix, got shape {F.shape}")
-    if not np.all(np.isfinite(F)):
+    lead = F.shape[:-2]
+    if F.shape[-2:] != (3, 2):
+        raise ValueError(f"expected 3x2 matrices, got shape {F.shape}")
+    if np.count_nonzero(np.isfinite(F)) != F.size:
         raise ValueError("matrix entries must be finite")
+    F = np.ascontiguousarray(F.reshape(-1, 3, 2))
+    n = len(F)
 
-    C = F.T @ F
-    v1 = _right_vector(C)
-    v2 = np.array([-v1[1], v1[0]])  # det [v1; v2] = +1
+    # Leading eigenvector of F^T F = [[a, b], [b, c]]: the longer of the
+    # two equivalent expressions (b, s1sq - a) and (s1sq - c, b).
+    C = np.matmul(F.swapaxes(1, 2), F)
+    a, b, c = C[:, 0, 0], C[:, 0, 1], C[:, 1, 1]
+    disc = np.hypot(0.5 * (a - c), b)
+    s1sq = 0.5 * (a + c) + disc
+    V = np.empty((n, 2, 2))
+    V[:, 0, 0] = V[:, 1, 1] = b
+    V[:, 0, 1] = s1sq - a
+    V[:, 1, 0] = s1sq - c
+    norm2 = np.vecdot(V, V)
+    v = np.where((norm2[:, 0] >= norm2[:, 1])[:, None], V[:, 0], V[:, 1])
+    norm2 = np.maximum(norm2[:, 0], norm2[:, 1])
+    tie = disc <= 1e-15 * np.maximum(np.maximum(a, c), 1.0)
+    if np.count_nonzero(tie):
+        # Repeated singular values: any frame works, pick the first axis.
+        v[tie], norm2[tie] = (1.0, 0.0), 1.0
+    v /= np.sqrt(norm2)[:, None]
+    # Deterministic sign: first component of significant size positive.
+    v *= np.copysign(1.0, np.where(np.abs(v[:, :1]) > 1e-12, v[:, :1], v[:, 1:]))
+    R = np.empty((n, 2, 2))
+    R[:, 0] = v
+    R[:, 1, 0] = -v[:, 1]  # det R = +1
+    R[:, 1, 1] = v[:, 0]
 
-    w1 = F @ v1
-    w2 = F @ v2
-    lamM = float(np.linalg.norm(w1))
-    lamm = float(np.linalg.norm(w2))
-    if lamm > lamM:
-        # Rounding near a repeated value can swap the order; restore it.
-        v1, v2 = v2, -v1
-        w1, w2 = w2, -w1
-        lamM, lamm = lamm, lamM
+    # Rows w1 = F v1, w2 = F v2 and their lengths lamM, lamm.
+    W = np.matmul(F[:, None], R[:, :, :, None])[..., 0]
+    lam = np.sqrt(np.vecdot(W, W))
+    swap = lam[:, 1] > lam[:, 0]
+    if np.count_nonzero(swap):
+        # Rounding near a repeated value can swap the order; restore it:
+        # (v1, v2) -> (v2, -v1), the same for w.
+        R[swap] = R[swap][:, ::-1] * [[1.0], [-1.0]]
+        W[swap] = W[swap][:, ::-1] * [[1.0], [-1.0]]
+        lam[swap] = lam[swap][:, ::-1]
+    lamM, lamm = lam[:, 0], lam[:, 1]
 
-    if lamM <= 0.0:
-        Q = np.eye(3)
-    else:
-        u1 = w1 / lamM
-        if lamm > _FRAME_TOL * max(1.0, lamM):
-            u2 = w2 / lamm
-            u2 = u2 - (u1 @ u2) * u1
-            u2 = u2 / np.linalg.norm(u2)
-        else:
-            u2 = _complete_left(u1)
-        u3 = np.cross(u1, u2)
-        Q = np.column_stack([u1, u2, u3])
+    # Left frame: u1 = w1 / lamM, u2 = w2 / lamm made orthogonal to u1
+    # (or, when lamm is negligible, completing u1 from the basis vector
+    # least aligned with it), u3 = u1 x u2; Q = I for a zero F.  The rows
+    # of U repeat their first two entries, so u1 x u2 reads slices.
+    thin = lamm <= _FRAME_TOL * np.maximum(1.0, lamM)
+    U = np.empty((n, 2, 5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.divide(W, lam[:, :, None], out=U[:, :, :3])
+        u[:, 1] -= np.vecdot(u[:, 0], u[:, 1])[:, None] * u[:, 0]
+        u[:, 1] /= np.sqrt(np.vecdot(u[:, 1], u[:, 1]))[:, None]
+    if np.count_nonzero(thin):
+        t1 = u[thin, 0]
+        rows = np.arange(len(t1))
+        t2 = np.zeros_like(t1)
+        t2[rows, np.argmin(np.abs(t1), axis=1)] = 1.0
+        t2 = t2 - np.vecdot(t2, t1)[:, None] * t1
+        t2 = t2 / np.sqrt(np.vecdot(t2, t2))[:, None]
+        lead_comp = t2[rows, np.argmax(np.abs(t2) > 1e-12, axis=1)]
+        u[thin, 1] = t2 * np.copysign(1.0, lead_comp)[:, None]
+    U[:, :, 3:] = U[:, :, :2]
+    Q = np.empty((n, 3, 3))
+    Q[:, :, :2] = u.swapaxes(1, 2)
+    Q[:, :, 2] = U[:, 0, 1:4] * U[:, 1, 2:5] - U[:, 0, 2:5] * U[:, 1, 1:4]
+    if np.count_nonzero(thin):
+        Q[lamM <= 0.0] = np.eye(3)
 
-    R = np.vstack([v1, v2])
-    return SingularData(lamM=lamM, lamm=lamm, delta=lamM * lamm, Q=Q, R=R)
+    delta = lamM * lamm
+    if not lead:
+        return SingularData(float(lamM[0]), float(lamm[0]), float(delta[0]), Q[0], R[0])
+    values = (x.reshape(lead) for x in (lamM, lamm, delta))
+    return SingularData(*values, Q.reshape(lead + (3, 3)), R.reshape(lead + (2, 2)))
 
 
 def singular_values(F):
@@ -220,6 +219,7 @@ def singular_values(F):
 
 
 def rank_one_gap(A, B):
-    """Second singular value of A - B; values at rounding scale certify
-    that the difference has rank at most one."""
+    """Second singular value of A - B, for one pair or broadcastable
+    batches; values at rounding scale certify that the difference has
+    rank at most one."""
     return svd32(np.asarray(A, dtype=float) - np.asarray(B, dtype=float)).lamm

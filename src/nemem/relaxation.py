@@ -126,12 +126,24 @@ def _ladder_chords(value, F, D, s):
     return _chords(W[..., :n], W[..., n:], s, s)
 
 
+def _dyads(a, b):
+    """Rank-one matrices ``a b^T`` of broadcast rows, ``(..., 3)`` and
+    ``(..., 2)`` to ``(..., 3, 2)``."""
+    return np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+
+
 def _frame_directions(F, ambient=True):
+    """Rank-one directions ``(a, b)`` of the singular frame of each ``F``,
+    ``(Q[:, i], R[j, :])`` with ``i`` outer: shapes ``(..., 6, 3)`` and
+    ``(..., 6, 2)``, from one ``svd32`` call.  For one ``F``, ``ambient``
+    appends the six pairs of coordinate axes in the same order."""
     sd = svd32(F)
-    dirs = [(sd.Q[:, i].copy(), sd.R[j, :].copy()) for i in range(3) for j in range(2)]
+    a = np.repeat(np.swapaxes(sd.Q, -1, -2), 2, axis=-2)
+    b = np.tile(sd.R, (3, 1))
     if ambient:
-        dirs += [(a, b) for a in np.eye(3) for b in np.eye(2)]
-    return dirs
+        a = np.concatenate([a, np.repeat(np.eye(3), 2, axis=0)])
+        b = np.concatenate([b, np.tile(np.eye(2), (3, 1))])
+    return a, b
 
 
 def _unit_vectors(pol, az, beta):
@@ -161,7 +173,7 @@ def _grid_directions(n_dirs, seed):
     if np.linalg.det(Q) < 0:
         Q[:, 0] = -Q[:, 0]
     a = a.reshape(-1, 3) @ Q.T
-    return [(av, bv) for av in a for bv in b]
+    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
 def _weight(theta):
@@ -173,7 +185,7 @@ def _split_endpoints(F, split):
     one split or of a batch, ``a`` of shape ``(..., 3)``, ``b`` of shape
     ``(..., 2)``, ``t`` and ``theta`` of shape ``(...)``."""
     a, b, t, theta = split
-    D = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    D = _dyads(a, b)
     t = np.asarray(t)[..., None, None]
     theta = np.asarray(theta)[..., None, None]
     return F + (1.0 - theta) * t * D, F - theta * t * D
@@ -275,10 +287,10 @@ def _grid_search(F, params, dirs, offsets, top_k):
     ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
     """
     n = len(offsets)
-    A = np.stack([np.outer(a, b) for a, b in dirs])
-    per_dir_best = np.empty(len(dirs))
-    per_dir_arg = np.empty(len(dirs), dtype=int)
-    for start in range(0, len(dirs), _CHUNK):
+    A = _dyads(*dirs)
+    per_dir_best = np.empty(len(A))
+    per_dir_arg = np.empty(len(A), dtype=int)
+    for start in range(0, len(A), _CHUNK):
         block = A[start : start + _CHUNK]
         chords = _ladder_chords(lambda G: _w2d(G, params), F, block, offsets)
         chords = chords.reshape(len(block), -1)
@@ -290,9 +302,8 @@ def _grid_search(F, params, dirs, offsets, top_k):
             continue
         i, j = divmod(int(per_dir_arg[d]), n)
         s_pos, s_neg = float(offsets[i]), float(offsets[j])
-        a, b = dirs[d]
         t = s_pos + s_neg
-        out.append((float(per_dir_best[d]), (a, b, t, s_neg / t)))
+        out.append((float(per_dir_best[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
     return out
 
 
@@ -304,11 +315,11 @@ def _depth1(F, params, cfg, light=False):
     """
     w0 = _w2d(F, params)
     scale = max(1.0, float(np.linalg.norm(F)))
+    dirs = _frame_directions(F)
     if light:
-        dirs = _frame_directions(F)
         n, top_k, iters = 16, 3, 14
     else:
-        dirs = _frame_directions(F) + _grid_directions(cfg.n_dirs, cfg.seed)
+        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(cfg.n_dirs, cfg.seed))]
         n, top_k, iters = cfg.t_grid, 6, cfg.refine_iters
     offsets = np.geomspace(1e-3, _SPLIT_TOP, n) * scale
     starts = [
@@ -333,16 +344,13 @@ def _endpoint_depth1_estimate(E, params):
 
     For each endpoint the estimate is the least of its own plane energy
     and the lowest chord through it along its six frame-aligned rank-one
-    directions, with offsets on a log ladder on both sides.  Upper bound
-    by construction; used only to rank first-level splits of two-level
-    trees.
+    directions (all frames from one ``svd32`` call), with offsets on a
+    log ladder on both sides.  Upper bound by construction; used only to
+    rank first-level splits of two-level trees.
     """
     E = np.asarray(E, dtype=float)
-    lead = E.shape[:-2]
-    flat = E.reshape(-1, 3, 2)
-    dirs = np.array([[np.outer(a, b) for a, b in _frame_directions(G, ambient=False)] for G in flat])
-    dirs = dirs.reshape(lead + (6, 3, 2))
-    scale = np.maximum(1.0, np.linalg.norm(flat.reshape(-1, 6), axis=1)).reshape(lead)
+    dirs = _dyads(*_frame_directions(E, ambient=False))
+    scale = np.maximum(1.0, np.linalg.norm(E.reshape(E.shape[:-2] + (6,)), axis=-1))
     s = scale[..., None] * np.geomspace(1e-2, _ENDPOINT_TOP, 14)
     chords = _ladder_chords(lambda G: _w2d(G, params), E[..., None, :, :], dirs, s[..., None, :])
     return np.minimum(_w2d(E, params), chords.min(axis=(-3, -2, -1)))
@@ -355,10 +363,9 @@ def _two_level(F, params, cfg):
     scale = max(1.0, float(np.linalg.norm(F)))
     dirs = _frame_directions(F, ambient=False)
     base = np.geomspace(1e-2, _PAIR_TOP, 24) * scale
-    D = np.stack([np.outer(a, b) for a, b in dirs])
-    pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, D, base)
+    pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
     d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
-    a, b = dirs[d_idx]
+    a, b = dirs[0][d_idx], dirs[1][d_idx]
     s_pos, s_neg = float(base[ip]), float(base[im])
     t = s_pos + s_neg
 
@@ -513,5 +520,5 @@ def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
         span = 10.0 * max(1.0, float(np.linalg.norm(F)))
     half = n_samples // 2
     s = span * np.arange(1, half + 1) / half
-    chords = _ladder_chords(lambda G: _w2d(G, params), F, np.outer(a, b), s)
+    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a, b), s)
     return float(np.min(chords, initial=_w2d(F, params)))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
-from nemem.algebra import adj2, diag_embed, rank_one_gap, singular_values, svd32
+from nemem.algebra import _FRAME_TOL, adj2, diag_embed, rank_one_gap, singular_values, svd32
 
 from helpers import random_orthogonal2, random_rotation
 
@@ -137,3 +138,102 @@ def test_svd32_rejects_bad_input():
         svd32(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         svd32(np.array([[np.nan, 0], [0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (6,), ()])
+def test_svd32_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="3x2"):
+        svd32(np.zeros(shape))
+
+
+def test_svd32_rejects_one_non_finite_element_of_a_batch():
+    F = np.ones((5, 3, 2))
+    F[3, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        svd32(F)
+
+
+def _frames(rng, n):
+    return np.array([random_rotation(rng) for _ in range(n)]), np.array(
+        [random_orthogonal2(rng) for _ in range(n)]
+    )
+
+
+def _edge_batch():
+    # Generic matrices at scales 1e-6, 1 and 1e6 plus the cases with a
+    # rule of their own: the zero matrix, F^T F = c I (repeated values),
+    # near-repeated values (the order swap), rank-one matrices, and lamm
+    # just below and above the frame-completion threshold.
+    rng = np.random.default_rng(11)
+    generic = [rng.normal(size=(3, 2)) * s for s in (1e-6, 1.0, 1e6) for _ in range(100)]
+    Q0, R0 = _frames(rng, 200)
+    repeated = [Q0[i] @ diag_embed(c, c) @ R0[i] for i, c in enumerate(rng.uniform(0.1, 3.0, 40))]
+    near = [Q0[40 + k] @ diag_embed(1.0, 1.0 + k * 2e-16) @ R0[40 + k] for k in range(60)]
+    rank_one = [np.outer(rng.normal(size=3), rng.normal(size=2)) for _ in range(40)]
+    lamM = rng.uniform(0.5, 2.0, 100)
+    edge = [
+        Q0[100 + i] @ diag_embed(m, (1.0 + (-1) ** i * 1e-3) * _FRAME_TOL * m) @ R0[100 + i]
+        for i, m in enumerate(lamM)
+    ]
+    return np.array(generic + [np.zeros((3, 2))] + repeated + near + rank_one + edge)
+
+
+def test_svd32_batch_matches_one_matrix_calls_bit_for_bit():
+    F = _edge_batch()
+    sd = svd32(F)
+    assert sd.lamM.shape == sd.lamm.shape == sd.delta.shape == (len(F),)
+    assert sd.Q.shape == (len(F), 3, 3) and sd.R.shape == (len(F), 2, 2)
+    for i, G in enumerate(F):
+        one = svd32(G)
+        assert type(one.lamM) is float and type(one.lamm) is float
+        for name in ("lamM", "lamm", "delta", "Q", "R"):
+            one_bits = np.asarray(getattr(one, name)).tobytes()
+            assert one_bits == getattr(sd, name)[i].tobytes(), (i, name)
+    # Any leading shape is the same batch.
+    sd4 = svd32(F[:-1].reshape(4, -1, 3, 2))
+    assert sd4.Q.shape == (4, len(F[:-1]) // 4, 3, 3)
+    assert sd4.R.reshape(-1, 2, 2).tobytes() == sd.R[:-1].tobytes()
+    assert sd4.lamm.reshape(-1).tobytes() == sd.lamm[:-1].tobytes()
+
+
+def test_svd32_batch_reconstructs_with_rotation_frames():
+    F = _edge_batch()
+    sd = svd32(F)
+    scale = np.maximum(1.0, np.abs(F).max(axis=(1, 2)))
+    assert np.all(np.abs(sd.reconstruct() - F).max(axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(sd.lamM >= sd.lamm) and np.all(sd.lamm >= 0.0)
+    eye3 = np.abs(np.swapaxes(sd.Q, 1, 2) @ sd.Q - np.eye(3)).max(axis=(1, 2))
+    eye2 = np.abs(sd.R @ np.swapaxes(sd.R, 1, 2) - np.eye(2)).max(axis=(1, 2))
+    assert eye3.max() <= 1e-12 and eye2.max() <= 1e-12
+    assert np.abs(np.linalg.det(sd.Q) - 1.0).max() <= 1e-12
+    assert np.array_equal(sd.e1, sd.Q[:, :, 0]) and np.array_equal(sd.f2, sd.R[:, 1, :])
+
+
+def test_svd32_recovers_known_singular_values():
+    # F = Q0 diag(a, b) R0 with random frames has singular values a >= b;
+    # rounding in forming F and in the kernel is at the scale of a.
+    rng = np.random.default_rng(12)
+    n = 2000
+    a = 10.0 ** rng.uniform(-3, 3, n)
+    b = a * rng.uniform(0.0, 1.0, n)
+    Q0, R0 = _frames(rng, n)
+    F = Q0 @ diag_embed(a, b) @ R0
+    sd = svd32(F)
+    assert np.all(np.abs(sd.lamM - a) <= 1e-14 * a)
+    assert np.all(np.abs(sd.lamm - b) <= 1e-14 * a)
+    ref = np.array([svdvals(G) for G in F])
+    assert np.all(np.abs(sd.lamM - ref[:, 0]) <= 1e-13 * ref[:, 0])
+    assert np.all(np.abs(sd.lamm - ref[:, 1]) <= 1e-13 * ref[:, 0])
+
+
+def test_rank_one_gap_on_batches():
+    rng = np.random.default_rng(13)
+    A = rng.normal(size=(4, 5, 3, 2))
+    B = rng.normal(size=(5, 3, 2))
+    B[1] = A[2, 1]
+    gap = rank_one_gap(A, B)
+    assert gap.shape == (4, 5)
+    for i in range(4):
+        for j in range(5):
+            assert gap[i, j] == rank_one_gap(A[i, j], B[j])
+    assert gap[2, 1] == 0.0

@@ -11,7 +11,7 @@ from helpers import (
     pattern_search_reference,
     sample_invariants,
 )
-from nemem.algebra import diag_embed, rank_one_gap, singular_values
+from nemem.algebra import diag_embed, rank_one_gap, singular_values, svd32
 from nemem.constitutive import MaterialParams
 from nemem.membrane import (
     _INVARIANT_MAX,
@@ -29,9 +29,11 @@ from nemem.relaxation import (
     OracleConfig,
     OracleResult,
     _angles_of,
+    _endpoint_depth1_estimate,
     _frame_directions,
     _grid_directions,
     _grid_search,
+    _ladder_chords,
     _pattern_search,
     _split_values,
     _two_level,
@@ -272,7 +274,7 @@ def test_grid_candidates_are_the_splits_of_their_chords(region):
     assert classify(lamM, delta, P8) is region
     F = matrix_from_invariants(lamM, delta, rng)
     offsets = np.geomspace(1e-3, 10.0, 40) * max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(F) + _grid_directions(256, 0)
+    dirs = [np.concatenate(d) for d in zip(_frame_directions(F), _grid_directions(256, 0))]
     candidates = _grid_search(F, P8, dirs, offsets, 6)
     assert len(candidates) == 6
     for value, (a, b, t, theta) in candidates:
@@ -314,6 +316,25 @@ _TWO_LEVEL_PINS = [
 def test_two_level_scan_is_pinned(F, r, pinned):
     est, (a, b, t, theta) = _two_level(F, MaterialParams(mu=2.0, r=r), OracleConfig())
     assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
+
+
+def test_endpoint_estimate_matches_one_frame_per_endpoint():
+    # The estimate takes every endpoint's six frame dyads Q[:, i] R[j, :]
+    # (i outer) from one batched svd32 call; the reference scores each
+    # endpoint alone, its dyads from its own svd32 call.
+    rng = np.random.default_rng(8)
+    E = rng.normal(size=(2, 24, 6, 3, 2)) * rng.choice([0.1, 1.0, 3.0], size=(2, 24, 6, 1, 1))
+    E[0, 0, 0] = diag_embed(1.0, 1.0)
+    E[0, 0, 1] = np.outer([1.0, -2.0, 0.5], [0.3, 1.0])
+    est = _endpoint_depth1_estimate(E, P8)
+    assert est.shape == (2, 24, 6)
+    for idx in np.ndindex(*E.shape[:-2]):
+        G = E[idx]
+        sd = svd32(G)
+        D = np.array([np.outer(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)])
+        s = max(1.0, np.linalg.norm(G.reshape(6), axis=-1)) * np.geomspace(1e-2, 8.0, 14)
+        chords = _ladder_chords(lambda X: _w2d(X, P8), G[None], D, s[None, :])
+        assert est[idx] == min(_w2d(G, P8), chords.min()), idx
 
 
 @pytest.mark.parametrize("x", [1e15, 1e16, 9e30])
