@@ -11,8 +11,12 @@ relaxation admits a closed form with four regimes:
 * ``W`` -- wrinkling: out-of-plane oscillation, uniaxial tension;
 * ``S`` -- solid: no relaxation, biaxial tension.
 
-All evaluators accept scalars or arrays in the invariant plane; the
-matrix-level entry points go through :func:`nemem.algebra.svd32`.
+All evaluators accept scalars or arrays in the invariant plane.  A
+pair of Python floats is evaluated on floats, with no numpy call;
+anything else (arrays, 0-d arrays, numpy scalars) on arrays; each
+formula is written once for both.  The matrix-level entry points go
+through :func:`nemem.algebra.svd32`, whose one-matrix invariants are
+floats, so one material point stays on floats.
 """
 
 import enum
@@ -136,7 +140,9 @@ def _plane_branches(lamM, delta, r):
     """
     rc = r ** (1.0 / 3.0)
     sqr = math.sqrt(r)
-    ratio2 = (delta / lamM) ** 2
+    # Squares are products: float ** 2 calls libm pow, array ** 2 multiplies.
+    ratio = delta / lamM
+    ratio2 = ratio * ratio
     inv_t2 = 1.0 / (delta * delta)
     prod = lamM * delta
     return (
@@ -148,12 +154,19 @@ def _plane_branches(lamM, delta, r):
 
 
 def _check_invariants(lamM, delta):
-    lamM = np.asarray(lamM, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    # Written so that NaN fails the comparison too.
-    if not ((lamM <= _INVARIANT_MAX).all() and (delta <= _INVARIANT_MAX).all()):
+    # A pair of Python floats comes back as floats, anything else as float
+    # arrays.  Written so that NaN fails the comparison too.
+    if lamM.__class__ is float and delta.__class__ is float:
+        bounded = lamM <= _INVARIANT_MAX and delta <= _INVARIANT_MAX
+        negative = lamM < 0.0 or delta < 0.0
+    else:
+        lamM = np.asarray(lamM, dtype=float)
+        delta = np.asarray(delta, dtype=float)
+        bounded = (lamM <= _INVARIANT_MAX).all() and (delta <= _INVARIANT_MAX).all()
+        negative = (lamM < 0.0).any() or (delta < 0.0).any()
+    if not bounded:
         raise ValueError(f"stretch invariants must be finite and at most {_INVARIANT_MAX:g}")
-    if (lamM < 0.0).any() or (delta < 0.0).any():
+    if negative:
         raise ValueError("stretch invariants must be non-negative")
     return lamM, delta
 
@@ -208,7 +221,8 @@ def region_tags(lamM, delta, params):
 def psi(lamM, delta, params):
     """Scalar representative of the relaxed energy on the invariant plane.
 
-    Vectorized over numpy arrays.  For realizable pairs
+    Vectorized over numpy arrays; a pair of Python floats is evaluated
+    on floats, with the same bits.  For realizable pairs
     (``delta <= lamM**2``) this is the four-regime closed form.  Pairs
     above the equi-biaxial line are not realizable by any matrix; there
     the convex representative is continued constantly in ``lamM`` (the
@@ -232,35 +246,50 @@ def psi(lamM, delta, params):
         ``_INVARIANT_MAX``.
     """
     lamM, delta = _check_invariants(lamM, delta)
+    if lamM.__class__ is float:  # both are, after the check
+        s = max(lamM, math.sqrt(delta))  # constant continuation above delta = lamM^2
+        tests = _region_tests(s, delta, params.r)
+        return _region_energy(s, delta, _PRECEDENCE[1 + tests[1:].index(True)], params)
     scalar = lamM.ndim == 0 and delta.ndim == 0
     s, t = np.broadcast_arrays(np.atleast_1d(lamM), np.atleast_1d(delta))
-    s = np.maximum(s, np.sqrt(t))  # constant continuation above delta = lamM^2
+    s = np.maximum(s, np.sqrt(t))
 
-    r, mu = params.r, params.mu
-    rc = r ** (1.0 / 3.0)
-    sqr = np.sqrt(r)
-
-    _, in_L, solid, wrinkled, _ = _region_tests(s, t, r)
+    _, in_L, solid, wrinkled, _ = _region_tests(s, t, params.r)
     in_S = ~in_L & solid
     in_W = ~(in_L | in_S) & wrinkled
     in_M = ~(in_L | in_S | in_W)
 
     out = np.zeros_like(s)
-    if np.any(in_S):
-        out[in_S] = _plane_branches(s[in_S], t[in_S], r)[0]
-    if np.any(in_W):
-        ss = s[in_W]
-        out[in_W] = rc * (ss * ss / r + 2.0 / ss) - 3.0
-    if np.any(in_M):
-        tt = t[in_M]
-        out[in_M] = rc * (2.0 * tt / sqr + 1.0 / tt**2) - 3.0
-    out *= 0.5 * mu
-    out[in_L] = 0.0
+    for region, mask in ((Region.S, in_S), (Region.W, in_W), (Region.M, in_M)):
+        if np.any(mask):
+            out[mask] = _region_energy(s[mask], t[mask], region, params)
     return float(out[0]) if scalar else out.reshape(np.broadcast(lamM, delta).shape)
 
 
+def _region_energy(lamM, delta, region, params):
+    """Relaxed energy of pairs in ``region``, on floats or arrays.
+
+    The one copy of the per-region closed forms, read by ``psi`` and
+    ``relaxed_energy``: S is the first plane-energy branch, W and M the
+    relaxed ones, and L (with anything else) is zero.  The pairs must
+    all lie in ``region``.
+    """
+    r = params.r
+    rc = r ** (1.0 / 3.0)
+    if region is Region.S:
+        phi = _plane_branches(lamM, delta, r)[0]
+    elif region is Region.W:
+        phi = rc * (lamM * lamM / r + 2.0 / lamM) - 3.0
+    elif region is Region.M:
+        phi = rc * (2.0 * delta / math.sqrt(r) + 1.0 / (delta * delta)) - 3.0
+    else:
+        return 0.0
+    return 0.5 * params.mu * phi
+
+
 def plane_energy_values(lamM, delta, params):
-    """Unrelaxed plane energy on the invariant plane (vectorized).
+    """Unrelaxed plane energy on the invariant plane (vectorized; a pair
+    of Python floats is evaluated on floats, with the same bits).
 
     The minimum of the three candidate branches produced by the exact
     thickness/director minimization; +inf where the matrix would be
@@ -268,6 +297,12 @@ def plane_energy_values(lamM, delta, params):
     complement of the finite window of the third branch.
     """
     lamM, delta = _check_invariants(lamM, delta)
+    if lamM.__class__ is float:  # both are, after the check
+        # lamM = 0 above the floor is unrealizable: +inf, as delta / 0 gives on arrays.
+        if not (delta > _RANK_TOL * max(1.0, lamM * lamM) and lamM > 0.0):
+            return math.inf
+        phi1, phi2, phi3, window = _plane_branches(lamM, delta, params.r)
+        return 0.5 * params.mu * min(phi1, phi2, phi3 if window else math.inf)
     scalar = lamM.ndim == 0 and delta.ndim == 0
     s, t = np.broadcast_arrays(
         np.atleast_1d(lamM).astype(float), np.atleast_1d(delta).astype(float)
@@ -305,9 +340,12 @@ def relaxed_energy(Ft, params):
     """
     sd = svd32(Ft)
     region = classify(sd.lamM, sd.delta, params)
+    # delta = lamM * lamm with lamm <= lamM: psi's continuation above
+    # delta = lamM^2 can only act where lamM^2 underflows, deep in L, so
+    # this is psi's region and energy.
     return MembraneEval(
         region=region,
-        energy=psi(sd.lamM, sd.delta, params),
+        energy=_region_energy(sd.lamM, sd.delta, region, params),
         lamM=sd.lamM,
         delta=sd.delta,
     )

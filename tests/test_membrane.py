@@ -6,6 +6,7 @@ import pytest
 from nemem.algebra import adj2, diag_embed, singular_values, svd32
 from nemem.constitutive import MaterialParams
 from nemem.membrane import (
+    _RANK_TOL,
     DomainError,
     RankDeficientError,
     Region,
@@ -64,6 +65,83 @@ def test_non_finite_invariants_are_rejected(lam, dlt):
         psi(lam, dlt, P8)
     with pytest.raises(ValueError, match="finite"):
         psi(np.array([1.0, lam]), np.array([0.5, dlt]), P8)
+    with pytest.raises(ValueError, match="finite"):
+        plane_energy_values(lam, dlt, P8)
+
+
+@pytest.mark.parametrize("lam, dlt", [(-1.0, 0.5), (1.0, -0.5)])
+def test_negative_invariants_are_rejected_on_both_lanes(lam, dlt):
+    for f in (psi, plane_energy_values):
+        with pytest.raises(ValueError, match="non-negative"):
+            f(lam, dlt, P8)
+        with pytest.raises(ValueError, match="non-negative"):
+            f(np.array([lam]), np.array([dlt]), P8)
+
+
+def _float_lane_pairs(r):
+    """Invariant pairs where the float and array lanes could part: seeded
+    interior pairs, region boundaries, the closed edges of the third
+    branch's window, the rank floor, pairs in S and M where
+    ``float ** 2`` (libm pow) and ``x * x`` give different energies, and
+    unrealizable pairs."""
+    rng = np.random.default_rng(17)
+    rc, r6 = r ** (1.0 / 3.0), r ** (1.0 / 6.0)
+    lam = rng.uniform(0.0, 3.0 * rc, 3000)
+    dlt = rng.uniform(0.0, 1.0, lam.size) * lam * lam
+    lam_b = rng.uniform(0.2, 3.0 * rc, 200)
+    # lamM = r^(1/3), delta = r^(1/6), delta = sqrt(lamM), delta = lamM^2/sqrt(r),
+    # delta = lamM^2.
+    pairs = [(lam, dlt), (np.full(50, rc), np.linspace(0.0, rc * rc, 50))]
+    pairs += [(np.sqrt(r6) + lam_b, np.full(lam_b.size, r6))]
+    pairs += [(lam_b, f(lam_b)) for f in (np.sqrt, lambda x: x * x / np.sqrt(r), lambda x: x * x)]
+    prods = [(1.0 + k * 1e-14) * e for k in (-1, 1) for e in (1.0 / np.sqrt(r), np.sqrt(r))]
+    lam_e = np.array([(p / f) ** (1.0 / 3.0) for p in prods for f in (0.2, 0.5, 0.9)])
+    pairs += [(lam_e, np.repeat(prods, 3) / lam_e)]
+    lam_f = np.array([2e-6, 0.5, 1.0, 3.0, 40.0])
+    floor = _RANK_TOL * np.maximum(1.0, lam_f * lam_f)
+    pairs += [(lam_f, floor * (1.0 + k * 1e-9)) for k in (-1, 0, 1)]
+    # M pairs: delta where 1 / delta**2 changes the energy's last bit.
+    pow_M = {
+        1.01: 1.7431158505874857,
+        2.0: 1.4216359935920622,
+        8.0: 1.5028579899068701,
+        100.0: 2.6827442313031455,
+    }
+    pairs += [(np.array([26.146989511878616]), np.array([87.61719504097738]))]  # S at r = 8
+    pairs += [(np.sqrt(pow_M[r]) * r**0.125 * np.ones(1), np.array([pow_M[r]]))]
+    pairs += [(lam_b, lam_b * lam_b * 1.5), (np.zeros(3), np.array([1e-13, 1e-3, 5.0]))]
+    return tuple(np.concatenate(x) for x in zip(*pairs))
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_float_lane_matches_array_lane(r):
+    # psi and plane_energy_values on two Python floats take their own
+    # lane; it must give the array lane's value exactly.
+    params = MaterialParams(mu=2.0, r=r)
+    L, D = _float_lane_pairs(r)
+    pairs = list(zip(L.tolist(), D.tolist()))
+    assert type(psi(*pairs[0], params)) is type(plane_energy_values(*pairs[0], params)) is float
+    np.testing.assert_array_equal([psi(l, d, params) for l, d in pairs], psi(L, D, params))
+    with np.errstate(divide="ignore"):  # lamM = 0 above the floor: delta / 0
+        array = plane_energy_values(L, D, params)
+    np.testing.assert_array_equal([plane_energy_values(l, d, params) for l, d in pairs], array)
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_relaxed_energy_matches_array_psi(r):
+    # relaxed_energy evaluates its region's formula on floats; it must
+    # equal psi on the invariants of a batched svd32 call.
+    params = MaterialParams(mu=2.0, r=r)
+    rng = np.random.default_rng(23)
+    generic = rng.normal(size=(300, 3, 2)) * 10.0 ** rng.uniform(-1.0, 1.0, (300, 1, 1))
+    rank_one = rng.normal(size=(100, 3, 1)) * rng.normal(size=(100, 1, 2))
+    lam = rng.uniform(0.1, 3.0 * r ** (1.0 / 3.0), 100)
+    near = lam * (1.0 - 10.0 ** rng.uniform(-15.0, -3.0, 100))
+    biaxial = [random_rotation(rng) @ diag_embed(a, b) @ random_orthogonal2(rng) for a, b in zip(lam, near)]
+    F = np.concatenate([generic, rank_one, biaxial])
+    sd = svd32(F)
+    expected = psi(sd.lamM, sd.delta, params)
+    np.testing.assert_array_equal([relaxed_energy(G, params).energy for G in F], expected)
 
 
 def test_classify_partition_is_total():

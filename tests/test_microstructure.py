@@ -203,6 +203,42 @@ def test_support_law_wrinkling_rejects_unrelaxed():
     assert not check_support_W(bad, F).passed
 
 
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_liquid_laminate_matches_one_frame_per_endpoint(r):
+    # Region L decomposes its first-level endpoints in one batched svd32
+    # call; atoms and tree must equal, bit for bit, a reference that
+    # takes each endpoint's frame from its own scalar call.
+    from nemem.microstructure import _conjugate, _pruned
+
+    params = MaterialParams(mu=2.0, r=r)
+    rng = np.random.default_rng(31)
+    rc = r ** (1.0 / 3.0)
+    pairs = [sample_invariants(Region.L, r, *rng.uniform(size=2)) for _ in range(40)]
+    pairs.append((rc, 0.5))  # lamM = r^(1/3): the first level is a Dirac
+    for lam, dlt in pairs:
+        F = matrix_from_invariants(lam, dlt, rng)
+        nu = young_measure_for(F, params)
+        sd = svd32(F)
+        level1 = _conjugate(laminate_shear(q=rc, d=sd.delta, c=sd.lamM), sd.Q, sd.R)
+        atoms, tree = [], list(level1.tree)
+        for w_end, endpoint in level1.atoms:
+            sde = svd32(endpoint)
+            wrinkle = laminate_wrinkle(q=sde.lamM, d=r ** (1.0 / 6.0), delta_bar=sde.delta)
+            conj = _conjugate(wrinkle, sde.Q, sde.R, level_offset=1)
+            atoms.extend((w_end * w, G) for w, G in conj.atoms)
+            tree.extend(conj.tree)
+        atoms = _pruned(atoms)
+        assert len(nu.atoms) == len(atoms) and len(nu.tree) == len(tree)
+        for (w, G), (w_ref, G_ref) in zip(nu.atoms, atoms):
+            assert type(w) is type(w_ref) and w == w_ref
+            np.testing.assert_array_equal(G, G_ref)
+        for split, ref in zip(nu.tree, tree):
+            assert split.keys() == ref.keys()
+            for key in split:
+                assert type(split[key]) is type(ref[key])
+                np.testing.assert_array_equal(split[key], ref[key])
+
+
 def test_pairing_identity_map_gives_barycenter():
     nu = laminate_wrinkle(2.0, 1.0, 0.5)
     np.testing.assert_allclose(

@@ -63,8 +63,9 @@ def test_n_dirs_must_be_a_multiple_of_the_grid(n_dirs):
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 def test_scalar_plane_energy_matches_array_kernel(r):
-    # The oracle's plane-energy kernel, one matrix per call, against
-    # plane_energy_values.  It takes its singular values from the Gram
+    # The oracle's plane-energy path _w2d, called on one matrix at a time,
+    # against plane_energy_values on the invariants directly.  _w2d takes
+    # its singular values (algebra.singular_values) from the Gram
     # matrix, whose smaller one loses relative accuracy like
     # eps * (lamM / lamm)^2, so the random pairs keep
     # lamm / lamM = delta / lamM^2 >= 0.1.
