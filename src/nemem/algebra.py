@@ -6,9 +6,14 @@ decomposition with frames of one 3x2 matrix or a batch (``svd32``), the
 batched singular values alone (``singular_values``), and a rank-one
 certificate (``rank_one_gap``).  The SVD is computed analytically from
 the 2x2 symmetric eigenproblem of F^T F, so it is exact up to rounding
-and has no iteration and no LAPACK call.
+and has no iteration and no LAPACK call.  One matrix in the generic case
+is decomposed on Python floats, with the batch's numpy reductions for
+its sums of products, so it has the bits of a batch element; the rare
+cases (repeated, swapped or negligible singular values, huge entries)
+and the input errors live only in the array kernel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,10 @@ __all__ = [
 # Relative threshold below which the smaller singular value is treated as
 # zero when building the left frame (the value itself is still reported).
 _FRAME_TOL = 1e-13
+# One matrix with entries below this in magnitude takes the float lane of
+# svd32: its Gram matrix and eigenvector norms stay finite there, so no
+# numpy call in the lane overflows or warns.
+_LANE_MAX = 1e75
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,14 @@ def svd32(F):
 
     Solves the 2x2 symmetric eigenproblem of F^T F analytically and
     assembles F = Q D R with Q in SO(3) and R orthogonal, for one matrix
-    or a batch.  A batch is one array computation whose products are the
-    one-matrix ``@`` calls stacked, so every element gets the bits of
-    its own call; the rare cases are masked and skipped when no element
-    has them.  Repeated or zero singular values get a deterministic
+    or a batch.  A batch is one array computation whose products are
+    stacked per-matrix ``np.matmul`` and ``np.vecdot`` calls, so each
+    element's bits do not depend on the batch; the rare cases are masked
+    and skipped when no element has them.  One matrix in the generic
+    case takes a float lane that makes the same reductions on that
+    matrix and does everything elementwise on Python floats, with the
+    same bits; any other input, including a malformed one, goes to the
+    array kernel.  Repeated or zero singular values get a deterministic
     frame; only ``lamM``, ``lamm`` and the reconstruction are unique in
     those cases.
 
@@ -119,6 +132,10 @@ def svd32(F):
         Float singular values for one matrix, arrays for a batch.
     """
     F = np.asarray(F, dtype=float)
+    if F.shape == (3, 2) and all(-_LANE_MAX < x < _LANE_MAX for x in F.ravel().tolist()):
+        one = _svd32_one(np.ascontiguousarray(F))
+        if one is not None:
+            return one
     lead = F.shape[:-2]
     if F.shape[-2:] != (3, 2):
         raise ValueError(f"expected 3x2 matrices, got shape {F.shape}")
@@ -195,6 +212,46 @@ def svd32(F):
         return SingularData(float(lamM[0]), float(lamm[0]), float(delta[0]), Q[0], R[0])
     values = (x.reshape(lead) for x in (lamM, lamm, delta))
     return SingularData(*values, Q.reshape(lead + (3, 3)), R.reshape(lead + (2, 2)))
+
+
+def _svd32_one(F):
+    # svd32 of one C-contiguous 3x2 matrix with bounded entries, on Python
+    # floats; None when a rare case (tie, swap, thin) applies, for the
+    # array kernel to handle.  The reductions are the batch's numpy calls
+    # on this one matrix (numpy's matmul and vecdot accumulate with fused
+    # multiply-adds, plain float sums would not, and their rounding also
+    # depends on the memory layout, hence contiguous as in the batch), and
+    # every elementwise step is the batch's correctly rounded operation on
+    # floats, so each field has the bits of the array kernel.
+    (a, b), (_, c) = np.matmul(F.T, F).tolist()
+    disc = float(np.hypot(0.5 * (a - c), b))
+    if disc <= 1e-15 * max(a, c, 1.0):
+        return None
+    s1sq = 0.5 * (a + c) + disc
+    V = [[b, s1sq - a], [s1sq - c, b]]
+    n0, n1 = np.vecdot(V, V).tolist()
+    (v0, v1), norm2 = (V[0], n0) if n0 >= n1 else (V[1], n1)
+    norm = math.sqrt(norm2)
+    v0, v1 = v0 / norm, v1 / norm
+    sign = math.copysign(1.0, v0 if abs(v0) > 1e-12 else v1)
+    v0, v1 = v0 * sign, v1 * sign
+    R = np.array([[v0, v1], [-v1, v0]])
+
+    W = np.matmul(F[None], R[:, :, None])[..., 0]
+    lamM, lamm = (math.sqrt(x) for x in np.vecdot(W, W).tolist())
+    if lamm > lamM or lamm <= _FRAME_TOL * max(1.0, lamM):
+        return None
+    w1, w2 = W.tolist()
+    u1 = [x / lamM for x in w1]
+    u2 = [x / lamm for x in w2]
+    d = float(np.vecdot(u1, u2))
+    u2 = [y - d * x for x, y in zip(u1, u2)]
+    n = math.sqrt(np.vecdot(u2, u2))
+    (x0, x1, x2), (y0, y1, y2) = u1, [y / n for y in u2]
+    Q = np.array(
+        [[x0, y0, x1 * y2 - x2 * y1], [x1, y1, x2 * y0 - x0 * y2], [x2, y2, x0 * y1 - x1 * y0]]
+    )
+    return SingularData(lamM, lamm, lamM * lamm, Q, R)
 
 
 def singular_values(F):

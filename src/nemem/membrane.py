@@ -366,7 +366,7 @@ def minimize_thickness_vector(Ft, n, params):
     """
     Ft = np.asarray(Ft, dtype=float)
     sd = svd32(Ft)
-    if sd.delta <= _RANK_TOL * max(1.0, sd.lamM**2):
+    if sd.delta <= _RANK_TOL * max(1.0, sd.lamM * sd.lamM):
         raise RankDeficientError(
             "thickness minimizer needs rank(Ft) = 2; "
             f"areal stretch {sd.delta:.3e} is at rounding scale"
@@ -429,15 +429,17 @@ def principal_stresses(lamM, delta, region, params):
     """
     r = params.r
     scale = params.mu * r ** (1.0 / 3.0)
+    # Squares are products, as in _plane_branches, so floats and arrays agree.
     if region is Region.M:
-        s = scale * (delta / math.sqrt(r) - 1.0 / delta**2)
+        s = scale * (delta / math.sqrt(r) - 1.0 / (delta * delta))
         return s, s
     if region is Region.W:
-        return scale * (lamM**2 / r - 1.0 / lamM), 0.0
+        return scale * (lamM * lamM / r - 1.0 / lamM), 0.0
     if region is Region.S:
+        ratio = delta / lamM
         return (
-            scale * (lamM**2 / r - 1.0 / delta**2),
-            scale * ((delta / lamM) ** 2 - 1.0 / delta**2),
+            scale * (lamM * lamM / r - 1.0 / (delta * delta)),
+            scale * (ratio * ratio - 1.0 / (delta * delta)),
         )
     return 0.0, 0.0
 

@@ -1,7 +1,11 @@
 """Small-matrix kernels: adjugate, closed-form SVD, rank-one gap."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from nemem.algebra import _FRAME_TOL, adj2, diag_embed, rank_one_gap, singular_values, svd32
@@ -133,11 +137,40 @@ def test_singular_values_batch_agrees_with_svd32():
         assert abs(lamm[i] - sd.lamm) <= 1e-12 * max(1.0, sd.lamM)
 
 
+@pytest.mark.filterwarnings("error")
 def test_svd32_rejects_bad_input():
-    with pytest.raises(ValueError):
-        svd32(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        svd32(np.array([[np.nan, 0], [0, 1], [0, 0]]))
+    # The array kernel's errors, with no numpy warning before them.
+    cases = [
+        (np.zeros((2, 3)), "expected 3x2 matrices, got shape (2, 3)"),
+        ([[1, 2, 3]], "expected 3x2 matrices, got shape (1, 3)"),
+        ([[np.nan, 0], [0, 1], [0, 0]], "matrix entries must be finite"),
+        ([[1, 0], [0, -np.inf], [0, 0]], "matrix entries must be finite"),
+        ([[1e300, 0], [0, 1], [np.inf, 0]], "matrix entries must be finite"),
+    ]
+    for F, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            svd32(F)
+
+
+def test_svd32_one_matrix_contract():
+    # Generic matrices (float lane) and the rare cases (zero, repeated,
+    # rank-one): float values, fresh (3, 3) and (2, 2) frames, and the
+    # same bits from nested lists, integers and non-contiguous arrays.
+    ints = [[[3, 1], [-2, 5], [0, 4]], [[0, 0], [0, 0], [0, 0]], [[1, 1], [1, -1], [0, 0]]]
+    ints += [[[2, 4], [1, 2], [-3, -6]], [[10**40, 0], [0, 1], [0, 0]]]
+    rng = np.random.default_rng(14)
+    for G in ints + rng.normal(size=(20, 3, 2)).tolist():
+        F = np.array(G, dtype=float)
+        sd = svd32(F)
+        assert type(sd.lamM) is type(sd.lamm) is type(sd.delta) is float
+        assert sd.Q.shape == (3, 3) and sd.R.shape == (2, 2)
+        assert sd.Q.dtype == sd.R.dtype == np.float64
+        assert not np.shares_memory(sd.Q, F) and not np.shares_memory(sd.R, F)
+        strided = np.zeros((6, 4))
+        strided[::2, 1::2] = F
+        for same in map(svd32, (G, F.tolist(), np.asfortranarray(F), strided[::2, 1::2])):
+            for name in ("lamM", "lamm", "delta", "Q", "R"):
+                assert np.asarray(getattr(same, name)).tobytes() == np.asarray(getattr(sd, name)).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3), (6,), ()])
@@ -194,6 +227,54 @@ def test_svd32_batch_matches_one_matrix_calls_bit_for_bit():
     assert sd4.Q.shape == (4, len(F[:-1]) // 4, 3, 3)
     assert sd4.R.reshape(-1, 2, 2).tobytes() == sd.R[:-1].tobytes()
     assert sd4.lamm.reshape(-1).tobytes() == sd.lamm[:-1].tobytes()
+
+
+# Generic matrices at decades from 1e-170 to 1e170 (F^T F underflows or
+# overflows at the ends), the same with one entry replaced by any finite
+# float (subnormals and signed zeros included), with a zero column, and
+# rank-one matrices.
+_decades = st.one_of(st.integers(-8, 8), st.integers(-170, 170)).map(lambda k: 10.0**k)
+_scaled = st.builds(
+    lambda x, s: np.reshape(x, (3, 2)) * s,
+    st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    _decades,
+)
+_any_entry = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e160]),
+)
+
+
+def _patched(G, i, x):
+    G = G.copy()
+    G.flat[i] = x
+    return G
+
+
+def _zero_column(G):
+    G = G.copy()
+    G[:, 1] = 0.0
+    return G
+
+
+_vector = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+_wide_matrices = st.one_of(
+    _scaled,
+    st.builds(_patched, _scaled, st.integers(0, 5), _any_entry),
+    _scaled.map(_zero_column),
+    st.builds(lambda u, v, s: np.outer(u, v[:2]) * s, _vector, _vector, _decades),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(G=_wide_matrices)
+def test_svd32_one_matrix_is_element_of_its_batch(G):
+    # The one-matrix call must have the bits of the batch kernel, and
+    # return a value wherever the batch does.
+    with np.errstate(all="ignore"):
+        one, batch = svd32(G), svd32(G[None])
+    for name in ("lamM", "lamm", "delta", "Q", "R"):
+        assert np.asarray(getattr(one, name)).tobytes() == getattr(batch, name)[0].tobytes(), name
 
 
 def test_svd32_batch_reconstructs_with_rotation_frames():

@@ -15,10 +15,12 @@ from nemem.membrane import (
     minimize_thickness_vector,
     plane_energy,
     plane_energy_values,
+    principal_stresses,
     psi,
     relaxed_energy,
     relaxed_energy_grad_fd,
 )
+from nemem.verification import region_window
 
 from helpers import (
     analytic_solid_gradient,
@@ -290,6 +292,24 @@ def test_stress_outside_domain_errors():
     with pytest.raises(DomainError, match="delta < lamM\\^2"):
         membrane_stress(diag_embed(1.3, 1.3), P8)
 
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_principal_stresses_float_lane_matches_array_lane(r):
+    # membrane_stress evaluates principal_stresses on floats, nemem scan
+    # on arrays; every stress must have the same bits on both.
+    params = MaterialParams(mu=2.0, r=r)
+    rng = np.random.default_rng(29)
+    for region in (Region.S, Region.W, Region.M):
+        if region_window(region, r) is None:
+            continue
+        L, D = sample_invariants(region, r, *rng.uniform(size=(2, 3000)))
+        if region is Region.S and r == 2.0:
+            # float ** 2 (libm pow) gave this pair a different last bit.
+            L = np.append(L, 3.3137630469881736)
+            D = np.append(D, 2.7456009177459806)
+        s1, s2 = np.broadcast_arrays(*principal_stresses(L, D, region, params))
+        for lam, dlt, a1, a2 in zip(L.tolist(), D.tolist(), s1.tolist(), s2.tolist()):
+            assert principal_stresses(lam, dlt, region, params) == (a1, a2), (lam, dlt)
 
 def test_fd_gradient_vanishes_at_energy_well():
     # The well sits on the liquid boundary where the energy is C^1 but
