@@ -114,13 +114,16 @@ def svd32(F):
     or a batch.  A batch is one array computation whose products are
     stacked per-matrix ``np.matmul`` and ``np.vecdot`` calls, so each
     element's bits do not depend on the batch; the rare cases are masked
-    and skipped when no element has them.  One matrix in the generic
-    case takes a float lane that makes the same reductions on that
-    matrix and does everything elementwise on Python floats, with the
-    same bits; any other input, including a malformed one, goes to the
-    array kernel.  Repeated or zero singular values get a deterministic
-    frame; only ``lamM``, ``lamm`` and the reconstruction are unique in
-    those cases.
+    and skipped when no element has them.  A matrix with an entry of at
+    least ``_LANE_MAX`` is one of them: it is decomposed scaled by an
+    exact power of two, so its Gram matrix cannot overflow, and a
+    ``delta`` beyond the float range comes back as inf.  One matrix in
+    the generic case takes a float lane that makes the same reductions
+    on that matrix and does everything elementwise on Python floats,
+    with the same bits; any other input, including a malformed one, goes
+    to the array kernel.  Repeated or zero singular values get a
+    deterministic frame; only ``lamM``, ``lamm`` and the reconstruction
+    are unique in those cases.
 
     Parameters
     ----------
@@ -139,10 +142,19 @@ def svd32(F):
     lead = F.shape[:-2]
     if F.shape[-2:] != (3, 2):
         raise ValueError(f"expected 3x2 matrices, got shape {F.shape}")
-    if np.count_nonzero(np.isfinite(F)) != F.size:
-        raise ValueError("matrix entries must be finite")
     F = np.ascontiguousarray(F.reshape(-1, 3, 2))
     n = len(F)
+    # Entries of at least _LANE_MAX (or not finite) are a rare case: such a
+    # matrix is decomposed as 2^-e F, largest entry below 1, and its
+    # singular values are scaled back by 2^e (exact, frames unchanged).
+    exp = None
+    size = np.abs(F)
+    if not size.max(initial=0.0) < _LANE_MAX:
+        peak = size.max(axis=(1, 2))
+        if not np.all(peak < np.inf):
+            raise ValueError("matrix entries must be finite")
+        exp = np.where(peak >= _LANE_MAX, np.frexp(peak)[1], 0)
+        F = np.ldexp(F, -exp[:, None, None])
 
     # Leading eigenvector of F^T F = [[a, b], [b, c]]: the longer of the
     # two equivalent expressions (b, s1sq - a) and (s1sq - c, b).
@@ -179,18 +191,23 @@ def svd32(F):
         R[swap] = R[swap][:, ::-1] * [[1.0], [-1.0]]
         W[swap] = W[swap][:, ::-1] * [[1.0], [-1.0]]
         lam[swap] = lam[swap][:, ::-1]
-    lamM, lamm = lam[:, 0], lam[:, 1]
 
     # Left frame: u1 = w1 / lamM, u2 = w2 / lamm made orthogonal to u1
     # (or, when lamm is negligible, completing u1 from the basis vector
     # least aligned with it), u3 = u1 x u2; Q = I for a zero F.  The rows
     # of U repeat their first two entries, so u1 x u2 reads slices.
-    thin = lamm <= _FRAME_TOL * np.maximum(1.0, lamM)
     U = np.empty((n, 2, 5))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.divide(W, lam[:, :, None], out=U[:, :, :3])
         u[:, 1] -= np.vecdot(u[:, 0], u[:, 1])[:, None] * u[:, 0]
         u[:, 1] /= np.sqrt(np.vecdot(u[:, 1], u[:, 1]))[:, None]
+        if exp is not None:
+            lam = np.ldexp(lam, exp[:, None])
+        # Beyond the float range delta is inf, which the invariant bound
+        # downstream rejects.
+        delta = lam[:, 0] * lam[:, 1]
+    lamM, lamm = lam[:, 0], lam[:, 1]
+    thin = lamm <= _FRAME_TOL * np.maximum(1.0, lamM)
     if np.count_nonzero(thin):
         t1 = u[thin, 0]
         rows = np.arange(len(t1))
@@ -207,7 +224,6 @@ def svd32(F):
     if np.count_nonzero(thin):
         Q[lamM <= 0.0] = np.eye(3)
 
-    delta = lamM * lamm
     if not lead:
         return SingularData(float(lamM[0]), float(lamm[0]), float(delta[0]), Q[0], R[0])
     values = (x.reshape(lead) for x in (lamM, lamm, delta))
@@ -257,6 +273,11 @@ def _svd32_one(F):
 def singular_values(F):
     """Singular values of a batch of 3x2 matrices, frames not computed.
 
+    The entries of F^T F are explicit sums of products over the batch,
+    added left to right (``x0*x0 + x1*x1 + x2*x2`` and so on, where
+    ``x`` and ``y`` are the columns), so each element's bits depend
+    neither on the batch nor on the memory layout.
+
     Parameters
     ----------
     F : ndarray, shape (..., 3, 2)
@@ -266,13 +287,24 @@ def singular_values(F):
     lamM, lamm : ndarray, shape (...)
     """
     F = np.asarray(F, dtype=float)
-    a = np.einsum("...ij,...ij->...j", F, F)  # diag of F^T F
-    b = np.einsum("...i,...i->...", F[..., 0], F[..., 1])
-    half_tr = 0.5 * (a[..., 0] + a[..., 1])
-    disc = np.hypot(0.5 * (a[..., 0] - a[..., 1]), b)
-    s1 = np.sqrt(np.maximum(half_tr + disc, 0.0))
+    lead = F.shape[:-2]
+    # Rows x0, y0, ..., y2 of the entries in row-major order, each a view
+    # over the batch; F^T F = [[a, b], [b, c]], each sum accumulated in
+    # place.
+    x0, y0, x1, y1, x2, y2 = F.reshape(-1, 6).T
+    a, b, c = x0 * x0, x0 * y0, y0 * y0
+    a += x1 * x1
+    b += x1 * y1
+    c += y1 * y1
+    a += x2 * x2
+    b += x2 * y2
+    c += y2 * y2
+    half_tr = 0.5 * (a + c)
+    disc = np.hypot(0.5 * (a - c), b)
+    # half_tr + disc is never negative; half_tr - disc can round below 0.
+    s1 = np.sqrt(half_tr + disc)
     s2 = np.sqrt(np.maximum(half_tr - disc, 0.0))
-    return s1, s2
+    return s1.reshape(lead)[()], s2.reshape(lead)[()]
 
 
 def rank_one_gap(A, B):

@@ -141,13 +141,14 @@ def _plane_branches(lamM, delta, r):
     rc = r ** (1.0 / 3.0)
     sqr = math.sqrt(r)
     # Squares are products: float ** 2 calls libm pow, array ** 2 multiplies.
+    square = lamM * lamM
     ratio = delta / lamM
     ratio2 = ratio * ratio
     inv_t2 = 1.0 / (delta * delta)
     prod = lamM * delta
     return (
-        rc * (lamM * lamM / r + ratio2 + inv_t2) - 3.0,
-        rc * (lamM * lamM + ratio2 + inv_t2 / r) - 3.0,
+        rc * (square / r + ratio2 + inv_t2) - 3.0,
+        rc * (square + ratio2 + inv_t2 / r) - 3.0,
         rc * (ratio2 + 2.0 * lamM / (sqr * delta)) - 3.0,
         (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr),
     )
@@ -162,8 +163,11 @@ def _check_invariants(lamM, delta):
     else:
         lamM = np.asarray(lamM, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        bounded = (lamM <= _INVARIANT_MAX).all() and (delta <= _INVARIANT_MAX).all()
-        negative = (lamM < 0.0).any() or (delta < 0.0).any()
+        # One reduction per test and array; a NaN extreme fails the bound.
+        bounded = (
+            lamM.max(initial=0.0) <= _INVARIANT_MAX and delta.max(initial=0.0) <= _INVARIANT_MAX
+        )
+        negative = lamM.min(initial=0.0) < 0.0 or delta.min(initial=0.0) < 0.0
     if not bounded:
         raise ValueError(f"stretch invariants must be finite and at most {_INVARIANT_MAX:g}")
     if negative:
@@ -303,18 +307,25 @@ def plane_energy_values(lamM, delta, params):
             return math.inf
         phi1, phi2, phi3, window = _plane_branches(lamM, delta, params.r)
         return 0.5 * params.mu * min(phi1, phi2, phi3 if window else math.inf)
-    scalar = lamM.ndim == 0 and delta.ndim == 0
-    s, t = np.broadcast_arrays(
-        np.atleast_1d(lamM).astype(float), np.atleast_1d(delta).astype(float)
-    )
+    if lamM.shape != delta.shape:
+        lamM, delta = np.broadcast_arrays(lamM, delta)
 
-    rank_ok = t > _RANK_TOL * np.maximum(1.0, s * s)
-    out = np.full(s.shape, np.inf)
-    if np.any(rank_ok):
-        phi1, phi2, phi3, window = _plane_branches(s[rank_ok], t[rank_ok], params.r)
+    def energy(s, t, out):
+        phi1, phi2, phi3, window = _plane_branches(s, t, params.r)
         phi3 = np.where(window, phi3, np.inf)
-        out[rank_ok] = 0.5 * params.mu * np.minimum(np.minimum(phi1, phi2), phi3)
-    return float(out[0]) if scalar else out.reshape(np.broadcast(lamM, delta).shape)
+        return np.multiply(0.5 * params.mu, np.minimum(np.minimum(phi1, phi2), phi3), out=out)
+
+    # Rank-deficient pairs (and lamM = 0, as on floats) are +inf: a mask,
+    # skipped when every pair is rank two.  The output is allocated before
+    # the branch temporaries: the other order raised the oracle's peak RSS
+    # by about 3 MiB.
+    rank_ok = (delta > _RANK_TOL * np.maximum(1.0, lamM * lamM)) & (lamM > 0.0)
+    out = np.full(lamM.shape, np.inf)
+    if np.count_nonzero(rank_ok) == rank_ok.size:
+        energy(lamM, delta, out)
+    elif np.any(rank_ok):
+        out[rank_ok] = energy(lamM[rank_ok], delta[rank_ok], None)
+    return float(out) if lamM.ndim == 0 else out
 
 
 def plane_energy(Ft, params):

@@ -150,8 +150,14 @@ def _unit_vectors(pol, az, beta):
     """The angle map of the search: unit 3-vectors ``a`` from polar and
     azimuthal angles, unit 2-vectors ``b`` from one angle; on arrays."""
     pol, az = np.broadcast_arrays(pol, az)
-    a = np.stack([np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)], axis=-1)
-    b = np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+    sin_pol = np.sin(pol)
+    a = np.empty(pol.shape + (3,))
+    np.multiply(sin_pol, np.cos(az), out=a[..., 0])
+    np.multiply(sin_pol, np.sin(az), out=a[..., 1])
+    np.cos(pol, out=a[..., 2])
+    b = np.empty(np.shape(beta) + (2,))
+    np.cos(beta, out=b[..., 0])
+    np.sin(beta, out=b[..., 1])
     return a, b
 
 
@@ -183,12 +189,17 @@ def _weight(theta):
 def _split_endpoints(F, split):
     """Endpoints ``F + (1 - theta) t a b^T`` and ``F - theta t a b^T`` of
     one split or of a batch, ``a`` of shape ``(..., 3)``, ``b`` of shape
-    ``(..., 2)``, ``t`` and ``theta`` of shape ``(...)``."""
+    ``(..., 2)``, ``t`` and ``theta`` of shape ``(...)``, stacked into one
+    array of shape ``(2, ..., 3, 2)``.
+
+    Both come from one broadcast ``F + c a b^T`` with the coefficients
+    ``c = ((1 - theta) t, -(theta t))``: negation is exact, so the second
+    endpoint has the bits of ``F - theta t a b^T``.
+    """
     a, b, t, theta = split
-    D = _dyads(a, b)
     t = np.asarray(t)[..., None, None]
     theta = np.asarray(theta)[..., None, None]
-    return F + (1.0 - theta) * t * D, F - theta * t * D
+    return F + np.array([(1.0 - theta) * t, -(theta * t)]) * _dyads(a, b)
 
 
 def _splits_of(X):
@@ -202,7 +213,7 @@ def _split_values(F, params, X):
     """Weighted plane energy of the split of each row of ``X``, the
     batched objective of the polish (coordinates as in ``_splits_of``)."""
     split = _splits_of(X)
-    W = _w2d(np.stack(_split_endpoints(F, split)), params)
+    W = _w2d(_split_endpoints(F, split), params)
     theta = split[3]
     return theta * W[0] + (1.0 - theta) * W[1]
 
@@ -215,12 +226,14 @@ def _pattern_search(values, starts, steps, iters, active):
     before ``-step``, taking the first move that improves and doubling it
     while that keeps paying; all steps halve after a sweep without
     improvement.  ``values`` maps a batch of points, shape
-    ``(m, len(x0))``, to their values.  The searches run side by side,
-    and a value that a search needs and has not seen is evaluated with
-    every move still ahead of it in its sweep: one call per round serves
-    all the searches waiting for a value.  Each search takes the path it
-    would take evaluating one point at a time.  Returns ``(best, x)`` for
-    each start.
+    ``(m, len(x0))``, to their values.  The searches run side by side as
+    generators over tuples of coordinates, which look every value up in
+    one table of the points seen so far.  A search yields only for a
+    value it has not seen, asking for that point together with every move
+    still ahead of it in its sweep: one call per round serves all the
+    searches waiting for a value.  Each search takes the path it would
+    take evaluating one point at a time.  Returns ``(best, x)`` for each
+    start.
     """
     known = {}
     moves = [(k, sign) for k in active for sign in (1.0, -1.0)]
@@ -228,30 +241,36 @@ def _pattern_search(values, starts, steps, iters, active):
     def moved(x, k, d):
         trial = list(x)
         trial[k] = x[k] + d
-        return trial
+        return tuple(trial)
 
-    def value(point, base, ahead, steps):
-        # Yields the points to evaluate when ``point`` is new: it and the
-        # moves ``ahead`` from ``base``.
-        if tuple(point) not in known:
-            yield [tuple(point)] + [tuple(moved(base, k, sign * steps[k])) for k, sign in ahead]
-        return known[tuple(point)]
+    def ask(point, base, ahead, steps):
+        # The new ``point`` and the moves ``ahead`` from ``base``.
+        return [point] + [moved(base, k, sign * steps[k]) for k, sign in ahead]
 
     def search(x, steps):
-        best = yield from value(x, x, moves, steps)
+        best = known.get(x)
+        if best is None:
+            yield ask(x, x, moves, steps)
+            best = known[x]
         for _ in range(iters):
             improved = False
             for c, k in enumerate(active):
                 for sign in (1.0, -1.0):
                     trial = moved(x, k, sign * steps[k])
-                    v = yield from value(trial, x, moves[2 * c :], steps)
+                    v = known.get(trial)
+                    if v is None:
+                        yield ask(trial, x, moves[2 * c :], steps)
+                        v = known[trial]
                     if v < best:
                         best, x = v, trial
                         improved = True
                         # Expand while the move keeps paying off.
                         for _ in range(10):
                             trial = moved(x, k, sign * steps[k] * 2.0)
-                            v = yield from value(trial, x, moves[2 * c + 2 :], steps)
+                            v = known.get(trial)
+                            if v is None:
+                                yield ask(trial, x, moves[2 * c + 2 :], steps)
+                                v = known[trial]
                             if v < best:
                                 best, x = v, trial
                                 steps[k] *= 2.0
@@ -262,11 +281,11 @@ def _pattern_search(values, starts, steps, iters, active):
                 steps = [0.5 * s for s in steps]
         return best, np.array(x)
 
-    runs = [search(list(x0), list(steps)) for x0 in starts]
+    runs = [search(tuple(x0), list(steps)) for x0 in starts]
     asks = {i: next(run) for i, run in enumerate(runs)}
     results = [None] * len(runs)
     while asks:
-        batch = [p for p in dict.fromkeys(p for ask in asks.values() for p in ask) if p not in known]
+        batch = [p for p in dict.fromkeys(p for pts in asks.values() for p in pts) if p not in known]
         known.update(zip(batch, values(np.array(batch)).tolist()))
         for i in list(asks):
             try:
@@ -294,8 +313,9 @@ def _grid_search(F, params, dirs, offsets, top_k):
         block = A[start : start + _CHUNK]
         chords = _ladder_chords(lambda G: _w2d(G, params), F, block, offsets)
         chords = chords.reshape(len(block), -1)
-        per_dir_best[start : start + len(block)] = np.min(chords, axis=1)
-        per_dir_arg[start : start + len(block)] = np.argmin(chords, axis=1)
+        arg = np.argmin(chords, axis=1)
+        per_dir_arg[start : start + len(block)] = arg
+        per_dir_best[start : start + len(block)] = chords[np.arange(len(block)), arg]
     out = []
     for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
         if not np.isfinite(per_dir_best[d]):
@@ -371,7 +391,7 @@ def _two_level(F, params, cfg):
 
     def values(X):
         th = _weight(X[:, 1])
-        ends = np.stack(_split_endpoints(F, (a, b, np.exp(X[:, 0]), th)))
+        ends = _split_endpoints(F, (a, b, np.exp(X[:, 0]), th))
         vp, vm = _endpoint_depth1_estimate(ends, params)
         return th * vp + (1.0 - th) * vm
 

@@ -10,7 +10,7 @@ from scipy.linalg import svdvals
 
 from nemem.algebra import _FRAME_TOL, adj2, diag_embed, rank_one_gap, singular_values, svd32
 
-from helpers import random_orthogonal2, random_rotation
+from helpers import random_orthogonal2, random_rotation, singular_values_einsum
 
 
 @pytest.mark.parametrize(
@@ -135,6 +135,67 @@ def test_singular_values_batch_agrees_with_svd32():
         sd = svd32(F[i])
         assert abs(lamM[i] - sd.lamM) <= 1e-12 * max(1.0, sd.lamM)
         assert abs(lamm[i] - sd.lamm) <= 1e-12 * max(1.0, sd.lamM)
+
+
+def _gram_inputs(rng, n):
+    # Matrices at decades 1e-150..1e150 (F^T F stays finite), then rows
+    # with a zero column, with signed zeros, and with each entry at a
+    # decade of its own.
+    F = rng.normal(size=(n, 3, 2)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1, 1))
+    k = n // 5
+    F[:k, :, 1] = 0.0
+    F[k : 2 * k] *= np.where(rng.random((k, 3, 2)) < 0.4, -0.0, 1.0)
+    F[2 * k : 3 * k, :, 0] = -0.0
+    F[3 * k : 4 * k] = rng.normal(size=(k, 3, 2)) * 10.0 ** rng.uniform(-75.0, 75.0, (k, 3, 2))
+    return F
+
+
+@pytest.mark.parametrize("shape", [(), (9,), (16, 80), (2, 24, 6, 28)])
+def test_singular_values_match_einsum_reference(shape):
+    # The explicit sums of products have einsum's bits, for one matrix
+    # (in any memory layout) and for batches and their views.
+    rng = np.random.default_rng(len(shape) + 30)
+    F = _gram_inputs(rng, max(500 if not shape else 0, int(np.prod(shape))))
+    if not shape:
+        for G in F:
+            ref = [x.tobytes() for x in singular_values_einsum(G)]
+            for view in (G, np.asfortranarray(G), G.T.copy().T, G[::-1][::-1]):
+                assert [np.asarray(x).tobytes() for x in singular_values(view)] == ref
+        return
+    F = F.reshape(shape + (3, 2))
+    views = [F, F[::-1], F[..., ::-1, :], np.asfortranarray(F), np.broadcast_to(F[:1], F.shape)]
+    for view in views:
+        ref = singular_values_einsum(view)
+        got = singular_values(view)
+        assert all(x.shape == shape and x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+
+
+@pytest.mark.filterwarnings("error")
+def test_svd32_scales_huge_matrices():
+    # Entries at or above _LANE_MAX: the kernel decomposes 2^-e F, so the
+    # squares do not overflow and the values come back at full accuracy.
+    sd = svd32(diag_embed(1e80, 1.0))
+    assert sd.lamM == 1e80 and sd.lamm == 1.0 and sd.delta == 1e80
+    assert np.abs(sd.reconstruct() - diag_embed(1e80, 1.0)).max() <= 1e-15 * 1e80
+    rng = np.random.default_rng(14)
+    n = 300
+    a = 10.0 ** rng.uniform(75.0, 150.0, n)
+    b = a * rng.uniform(0.0, 1.0, n)
+    Q0, R0 = _frames(rng, n)
+    F = Q0 @ diag_embed(a, b) @ R0
+    sd = svd32(F)
+    assert np.all(np.abs(sd.lamM - a) <= 1e-14 * a)
+    assert np.all(np.abs(sd.lamm - b) <= 1e-14 * a)
+    assert np.all(np.abs(sd.reconstruct() - F).max(axis=(1, 2)) <= 1e-14 * a)
+    assert np.abs(np.linalg.det(sd.Q) - 1.0).max() <= 1e-12
+    # The ordinary elements of a mixed batch keep their bits, and a delta
+    # beyond the float range is inf, with no warning.
+    G = rng.normal(size=(3, 2))
+    mixed = svd32(np.stack([F[0], G, diag_embed(1e200, 1e150)]))
+    one = svd32(G)
+    for name in ("lamM", "lamm", "delta", "Q", "R"):
+        assert np.asarray(getattr(one, name)).tobytes() == getattr(mixed, name)[1].tobytes()
+    assert mixed.lamM[2] == 1e200 and mixed.lamm[2] == 1e150 and mixed.delta[2] == np.inf
 
 
 @pytest.mark.filterwarnings("error")

@@ -102,6 +102,25 @@ def test_non_finite_invariants_exit_2(capsys, command, lam, dlt):
     assert "finite" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_entries_keep_their_invariants(capsys):
+    # svd32 scales a matrix with entries near the float range before its
+    # Gram matrix, so the invariants are right and nothing warns; a delta
+    # above the invariant bound is still a usage error.
+    F = "1e80 0; 0 1; 0 0"
+    code, out, err = run_cli(capsys, "energy", "--F", F, "--r", "8", "--mu", "2")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["region"] == "S" and np.isfinite(rec["energy"]) and rec["energy"] > 0.0
+    code, out, err = run_cli(capsys, "stress", "--F", F, "--r", "8", "--mu", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["principal_values"][1] == 4.0
+    for command in ("energy", "stress"):
+        code, out, err = run_cli(capsys, command, "--F", "1e80 0; 0 1e30; 0 0", "--r", "8")
+        assert code == 2 and out == ""
+        assert "at most 1e+100" in err
+
+
 def test_non_finite_energy_is_a_json_string(capsys):
     # Off the incompressibility shell the 3D density is +inf; standard JSON
     # has no token for it.

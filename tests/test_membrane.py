@@ -124,9 +124,37 @@ def test_float_lane_matches_array_lane(r):
     pairs = list(zip(L.tolist(), D.tolist()))
     assert type(psi(*pairs[0], params)) is type(plane_energy_values(*pairs[0], params)) is float
     np.testing.assert_array_equal([psi(l, d, params) for l, d in pairs], psi(L, D, params))
-    with np.errstate(divide="ignore"):  # lamM = 0 above the floor: delta / 0
-        array = plane_energy_values(L, D, params)
+    array = plane_energy_values(L, D, params)
     np.testing.assert_array_equal([plane_energy_values(l, d, params) for l, d in pairs], array)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_plane_energy_array_shapes_match_float_lane(r):
+    # The array lane takes every pair at once when all are rank two and
+    # masks the others (rank-deficient, lamM = 0); either way each element
+    # is the float lane's value, with no numpy warning.
+    params = MaterialParams(mu=2.0, r=r)
+    L, D = _float_lane_pairs(r)
+    ok = (D > _RANK_TOL * np.maximum(1.0, L * L)) & (L > 0.0)
+    for lam, dlt in ((L[ok], D[ok]), (L, D), (L[~ok], D[~ok])):
+        expected = [plane_energy_values(l, d, params) for l, d in zip(lam.tolist(), dlt.tolist())]
+        got = plane_energy_values(lam.reshape(-1, 1), dlt.reshape(-1, 1), params)
+        assert got.shape == (lam.size, 1)
+        np.testing.assert_array_equal(got[:, 0], expected)
+    # A scalar against an array, both ways, and 0-d arrays.
+    lam, dlt = float(L[ok][0]), D[ok][:50]
+    np.testing.assert_array_equal(
+        plane_energy_values(lam, dlt, params),
+        [plane_energy_values(lam, d, params) for d in dlt.tolist()],
+    )
+    np.testing.assert_array_equal(
+        plane_energy_values(L[:50], float(D[0]), params),
+        [plane_energy_values(l, float(D[0]), params) for l in L[:50].tolist()],
+    )
+    for l, d in zip(L[::97].tolist(), D[::97].tolist()):
+        value = plane_energy_values(np.array(l), np.array(d), params)
+        assert type(value) is float and value == plane_energy_values(l, d, params)
 
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])

@@ -35,6 +35,7 @@ from nemem.relaxation import (
     _grid_search,
     _ladder_chords,
     _pattern_search,
+    _split_endpoints,
     _split_values,
     _two_level,
     _w2d,
@@ -317,6 +318,87 @@ _TWO_LEVEL_PINS = [
 def test_two_level_scan_is_pinned(F, r, pinned):
     est, (a, b, t, theta) = _two_level(F, MaterialParams(mu=2.0, r=r), OracleConfig())
     assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
+
+
+# One whole solve per region at r = 8 and a two-level tree at r = 2:
+# (F, or the region and frame seed of an interior target; r; value;
+# [(level, magnitude, weight)] of the tree), floats as hex.
+_SOLVE_PINS = {
+    "L": (
+        (Region.L, 11),
+        8.0,
+        "-0x1.0000000000000p-51",
+        [(1, "0x1.062c407fe916fp+1", "0x1.e94a0975298b4p-1")],
+    ),
+    "M": (
+        (Region.M, 11),
+        8.0,
+        "0x1.c72bae8220088p+2",
+        [(1, "0x1.53db28bc24d47p+2", "0x1.0a21d0d0e8916p-1")],
+    ),
+    "W": (
+        (Region.W, 11),
+        8.0,
+        "0x1.ee35506f47602p+0",
+        [(1, "0x1.a96aac6672859p-1", "0x1.1c57b790e8914p-1")],
+    ),
+    "S": (
+        (Region.S, 11),
+        8.0,
+        "0x1.61b2bccffe5cep+1",
+        [(1, "0x1.14c884253a5dep-31", "0x1.d000000000000p-2")],
+    ),
+    "two-level": (
+        diag_embed(0.44, 0.08 / 0.44),
+        2.0,
+        "0x1.a708cc2000000p-23",
+        [
+            (1, "0x1.2c18fccb49cb6p+1", "0x1.0000000000000p-1"),
+            (2, "0x1.aab107cea9e7ep+0", "0x1.0000000000000p-1"),
+            (2, "0x1.aab107cea9e7ep+0", "0x1.0000000000000p-1"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVE_PINS))
+def test_whole_solve_is_pinned(name):
+    # The search path of a full solve, bit for bit: a change that only
+    # speeds the oracle up must leave these equal.
+    F, r, value, tree = _SOLVE_PINS[name]
+    if isinstance(F, tuple):
+        region, seed = F
+        F = matrix_from_invariants(
+            *sample_invariants(region, r, 0.4, 0.6), np.random.default_rng(seed)
+        )
+    res = relax_lamination(F, MaterialParams(mu=2.0, r=r), CFG)
+    assert res.value.hex() == value
+    got = [(e["level"], e["magnitude"].hex(), e["weight"].hex()) for e in res.best_measure.tree]
+    assert got == tree
+
+
+def test_split_endpoints_match_the_two_expressions():
+    # One broadcast gives both endpoints with the bits of the written-out
+    # F + (1 - theta) t a b^T and F - theta t a b^T.
+    rng = np.random.default_rng(9)
+    F = rng.normal(size=(3, 2))
+    a, b = rng.normal(size=(40, 3)), rng.normal(size=(40, 2))
+    t = 10.0 ** rng.uniform(-3, 1, 40)
+    theta = rng.uniform(0.0, 1.0, 40)
+    ends = _split_endpoints(F, (a, b, t, theta))
+    assert ends.shape == (2, 40, 3, 2)
+    for i in range(40):
+        D = np.outer(a[i], b[i])
+        one = _split_endpoints(F, (a[i], b[i], float(t[i]), float(theta[i])))
+        assert one.shape == (2, 3, 2)
+        for got in (ends[:, i], one):
+            assert got[0].tobytes() == (F + (1.0 - theta[i]) * t[i] * D).tobytes()
+            assert got[1].tobytes() == (F - theta[i] * t[i] * D).tobytes()
+    # One direction, a batch of magnitudes and weights (the two-level polish).
+    ends = _split_endpoints(F, (a[0], b[0], t, theta))
+    D = np.outer(a[0], b[0])
+    assert ends[0].tobytes() == (F + ((1.0 - theta) * t)[:, None, None] * D).tobytes()
+    assert ends[1].tobytes() == (F - (theta * t)[:, None, None] * D).tobytes()
 
 
 def test_endpoint_estimate_matches_one_frame_per_endpoint():
