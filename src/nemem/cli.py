@@ -74,19 +74,6 @@ def _parse_matrix(text, rows, cols):
     return np.array(out)
 
 
-def _parse_vector(text, n):
-    entries = text.split()
-    if len(entries) != n:
-        raise SystemExit2(f"vector needs {n} entries, got {len(entries)}")
-    vals = []
-    for tok in entries:
-        try:
-            vals.append(float(tok))
-        except ValueError:
-            raise SystemExit2(f"bad vector entry {tok!r}") from None
-    return np.array(vals)
-
-
 def _params(args):
     try:
         return MaterialParams(mu=args.mu, r=args.r)
@@ -155,7 +142,7 @@ def _cmd_energy3d(args):
     params = _params(args)
     F = _parse_matrix(args.F, 3, 3)
     if args.n is not None:
-        n = _parse_vector(args.n, 3)
+        n = _parse_matrix(args.n, 1, 3)[0]
         energy = entropic_energy(F, n, params)
     else:
         energy = bulk_energy(F, params)
@@ -174,14 +161,7 @@ def _cmd_laminate(args):
 def _cmd_relax(args):
     params = _params(args)
     F = _parse_matrix(args.F, 3, 2)
-    cfg = OracleConfig(
-        depth=args.depth,
-        n_dirs=args.n_dirs,
-        t_grid=args.t_grid,
-        refine_iters=args.refine_iters,
-        seed=args.seed,
-    )
-    res = relax_lamination(F, params, cfg)
+    res = relax_lamination(F, params, OracleConfig(depth=args.depth, seed=args.seed))
     out = {
         "value": res.value,
         "closed_form": res.closed_form,
@@ -309,15 +289,6 @@ def _build_parser():
     p.add_argument("--F", required=True, help="3x2 matrix 'a b; c d; e f'")
     _add_material_flags(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--n-dirs", dest="n_dirs", type=int, default=1024)
-    p.add_argument(
-        "--t-grid",
-        dest="t_grid",
-        type=int,
-        default=40,
-        help="offsets per side of each rank-one line searched (geometric ladder)",
-    )
-    p.add_argument("--refine-iters", dest="refine_iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_relax)
 

@@ -157,7 +157,8 @@ def _plane_branches(lamM, delta, r):
 def _check_invariants(lamM, delta):
     # A pair of Python floats comes back as floats, anything else as float
     # arrays.  Written so that NaN fails the comparison too.
-    if lamM.__class__ is float and delta.__class__ is float:
+    floats = lamM.__class__ is float and delta.__class__ is float
+    if floats:
         bounded = lamM <= _INVARIANT_MAX and delta <= _INVARIANT_MAX
         negative = lamM < 0.0 or delta < 0.0
     else:
@@ -168,11 +169,13 @@ def _check_invariants(lamM, delta):
             lamM.max(initial=0.0) <= _INVARIANT_MAX and delta.max(initial=0.0) <= _INVARIANT_MAX
         )
         negative = lamM.min(initial=0.0) < 0.0 or delta.min(initial=0.0) < 0.0
+    if bounded and not negative:
+        return lamM, delta
+    # A float pair is named in the message.
+    got = f", got ({lamM}, {delta})" if floats else ""
     if not bounded:
-        raise ValueError(f"stretch invariants must be finite and at most {_INVARIANT_MAX:g}")
-    if negative:
-        raise ValueError("stretch invariants must be non-negative")
-    return lamM, delta
+        raise ValueError(f"stretch invariants must be finite and at most {_INVARIANT_MAX:g}{got}")
+    raise ValueError(f"stretch invariants must be non-negative{got}")
 
 
 def classify(lamM, delta, params):
@@ -199,14 +202,7 @@ def classify(lamM, delta, params):
     ValueError
         For a negative, infinite, NaN or too large invariant.
     """
-    lamM = float(lamM)
-    delta = float(delta)
-    if not (0.0 <= lamM <= _INVARIANT_MAX and 0.0 <= delta <= _INVARIANT_MAX):
-        if lamM < 0.0 or delta < 0.0:
-            raise ValueError(f"invariants must be non-negative, got ({lamM}, {delta})")
-        raise ValueError(
-            f"invariants must be finite and at most {_INVARIANT_MAX:g}, got ({lamM}, {delta})"
-        )
+    lamM, delta = _check_invariants(float(lamM), float(delta))
     return _PRECEDENCE[_region_tests(lamM, delta, params.r).index(True)]
 
 

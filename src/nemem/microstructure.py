@@ -29,6 +29,9 @@ __all__ = [
 
 _WEIGHT_PRUNE = 1e-14
 _SHEAR_TINY = 1e-15
+# Largest deviation of an atom's invariants, normal or fiber from the
+# support law that the support checks accept.
+_SUPPORT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,7 @@ def _report(violations, worst):
     )
 
 
-def check_support_M(nu, delta_bar, params, tol=1e-10):
+def check_support_M(nu, delta_bar, params):
     """Check the support law of an equi-biaxial (region M) measure.
 
     Every atom must carry invariants ``(r**(1/4) sqrt(delta_bar),
@@ -285,12 +288,12 @@ def check_support_M(nu, delta_bar, params, tol=1e-10):
         err_q = abs(sde.lamM - q_t)
         err_d = abs(sde.delta - delta_bar)
         worst = max(worst, err_q, err_d)
-        if err_q > tol:
+        if err_q > _SUPPORT_TOL:
             violations.append(
                 f"atom {idx}: largest stretch {sde.lamM!r} differs from "
                 f"{q_t!r} by {err_q:.3e}"
             )
-        if err_d > tol:
+        if err_d > _SUPPORT_TOL:
             violations.append(
                 f"atom {idx}: areal stretch {sde.delta!r} differs from "
                 f"{delta_bar!r} by {err_d:.3e}"
@@ -304,14 +307,14 @@ def check_support_M(nu, delta_bar, params, tol=1e-10):
         else:
             err_n = float(np.linalg.norm(normal - normal0))
             worst = max(worst, err_n)
-            if err_n > tol:
+            if err_n > _SUPPORT_TOL:
                 violations.append(
                     f"atom {idx}: deformed-plane normal deviates by {err_n:.3e}"
                 )
     return _report(violations, worst)
 
 
-def check_support_W(nu, Ft, tol=1e-10):
+def check_support_W(nu, Ft):
     """Check the support law of a wrinkling (region W) measure.
 
     With ``(e_M, f_M)`` the leading singular pair of ``Ft``, every atom
@@ -329,17 +332,17 @@ def check_support_W(nu, Ft, tol=1e-10):
         err_d = abs(sde.delta - target_d)
         err_f = float(np.linalg.norm(np.asarray(G) @ sd.f1 - lam * sd.e1))
         worst = max(worst, err_q, err_d, err_f)
-        if err_q > tol:
+        if err_q > _SUPPORT_TOL:
             violations.append(
                 f"atom {idx}: largest stretch {sde.lamM!r} differs from "
                 f"{lam!r} by {err_q:.3e}"
             )
-        if err_d > tol:
+        if err_d > _SUPPORT_TOL:
             violations.append(
                 f"atom {idx}: areal stretch {sde.delta!r} differs from "
                 f"{target_d!r} by {err_d:.3e}"
             )
-        if err_f > tol:
+        if err_f > _SUPPORT_TOL:
             violations.append(
                 f"atom {idx}: stretched fiber moves by {err_f:.3e}"
             )

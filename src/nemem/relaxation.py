@@ -14,6 +14,8 @@ lowest chord along the endpoint's frame directions).  The best candidates
 are polished side by side by a derivative-free pattern search that
 evaluates the moves ahead of each search in batches, and the reported
 value is always the plane-energy pairing of an explicit witness measure.
+The search budget (directions, offsets, polish sweeps) is a set of module
+constants; ``OracleConfig`` chooses only the depth and the grid's seed.
 """
 
 import math
@@ -33,8 +35,12 @@ from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
+_N_POL = 16  # polar rings of the 3-vector in the direction grid
 _N_AZ = 8  # azimuths of the 3-vector per polar ring of the direction grid
 _N_BETA = 8  # angles of the 2-vector on the half circle
+_T_GRID = 40  # offsets per side of each rank-one line of the grid search
+_REFINE_ITERS = 50  # pattern-search sweeps of the full depth-one polish
+_LINE_SAMPLES = 800  # offsets per side of relax_along_line
 _CHUNK = 256  # directions per plane-energy batch of the grid search
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
@@ -53,34 +59,22 @@ _NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Search budget of the lamination oracle.
+    """Lamination depth and direction-grid seed of the oracle.
 
-    ``n_dirs`` is the total rank-one direction budget, laid out as a
-    polar x azimuthal grid for the 3-vector times a half-circle grid for
-    the 2-vector (16 x 8 x 8 by default), so it must be a positive
-    multiple of 64; frame-aligned directions of the target are always
-    seeded on top.  ``t_grid`` is the number of offsets per side of each
-    rank-one line, a geometric ladder from 1e-3 to 10 times
-    ``max(1, |F|)``; every chord between the two sides is a candidate
-    split, so there is no separate weight grid.  ``seed`` fixes the
-    deterministic orientation jitter of the raw direction grid.
+    The search budget is fixed: ``_N_POL x _N_AZ x _N_BETA`` grid
+    directions (1024) on top of the target's frame directions, ``_T_GRID``
+    offsets per side of each rank-one line and ``_REFINE_ITERS`` polish
+    sweeps.  ``depth`` is the lamination order searched (1 or 2, deeper
+    levels split witness atoms further); ``seed`` fixes the deterministic
+    orientation jitter of the direction grid.
     """
 
     depth: int = 2
-    n_dirs: int = 1024
-    t_grid: int = 40
-    refine_iters: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        for name in ("n_dirs", "t_grid", "refine_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        ring = _N_AZ * _N_BETA
-        if self.n_dirs % ring:
-            raise ValueError(f"n_dirs must be a multiple of {ring}, got {self.n_dirs}")
 
 
 @dataclass(frozen=True)
@@ -168,9 +162,8 @@ def _angles_of(a, b):
     return pol, az, beta
 
 
-def _grid_directions(n_dirs, seed):
-    n_pol = n_dirs // (_N_AZ * _N_BETA)
-    pol = (np.arange(n_pol) + 0.5) * (0.5 * np.pi) / n_pol
+def _grid_directions(seed):
+    pol = (np.arange(_N_POL) + 0.5) * (0.5 * np.pi) / _N_POL
     az = np.arange(_N_AZ) * (2.0 * np.pi) / _N_AZ
     beta = np.arange(_N_BETA) * np.pi / _N_BETA
     a, b = _unit_vectors(pol[:, None], az[None, :], beta)
@@ -339,8 +332,8 @@ def _depth1(F, params, cfg, light=False):
     if light:
         n, top_k, iters = 16, 3, 14
     else:
-        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(cfg.n_dirs, cfg.seed))]
-        n, top_k, iters = cfg.t_grid, 6, cfg.refine_iters
+        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(cfg.seed))]
+        n, top_k, iters = _T_GRID, 6, _REFINE_ITERS
     offsets = np.geomspace(1e-3, _SPLIT_TOP, n) * scale
     starts = [
         [*_angles_of(a, b), math.log(t), theta]
@@ -376,7 +369,7 @@ def _endpoint_depth1_estimate(E, params):
     return np.minimum(_w2d(E, params), chords.min(axis=(-3, -2, -1)))
 
 
-def _two_level(F, params, cfg):
+def _two_level(F, params):
     """Best two-level tree: frame-aligned first split scanned over signed
     magnitude pairs with depth-one-estimated endpoints, then a light
     (t, theta) polish.  Returns ``(estimate, first_split)``."""
@@ -471,7 +464,7 @@ def relax_lamination(Ft, params, cfg=None):
     # pass through high-energy intermediates), so rank first splits by
     # estimated two-level value, not by their depth-one objective.
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
-        est, split = _two_level(F, params, cfg)
+        est, split = _two_level(F, params)
         if est < value1:
             Gp, Gm = _split_endpoints(F, split)
             _, sp = _depth1(Gp, params, cfg, light=True)
@@ -521,14 +514,14 @@ def relax_lamination(Ft, params, cfg=None):
     )
 
 
-def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
+def relax_along_line(Ft, a, b, params):
     """One-dimensional convexification of the plane energy along a line.
 
-    Samples ``s -> W(Ft + s a b^T)`` at ``n_samples // 2`` evenly spaced
-    offsets on each side of 0 out to ``span`` and returns the lower
-    convex envelope of the samples at ``s = 0``: the least of ``W(Ft)``
-    and the lowest chord through 0 between samples on either side.
-    Infinite samples never win; the result is +inf only when every
+    Samples ``s -> W(Ft + s a b^T)`` at ``_LINE_SAMPLES`` evenly spaced
+    offsets on each side of 0 out to ``10 max(1, |Ft|)`` and returns the
+    lower convex envelope of the samples at ``s = 0``: the least of
+    ``W(Ft)`` and the lowest chord through 0 between samples on either
+    side.  Infinite samples never win; the result is +inf only when every
     candidate is.
     """
     a = np.asarray(a, dtype=float)
@@ -536,9 +529,7 @@ def relax_along_line(Ft, a, b, params, n_samples=1601, span=None):
     if abs(np.linalg.norm(a) - 1.0) > 1e-12 or abs(np.linalg.norm(b) - 1.0) > 1e-12:
         raise ValueError("line direction must be a unit rank-one pair")
     F = np.asarray(Ft, dtype=float)
-    if span is None:
-        span = 10.0 * max(1.0, float(np.linalg.norm(F)))
-    half = n_samples // 2
-    s = span * np.arange(1, half + 1) / half
+    span = _SPLIT_TOP * max(1.0, float(np.linalg.norm(F)))
+    s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
     chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a, b), s)
     return float(np.min(chords, initial=_w2d(F, params)))

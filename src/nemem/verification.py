@@ -85,6 +85,19 @@ class _Worst:
             self.value = v
             self.point = (float(lam.ravel()[k]), float(dlt.ravel()[k]))
 
+    def report(self, suite_name, samples, tolerance, checks):
+        """The suite's report: it passes when the worst violation is at
+        most ``tolerance``."""
+        return SuiteReport(
+            suite_name=suite_name,
+            samples=samples,
+            worst_violation=self.value,
+            worst_point=self.point,
+            passed=self.value <= tolerance,
+            tolerance=tolerance,
+            checks=tuple(checks),
+        )
+
 
 def verify_energy_bounds(params, grid_n=200):
     """Bound the relaxed energy by each candidate branch, region by region.
@@ -168,16 +181,7 @@ def verify_energy_bounds(params, grid_n=200):
     worst.update(np.abs(w_e - p1_e), lam_e, d_e)
     checks.append("equality-on-wrinkle-edge")
 
-    tol = 1e-12
-    return SuiteReport(
-        suite_name="appendixA",
-        samples=worst.samples,
-        worst_violation=worst.value,
-        worst_point=worst.point,
-        passed=worst.value <= tol,
-        tolerance=tol,
-        checks=tuple(checks),
-    )
+    return worst.report("appendixA", worst.samples, 1e-12, checks)
 
 
 def region_window(region, r):
@@ -294,15 +298,8 @@ def verify_stress_identities(params, n_samples=50, seed=0):
             )
             worst.update(max(err_b, err_c) / 1e-4, sd.lamM, sd.delta)
             count += 1
-    return SuiteReport(
-        suite_name="stress",
-        samples=count,
-        worst_violation=worst.value,
-        worst_point=worst.point,
-        passed=worst.value <= 1.0,
-        tolerance=1.0,
-        checks=("fd-gradient-vs-stress", "measure-pairing-gradient", "measure-pairing-stress"),
-    )
+    checks = ("fd-gradient-vs-stress", "measure-pairing-gradient", "measure-pairing-stress")
+    return worst.report("stress", count, 1.0, checks)
 
 
 def verify_envelope_chain(params, n_samples=12, seed=0):
@@ -331,15 +328,8 @@ def verify_envelope_chain(params, n_samples=12, seed=0):
             )
             worst.update(abs(paired - res.value) / 1e-12, sd.lamM, sd.delta)
             count += 1
-    return SuiteReport(
-        suite_name="envelope",
-        samples=count,
-        worst_violation=worst.value,
-        worst_point=worst.point,
-        passed=worst.value <= 1.0,
-        tolerance=1.0,
-        checks=("relaxed-le-plane", "oracle-gap", "oracle-witness"),
-    )
+    checks = ("relaxed-le-plane", "oracle-gap", "oracle-witness")
+    return worst.report("envelope", count, 1.0, checks)
 
 
 def verify_frame_and_growth(params, n_samples=1000, seed=0):
@@ -392,15 +382,8 @@ def verify_frame_and_growth(params, n_samples=1000, seed=0):
                 m2 = float(np.sum(F3 * F3))
                 worst.update((m2 / ce - ce - we) / 1e-12, np.nan, np.nan)
                 worst.update((we - ce * (m2 + 1.0)) / 1e-12, np.nan, np.nan)
-    return SuiteReport(
-        suite_name="frame",
-        samples=n_samples,
-        worst_violation=worst.value,
-        worst_point=worst.point,
-        passed=worst.value <= 1.0,
-        tolerance=1.0,
-        checks=("frame-indifference", "region-tag-invariance", "quadratic-growth"),
-    )
+    checks = ("frame-indifference", "region-tag-invariance", "quadratic-growth")
+    return worst.report("frame", n_samples, 1.0, checks)
 
 
 _SUITES = {

@@ -132,8 +132,7 @@ def test_non_finite_energy_is_a_json_string(capsys):
 
 def test_relax_rank_deficient_exit_code(capsys):
     code, out, err = run_cli(
-        capsys, "relax", "--F", "0 0; 0 0; 0 0", "--r", "8", "--mu", "2",
-        "--n-dirs", "128", "--t-grid", "16", "--refine-iters", "10",
+        capsys, "relax", "--F", "0 0; 0 0; 0 0", "--r", "8", "--mu", "2"
     )
     assert code == 3 and out == ""
     assert "domain error" in err
@@ -151,6 +150,14 @@ def test_parse_error_names_bad_token(capsys):
     code, _, err = run_cli(capsys, "energy", "--F", "a b; 0 1; 0 0", "--r", "8")
     assert code == 2
     assert "'a'" in err
+
+
+def test_bad_director_token_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "energy3d", "--F", "1 0 0; 0 1 0; 0 0 1", "--n", "1 x 0", "--r", "8"
+    )
+    assert code == 2 and out == ""
+    assert "'x'" in err
 
 
 def test_wrong_matrix_shape(capsys):
@@ -206,7 +213,6 @@ def test_relax_json(capsys):
     code, out, _ = run_cli(
         capsys,
         "relax", "--F", "2.5 0; 0 0.8; 0 0", "--r", "8", "--mu", "2", "--seed", "0",
-        "--n-dirs", "128", "--t-grid", "16", "--refine-iters", "10",
     )
     assert code == 0
     rec = json.loads(out)
@@ -340,18 +346,17 @@ def test_scan_agrees_with_scalar_api(tmp_path, capsys, r):
         np.testing.assert_allclose([float(s1_s), float(s2_s)], ref, rtol=1e-12, atol=1e-12)
 
 
-def test_scan_serial_parallel_identical(tmp_path, capsys, monkeypatch):
+def test_scan_serial_parallel_identical(tmp_path, capsys):
+    # The scan is deterministic: two runs write the same bytes.
     args = [
         "scan",
         "--lamM-min", "0.2", "--lamM-max", "4", "--lamM-count", "40",
         "--delta-min", "0.0", "--delta-max", "3", "--delta-count", "40",
         "--r", "8", "--mu", "2",
     ]
-    monkeypatch.setenv("NEMEM_THREADS", "1")
-    run_cli(capsys, *args, "--out", str(tmp_path / "serial.csv"))
-    monkeypatch.setenv("NEMEM_THREADS", "4")
-    run_cli(capsys, *args, "--out", str(tmp_path / "parallel.csv"))
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+    run_cli(capsys, *args, "--out", str(tmp_path / "first.csv"))
+    run_cli(capsys, *args, "--out", str(tmp_path / "second.csv"))
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -366,14 +371,22 @@ def test_config_file_defaults(tmp_path, capsys):
     assert abs(rec["energy"] - 0.58333333) <= 1e-8
 
 
-def test_config_unknown_key_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["kappa", "n-dirs"])
+def test_config_unknown_key_is_a_usage_error(tmp_path, capsys, key):
+    # relax has no n-dirs: the search budget of the oracle is fixed.
     cfg = tmp_path / "cfg"
-    cfg.write_text("r = 8\nkappa = 2\n")
+    cfg.write_text(f"r = 8\n{key} = 2\n")
     code, out, err = run_cli(
         capsys, "--config", str(cfg), "energy", "--lamM", "3", "--delta", "1"
     )
     assert code == 2 and out == ""
-    assert "kappa" in err
+    assert key.replace("-", "_") in err
+
+
+def test_relax_budget_flag_is_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--n-dirs", "128"])
+    assert exc.value.code == 2
 
 
 def test_config_flags_override(tmp_path, capsys):
