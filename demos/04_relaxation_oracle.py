@@ -6,7 +6,7 @@ value is an upper bound witnessed by an explicit laminate; the closed
 form is a lower bound by construction of the theory.  Agreement within
 tolerance certifies the formula point by point.
 
-Run:  python demos/04_relaxation_oracle.py   (about a minute)
+Run:  python demos/04_relaxation_oracle.py   (about a second)
 """
 
 import numpy as np

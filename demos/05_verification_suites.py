@@ -6,7 +6,7 @@ inequalities on grids, stress identities (finite differences and
 measure pairings), the envelope chain against the lamination oracle,
 and frame indifference plus quadratic growth.
 
-Run:  python demos/05_verification_suites.py   (about a minute)
+Run:  python demos/05_verification_suites.py   (a few seconds)
 """
 
 import json

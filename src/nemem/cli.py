@@ -6,11 +6,11 @@ floats are printed with shortest round-trip precision.  Exit codes:
 0 ok, 2 usage/parse error, 3 domain error, 4 I/O error.  JSON never
 holds a bare ``Infinity`` or ``NaN``: non-finite floats are written as
 the strings ``"inf"``, ``"-inf"`` and ``"nan"``.  The material flags are
-``--r`` and ``--mu``.  ``--config`` reads a flat ``key=value`` defaults
-file; a key that no subcommand defines is a usage error.
+``--r`` and ``--mu``.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,10 +36,6 @@ from .verification import DEFAULT_R_VALUES, run_suites
 __all__ = ["main"]
 
 
-class SystemExit2(Exception):
-    """Parse-level failure; the offending token is in the message."""
-
-
 def _finite_json(obj):
     # Non-finite floats become strings, so the text is standard JSON.
     if isinstance(obj, float) and not math.isfinite(obj):
@@ -59,26 +55,19 @@ def _parse_matrix(text, rows, cols):
     out = []
     row_chunks = [chunk for chunk in text.split(";")]
     if len(row_chunks) != rows:
-        raise SystemExit2(f"matrix needs {rows} rows separated by ';', got {len(row_chunks)}")
+        raise ValueError(f"matrix needs {rows} rows separated by ';', got {len(row_chunks)}")
     for chunk in row_chunks:
         entries = chunk.split()
         if len(entries) != cols:
-            raise SystemExit2(f"matrix row {chunk!r} needs {cols} entries")
+            raise ValueError(f"matrix row {chunk!r} needs {cols} entries")
         row = []
         for tok in entries:
             try:
                 row.append(float(tok))
             except ValueError:
-                raise SystemExit2(f"bad matrix entry {tok!r}") from None
+                raise ValueError(f"bad matrix entry {tok!r}") from None
         out.append(row)
     return np.array(out)
-
-
-def _params(args):
-    try:
-        return MaterialParams(mu=args.mu, r=args.r)
-    except ValueError as exc:
-        raise SystemExit2(str(exc)) from None
 
 
 def _invariants(args, params):
@@ -89,7 +78,7 @@ def _invariants(args, params):
         sd = svd32(F)
         return F, sd.lamM, sd.delta, classify(sd.lamM, sd.delta, params)
     if args.lamM is None or args.delta is None:
-        raise SystemExit2("need either --F or both --lamM and --delta")
+        raise ValueError("need either --F or both --lamM and --delta")
     lam, dlt = args.lamM, args.delta
     region = classify(lam, dlt, params)  # rejects negative, non-finite and huge pairs
     if region is Region.INVALID:
@@ -103,7 +92,7 @@ def _unrealizable(lam, dlt):
 
 
 def _cmd_energy(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     _, lam, dlt, region = _invariants(args, params)
     if region is Region.INVALID:
         raise _unrealizable(lam, dlt)
@@ -115,14 +104,14 @@ def _cmd_energy(args):
 
 
 def _cmd_region(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     _, _, _, region = _invariants(args, params)
     print(_json_text({"region": region.value}))
     return 0
 
 
 def _cmd_stress(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     F, lam, dlt, _ = _invariants(args, params)
     if F is None:
         raise _unrealizable(lam, dlt)
@@ -139,7 +128,7 @@ def _cmd_stress(args):
 
 
 def _cmd_energy3d(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     F = _parse_matrix(args.F, 3, 3)
     if args.n is not None:
         n = _parse_matrix(args.n, 1, 3)[0]
@@ -151,7 +140,7 @@ def _cmd_energy3d(args):
 
 
 def _cmd_laminate(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     F = _parse_matrix(args.F, 3, 2)
     nu = young_measure_for(F, params)
     print(_json_text(measure_to_json_dict(nu)))
@@ -159,7 +148,7 @@ def _cmd_laminate(args):
 
 
 def _cmd_relax(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     F = _parse_matrix(args.F, 3, 2)
     res = relax_lamination(F, params, OracleConfig(depth=args.depth, seed=args.seed))
     out = {
@@ -173,20 +162,20 @@ def _cmd_relax(args):
 
 
 def _cmd_scan(args):
-    params = _params(args)
+    params = MaterialParams(mu=args.mu, r=args.r)
     for name, lo, hi, count in (
         ("lamM", args.lamM_min, args.lamM_max, args.lamM_count),
         ("delta", args.delta_min, args.delta_max, args.delta_count),
     ):
         for end, value in (("min", lo), ("max", hi)):
             if not value <= _INVARIANT_MAX:
-                raise SystemExit2(
+                raise ValueError(
                     f"--{name}-{end} must be finite and at most {_INVARIANT_MAX:g}, got {value}"
                 )
         if count < 2:
-            raise SystemExit2(f"--{name}-count must be >= 2")
+            raise ValueError(f"--{name}-count must be >= 2")
         if not (0.0 <= lo < hi):
-            raise SystemExit2(f"--{name} range needs 0 <= min < max")
+            raise ValueError(f"--{name} range needs 0 <= min < max")
     lam, dlt = np.meshgrid(
         np.linspace(args.lamM_min, args.lamM_max, args.lamM_count),
         np.linspace(args.delta_min, args.delta_max, args.delta_count),
@@ -235,7 +224,7 @@ def _cmd_verify(args):
             seed=args.seed,
         )
     except KeyError as exc:
-        raise SystemExit2(str(exc)) from None
+        raise ValueError(str(exc)) from None
     ok = True
     for rep in reports:
         print(_json_text(rep.to_json_dict()))
@@ -243,30 +232,27 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _add_material_flags(p, mu_default=1.0):
+def _add_material_flags(p):
     p.add_argument("--r", type=float, default=1.0, help="chain anisotropy (>= 1)")
-    p.add_argument("--mu", type=float, default=mu_default, help="shear modulus (> 0)")
+    p.add_argument("--mu", type=float, default=1.0, help="shear modulus (> 0)")
 
 
+@functools.cache
 def _build_parser():
+    # Nothing changes the parser after it is built, so one per process
+    # serves every main call.
     parser = argparse.ArgumentParser(
         prog="nemem",
         description="Effective energy, stress, and microstructure of nematic "
         "elastomer membranes.",
     )
-    parser.add_argument("--config", default=None, help="flat key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, with_pair in (
-        ("energy", _cmd_energy, True),
-        ("region", _cmd_region, True),
-        ("stress", _cmd_stress, True),
-    ):
+    for name, fn in (("energy", _cmd_energy), ("region", _cmd_region), ("stress", _cmd_stress)):
         p = sub.add_parser(name)
         p.add_argument("--F", default=None, help="3x2 matrix 'a b; c d; e f'")
-        if with_pair:
-            p.add_argument("--lamM", type=float, default=None)
-            p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--lamM", type=float, default=None)
+        p.add_argument("--delta", type=float, default=None)
         _add_material_flags(p)
         if name == "energy":
             p.add_argument(
@@ -319,56 +305,10 @@ def _build_parser():
     return parser
 
 
-def _apply_config(argv, parser):
-    # Flat key=value file applied as defaults; explicit flags win because
-    # argparse parses them after set_defaults.
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise SystemExit2("--config needs a path")
-    path = argv[idx + 1]
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        print(f"cannot read config {path}: {exc}", file=sys.stderr)
-        raise SystemExit(4) from None
-    defaults = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SystemExit2(f"bad config line {line!r}")
-        key, value = line.split("=", 1)
-        defaults[key.strip().replace("-", "_")] = value.strip()
-    subparsers = parser._subparsers._group_actions[0].choices.values()
-    known = {act.dest for action in subparsers for act in action._actions}
-    unknown = sorted(set(defaults) - known)
-    if unknown:
-        raise SystemExit2(f"unknown config key(s) in {path}: {', '.join(unknown)}")
-    for action in subparsers:
-        coerced = {}
-        for act in action._actions:
-            if act.dest in defaults and act.type is not None:
-                coerced[act.dest] = act.type(defaults[act.dest])
-            elif act.dest in defaults:
-                coerced[act.dest] = defaults[act.dest]
-        action.set_defaults(**coerced)
-    return argv
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config(argv, parser)
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3

@@ -220,10 +220,6 @@ def young_measure_for(Ft, params):
     Ft = np.asarray(Ft, dtype=float)
     sd = svd32(Ft)
     region = classify(sd.lamM, sd.delta, params)
-    if region is Region.INVALID:
-        raise ValueError(
-            f"invariants ({sd.lamM}, {sd.delta}) are not realizable"
-        )
     if region is Region.S:
         return DiscreteYoungMeasure(atoms=((1.0, Ft.copy()),), tree=())
     r = params.r

@@ -27,7 +27,6 @@ from .algebra import singular_values, svd32
 from .membrane import (
     _INVARIANT_MAX,
     DomainError,
-    _region_tests,
     plane_energy_values,
     psi,
 )
@@ -447,8 +446,6 @@ def relax_lamination(Ft, params, cfg=None):
         cfg = OracleConfig()
     F = np.asarray(Ft, dtype=float)
     sd = svd32(F)
-    if _region_tests(sd.lamM, sd.delta, params.r)[0]:  # the Invalid region
-        raise ValueError("invariants are not realizable by a 3x2 matrix")
     closed = psi(sd.lamM, sd.delta, params)
     norm = float(np.linalg.norm(F))
     if norm > _NORM_MAX:

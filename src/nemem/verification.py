@@ -402,7 +402,11 @@ _SUITES = {
 
 def run_suites(suite, params_list, grid_n=200, n_samples=50, seed=0):
     """Run one named suite (or ``"all"``) for each material; returns the
-    list of reports in deterministic order."""
+    list of reports in deterministic order.
+
+    Raises ``KeyError`` for an unknown suite, and ``ValueError`` for
+    ``n_samples < 1`` or ``grid_n < 2``, which would check nothing and
+    still pass."""
     if suite == "all":
         names = list(_SUITES)
     elif suite in _SUITES:
@@ -410,6 +414,10 @@ def run_suites(suite, params_list, grid_n=200, n_samples=50, seed=0):
     else:
         raise KeyError(f"unknown suite {suite!r}; choose from "
                        f"{sorted(_SUITES)} or 'all'")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     reports = []
     for name in names:
         applicable = list(params_list)

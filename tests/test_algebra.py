@@ -277,6 +277,9 @@ def test_svd32_batch_matches_one_matrix_calls_bit_for_bit():
     sd = svd32(F)
     assert sd.lamM.shape == sd.lamm.shape == sd.delta.shape == (len(F),)
     assert sd.Q.shape == (len(F), 3, 3) and sd.R.shape == (len(F), 2, 2)
+    # lamm <= lamM, so no decomposition is above the equi-biaxial line:
+    # relax_lamination and young_measure_for rely on it being realizable.
+    assert np.all(sd.delta <= sd.lamM * sd.lamM)
     for i, G in enumerate(F):
         one = svd32(G)
         assert type(one.lamM) is float and type(one.lamm) is float
@@ -336,6 +339,7 @@ def test_svd32_one_matrix_is_element_of_its_batch(G):
         one, batch = svd32(G), svd32(G[None])
     for name in ("lamM", "lamm", "delta", "Q", "R"):
         assert np.asarray(getattr(one, name)).tobytes() == getattr(batch, name)[0].tobytes(), name
+    assert one.delta <= one.lamM * one.lamM
 
 
 def test_svd32_batch_reconstructs_with_rotation_frames():

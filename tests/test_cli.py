@@ -1,10 +1,14 @@
 """Command-line interface: parsing, exit codes, file emission, determinism."""
 
+import argparse
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
+from nemem import cli
 from nemem.algebra import diag_embed
 from nemem.cli import main
 from nemem.constitutive import MaterialParams
@@ -359,41 +363,82 @@ def test_scan_serial_parallel_identical(tmp_path, capsys):
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
-def test_config_file_defaults(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("r = 8\nmu = 2\n")
-    code, out, _ = run_cli(
-        capsys, "--config", str(cfg), "energy", "--lamM", "3", "--delta", "1"
-    )
-    assert code == 0
-    rec = json.loads(out)
-    assert rec["region"] == "W"
-    assert abs(rec["energy"] - 0.58333333) <= 1e-8
-
-
-@pytest.mark.parametrize("key", ["kappa", "n-dirs"])
-def test_config_unknown_key_is_a_usage_error(tmp_path, capsys, key):
-    # relax has no n-dirs: the search budget of the oracle is fixed.
-    cfg = tmp_path / "cfg"
-    cfg.write_text(f"r = 8\n{key} = 2\n")
-    code, out, err = run_cli(
-        capsys, "--config", str(cfg), "energy", "--lamM", "3", "--delta", "1"
-    )
-    assert code == 2 and out == ""
-    assert key.replace("-", "_") in err
-
-
-def test_relax_budget_flag_is_a_usage_error():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--n-dirs", "128"],
+        ["energy", "--lamM", "3", "--delta", "1", "--kappa", "2"],
+        ["--config", "nemem.cfg", "energy", "--lamM", "3", "--delta", "1"],
+    ],
+    ids=["n-dirs", "kappa", "config"],
+)
+def test_relax_budget_flag_is_a_usage_error(capsys, argv):
+    # The oracle's search budget is fixed, kappa is read by no command, and
+    # there is no defaults file: each is an argparse usage error.
     with pytest.raises(SystemExit) as exc:
-        main(["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--n-dirs", "128"])
+        main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: nemem")
 
 
-def test_config_flags_override(tmp_path, capsys):
-    cfg = tmp_path / "cfg"
-    cfg.write_text("r = 2\n")
-    code, out, _ = run_cli(
-        capsys,
-        "--config", str(cfg), "region", "--lamM", "3", "--delta", "1", "--r", "8",
-    )
-    assert json.loads(out) == {"region": "W"}
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        for argv in (
+            ["energy", "--lamM", "3", "--delta", "1", "--r", "8"],
+            ["region", "--lamM", "1.5", "--delta", "1.0", "--r", "8"],
+            ["laminate", "--F", "1 0; 0 1; 0 0", "--r", "8"],
+            ["energy", "--lamM", "nan", "--delta", "1"],
+        ):
+            main(argv)
+        assert built.count("nemem") == 1
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--samples", "0", "n_samples"), ("--grid", "0", "grid_n"), ("--grid", "1", "grid_n")],
+)
+def test_verify_rejects_empty_samples_and_grids(capsys, flag, value, name):
+    # Zero samples used to pass having checked nothing; an empty grid used
+    # to fail inside numpy.
+    code, out, err = run_cli(capsys, "verify", "--suite", "stress", "--r", "8", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and name in err
+
+
+def _readme_commands():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("nemem ")]
+
+
+def test_readme_commands_succeed(tmp_path, capsys):
+    ran = set()
+    for argv in _readme_commands():
+        # verify --suite all --seed 7 is left out: it takes about 20 s and
+        # still exits 1 on the r=1.01 envelope check, an oracle gap that
+        # ROADMAP item 1 fixes.
+        if argv == ["verify", "--suite", "all", "--seed", "7"]:
+            continue
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        ran.add(argv[0])
+    assert ran == {"energy", "region", "stress", "energy3d", "laminate", "relax", "scan"}
+    assert (tmp_path / "landscape.csv").exists()

@@ -67,6 +67,14 @@ def test_run_suites_unknown_name():
         run_suites("nope", [MaterialParams(mu=1.0, r=2.0)])
 
 
+@pytest.mark.parametrize(
+    "kwargs, name", [({"n_samples": 0}, "n_samples"), ({"grid_n": 1}, "grid_n")]
+)
+def test_run_suites_rejects_empty_samples_and_grids(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        run_suites("stress", [MaterialParams(mu=1.0, r=2.0)], **kwargs)
+
+
 def test_run_suites_all_skips_isotropic_energy_bounds():
     reports = run_suites(
         "all",
