@@ -30,9 +30,13 @@ __all__ = [
 # Relative threshold below which the smaller singular value is treated as
 # zero when building the left frame (the value itself is still reported).
 _FRAME_TOL = 1e-13
-# One matrix with entries below this in magnitude takes the float lane of
-# svd32: its Gram matrix and eigenvector norms stay finite there, so no
-# numpy call in the lane overflows or warns.
+# One matrix whose largest entry in magnitude lies in [_LANE_MIN,
+# _LANE_MAX) takes the float lane of svd32: its Gram matrix and eigenvector
+# norms stay finite there, so no numpy call in the lane overflows or
+# warns.  Outside that range the array kernel scales the matrix by a power
+# of two: unscaled, the floor of 1 in its tie and thin tests would give
+# every matrix with entries below about 3e-8 repeated singular values.
+_LANE_MIN = 2.0**-20
 _LANE_MAX = 1e75
 
 
@@ -115,9 +119,11 @@ def svd32(F):
     stacked per-matrix ``np.matmul`` and ``np.vecdot`` calls, so each
     element's bits do not depend on the batch; the rare cases are masked
     and skipped when no element has them.  A matrix with an entry of at
-    least ``_LANE_MAX`` is one of them: it is decomposed scaled by an
-    exact power of two, so its Gram matrix cannot overflow, and a
-    ``delta`` beyond the float range comes back as inf.  One matrix in
+    least ``_LANE_MAX``, or whose entries are all below ``_LANE_MIN``, is
+    one of them: it is decomposed scaled by an exact power of two, so its
+    Gram matrix neither overflows nor underflows and the tie and thin
+    tests see it at unit size; a ``delta`` beyond the float range comes
+    back as inf (below it, as 0).  One matrix in
     the generic case takes a float lane that makes the same reductions
     on that matrix and does everything elementwise on Python floats,
     with the same bits; any other input, including a malformed one, goes
@@ -135,7 +141,11 @@ def svd32(F):
         Float singular values for one matrix, arrays for a batch.
     """
     F = np.asarray(F, dtype=float)
-    if F.shape == (3, 2) and all(-_LANE_MAX < x < _LANE_MAX for x in F.ravel().tolist()):
+    # One check admits the float lane: a finite sum rules out nan, which
+    # max() can skip.
+    if F.shape == (3, 2) and (
+        _LANE_MIN <= max(map(abs, x := F.ravel().tolist())) < _LANE_MAX and math.isfinite(sum(x))
+    ):
         one = _svd32_one(np.ascontiguousarray(F))
         if one is not None:
             return one
@@ -144,16 +154,16 @@ def svd32(F):
         raise ValueError(f"expected 3x2 matrices, got shape {F.shape}")
     F = np.ascontiguousarray(F.reshape(-1, 3, 2))
     n = len(F)
-    # Entries of at least _LANE_MAX (or not finite) are a rare case: such a
-    # matrix is decomposed as 2^-e F, largest entry below 1, and its
-    # singular values are scaled back by 2^e (exact, frames unchanged).
+    # A largest entry of at least _LANE_MAX (or not finite) or below
+    # _LANE_MIN is a rare case: such a matrix is decomposed as 2^-e F,
+    # largest entry in [1/2, 1), and its singular values are scaled back by
+    # 2^e (exact, frames unchanged).  The zero matrix keeps e = 0.
     exp = None
-    size = np.abs(F)
-    if not size.max(initial=0.0) < _LANE_MAX:
-        peak = size.max(axis=(1, 2))
+    peak = np.abs(F).reshape(n, 6).max(axis=1)
+    if not (_LANE_MIN <= peak.min(initial=_LANE_MIN) and peak.max(initial=0.0) < _LANE_MAX):
         if not np.all(peak < np.inf):
             raise ValueError("matrix entries must be finite")
-        exp = np.where(peak >= _LANE_MAX, np.frexp(peak)[1], 0)
+        exp = np.where((peak >= _LANE_MAX) | (peak < _LANE_MIN), np.frexp(peak)[1], 0)
         F = np.ldexp(F, -exp[:, None, None])
 
     # Leading eigenvector of F^T F = [[a, b], [b, c]]: the longer of the
@@ -201,13 +211,17 @@ def svd32(F):
         u = np.divide(W, lam[:, :, None], out=U[:, :, :3])
         u[:, 1] -= np.vecdot(u[:, 0], u[:, 1])[:, None] * u[:, 0]
         u[:, 1] /= np.sqrt(np.vecdot(u[:, 1], u[:, 1]))[:, None]
+        judged = lam
         if exp is not None:
             lam = np.ldexp(lam, exp[:, None])
+            # A scaled-up matrix is judged thin at its scaled size, where
+            # the test's floor of 1 is relative; the others at their own.
+            judged = np.where((exp < 0)[:, None], judged, lam)
         # Beyond the float range delta is inf, which the invariant bound
         # downstream rejects.
         delta = lam[:, 0] * lam[:, 1]
     lamM, lamm = lam[:, 0], lam[:, 1]
-    thin = lamm <= _FRAME_TOL * np.maximum(1.0, lamM)
+    thin = judged[:, 1] <= _FRAME_TOL * np.maximum(1.0, judged[:, 0])
     if np.count_nonzero(thin):
         t1 = u[thin, 0]
         rows = np.arange(len(t1))

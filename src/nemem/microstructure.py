@@ -163,7 +163,8 @@ def laminate_shear(q, d, c):
             raise ValueError(
                 f"shear target c = {c} outside [sqrt(d) = {np.sqrt(d)}, q = {q}]"
             )
-        xi2 = d * d / (q * q) + q * q - d * d / (c * c) - c * c
+        # d = 0 has no d^2 / c^2 term, also where c * c underflows to 0.
+        xi2 = d * d / (q * q) + q * q - (d * d / (c * c) if d else 0.0) - c * c
         xi = np.sqrt(max(xi2, 0.0))
         plus = np.array([[c, xi], [0.0, d / c], [0.0, 0.0]])
         minus = np.array([[c, -xi], [0.0, d / c], [0.0, 0.0]])

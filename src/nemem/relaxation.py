@@ -5,15 +5,19 @@ convex envelope without trusting the closed-form relaxed energy.  Along
 one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
-One function, ``_ladder_chords``, scores such chords everywhere, over
-ladders of offsets on both sides of the target, and one kernel, ``_w2d``,
-evaluates every plane energy.  Depth one takes the lowest chord along
-each searched direction; depth two scans two-level trees whose first
-split is a chord between depth-one estimates of both endpoints (each the
-lowest chord along the endpoint's frame directions).  The best candidates
-are polished side by side by a derivative-free pattern search that
-evaluates the moves ahead of each search in batches, and the reported
-value is always the plane-energy pairing of an explicit witness measure.
+One function, ``_chords``, scores such chords everywhere, over ladders
+of offsets on both sides of the target (``_ladder_values``), and one
+kernel, ``_w2d``, evaluates every plane energy.  Depth one takes the
+lowest chord along each searched direction; depth two scans two-level
+trees whose first split is a chord between depth-one estimates of both
+endpoints (each the lowest chord along the endpoint's frame directions).
+The grid scan of depth one is bounded: a chord is a weighted mean of its
+two ends, so chords are formed only along the directions whose lowest
+ladder sample can still reach the top candidates, which are those of the
+exhaustive scan, bit for bit.  The best candidates are polished side by
+side by a derivative-free pattern search that evaluates the moves ahead
+of each search in batches, and the reported value is always the
+plane-energy pairing of an explicit witness measure.
 The search budget (directions, offsets, polish sweeps) is a set of module
 constants; ``OracleConfig`` chooses only the depth and the grid's seed.
 """
@@ -40,7 +44,11 @@ _N_BETA = 8  # angles of the 2-vector on the half circle
 _T_GRID = 40  # offsets per side of each rank-one line of the grid search
 _REFINE_ITERS = 50  # pattern-search sweeps of the full depth-one polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
-_CHUNK = 256  # directions per plane-energy batch of the grid search
+_CHUNK = 64  # directions per plane-energy batch and chord table of the grid search
+# Relative and absolute slack of the grid search's bound on the chords
+# of a direction (see _grid_search).
+_SLACK = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
 # score their endpoints.
@@ -54,6 +62,13 @@ _ENDPOINT_TOP = 8.0
 _NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
     (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
 )
+# Unit ladders of offsets, scaled by max(1, |F|) per call: the grid
+# search's and the light single split's, the first splits of two-level
+# trees, and the endpoint estimate's frame chords.
+_GRID_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_GRID)
+_LIGHT_LADDER = np.geomspace(1e-3, _SPLIT_TOP, 16)
+_PAIR_LADDER = np.geomspace(1e-2, _PAIR_TOP, 24)
+_ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
 
 
 @dataclass(frozen=True)
@@ -104,18 +119,25 @@ def _chords(w_pos, w_neg, s_pos, s_neg):
     return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
 
 
-def _ladder_chords(value, F, D, s):
-    """Chords through each ``F`` between ``value(F + s_i D)`` and
-    ``value(F - s_j D)``, with shape ``(..., i, j)``.
+def _ladder_values(value, F, D, s):
+    """``value(F + s_i D)`` for every ``i``, then ``value(F - s_i D)``,
+    with shape ``(..., 2 n)``.
 
     ``F`` and ``D`` are ``(..., 3, 2)`` and ``s`` is ``(..., n)``, all
     broadcast against each other; ``value`` maps a batch of matrices to
     their values and is called once, on both sides of the ladder.
     """
     s = np.asarray(s)
-    n = s.shape[-1]
     both = np.concatenate([s, -s], axis=-1)[..., :, None, None]
-    W = value(F[..., None, :, :] + both * D[..., None, :, :])
+    return value(F[..., None, :, :] + both * D[..., None, :, :])
+
+
+def _ladder_chords(value, F, D, s):
+    """Chords through each ``F`` between ``value(F + s_i D)`` and
+    ``value(F - s_j D)``, with shape ``(..., i, j)``; arguments as in
+    ``_ladder_values``."""
+    n = np.shape(s)[-1]
+    W = _ladder_values(value, F, D, s)
     return _chords(W[..., :n], W[..., n:], s, s)
 
 
@@ -296,18 +318,45 @@ def _grid_search(F, params, dirs, offsets, top_k):
 
     A chord from ``s+`` to ``-s-`` is the split ``t = s+ + s-``,
     ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
+
+    The scan is bounded.  A chord is a weighted mean of its two ends, so
+    no chord along a direction is below the direction's lowest ladder
+    sample.  Every ladder is evaluated, the directions are visited in
+    increasing order of that bound, and their chord tables are built a
+    chunk at a time until the next bound is above the ``top_k``-th best
+    chord found.  A direction never visited cannot reach the top
+    ``top_k``, even on a tie, so the candidates are those of the
+    exhaustive scan, bit for bit.  Directions with a non-finite bound
+    (every sample +inf) have no finite chord and are never visited.
     """
     n = len(offsets)
     A = _dyads(*dirs)
-    per_dir_best = np.empty(len(A))
-    per_dir_arg = np.empty(len(A), dtype=int)
-    for start in range(0, len(A), _CHUNK):
-        block = A[start : start + _CHUNK]
-        chords = _ladder_chords(lambda G: _w2d(G, params), F, block, offsets)
-        chords = chords.reshape(len(block), -1)
+    W = np.concatenate(
+        [
+            _ladder_values(lambda G: _w2d(G, params), F, A[start : start + _CHUNK], offsets)
+            for start in range(0, len(A), _CHUNK)
+        ]
+    )
+    lo = W.min(axis=1)
+    # A computed chord can round a few ulps below its lower end (and an
+    # underflowing product loses less than _TINY), so the bound keeps
+    # that much slack below the lowest sample.
+    bound = lo * np.where(lo < 0.0, 1.0 + _SLACK, 1.0 - _SLACK) - _TINY
+    order = np.argsort(bound, kind="stable")[: np.count_nonzero(bound < np.inf)]
+    ranked = bound[order]
+    per_dir_best = np.full(len(A), np.inf)
+    per_dir_arg = np.zeros(len(A), dtype=int)
+    done, end = 0, len(order)
+    while done < end:
+        visit = order[done : min(end, done + _CHUNK)]
+        chords = _chords(W[visit, :n], W[visit, n:], offsets, offsets).reshape(len(visit), -1)
         arg = np.argmin(chords, axis=1)
-        per_dir_arg[start : start + len(block)] = arg
-        per_dir_best[start : start + len(block)] = chords[np.arange(len(block)), arg]
+        per_dir_arg[visit] = arg
+        per_dir_best[visit] = chords[np.arange(len(visit)), arg]
+        done += len(visit)
+        if done >= top_k:
+            kth = np.partition(per_dir_best[order[:done]], top_k - 1)[top_k - 1]
+            end = np.searchsorted(ranked, kth, side="right")
     out = []
     for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
         if not np.isfinite(per_dir_best[d]):
@@ -329,11 +378,11 @@ def _depth1(F, params, cfg, light=False):
     scale = max(1.0, float(np.linalg.norm(F)))
     dirs = _frame_directions(F)
     if light:
-        n, top_k, iters = 16, 3, 14
+        ladder, top_k, iters = _LIGHT_LADDER, 3, 14
     else:
         dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(cfg.seed))]
-        n, top_k, iters = _T_GRID, 6, _REFINE_ITERS
-    offsets = np.geomspace(1e-3, _SPLIT_TOP, n) * scale
+        ladder, top_k, iters = _GRID_LADDER, 6, _REFINE_ITERS
+    offsets = ladder * scale
     starts = [
         [*_angles_of(a, b), math.log(t), theta]
         for _, (a, b, t, theta) in _grid_search(F, params, dirs, offsets, top_k)
@@ -363,7 +412,7 @@ def _endpoint_depth1_estimate(E, params):
     E = np.asarray(E, dtype=float)
     dirs = _dyads(*_frame_directions(E, ambient=False))
     scale = np.maximum(1.0, np.linalg.norm(E.reshape(E.shape[:-2] + (6,)), axis=-1))
-    s = scale[..., None] * np.geomspace(1e-2, _ENDPOINT_TOP, 14)
+    s = scale[..., None] * _ENDPOINT_LADDER
     chords = _ladder_chords(lambda G: _w2d(G, params), E[..., None, :, :], dirs, s[..., None, :])
     return np.minimum(_w2d(E, params), chords.min(axis=(-3, -2, -1)))
 
@@ -374,7 +423,7 @@ def _two_level(F, params):
     (t, theta) polish.  Returns ``(estimate, first_split)``."""
     scale = max(1.0, float(np.linalg.norm(F)))
     dirs = _frame_directions(F, ambient=False)
-    base = np.geomspace(1e-2, _PAIR_TOP, 24) * scale
+    base = _PAIR_LADDER * scale
     pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
     d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
     a, b = dirs[0][d_idx], dirs[1][d_idx]

@@ -10,6 +10,7 @@ invariants and random frames only.
 import numpy as np
 
 from nemem.algebra import adj2, diag_embed
+from nemem.relaxation import _dyads, _ladder_chords, _w2d
 from nemem.verification import region_window
 
 
@@ -107,6 +108,29 @@ def pattern_search_reference(value, x0, steps, iters, active):
         if not improved:
             steps = [0.5 * s for s in steps]
     return best, x
+
+
+def grid_search_reference(F, params, dirs, offsets, top_k):
+    """Exhaustive grid scan: the lowest chord through ``F`` between the
+    ``offsets`` ladders on either side of every direction, all chord
+    tables built at once, ranked by value with ties broken on the
+    direction index; at most ``top_k`` finite candidates
+    ``(value, (a, b, t, theta))``.  The reference for the oracle's
+    bounded scan."""
+    n = len(offsets)
+    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(*dirs), offsets)
+    chords = chords.reshape(len(chords), -1)
+    per_dir_arg = np.argmin(chords, axis=1)
+    per_dir_best = chords[np.arange(len(chords)), per_dir_arg]
+    out = []
+    for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
+        if not np.isfinite(per_dir_best[d]):
+            continue
+        i, j = divmod(int(per_dir_arg[d]), n)
+        s_pos, s_neg = float(offsets[i]), float(offsets[j])
+        t = s_pos + s_neg
+        out.append((float(per_dir_best[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
+    return out
 
 
 def singular_values_einsum(F):

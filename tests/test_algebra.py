@@ -199,6 +199,36 @@ def test_svd32_scales_huge_matrices():
 
 
 @pytest.mark.filterwarnings("error")
+def test_svd32_scales_small_matrices():
+    # Entries all below _LANE_MIN: the kernel decomposes 2^-e F, so the
+    # Gram matrix does not underflow and the tie and thin tests see the
+    # matrix at unit size, not against their absolute floors.
+    F0 = np.array([[1.0, 0.3], [0.1, 2.0], [0.5, 0.0]])
+    s1, s2 = singular_values(F0)
+    for x in 10.0 ** np.arange(-300.0, -7.0):
+        sd = svd32(x * F0)
+        assert abs(sd.lamM - x * s1) <= 1e-14 * x * s1 and abs(sd.lamm - x * s2) <= 1e-14 * x * s1
+        assert np.abs(sd.reconstruct() - x * F0).max() <= 1e-14 * x * s1
+    rng = np.random.default_rng(15)
+    n = 300
+    a = 10.0 ** rng.uniform(-300.0, -8.0, n)
+    b = a * rng.uniform(0.0, 1.0, n)
+    b[:30] = 0.0  # rank one
+    Q0, R0 = _frames(rng, n)
+    F = Q0 @ diag_embed(a, b) @ R0
+    sd = svd32(F)
+    assert np.all(np.abs(sd.lamM - a) <= 1e-14 * a)
+    assert np.all(np.abs(sd.lamm - b) <= 1e-14 * a)
+    assert np.all(np.abs(sd.reconstruct() - F).max(axis=(1, 2)) <= 1e-14 * a)
+    assert np.abs(np.linalg.det(sd.Q) - 1.0).max() <= 1e-12
+    # One matrix at a time takes the same kernel.
+    for i in range(0, n, 10):
+        one = svd32(F[i])
+        for name in ("lamM", "lamm", "delta", "Q", "R"):
+            assert np.asarray(getattr(one, name)).tobytes() == getattr(sd, name)[i].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
 def test_svd32_rejects_bad_input():
     # The array kernel's errors, with no numpy warning before them.
     cases = [

@@ -213,6 +213,14 @@ def test_laminate_json(capsys):
     assert abs(sum(a["weight"] for a in rec["atoms"]) - 1.0) <= 1e-14
 
 
+def test_laminate_of_a_tiny_matrix(capsys):
+    # The singular values of a matrix far below 1 are exact, so the
+    # laminate's barycenter keeps the target's largest stretch.
+    code, out, _ = run_cli(capsys, "laminate", "--F", "1e-200 0; 0 1e-200; 0 0", "--r", "8")
+    assert code == 0
+    assert json.loads(out)["barycenter"][0][0] == 1e-200
+
+
 def test_relax_json(capsys):
     code, out, _ = run_cli(
         capsys,

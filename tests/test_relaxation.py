@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    grid_search_reference,
     lower_hull_at_zero,
     matrix_from_invariants,
     pattern_search_reference,
     sample_invariants,
 )
+from nemem import relaxation
 from nemem.algebra import diag_embed, rank_one_gap, singular_values, svd32
 from nemem.constitutive import MaterialParams
 from nemem.membrane import (
@@ -25,10 +27,14 @@ from nemem.membrane import (
 )
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
+    _CHUNK,
+    _GRID_LADDER,
+    _LIGHT_LADDER,
     _NORM_MAX,
     OracleConfig,
     OracleResult,
     _angles_of,
+    _dyads,
     _endpoint_depth1_estimate,
     _frame_directions,
     _grid_directions,
@@ -276,6 +282,91 @@ def test_grid_candidates_are_the_splits_of_their_chords(region):
             1.0 - theta
         ) * plane_energy(F - theta * t * D, P8)
         assert abs(value - split) <= 1e-12 * max(1.0, abs(split))
+
+
+def _budget(F, full):
+    # The two grid scans of the oracle's single splits: frame directions
+    # plus the seeded grid, 40 offsets, top 6; frame directions only, 16
+    # offsets, top 3.
+    scale = max(1.0, float(np.linalg.norm(F)))
+    dirs = _frame_directions(F)
+    if full:
+        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(0))]
+        return dirs, _GRID_LADDER * scale, 6
+    return dirs, _LIGHT_LADDER * scale, 3
+
+
+def _bits(candidates):
+    return [(v.hex(), a.tobytes(), b.tobytes(), t.hex(), th.hex()) for v, (a, b, t, th) in candidates]
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["grid", "frame"])
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
+    # The bounded scan skips the chord tables of directions whose lowest
+    # ladder sample is above the top candidates; the candidates, values
+    # and splits must be those of the exhaustive scan, bit for bit.
+    params = MaterialParams(mu=2.0, r=r)
+    lamM, delta = sample_invariants(region, r, 0.4, 0.6)
+    assert classify(lamM, delta, params) is region
+    F = matrix_from_invariants(lamM, delta, np.random.default_rng(5))
+    dirs, offsets, top_k = _budget(F, full)
+    got = _grid_search(F, params, dirs, offsets, top_k)
+    assert len(got) == top_k
+    assert _bits(got) == _bits(grid_search_reference(F, params, dirs, offsets, top_k))
+
+
+def test_bounded_grid_search_breaks_ties_on_the_lower_index():
+    # Every direction twice, the second copy as (-a, -b): the same dyad, so
+    # the same ladder and chords, but a candidate that names its copy.  An
+    # odd top_k splits the last tied pair, which the first copy must win.
+    F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
+    (a, b), offsets, _ = _budget(F, True)
+    dirs = [np.concatenate([a, -a]), np.concatenate([b, -b])]
+    got = _grid_search(F, P8, dirs, offsets, 5)
+    assert _bits(got) == _bits(grid_search_reference(F, P8, dirs, offsets, 5))
+    picked = [
+        int(np.flatnonzero((dirs[0] == ca).all(axis=1) & (dirs[1] == cb).all(axis=1))[0])
+        for _, (ca, cb, _, _) in got
+    ]
+    first = picked[0::2]
+    assert all(d < len(a) for d in first)
+    assert picked[1::2] == [d + len(a) for d in first[:2]]
+
+
+@pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
+def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
+    # Most ladders of a rank-deficient target are +inf everywhere (every
+    # frame ladder of the zero matrix is), so fewer than top_k directions
+    # have a finite chord: every one of them is a candidate.
+    dirs, offsets, _ = _budget(F, False)
+    finite = np.isfinite(_ladder_chords(lambda G: _w2d(G, P8), F, _dyads(*dirs), offsets))
+    n_finite = int(np.count_nonzero(finite.any(axis=(1, 2))))
+    assert n_finite < 6
+    got = _grid_search(F, P8, dirs, offsets, 6)
+    assert len(got) == n_finite
+    assert _bits(got) == _bits(grid_search_reference(F, P8, dirs, offsets, 6))
+
+
+def test_grid_search_builds_few_small_chord_tables(monkeypatch):
+    # Bit identity cannot tell whether the bound is on: count the chord
+    # tables of one full-grid scan of a liquid target.
+    F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.4, 0.6), np.random.default_rng(5))
+    dirs, offsets, top_k = _budget(F, True)
+    tables = []
+    chords = relaxation._chords
+
+    def recording(w_pos, w_neg, s_pos, s_neg):
+        out = chords(w_pos, w_neg, s_pos, s_neg)
+        tables.append(out.shape)
+        return out
+
+    monkeypatch.setattr(relaxation, "_chords", recording)
+    assert len(_grid_search(F, P8, dirs, offsets, top_k)) == top_k
+    assert len(dirs[0]) == 1036 and tables
+    assert all(shape == (shape[0], 40, 40) and shape[0] <= _CHUNK for shape in tables)
+    assert sum(shape[0] for shape in tables) < len(dirs[0]) // 2
 
 
 # (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
