@@ -34,8 +34,8 @@ _FRAME_TOL = 1e-13
 # _LANE_MAX) takes the float lane of svd32: its Gram matrix and eigenvector
 # norms stay finite there, so no numpy call in the lane overflows or
 # warns.  Outside that range the array kernel scales the matrix by a power
-# of two: unscaled, the floor of 1 in its tie and thin tests would give
-# every matrix with entries below about 3e-8 repeated singular values.
+# of two, so that its Gram matrix neither overflows nor underflows; the
+# tie and thin tests are relative, so they judge it as at its own size.
 _LANE_MIN = 2.0**-20
 _LANE_MAX = 1e75
 
@@ -121,9 +121,10 @@ def svd32(F):
     and skipped when no element has them.  A matrix with an entry of at
     least ``_LANE_MAX``, or whose entries are all below ``_LANE_MIN``, is
     one of them: it is decomposed scaled by an exact power of two, so its
-    Gram matrix neither overflows nor underflows and the tie and thin
-    tests see it at unit size; a ``delta`` beyond the float range comes
-    back as inf (below it, as 0).  One matrix in
+    Gram matrix neither overflows nor underflows (the tie and thin tests
+    are relative to the largest value, so the scale does not change their
+    verdict); a ``delta`` beyond the float range comes back as inf (below
+    it, as 0).  One matrix in
     the generic case takes a float lane that makes the same reductions
     on that matrix and does everything elementwise on Python floats,
     with the same bits; any other input, including a malformed one, goes
@@ -179,7 +180,7 @@ def svd32(F):
     norm2 = np.vecdot(V, V)
     v = np.where((norm2[:, 0] >= norm2[:, 1])[:, None], V[:, 0], V[:, 1])
     norm2 = np.maximum(norm2[:, 0], norm2[:, 1])
-    tie = disc <= 1e-15 * np.maximum(np.maximum(a, c), 1.0)
+    tie = disc <= 1e-15 * np.maximum(a, c)
     if np.count_nonzero(tie):
         # Repeated singular values: any frame works, pick the first axis.
         v[tie], norm2[tie] = (1.0, 0.0), 1.0
@@ -211,17 +212,14 @@ def svd32(F):
         u = np.divide(W, lam[:, :, None], out=U[:, :, :3])
         u[:, 1] -= np.vecdot(u[:, 0], u[:, 1])[:, None] * u[:, 0]
         u[:, 1] /= np.sqrt(np.vecdot(u[:, 1], u[:, 1]))[:, None]
-        judged = lam
+        # Judged at the scaled size, where no singular value overflows.
+        thin = lam[:, 1] <= _FRAME_TOL * lam[:, 0]
         if exp is not None:
             lam = np.ldexp(lam, exp[:, None])
-            # A scaled-up matrix is judged thin at its scaled size, where
-            # the test's floor of 1 is relative; the others at their own.
-            judged = np.where((exp < 0)[:, None], judged, lam)
         # Beyond the float range delta is inf, which the invariant bound
         # downstream rejects.
         delta = lam[:, 0] * lam[:, 1]
     lamM, lamm = lam[:, 0], lam[:, 1]
-    thin = judged[:, 1] <= _FRAME_TOL * np.maximum(1.0, judged[:, 0])
     if np.count_nonzero(thin):
         t1 = u[thin, 0]
         rows = np.arange(len(t1))
@@ -255,7 +253,7 @@ def _svd32_one(F):
     # floats, so each field has the bits of the array kernel.
     (a, b), (_, c) = np.matmul(F.T, F).tolist()
     disc = float(np.hypot(0.5 * (a - c), b))
-    if disc <= 1e-15 * max(a, c, 1.0):
+    if disc <= 1e-15 * max(a, c):
         return None
     s1sq = 0.5 * (a + c) + disc
     V = [[b, s1sq - a], [s1sq - c, b]]
@@ -269,7 +267,7 @@ def _svd32_one(F):
 
     W = np.matmul(F[None], R[:, :, None])[..., 0]
     lamM, lamm = (math.sqrt(x) for x in np.vecdot(W, W).tolist())
-    if lamm > lamM or lamm <= _FRAME_TOL * max(1.0, lamM):
+    if lamm > lamM or lamm <= _FRAME_TOL * lamM:
         return None
     w1, w2 = W.tolist()
     u1 = [x / lamM for x in w1]

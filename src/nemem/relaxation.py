@@ -11,13 +11,17 @@ kernel, ``_w2d``, evaluates every plane energy.  Depth one takes the
 lowest chord along each searched direction; depth two scans two-level
 trees whose first split is a chord between depth-one estimates of both
 endpoints (each the lowest chord along the endpoint's frame directions).
-The grid scan of depth one is bounded: a chord is a weighted mean of its
-two ends, so chords are formed only along the directions whose lowest
-ladder sample can still reach the top candidates, which are those of the
-exhaustive scan, bit for bit.  The best candidates are polished side by
-side by a derivative-free pattern search that evaluates the moves ahead
-of each search in batches, and the reported value is always the
-plane-energy pairing of an explicit witness measure.
+Depth one searches the target's frame directions and a grid of 256 lines
+laid in that frame over one quarter of line space, which holds a line
+with the same plane energies as any other, by the sign symmetries of the
+frame (``_grid_directions``).  The grid scan of depth one is bounded: a
+chord is a weighted mean of its two ends, so chords are formed only
+along the directions whose lowest ladder sample can still reach the top
+candidates, which are those of the exhaustive scan, bit for bit.  The
+best candidates are polished side by side by a derivative-free pattern
+search that evaluates the moves ahead of each search in batches, and the
+reported value is always the plane-energy pairing of an explicit witness
+measure.
 The search budget (directions, offsets, polish sweeps) is a set of module
 constants; ``OracleConfig`` chooses only the depth and the grid's seed.
 """
@@ -38,9 +42,13 @@ from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
-_N_POL = 16  # polar rings of the 3-vector in the direction grid
-_N_AZ = 8  # azimuths of the 3-vector per polar ring of the direction grid
-_N_BETA = 8  # angles of the 2-vector on the half circle
+# The direction grid in the target's singular frame (see _grid_directions):
+# polar rings of the 3-vector on a quarter sphere, its azimuths per ring on
+# a half turn, and angles of the 2-vector on a quarter turn.  That is one
+# quarter of line space at the spacing of 1024 lines over all of it.
+_N_POL = 16
+_N_AZ = 4
+_N_BETA = 4
 _T_GRID = 40  # offsets per side of each rank-one line of the grid search
 _REFINE_ITERS = 50  # pattern-search sweeps of the full depth-one polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
@@ -76,11 +84,12 @@ class OracleConfig:
     """Lamination depth and direction-grid seed of the oracle.
 
     The search budget is fixed: ``_N_POL x _N_AZ x _N_BETA`` grid
-    directions (1024) on top of the target's frame directions, ``_T_GRID``
-    offsets per side of each rank-one line and ``_REFINE_ITERS`` polish
-    sweeps.  ``depth`` is the lamination order searched (1 or 2, deeper
-    levels split witness atoms further); ``seed`` fixes the deterministic
-    orientation jitter of the direction grid.
+    directions (256, in the target's singular frame) on top of the
+    target's frame directions, ``_T_GRID`` offsets per side of each
+    rank-one line and ``_REFINE_ITERS`` polish sweeps.  ``depth`` is the
+    lamination order searched (1 or 2, deeper levels split witness atoms
+    further); ``seed`` fixes the deterministic shift of the grid's angle
+    lattices within their cells.
     """
 
     depth: int = 2
@@ -147,12 +156,12 @@ def _dyads(a, b):
     return np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
 
 
-def _frame_directions(F, ambient=True):
-    """Rank-one directions ``(a, b)`` of the singular frame of each ``F``,
-    ``(Q[:, i], R[j, :])`` with ``i`` outer: shapes ``(..., 6, 3)`` and
-    ``(..., 6, 2)``, from one ``svd32`` call.  For one ``F``, ``ambient``
-    appends the six pairs of coordinate axes in the same order."""
-    sd = svd32(F)
+def _frame_directions(sd, ambient=True):
+    """Rank-one directions ``(a, b)`` of the singular frame ``sd`` (the
+    ``svd32`` of one ``F`` or a batch), ``(Q[:, i], R[j, :])`` with ``i``
+    outer: shapes ``(..., 6, 3)`` and ``(..., 6, 2)``.  For one ``F``,
+    ``ambient`` appends the six pairs of coordinate axes in the same
+    order."""
     a = np.repeat(np.swapaxes(sd.Q, -1, -2), 2, axis=-2)
     b = np.tile(sd.R, (3, 1))
     if ambient:
@@ -183,16 +192,30 @@ def _angles_of(a, b):
     return pol, az, beta
 
 
-def _grid_directions(seed):
-    pol = (np.arange(_N_POL) + 0.5) * (0.5 * np.pi) / _N_POL
-    az = np.arange(_N_AZ) * (2.0 * np.pi) / _N_AZ
-    beta = np.arange(_N_BETA) * np.pi / _N_BETA
+def _grid_directions(sd, seed):
+    """The direction grid of the depth-one search of one ``F``, laid in its
+    singular frame ``sd`` (``F = Q D R``) over one quarter of line space:
+    ``_N_POL x _N_AZ x _N_BETA`` pairs ``(a, b) = (Q a', R^T b')``, ``b``
+    fastest.
+
+    The line ``F + s a b^T`` has the plane energies of
+    ``D + s a' b'^T``, which depend only on its singular values.  So the
+    sign flips of ``a'_3``, of ``(a'_1, b'_1)`` together and of
+    ``(a'_2, b'_2)`` together, and the negation of ``a'`` (``s -> -s``),
+    map every line to one with the same plane energies, and the lowest
+    chord through 0 of a ladder symmetric in ``s`` is the same on both.
+    Every line thus has a representative with ``a'_1 >= 0``,
+    ``a'_3 >= 0`` and ``b'`` in the first quadrant, where the grid lies.
+    ``seed`` shifts each angle lattice by a fraction of a cell, which
+    keeps it inside that quarter.
+    """
+    shift = np.random.default_rng(seed).random(3)
+    pol = (np.arange(_N_POL) + shift[0]) * (0.5 * np.pi) / _N_POL
+    az = (np.arange(_N_AZ) + shift[1] - 0.5 * _N_AZ) * np.pi / _N_AZ
+    beta = (np.arange(_N_BETA) + shift[2]) * (0.5 * np.pi) / _N_BETA
     a, b = _unit_vectors(pol[:, None], az[None, :], beta)
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    a = a.reshape(-1, 3) @ Q.T
+    a = a.reshape(-1, 3) @ sd.Q.T
+    b = b @ sd.R
     return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
@@ -376,11 +399,12 @@ def _depth1(F, params, cfg, light=False):
     """
     w0 = _w2d(F, params)
     scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(F)
+    sd = svd32(F)
+    dirs = _frame_directions(sd)
     if light:
         ladder, top_k, iters = _LIGHT_LADDER, 3, 14
     else:
-        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(cfg.seed))]
+        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(sd, cfg.seed))]
         ladder, top_k, iters = _GRID_LADDER, 6, _REFINE_ITERS
     offsets = ladder * scale
     starts = [
@@ -410,7 +434,7 @@ def _endpoint_depth1_estimate(E, params):
     rank first-level splits of two-level trees.
     """
     E = np.asarray(E, dtype=float)
-    dirs = _dyads(*_frame_directions(E, ambient=False))
+    dirs = _dyads(*_frame_directions(svd32(E), ambient=False))
     scale = np.maximum(1.0, np.linalg.norm(E.reshape(E.shape[:-2] + (6,)), axis=-1))
     s = scale[..., None] * _ENDPOINT_LADDER
     chords = _ladder_chords(lambda G: _w2d(G, params), E[..., None, :, :], dirs, s[..., None, :])
@@ -422,7 +446,7 @@ def _two_level(F, params):
     magnitude pairs with depth-one-estimated endpoints, then a light
     (t, theta) polish.  Returns ``(estimate, first_split)``."""
     scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(F, ambient=False)
+    dirs = _frame_directions(svd32(F), ambient=False)
     base = _PAIR_LADDER * scale
     pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
     d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)

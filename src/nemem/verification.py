@@ -8,6 +8,9 @@ machine-readable :class:`SuiteReport`.  Semantics of ``worst_violation``:
   inequalities, tolerance 1e-12;
 * all other suites   -- largest error normalized by its own tolerance,
   so the suite tolerance is 1.0.
+
+``worst_check`` names the check that holds the worst violation, and
+``worst_point`` its ``(lamM, delta)``.
 """
 
 from dataclasses import dataclass
@@ -50,6 +53,7 @@ class SuiteReport:
     suite_name: str
     samples: int
     worst_violation: float
+    worst_check: str
     worst_point: tuple
     passed: bool
     tolerance: float
@@ -61,6 +65,7 @@ class SuiteReport:
             "suite_name": self.suite_name,
             "samples": self.samples,
             "worst_violation": self.worst_violation,
+            "worst_check": self.worst_check,
             "worst_point": point,
             "pass": self.passed,
             "tolerance": self.tolerance,
@@ -69,33 +74,43 @@ class SuiteReport:
 
 
 class _Worst:
+    """The worst violation of a suite, with its check and point; the
+    suite's checks are listed in the order they first report."""
+
     def __init__(self):
         self.value = -np.inf
+        self.check = None
         self.point = (np.nan, np.nan)
+        self.checks = {}
         self.samples = 0
 
-    def update(self, violation, lam, dlt):
+    def update(self, check, violation, lam, dlt):
+        self.checks.setdefault(check)
         violation = np.asarray(violation, dtype=float)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), violation.shape)
         dlt = np.broadcast_to(np.asarray(dlt, dtype=float), violation.shape)
         self.samples += violation.size
+        if violation.size == 0:
+            return
         k = int(np.argmax(violation))
         v = float(violation.ravel()[k])
         if v > self.value:
             self.value = v
+            self.check = check
             self.point = (float(lam.ravel()[k]), float(dlt.ravel()[k]))
 
-    def report(self, suite_name, samples, tolerance, checks):
+    def report(self, suite_name, samples, tolerance):
         """The suite's report: it passes when the worst violation is at
         most ``tolerance``."""
         return SuiteReport(
             suite_name=suite_name,
             samples=samples,
             worst_violation=self.value,
+            worst_check=self.check,
             worst_point=self.point,
             passed=self.value <= tolerance,
             tolerance=tolerance,
-            checks=tuple(checks),
+            checks=tuple(self.checks),
         )
 
 
@@ -112,7 +127,6 @@ def verify_energy_bounds(params, grid_n=200):
         raise ValueError("energy-bound suite needs r > 1")
     sqr = np.sqrt(r)
     worst = _Worst()
-    checks = []
 
     lam = np.linspace(0.05 * r ** (1.0 / 3.0), 2.5 * r ** (1.0 / 3.0), grid_n)
     frac = np.linspace(1e-3, 1.0, grid_n)
@@ -123,42 +137,52 @@ def verify_energy_bounds(params, grid_n=200):
     prod = L * Dlt
 
     m1 = prod >= sqr
-    if np.any(m1):
-        worst.update((W - phi1)[m1], L[m1], Dlt[m1])
-    checks.append("relaxed-le-branch1-grid")
+    worst.update("relaxed-le-branch1-grid", (W - phi1)[m1], L[m1], Dlt[m1])
     m2 = prod <= 1.0 / sqr
-    if np.any(m2):
-        worst.update((W - phi2)[m2], L[m2], Dlt[m2])
-    checks.append("relaxed-le-branch2-grid")
+    worst.update("relaxed-le-branch2-grid", (W - phi2)[m2], L[m2], Dlt[m2])
     m3 = (prod > 1.0 / sqr) & (prod < sqr)
-    if np.any(m3):
-        worst.update((W - phi3)[m3], L[m3], Dlt[m3])
-    checks.append("relaxed-le-branch3-grid")
+    worst.update("relaxed-le-branch3-grid", (W - phi3)[m3], L[m3], Dlt[m3])
 
     # Wrinkling branch vs branch 2 minimized over its admissible areal
     # stretches (inner minimization on a grid plus the critical value).
     lam_w = np.linspace(r ** (1.0 / 3.0) * (1.0 + 1e-9), 4.0 * r ** (1.0 / 3.0), grid_n)
     w_branch = lam_w**2 / r + 2.0 / lam_w
     crit = lam_w**2 + 2.0 / (sqr * lam_w)
-    worst.update(0.5 * mu * r ** (1.0 / 3.0) * (w_branch - crit), lam_w, np.nan)
-    checks.append("w-branch-le-branch2-critical")
+    worst.update(
+        "w-branch-le-branch2-critical",
+        0.5 * mu * r ** (1.0 / 3.0) * (w_branch - crit),
+        lam_w,
+        np.nan,
+    )
     d_edge = 1.0 / (sqr * lam_w)
     for frac_d in (0.25, 0.5, 0.75, 1.0):
         dd = frac_d * d_edge
         inner = lam_w**2 + (dd / lam_w) ** 2 + 1.0 / (r * dd**2)
-        worst.update(0.5 * mu * r ** (1.0 / 3.0) * (w_branch - inner), lam_w, dd)
-    checks.append("w-branch-le-branch2-inner-grid")
+        worst.update(
+            "w-branch-le-branch2-inner-grid",
+            0.5 * mu * r ** (1.0 / 3.0) * (w_branch - inner),
+            lam_w,
+            dd,
+        )
 
     # Microstructure branch vs branch 3 evaluated on the two boundary
     # curves of its admissible smaller stretch.
     d_m = np.linspace(r ** (1.0 / 6.0) * (1.0 + 1e-9), r ** (1.0 / 3.0) * (1.0 - 1e-9), grid_n)
     m_branch = 2.0 * d_m / sqr + 1.0 / d_m**2
     edge_sqrt = d_m + 2.0 / (sqr * np.sqrt(d_m))
-    worst.update(0.5 * mu * r ** (1.0 / 3.0) * (m_branch - edge_sqrt), np.nan, d_m)
-    checks.append("m-branch-le-branch3-sqrt-edge")
+    worst.update(
+        "m-branch-le-branch3-sqrt-edge",
+        0.5 * mu * r ** (1.0 / 3.0) * (m_branch - edge_sqrt),
+        np.nan,
+        d_m,
+    )
     edge_quad = d_m**4 / r + 2.0 / d_m**2
-    worst.update(0.5 * mu * r ** (1.0 / 3.0) * (m_branch - edge_quad), np.nan, d_m)
-    checks.append("m-branch-le-branch3-curved-edge")
+    worst.update(
+        "m-branch-le-branch3-curved-edge",
+        0.5 * mu * r ** (1.0 / 3.0) * (m_branch - edge_quad),
+        np.nan,
+        d_m,
+    )
 
     # Cubic substitution y = delta^(3/2) of the sqrt-edge inequality:
     # re-derive instead of trusting the algebra, then assert the
@@ -167,10 +191,8 @@ def verify_energy_bounds(params, grid_n=200):
     poly = y**2 * (sqr - 2.0) + 2.0 * y - sqr
     original_scaled = -(sqr * d_m**2) * (m_branch - edge_sqrt)
     agree = np.abs(poly - original_scaled) - 1e-10 * np.maximum(1.0, np.abs(poly))
-    worst.update(agree, np.nan, d_m)
-    checks.append("cubic-substitution-consistency")
-    worst.update(-poly, np.nan, d_m)
-    checks.append("cubic-substitution-nonneg")
+    worst.update("cubic-substitution-consistency", agree, np.nan, d_m)
+    worst.update("cubic-substitution-nonneg", -poly, np.nan, d_m)
 
     # Equality locus: along delta = lamM^(1/2) in the wrinkling closure
     # the relaxed energy meets branch 1 exactly.
@@ -178,10 +200,9 @@ def verify_energy_bounds(params, grid_n=200):
     d_e = np.sqrt(lam_e)
     w_e = psi(lam_e, d_e, params)
     p1_e = 0.5 * mu * _plane_branches(lam_e, d_e, r)[0]
-    worst.update(np.abs(w_e - p1_e), lam_e, d_e)
-    checks.append("equality-on-wrinkle-edge")
+    worst.update("equality-on-wrinkle-edge", np.abs(w_e - p1_e), lam_e, d_e)
 
-    return worst.report("appendixA", worst.samples, 1e-12, checks)
+    return worst.report("appendixA", worst.samples, 1e-12)
 
 
 def region_window(region, r):
@@ -285,7 +306,7 @@ def verify_stress_identities(params, n_samples=50, seed=0):
             err_a = np.linalg.norm(grad @ Ft.T - sigma) / max(
                 np.linalg.norm(sigma), floor
             )
-            worst.update(err_a / 1e-5, sd.lamM, sd.delta)
+            worst.update("fd-gradient-vs-stress", err_a / 1e-5, sd.lamM, sd.delta)
 
             nu = young_measure_for(Ft, params)
             grad_nu = measure_pairing(nu, lambda G: _fd_plane_gradient(G, params))
@@ -296,10 +317,10 @@ def verify_stress_identities(params, n_samples=50, seed=0):
             err_c = np.linalg.norm(sigma_nu - sigma) / max(
                 np.linalg.norm(sigma), floor
             )
-            worst.update(max(err_b, err_c) / 1e-4, sd.lamM, sd.delta)
+            worst.update("measure-pairing-gradient", err_b / 1e-4, sd.lamM, sd.delta)
+            worst.update("measure-pairing-stress", err_c / 1e-4, sd.lamM, sd.delta)
             count += 1
-    checks = ("fd-gradient-vs-stress", "measure-pairing-gradient", "measure-pairing-stress")
-    return worst.report("stress", count, 1.0, checks)
+    return worst.report("stress", count, 1.0)
 
 
 def verify_envelope_chain(params, n_samples=12, seed=0):
@@ -319,17 +340,16 @@ def verify_envelope_chain(params, n_samples=12, seed=0):
             sd = svd32(Ft)
             w2d = plane_energy(Ft, params)
             wm = psi(sd.lamM, sd.delta, params)
-            worst.update((wm - w2d) / 1e-12, sd.lamM, sd.delta)
+            worst.update("relaxed-le-plane", (wm - w2d) / 1e-12, sd.lamM, sd.delta)
             res = relax_lamination(Ft, params, cfg)
-            worst.update(res.gap / 5e-3, sd.lamM, sd.delta)
-            worst.update(-res.gap / 1e-9, sd.lamM, sd.delta)
+            worst.update("oracle-gap", res.gap / 5e-3, sd.lamM, sd.delta)
+            worst.update("oracle-gap", -res.gap / 1e-9, sd.lamM, sd.delta)
             paired = measure_pairing(
                 res.best_measure, lambda G: plane_energy(G, params)
             )
-            worst.update(abs(paired - res.value) / 1e-12, sd.lamM, sd.delta)
+            worst.update("oracle-witness", abs(paired - res.value) / 1e-12, sd.lamM, sd.delta)
             count += 1
-    checks = ("relaxed-le-plane", "oracle-gap", "oracle-witness")
-    return worst.report("envelope", count, 1.0, checks)
+    return worst.report("envelope", count, 1.0)
 
 
 def verify_frame_and_growth(params, n_samples=1000, seed=0):
@@ -353,15 +373,15 @@ def verify_frame_and_growth(params, n_samples=1000, seed=0):
         sdg = svd32(Gt)
         w_f = psi(sd.lamM, sd.delta, params)
         w_g = psi(sdg.lamM, sdg.delta, params)
-        worst.update(abs(w_f - w_g) / 1e-12, sd.lamM, sd.delta)
+        worst.update("frame-indifference", abs(w_f - w_g) / 1e-12, sd.lamM, sd.delta)
         p_f = plane_energy(Ft, params)
         p_g = plane_energy(Gt, params)
         if np.isfinite(p_f) or np.isfinite(p_g):
             rel = abs(p_f - p_g) / max(1.0, abs(p_f))
-            worst.update(rel / 1e-12, sd.lamM, sd.delta)
+            worst.update("frame-indifference", rel / 1e-12, sd.lamM, sd.delta)
         tag_f = classify(sd.lamM, sd.delta, params)
         tag_g = classify(sdg.lamM, sdg.delta, params)
-        worst.update(0.0 if tag_f is tag_g else 2.0, sd.lamM, sd.delta)
+        worst.update("region-tag-invariance", 0.0 if tag_f is tag_g else 2.0, sd.lamM, sd.delta)
 
     for scale in (1e-2, 1.0, 1e2):
         for _ in range(50):
@@ -370,8 +390,8 @@ def verify_frame_and_growth(params, n_samples=1000, seed=0):
             sd = svd32(Ft)
             w = psi(sd.lamM, sd.delta, params)
             n2 = float(np.sum(Ft * Ft))
-            worst.update((n2 / cp - cp - w) / 1e-12, sd.lamM, sd.delta)
-            worst.update((w - cp * (n2 + 1.0)) / 1e-12, sd.lamM, sd.delta)
+            worst.update("quadratic-growth", (n2 / cp - cp - w) / 1e-12, sd.lamM, sd.delta)
+            worst.update("quadratic-growth", (w - cp * (n2 + 1.0)) / 1e-12, sd.lamM, sd.delta)
             F3 = rng.normal(size=(3, 3))
             det = np.linalg.det(F3)
             if abs(det) > 1e-6:
@@ -380,10 +400,9 @@ def verify_frame_and_growth(params, n_samples=1000, seed=0):
                 n /= np.linalg.norm(n)
                 we = entropic_energy(F3, n, params)
                 m2 = float(np.sum(F3 * F3))
-                worst.update((m2 / ce - ce - we) / 1e-12, np.nan, np.nan)
-                worst.update((we - ce * (m2 + 1.0)) / 1e-12, np.nan, np.nan)
-    checks = ("frame-indifference", "region-tag-invariance", "quadratic-growth")
-    return worst.report("frame", n_samples, 1.0, checks)
+                worst.update("quadratic-growth", (m2 / ce - ce - we) / 1e-12, np.nan, np.nan)
+                worst.update("quadratic-growth", (we - ce * (m2 + 1.0)) / 1e-12, np.nan, np.nan)
+    return worst.report("frame", n_samples, 1.0)
 
 
 _SUITES = {

@@ -228,6 +228,26 @@ def test_svd32_scales_small_matrices():
             assert np.asarray(getattr(one, name)).tobytes() == getattr(sd, name)[i].tobytes()
 
 
+def test_svd32_resolves_near_ties_of_small_matrices():
+    # Entries near 1e-6 take no scaling: the tie and thin tests must be
+    # relative there too, or squared singular values within about 1e-3 of
+    # each other are taken for a repeated value.
+    rng = np.random.default_rng(16)
+    n = 200
+    x = 9.6e-7
+    g = np.geomspace(1e-3, 1e-8, n)
+    Q0, R0 = _frames(rng, n)
+    F = Q0 @ diag_embed(x, x * (1.0 - g)) @ R0
+    sd = svd32(F)
+    assert np.all(np.abs(sd.lamM - x) <= 1e-14 * x)
+    assert np.all(np.abs(sd.lamm - x * (1.0 - g)) <= 1e-14 * x)
+    assert np.abs(sd.reconstruct() - F).max() <= 1e-14 * x
+    for i in range(0, n, 10):
+        one = svd32(F[i])
+        for name in ("lamM", "lamm", "delta", "Q", "R"):
+            assert np.asarray(getattr(one, name)).tobytes() == getattr(sd, name)[i].tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 def test_svd32_rejects_bad_input():
     # The array kernel's errors, with no numpy warning before them.

@@ -5,6 +5,7 @@ import pytest
 
 from nemem.constitutive import MaterialParams
 from nemem.verification import (
+    _Worst,
     run_suites,
     verify_energy_bounds,
     verify_envelope_chain,
@@ -95,6 +96,35 @@ def test_report_serialization():
     assert d["suite_name"] == "appendixA"
     assert isinstance(d["worst_point"], list)
     assert d["samples"] == rep.samples
+
+
+def test_report_names_the_check_of_its_worst_violation():
+    worst = _Worst()
+    worst.update("a", [0.1, 0.3], [1.0, 2.0], 0.5)
+    worst.update("b", np.array([]), [], [])
+    worst.update("c", [2.0], 3.0, 0.25)
+    worst.update("a", [1.0], 4.0, 1.0)
+    rep = worst.report("demo", 4, 1.0)
+    assert rep.checks == ("a", "b", "c")
+    assert (rep.worst_check, rep.worst_violation, rep.worst_point) == ("c", 2.0, (3.0, 0.25))
+    assert not rep.passed
+    assert rep.to_json_dict()["worst_check"] == "c"
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda p: verify_energy_bounds(p, grid_n=40),
+        lambda p: verify_stress_identities(p, n_samples=3, seed=0),
+        lambda p: verify_envelope_chain(p, n_samples=4, seed=0),
+        lambda p: verify_frame_and_growth(p, n_samples=50, seed=0),
+    ],
+    ids=["appendixA", "stress", "envelope", "frame"],
+)
+def test_every_suite_names_one_of_its_checks(suite):
+    rep = suite(MaterialParams(mu=2.0, r=8.0))
+    assert rep.worst_check in rep.checks
+    assert rep.to_json_dict()["worst_check"] == rep.worst_check
 
 
 def test_near_isotropic_limit():
