@@ -44,6 +44,7 @@ from .microstructure import (
 )
 from .relaxation import OracleConfig, OracleResult, relax_along_line, relax_lamination
 from .verification import (
+    CheckReport,
     SuiteReport,
     run_suites,
     verify_energy_bounds,

@@ -7,10 +7,15 @@ convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
 One function, ``_chords``, scores such chords everywhere, over ladders
 of offsets on both sides of the target (``_ladder_values``), and one
-kernel, ``_w2d``, evaluates every plane energy.  Depth one takes the
-lowest chord along each searched direction; depth two scans two-level
-trees whose first split is a chord between depth-one estimates of both
-endpoints (each the lowest chord along the endpoint's frame directions).
+kernel, ``_w2d``, evaluates every plane energy of a matrix.  Depth one
+takes the lowest chord along each searched direction; depth two scans
+two-level trees whose first split is a chord between depth-one estimates
+of both endpoints (each the lowest chord along the endpoint's frame
+directions).  The plane energy depends on a matrix only through its
+singular values, so the estimate forms neither frames nor line matrices:
+the invariants along an endpoint's frame lines have closed forms in its two
+singular values (``_frame_lines``), four of the six lines are even in the
+offset, and only the other two need chord tables.
 Depth one searches the target's frame directions and a grid of 256 lines
 laid in that frame over one quarter of line space, which holds a line
 with the same plane energies as any other, by the sign symmetries of the
@@ -158,11 +163,10 @@ def _dyads(a, b):
 
 def _frame_directions(sd, ambient=True):
     """Rank-one directions ``(a, b)`` of the singular frame ``sd`` (the
-    ``svd32`` of one ``F`` or a batch), ``(Q[:, i], R[j, :])`` with ``i``
-    outer: shapes ``(..., 6, 3)`` and ``(..., 6, 2)``.  For one ``F``,
-    ``ambient`` appends the six pairs of coordinate axes in the same
-    order."""
-    a = np.repeat(np.swapaxes(sd.Q, -1, -2), 2, axis=-2)
+    ``svd32`` of one ``F``), ``(Q[:, i], R[j, :])`` with ``i`` outer:
+    shapes ``(6, 3)`` and ``(6, 2)``; ``ambient`` appends the six pairs
+    of coordinate axes in the same order."""
+    a = np.repeat(sd.Q.T, 2, axis=0)
     b = np.tile(sd.R, (3, 1))
     if ambient:
         a = np.concatenate([a, np.repeat(np.eye(3), 2, axis=0)])
@@ -391,15 +395,17 @@ def _grid_search(F, params, dirs, offsets, top_k):
     return out
 
 
-def _depth1(F, params, cfg, light=False):
+def _depth1(F, params, cfg, light=False, sd=None):
     """Best single split (or none): grid scan plus pattern-search polish
-    of the top candidates, side by side.
+    of the top candidates, side by side.  ``sd`` is ``svd32(F)``, when the
+    caller has it.
 
     Returns ``(value, split_or_None)`` with ``split = (a, b, t, theta)``.
     """
     w0 = _w2d(F, params)
     scale = max(1.0, float(np.linalg.norm(F)))
-    sd = svd32(F)
+    if sd is None:
+        sd = svd32(F)
     dirs = _frame_directions(sd)
     if light:
         ladder, top_k, iters = _LIGHT_LADDER, 3, 14
@@ -423,30 +429,75 @@ def _depth1(F, params, cfg, light=False):
     return best_val, best_split
 
 
+def _frame_lines(l1, l2, s):
+    """Invariants ``(lamM, delta)`` along the frame lines of a matrix with
+    singular values ``l1 >= l2``: five pairs, broadcast over ``l1``,
+    ``l2`` and the positive offsets ``s`` of shape ``(..., n)``.
+
+    With ``E = Q D R``, the line ``E + s Q[:, i] R[j, :]`` has the plane
+    energies of ``D + s e_i e_j^T``, whose singular values are
+    ``(|l1 + s|, l2)`` on (0, 0), ``(l1, |l2 + s|)`` on (1, 1),
+    ``(hypot(l1, s), l2)`` on (2, 0) and ``(l1, hypot(l2, s))`` on
+    (2, 1); on (0, 1) and (1, 0), which are the same, their product is
+    ``l1 l2`` and the larger one ``(hypot(l1 + l2, s) + hypot(l1 - l2, s))
+    / 2``.  The first two lines are returned at the offsets ``s`` then
+    ``-s``, shape ``(..., 2 n)``; the other three are even in ``s`` and are
+    returned at ``s`` only, in the order (0, 1), (2, 0), (2, 1).
+    """
+    both = np.concatenate([s, -s], axis=-1)
+    p, q = np.abs(l1 + both), np.abs(l2 + both)
+    h1, h2 = np.hypot(l1, s), np.hypot(l2, s)
+    return [
+        (np.maximum(p, l2), p * l2),
+        (np.maximum(l1, q), l1 * q),
+        (0.5 * (np.hypot(l1 + l2, s) + np.hypot(l1 - l2, s)), l1 * l2),
+        (h1, h1 * l2),
+        (np.maximum(l1, h2), l1 * h2),
+    ]
+
+
 def _endpoint_depth1_estimate(E, params):
     """Vectorized depth-one estimate for endpoint matrices of any leading
     shape, ``(..., 3, 2) -> (...)``.
 
     For each endpoint the estimate is the least of its own plane energy
     and the lowest chord through it along its six frame-aligned rank-one
-    directions (all frames from one ``svd32`` call), with offsets on a
-    log ladder on both sides.  Upper bound by construction; used only to
-    rank first-level splits of two-level trees.
+    directions, with offsets on a log ladder of ``max(1, |E|)`` on both
+    sides.  Upper bound by construction; used only to rank first-level
+    splits of two-level trees.
+
+    No frame is formed: the plane energies along the frame lines are
+    those of the closed-form invariants of ``_frame_lines``, from the
+    endpoint's singular values.  The lowest chord through 0 of a line
+    even in ``s`` is its lowest sample (the chord between ``s_k`` and
+    ``-s_k`` is ``w(s_k)``, and no chord is below its lower end), so only
+    the lines (0, 0) and (1, 1) get chord tables.
     """
     E = np.asarray(E, dtype=float)
-    dirs = _dyads(*_frame_directions(svd32(E), ambient=False))
+    l1, l2 = (np.asarray(x)[..., None] for x in singular_values(E))
     scale = np.maximum(1.0, np.linalg.norm(E.reshape(E.shape[:-2] + (6,)), axis=-1))
     s = scale[..., None] * _ENDPOINT_LADDER
-    chords = _ladder_chords(lambda G: _w2d(G, params), E[..., None, :, :], dirs, s[..., None, :])
-    return np.minimum(_w2d(E, params), chords.min(axis=(-3, -2, -1)))
+    n = s.shape[-1]
+    # Columns: E itself, the two ladders of (0, 0) and (1, 1), then the
+    # even lines on one side; one plane-energy call.
+    pairs = [(l1, l1 * l2)] + _frame_lines(l1, l2, s)
+    lamM, delta = (
+        np.concatenate(cols, axis=-1) for cols in zip(*(np.broadcast_arrays(*pr) for pr in pairs))
+    )
+    W = plane_energy_values(lamM, delta, params)
+    odd = W[..., 1 : 1 + 4 * n].reshape(W.shape[:-1] + (2, 2 * n))
+    chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
+    lowest = np.minimum(W[..., 0], W[..., 1 + 4 * n :].min(axis=-1))
+    return np.minimum(lowest, chords.min(axis=(-3, -2, -1)))
 
 
-def _two_level(F, params):
+def _two_level(F, params, sd=None):
     """Best two-level tree: frame-aligned first split scanned over signed
     magnitude pairs with depth-one-estimated endpoints, then a light
-    (t, theta) polish.  Returns ``(estimate, first_split)``."""
+    (t, theta) polish.  ``sd`` is ``svd32(F)``, when the caller has it.
+    Returns ``(estimate, first_split)``."""
     scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(svd32(F), ambient=False)
+    dirs = _frame_directions(svd32(F) if sd is None else sd, ambient=False)
     base = _PAIR_LADDER * scale
     pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
     d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
@@ -527,14 +578,14 @@ def relax_lamination(Ft, params, cfg=None):
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
 
-    value1, split1 = _depth1(F, params, cfg)
+    value1, split1 = _depth1(F, params, cfg, sd=sd)
     trees = [(split1, None, None)]
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
     # estimated two-level value, not by their depth-one objective.
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
-        est, split = _two_level(F, params)
+        est, split = _two_level(F, params, sd)
         if est < value1:
             Gp, Gm = _split_endpoints(F, split)
             _, sp = _depth1(Gp, params, cfg, light=True)

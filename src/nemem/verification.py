@@ -10,7 +10,8 @@ machine-readable :class:`SuiteReport`.  Semantics of ``worst_violation``:
   so the suite tolerance is 1.0.
 
 ``worst_check`` names the check that holds the worst violation, and
-``worst_point`` its ``(lamM, delta)``.
+``worst_point`` its ``(lamM, delta)``.  ``by_check`` gives each check its
+own worst violation, point and region tag.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .microstructure import measure_pairing, young_measure_for
 from .relaxation import OracleConfig, relax_lamination
 
 __all__ = [
+    "CheckReport",
     "SuiteReport",
     "region_window",
     "regions_for",
@@ -48,6 +50,28 @@ __all__ = [
 DEFAULT_R_VALUES = (1.01, 2.0, 8.0, 100.0)
 
 
+def _json_point(point):
+    return [x if np.isfinite(x) else None for x in point]
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """The worst violation of one check, its ``(lamM, delta)`` and the
+    region of that point (None where the check has no point)."""
+
+    name: str
+    worst_violation: float
+    worst_point: tuple
+    region: Region | None
+
+    def to_json_dict(self):
+        return {
+            "worst_violation": self.worst_violation,
+            "worst_point": _json_point(self.worst_point),
+            "region": None if self.region is None else self.region.value,
+        }
+
+
 @dataclass(frozen=True)
 class SuiteReport:
     suite_name: str
@@ -57,27 +81,34 @@ class SuiteReport:
     worst_point: tuple
     passed: bool
     tolerance: float
-    checks: tuple
+    by_check: tuple
+
+    @property
+    def checks(self):
+        """The names of the suite's checks, in the order they first report."""
+        return tuple(c.name for c in self.by_check)
 
     def to_json_dict(self):
-        point = [x if np.isfinite(x) else None for x in self.worst_point]
         return {
             "suite_name": self.suite_name,
             "samples": self.samples,
             "worst_violation": self.worst_violation,
             "worst_check": self.worst_check,
-            "worst_point": point,
+            "worst_point": _json_point(self.worst_point),
             "pass": self.passed,
             "tolerance": self.tolerance,
             "checks": list(self.checks),
+            "by_check": {c.name: c.to_json_dict() for c in self.by_check},
         }
 
 
 class _Worst:
-    """The worst violation of a suite, with its check and point; the
-    suite's checks are listed in the order they first report."""
+    """The worst violation of a suite, with its check and point, and the
+    worst of each check; the suite's checks are listed in the order they
+    first report.  With ``params``, each check's point gets its region."""
 
-    def __init__(self):
+    def __init__(self, params=None):
+        self.params = params
         self.value = -np.inf
         self.check = None
         self.point = (np.nan, np.nan)
@@ -85,7 +116,7 @@ class _Worst:
         self.samples = 0
 
     def update(self, check, violation, lam, dlt):
-        self.checks.setdefault(check)
+        own = self.checks.setdefault(check, [-np.inf, (np.nan, np.nan)])
         violation = np.asarray(violation, dtype=float)
         lam = np.broadcast_to(np.asarray(lam, dtype=float), violation.shape)
         dlt = np.broadcast_to(np.asarray(dlt, dtype=float), violation.shape)
@@ -94,10 +125,18 @@ class _Worst:
             return
         k = int(np.argmax(violation))
         v = float(violation.ravel()[k])
+        if v > own[0]:
+            # A missing coordinate is the one NaN object, so that equal
+            # reports compare equal.
+            point = (float(lam.ravel()[k]), float(dlt.ravel()[k]))
+            own[:] = v, tuple(x if x == x else np.nan for x in point)
         if v > self.value:
-            self.value = v
-            self.check = check
-            self.point = (float(lam.ravel()[k]), float(dlt.ravel()[k]))
+            self.value, self.check, self.point = v, check, own[1]
+
+    def _region(self, point):
+        if self.params is None or not np.all(np.isfinite(point)):
+            return None
+        return classify(*point, self.params)
 
     def report(self, suite_name, samples, tolerance):
         """The suite's report: it passes when the worst violation is at
@@ -110,7 +149,10 @@ class _Worst:
             worst_point=self.point,
             passed=self.value <= tolerance,
             tolerance=tolerance,
-            checks=tuple(self.checks),
+            by_check=tuple(
+                CheckReport(name, v, point, self._region(point))
+                for name, (v, point) in self.checks.items()
+            ),
         )
 
 
@@ -126,7 +168,7 @@ def verify_energy_bounds(params, grid_n=200):
     if not r > 1.0:
         raise ValueError("energy-bound suite needs r > 1")
     sqr = np.sqrt(r)
-    worst = _Worst()
+    worst = _Worst(params)
 
     lam = np.linspace(0.05 * r ** (1.0 / 3.0), 2.5 * r ** (1.0 / 3.0), grid_n)
     frac = np.linspace(1e-3, 1.0, grid_n)
@@ -291,7 +333,7 @@ def verify_stress_identities(params, n_samples=50, seed=0):
     gradient and the stress (rel tol 1e-4).
     """
     rng = np.random.default_rng(seed)
-    worst = _Worst()
+    worst = _Worst(params)
     count = 0
     for region in regions_for(params):
         for _ in range(n_samples):
@@ -332,7 +374,7 @@ def verify_envelope_chain(params, n_samples=12, seed=0):
     """
     rng = np.random.default_rng(seed)
     cfg = OracleConfig(seed=seed)
-    worst = _Worst()
+    worst = _Worst(params)
     count = 0
     for region in regions_for(params):
         for _ in range(max(1, n_samples // 4)):
@@ -362,7 +404,7 @@ def verify_frame_and_growth(params, n_samples=1000, seed=0):
     the 3D entropic density with its own constant.
     """
     rng = np.random.default_rng(seed)
-    worst = _Worst()
+    worst = _Worst(params)
     cp = relaxed_growth_constant(params)
     ce = growth_constant(params)
     for _ in range(n_samples):

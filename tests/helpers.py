@@ -9,8 +9,8 @@ invariants and random frames only.
 
 import numpy as np
 
-from nemem.algebra import adj2, diag_embed
-from nemem.relaxation import _dyads, _ladder_chords, _w2d
+from nemem.algebra import adj2, diag_embed, svd32
+from nemem.relaxation import _ENDPOINT_LADDER, _dyads, _ladder_chords, _w2d
 from nemem.verification import region_window
 
 
@@ -130,6 +130,25 @@ def grid_search_reference(F, params, dirs, offsets, top_k):
         s_pos, s_neg = float(offsets[i]), float(offsets[j])
         t = s_pos + s_neg
         out.append((float(per_dir_best[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
+    return out
+
+
+def endpoint_estimate_reference(E, params):
+    """The endpoint estimate on matrices: for each endpoint of ``E``
+    (shape ``(..., 3, 2)``), one ``svd32`` call for its frame ``Q D R``,
+    the six dyads ``Q[:, i] R[j, :]`` (``i`` outer), and the least of its
+    own plane energy and the lowest chord through it along each dyad's
+    line, every plane energy through ``_w2d``.  The reference for the
+    oracle's closed-form frame lines."""
+    E = np.asarray(E, dtype=float)
+    out = np.empty(E.shape[:-2])
+    for idx in np.ndindex(*out.shape):
+        G = E[idx]
+        sd = svd32(G)
+        D = np.array([np.outer(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)])
+        s = max(1.0, float(np.linalg.norm(G.reshape(6), axis=-1))) * _ENDPOINT_LADDER
+        chords = _ladder_chords(lambda X: _w2d(X, params), G, D, s)
+        out[idx] = min(_w2d(G, params), chords.min())
     return out
 
 

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    endpoint_estimate_reference,
     grid_search_reference,
     lower_hull_at_zero,
     matrix_from_invariants,
     pattern_search_reference,
+    random_orthogonal2,
+    random_rotation,
     sample_invariants,
 )
 from nemem import membrane, microstructure, relaxation
@@ -30,6 +33,7 @@ from nemem.membrane import (
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
     _CHUNK,
+    _ENDPOINT_LADDER,
     _GRID_LADDER,
     _LIGHT_LADDER,
     _NORM_MAX,
@@ -39,6 +43,7 @@ from nemem.relaxation import (
     _dyads,
     _endpoint_depth1_estimate,
     _frame_directions,
+    _frame_lines,
     _grid_directions,
     _grid_search,
     _ladder_chords,
@@ -367,6 +372,19 @@ def test_grid_seeds_give_different_grids():
     assert np.array_equal(a0, a2) and np.array_equal(b0, b2)
 
 
+def _trap_closed_form(monkeypatch):
+    # Replace the relaxed energy and the laminate functions with a raising
+    # stub, wherever the oracle could reach them.
+    def trap(*args, **kwargs):
+        raise AssertionError("the oracle read the closed form")
+
+    for module in (relaxation, membrane, microstructure):
+        for name in ("psi", "_region_energy", "relaxed_energy", "classify", "laminate_wrinkle",
+                     "laminate_shear", "young_measure_for"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, trap)
+
+
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_search_never_reads_the_closed_form(region, monkeypatch):
     # The depth-one search of the grid is the same with the relaxed energy
@@ -374,19 +392,24 @@ def test_grid_search_never_reads_the_closed_form(region, monkeypatch):
     # to the closed form it checks.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
     expected = relaxation._depth1(F, P8, CFG)
-
-    def trap(*args, **kwargs):
-        raise AssertionError("the grid read the closed form")
-
-    for module in (relaxation, membrane, microstructure):
-        for name in ("psi", "_region_energy", "relaxed_energy", "classify", "laminate_wrinkle",
-                     "laminate_shear", "young_measure_for"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, trap)
+    _trap_closed_form(monkeypatch)
     value, split = relaxation._depth1(F, P8, CFG)
     assert value == expected[0]
     assert (split is None) == (expected[1] is None)
     for got, want in zip(split or (), expected[1] or ()):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_two_level_never_reads_the_closed_form(region, monkeypatch):
+    # The two-level scan, its endpoint estimates and its polish are the
+    # same, bit for bit, with the closed form booby-trapped.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
+    expected = _two_level(F, P8)
+    _trap_closed_form(monkeypatch)
+    est, split = _two_level(F, P8)
+    assert float(est).hex() == float(expected[0]).hex()
+    for got, want in zip(split, expected[1]):
         assert np.array_equal(got, want)
 
 
@@ -481,7 +504,7 @@ _TWO_LEVEL_PINS = [
     (
         diag_embed(1.0, 1.0),
         8.0,
-        (5.3069448391340757e-08, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.617169830541779, 0.5),
+        (5.306944794725155e-08, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.617169830541779, 0.5),
     ),
     (
         diag_embed(0.44, 0.08 / 0.44),
@@ -492,7 +515,7 @@ _TWO_LEVEL_PINS = [
         np.array([[1.2, 0.3], [-0.4, 0.9], [0.5, 0.2]]),
         8.0,
         (
-            1.6544493552927975e-09,
+            1.6544496883597049e-09,
             [0.898280455039458, -0.22028534876224184, 0.3802191331519258],
             [-0.10795950712881482, 0.994155292105063],
             2.160986190540832,
@@ -590,22 +613,69 @@ def test_split_endpoints_match_the_two_expressions():
 
 
 def test_endpoint_estimate_matches_one_frame_per_endpoint():
-    # The estimate takes every endpoint's six frame dyads Q[:, i] R[j, :]
-    # (i outer) from one batched svd32 call; the reference scores each
-    # endpoint alone, its dyads from its own svd32 call.
+    # The estimate reads each endpoint's frame lines from its singular
+    # values in closed form; the reference takes every endpoint's six frame
+    # dyads Q[:, i] R[j, :] from its own svd32 call and scores them on
+    # matrices.  They agree to rounding, and on +inf exactly.
     rng = np.random.default_rng(8)
     E = rng.normal(size=(2, 24, 6, 3, 2)) * rng.choice([0.1, 1.0, 3.0], size=(2, 24, 6, 1, 1))
     E[0, 0, 0] = diag_embed(1.0, 1.0)
     E[0, 0, 1] = np.outer([1.0, -2.0, 0.5], [0.3, 1.0])
-    est = _endpoint_depth1_estimate(E, P8)
-    assert est.shape == (2, 24, 6)
-    for idx in np.ndindex(*E.shape[:-2]):
-        G = E[idx]
-        sd = svd32(G)
-        D = np.array([np.outer(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)])
-        s = max(1.0, np.linalg.norm(G.reshape(6), axis=-1)) * np.geomspace(1e-2, 8.0, 14)
-        chords = _ladder_chords(lambda X: _w2d(X, P8), G[None], D, s[None, :])
-        assert est[idx] == min(_w2d(G, P8), chords.min()), idx
+    E[0, 0, 2] = matrix_from_invariants(1.3, 1.3 * 1.3 * (1.0 - 1e-9), np.random.default_rng(1))
+    E[0, 0, 3] = diag_embed(3.0, 1e-9)
+    E[0, 0, 4] = np.zeros((3, 2))
+    E[0, 0, 5] = diag_embed(9e30, 9e30)
+    E[0, 1, 0] = matrix_from_invariants(2.0, 4.0, np.random.default_rng(2))
+    E[0, 1, 1] = np.outer([0.0, 0.6, -0.8], [1.0, 0.0])
+    for r in (1.01, 2.0, 8.0, 100.0):
+        params = MaterialParams(mu=2.0, r=r)
+        est = _endpoint_depth1_estimate(E, params)
+        assert est.shape == (2, 24, 6)
+        ref = endpoint_estimate_reference(E, params)
+        assert np.array_equal(np.isinf(est), np.isinf(ref))
+        assert np.isinf(est[0, 0, 4])
+        finite = np.isfinite(ref)
+        est, ref = est[finite], ref[finite]
+        assert np.all(np.abs(est - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+# The frame line (i, j): its index in _frame_lines and whether it is even in s.
+_FRAME_LINES = {(0, 0): (0, False), (1, 1): (1, False), (0, 1): (2, True), (1, 0): (2, True),
+                (2, 0): (3, True), (2, 1): (4, True)}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    l1=st.floats(1e-3, 1e3),
+    ratio=st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([1.0, 0.0, 1e-13, 1e-9]),
+        st.floats(-12.0, -6.0).map(lambda e: 1.0 - 10.0**e),
+    ),
+    u=st.one_of(st.floats(0.0, 1.0), st.just(1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, seed):
+    # With E = Q D R, the closed-form invariants of each frame line are
+    # those svd32 finds on Q (D + s e_i e_j^T) R, up to the top of the
+    # endpoint ladder, both singular values to 1e-12 of the larger one;
+    # (0, 1) and (1, 0) are the same line, and every line but (0, 0) and
+    # (1, 1) is even in s.
+    rng = np.random.default_rng(seed)
+    Q, R = random_rotation(rng), random_orthogonal2(rng)
+    l2 = l1 * ratio
+    D = diag_embed(l1, l2)
+    s = u * _ENDPOINT_LADDER[-1] * max(1.0, float(np.hypot(l1, l2)))
+    lines = _frame_lines(l1, l2, np.array([s]))
+    for (i, j), (k, even) in _FRAME_LINES.items():
+        lamM, delta = (np.broadcast_to(x, (2,) if k < 2 else (1,)) for x in lines[k])
+        for side, sign in enumerate((1.0, -1.0)):
+            X = D.copy()
+            X[i, j] += sign * s
+            sd = svd32(Q @ X @ R)
+            want = 0 if even else side
+            assert abs(lamM[want] - sd.lamM) <= 1e-12 * sd.lamM, (i, j, sign)
+            assert abs(delta[want] - sd.delta) <= 1e-12 * sd.lamM * sd.lamM, (i, j, sign)
 
 
 @pytest.mark.parametrize("x", [1e15, 1e16, 9e30])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nemem.constitutive import MaterialParams
+from nemem.membrane import Region, classify
 from nemem.verification import (
     _Worst,
     run_suites,
@@ -109,6 +110,57 @@ def test_report_names_the_check_of_its_worst_violation():
     assert (rep.worst_check, rep.worst_violation, rep.worst_point) == ("c", 2.0, (3.0, 0.25))
     assert not rep.passed
     assert rep.to_json_dict()["worst_check"] == "c"
+
+
+def test_report_gives_each_check_its_worst_point_and_region():
+    p = MaterialParams(mu=2.0, r=8.0)
+    worst = _Worst(p)
+    worst.update("a", [0.1, 0.3], [1.0, 2.0], 0.5)
+    worst.update("b", np.array([]), [], [])
+    worst.update("c", [2.0], 3.0, 0.25)
+    worst.update("a", [0.2], 4.0, 1.0)
+    worst.update("d", [0.5], np.nan, np.nan)
+    rep = worst.report("demo", 5, 1.0)
+    assert tuple(c.name for c in rep.by_check) == rep.checks == ("a", "b", "c", "d")
+    got = [(c.worst_violation, c.worst_point, c.region) for c in rep.by_check]
+    assert got[0] == (0.3, (2.0, 0.5), Region.L)
+    assert got[1][0] == -np.inf and np.isnan(got[1][1]).all() and got[1][2] is None
+    assert got[2] == (2.0, (3.0, 0.25), Region.W)
+    assert got[3][0] == 0.5 and got[3][2] is None
+    assert (rep.worst_check, rep.worst_point) == ("c", (3.0, 0.25))
+    d = rep.to_json_dict()["by_check"]
+    assert list(d) == ["a", "b", "c", "d"]
+    assert d["a"] == {"worst_violation": 0.3, "worst_point": [2.0, 0.5], "region": "L"}
+    assert d["b"] == {"worst_violation": -np.inf, "worst_point": [None, None], "region": None}
+    assert d["d"]["worst_point"] == [None, None]
+    # Without a material the points keep no region.
+    assert _Worst().report("demo", 0, 1.0).by_check == ()
+
+
+@pytest.mark.parametrize(
+    "suite",
+    [
+        lambda p: verify_energy_bounds(p, grid_n=40),
+        lambda p: verify_stress_identities(p, n_samples=3, seed=0),
+        lambda p: verify_envelope_chain(p, n_samples=4, seed=0),
+        lambda p: verify_frame_and_growth(p, n_samples=50, seed=0),
+    ],
+    ids=["appendixA", "stress", "envelope", "frame"],
+)
+def test_every_check_reports_its_own_worst(suite):
+    p = MaterialParams(mu=2.0, r=8.0)
+    rep = suite(p)
+    by = {c.name: c for c in rep.by_check}
+    assert list(by) == list(rep.checks)
+    assert max(c.worst_violation for c in rep.by_check) == rep.worst_violation
+    top = by[rep.worst_check]
+    assert (top.worst_violation, top.worst_point) == (rep.worst_violation, rep.worst_point)
+    for c in rep.by_check:
+        if np.isfinite(c.worst_point).all():
+            assert c.region is classify(*c.worst_point, p)
+        else:
+            assert c.region is None
+    assert rep.to_json_dict()["by_check"] == {c.name: c.to_json_dict() for c in rep.by_check}
 
 
 @pytest.mark.parametrize(
