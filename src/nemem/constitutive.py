@@ -28,6 +28,15 @@ DET_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
+def _finite(x, name):
+    """``x`` as a float array; ``ValueError`` when an entry is not finite
+    (a NaN would slip past every shell and unit-length test)."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Material constants: finite shear modulus mu > 0 (pressure units),
@@ -62,8 +71,13 @@ def step_length_tensor(n, params):
     Returns
     -------
     ndarray, shape (3, 3)
+
+    Raises
+    ------
+    ValueError
+        When ``n`` is not a finite unit 3-vector.
     """
-    n = np.asarray(n, dtype=float)
+    n = _finite(n, "director")
     if n.shape != (3,):
         raise ValueError(f"director must be a 3-vector, got shape {n.shape}")
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
@@ -77,7 +91,8 @@ def entropic_energy(F, n, params):
 
     Returns (mu/2) (r^(1/3) (|F|^2 - ((r-1)/r) |F^T n|^2) - 3) on the
     incompressibility shell |det F - 1| <= DET_TOL with a unit director,
-    and +inf otherwise (infinity is a value, not an error).
+    and +inf otherwise (infinity is a value, not an error).  Non-finite
+    entries of ``F`` or ``n`` raise ``ValueError``.
 
     Parameters
     ----------
@@ -89,8 +104,8 @@ def entropic_energy(F, n, params):
     -------
     float
     """
-    F = np.asarray(F, dtype=float)
-    n = np.asarray(n, dtype=float)
+    F = _finite(F, "F")
+    n = _finite(n, "director")
     if abs(np.linalg.det(F) - 1.0) > DET_TOL:
         return np.inf
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
@@ -107,7 +122,8 @@ def bulk_energy(F, params):
 
     Equals ``inf over unit n of entropic_energy(F, n)``; the optimal
     director is the largest left singular direction, so the closed form
-    uses the largest singular value of F.  +inf off the shell.
+    uses the largest singular value of F.  +inf off the shell; non-finite
+    entries of ``F`` raise ``ValueError``.
 
     Parameters
     ----------
@@ -118,7 +134,7 @@ def bulk_energy(F, params):
     -------
     float
     """
-    F = np.asarray(F, dtype=float)
+    F = _finite(F, "F")
     if abs(np.linalg.det(F) - 1.0) > DET_TOL:
         return np.inf
     r = params.r

@@ -16,18 +16,18 @@ singular values, so the estimate forms neither frames nor line matrices:
 the invariants along an endpoint's frame lines have closed forms in its two
 singular values (``_frame_lines``), four of the six lines are even in the
 offset, and only the other two need chord tables.
-Depth one searches the target's frame directions and a grid of 256 lines
-laid in that frame over one quarter of line space, which holds a line
-with the same plane energies as any other, by the sign symmetries of the
-frame (``_grid_directions``).  The grid scan of depth one is bounded: a
+Depth one searches the target's six frame directions and a grid of 256
+lines laid in that frame over one quarter of line space, which holds a
+line with the same plane energies as any other, by the sign symmetries of
+the frame (``_grid_directions``).  The grid scan of depth one is bounded: a
 chord is a weighted mean of its two ends, so chords are formed only
 along the directions whose lowest ladder sample can still reach the top
 candidates, which are those of the exhaustive scan, bit for bit.  The
 best candidates are polished side by side by a derivative-free pattern
-search that evaluates the moves ahead of each search in batches, and the
+search whose rounds poll every move of every search in one batch, and the
 reported value is always the plane-energy pairing of an explicit witness
 measure.
-The search budget (directions, offsets, polish sweeps) is a set of module
+The search budget (directions, offsets, polish rounds) is a set of module
 constants; ``OracleConfig`` chooses only the depth and the grid's seed.
 """
 
@@ -55,7 +55,7 @@ _N_POL = 16
 _N_AZ = 4
 _N_BETA = 4
 _T_GRID = 40  # offsets per side of each rank-one line of the grid search
-_REFINE_ITERS = 50  # pattern-search sweeps of the full depth-one polish
+_REFINE_ITERS = 100  # pattern-search rounds of the full depth-one polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
 _CHUNK = 64  # directions per plane-energy batch and chord table of the grid search
 # Relative and absolute slack of the grid search's bound on the chords
@@ -90,11 +90,11 @@ class OracleConfig:
 
     The search budget is fixed: ``_N_POL x _N_AZ x _N_BETA`` grid
     directions (256, in the target's singular frame) on top of the
-    target's frame directions, ``_T_GRID`` offsets per side of each
-    rank-one line and ``_REFINE_ITERS`` polish sweeps.  ``depth`` is the
+    target's six frame directions, ``_T_GRID`` offsets per side of each
+    rank-one line and ``_REFINE_ITERS`` polish rounds.  ``depth`` is the
     lamination order searched (1 or 2, deeper levels split witness atoms
-    further); ``seed`` fixes the deterministic shift of the grid's angle
-    lattices within their cells.
+    further); ``seed``, a non-negative integer, fixes the deterministic
+    shift of the grid's angle lattices within their cells.
     """
 
     depth: int = 2
@@ -103,6 +103,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -161,17 +163,11 @@ def _dyads(a, b):
     return np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
 
 
-def _frame_directions(sd, ambient=True):
+def _frame_directions(sd):
     """Rank-one directions ``(a, b)`` of the singular frame ``sd`` (the
     ``svd32`` of one ``F``), ``(Q[:, i], R[j, :])`` with ``i`` outer:
-    shapes ``(6, 3)`` and ``(6, 2)``; ``ambient`` appends the six pairs
-    of coordinate axes in the same order."""
-    a = np.repeat(sd.Q.T, 2, axis=0)
-    b = np.tile(sd.R, (3, 1))
-    if ambient:
-        a = np.concatenate([a, np.repeat(np.eye(3), 2, axis=0)])
-        b = np.concatenate([b, np.tile(np.eye(2), (3, 1))])
-    return a, b
+    shapes ``(6, 3)`` and ``(6, 2)``."""
+    return np.repeat(sd.Q.T, 2, axis=0), np.tile(sd.R, (3, 1))
 
 
 def _unit_vectors(pol, az, beta):
@@ -260,81 +256,39 @@ def _split_values(F, params, X):
 
 
 def _pattern_search(values, starts, steps, iters, active):
-    """Derivative-free coordinate descent from each point of ``starts``,
-    with step expansion and shrinking; deterministic.
+    """Generalized pattern search with a complete poll from each point of
+    ``starts``, side by side; deterministic.
 
-    A sweep visits the ``active`` coordinates in order and tries ``+step``
-    before ``-step``, taking the first move that improves and doubling it
-    while that keeps paying; all steps halve after a sweep without
-    improvement.  ``values`` maps a batch of points, shape
-    ``(m, len(x0))``, to their values.  The searches run side by side as
-    generators over tuples of coordinates, which look every value up in
-    one table of the points seen so far.  A search yields only for a
-    value it has not seen, asking for that point together with every move
-    still ahead of it in its sweep: one call per round serves all the
-    searches waiting for a value.  Each search takes the path it would
-    take evaluating one point at a time.  Returns ``(best, x)`` for each
-    start.
+    A round polls ``x + step_k e_k`` and ``x - step_k e_k`` along every
+    ``active`` coordinate ``k`` of every search, all in one call of
+    ``values``, which maps a batch of points, shape ``(m, len(x0))``, to
+    their values.  A search moves to its lowest poll point when that beats
+    its best value (ties go to the first: coordinates in ``active`` order,
+    ``+`` before ``-``) and doubles the step it moved along; a search that
+    does not improve halves all of its steps.  ``iters`` rounds follow the
+    call on the starts.  Returns ``(best, x)`` for each start.
     """
-    known = {}
-    moves = [(k, sign) for k in active for sign in (1.0, -1.0)]
-
-    def moved(x, k, d):
-        trial = list(x)
-        trial[k] = x[k] + d
-        return tuple(trial)
-
-    def ask(point, base, ahead, steps):
-        # The new ``point`` and the moves ``ahead`` from ``base``.
-        return [point] + [moved(base, k, sign * steps[k]) for k, sign in ahead]
-
-    def search(x, steps):
-        best = known.get(x)
-        if best is None:
-            yield ask(x, x, moves, steps)
-            best = known[x]
-        for _ in range(iters):
-            improved = False
-            for c, k in enumerate(active):
-                for sign in (1.0, -1.0):
-                    trial = moved(x, k, sign * steps[k])
-                    v = known.get(trial)
-                    if v is None:
-                        yield ask(trial, x, moves[2 * c :], steps)
-                        v = known[trial]
-                    if v < best:
-                        best, x = v, trial
-                        improved = True
-                        # Expand while the move keeps paying off.
-                        for _ in range(10):
-                            trial = moved(x, k, sign * steps[k] * 2.0)
-                            v = known.get(trial)
-                            if v is None:
-                                yield ask(trial, x, moves[2 * c + 2 :], steps)
-                                v = known[trial]
-                            if v < best:
-                                best, x = v, trial
-                                steps[k] *= 2.0
-                            else:
-                                break
-                        break
-            if not improved:
-                steps = [0.5 * s for s in steps]
-        return best, np.array(x)
-
-    runs = [search(tuple(x0), list(steps)) for x0 in starts]
-    asks = {i: next(run) for i, run in enumerate(runs)}
-    results = [None] * len(runs)
-    while asks:
-        batch = [p for p in dict.fromkeys(p for pts in asks.values() for p in pts) if p not in known]
-        known.update(zip(batch, values(np.array(batch)).tolist()))
-        for i in list(asks):
-            try:
-                asks[i] = next(runs[i])
-            except StopIteration as done:
-                results[i] = done.value
-                del asks[i]
-    return results
+    if len(starts) == 0:
+        return []
+    X = np.array(starts, dtype=float)
+    S = np.tile(np.asarray(steps, dtype=float), (len(X), 1))
+    best = values(X)
+    active = np.asarray(active)
+    # The poll directions +e_k, -e_k of each active k, in poll order.
+    U = np.eye(X.shape[1])[active]
+    E = np.stack([U, -U], axis=1).reshape(-1, X.shape[1])
+    rows = np.arange(len(X))
+    for _ in range(iters):
+        P = X[:, None, :] + E * S[:, None, :]
+        V = values(P.reshape(-1, X.shape[1])).reshape(len(X), len(E))
+        j = np.argmin(V, axis=1)
+        v = V[rows, j]
+        up = v < best
+        best = np.where(up, v, best)
+        X[up] = P[rows[up], j[up]]
+        S[rows[up], active[j[up] // 2]] *= 2.0
+        S[~up] *= 0.5
+    return [(float(b), x) for b, x in zip(best, X)]
 
 
 def _grid_search(F, params, dirs, offsets, top_k):
@@ -408,7 +362,7 @@ def _depth1(F, params, cfg, light=False, sd=None):
         sd = svd32(F)
     dirs = _frame_directions(sd)
     if light:
-        ladder, top_k, iters = _LIGHT_LADDER, 3, 14
+        ladder, top_k, iters = _LIGHT_LADDER, 3, 28
     else:
         dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(sd, cfg.seed))]
         ladder, top_k, iters = _GRID_LADDER, 6, _REFINE_ITERS
@@ -497,7 +451,7 @@ def _two_level(F, params, sd=None):
     (t, theta) polish.  ``sd`` is ``svd32(F)``, when the caller has it.
     Returns ``(estimate, first_split)``."""
     scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(svd32(F) if sd is None else sd, ambient=False)
+    dirs = _frame_directions(svd32(F) if sd is None else sd)
     base = _PAIR_LADDER * scale
     pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
     d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
@@ -511,7 +465,7 @@ def _two_level(F, params, sd=None):
         vp, vm = _endpoint_depth1_estimate(ends, params)
         return th * vp + (1.0 - th) * vm
 
-    [(est, x)] = _pattern_search(values, [[math.log(t), s_neg / t]], [0.3, 1.0 / 16], 10, [0, 1])
+    [(est, x)] = _pattern_search(values, [[math.log(t), s_neg / t]], [0.3, 1.0 / 16], 20, [0, 1])
     return est, (a, b, float(np.exp(x[0])), float(_weight(x[1])))
 
 
@@ -643,13 +597,22 @@ def relax_along_line(Ft, a, b, params):
     lower convex envelope of the samples at ``s = 0``: the least of
     ``W(Ft)`` and the lowest chord through 0 between samples on either
     side.  Infinite samples never win; the result is +inf only when every
-    candidate is.
+    candidate is.  Raises ``ValueError`` unless ``Ft`` is a finite 3x2
+    matrix and ``(a, b)`` a pair of unit 3- and 2-vectors.
     """
+    F = np.asarray(Ft, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12 or abs(np.linalg.norm(b) - 1.0) > 1e-12:
+    if F.shape != (3, 2) or a.shape != (3,) or b.shape != (2,):
+        raise ValueError(
+            f"need Ft of shape (3, 2), a of shape (3,) and b of shape (2,), "
+            f"got {F.shape}, {a.shape} and {b.shape}"
+        )
+    if not np.all(np.isfinite(F)):
+        raise ValueError("Ft must be finite")
+    # Written so that a NaN norm fails the test.
+    if not (abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12):
         raise ValueError("line direction must be a unit rank-one pair")
-    F = np.asarray(Ft, dtype=float)
     span = _SPLIT_TOP * max(1.0, float(np.linalg.norm(F)))
     s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
     chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a, b), s)

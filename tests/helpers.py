@@ -77,35 +77,28 @@ def lower_hull_at_zero(ts, vs):
 
 
 def pattern_search_reference(value, x0, steps, iters, active):
-    """Serial pattern search, one point per call of the scalar objective
-    ``value``: each sweep visits the ``active`` coordinates in order,
-    tries ``+step`` before ``-step``, takes the first move that improves
-    and doubles it while that keeps paying; all steps halve after a sweep
-    without improvement.  The reference for the oracle's batched search."""
+    """Serial complete-poll pattern search, one point per call of the
+    scalar objective ``value``: each round tries ``+step`` then ``-step``
+    along every ``active`` coordinate in order and keeps the first of the
+    lowest trials; when that beats the best value the search moves there
+    and doubles the step it moved along, otherwise all steps halve.  The
+    reference for the oracle's batched search."""
     x = list(x0)
     best = value(x)
     steps = list(steps)
     for _ in range(iters):
-        improved = False
+        low = None
         for k in active:
             for sign in (1.0, -1.0):
                 trial = list(x)
                 trial[k] = x[k] + sign * steps[k]
                 v = value(trial)
-                if v < best:
-                    best, x = v, trial
-                    improved = True
-                    for _ in range(10):
-                        trial = list(x)
-                        trial[k] = x[k] + sign * steps[k] * 2.0
-                        v = value(trial)
-                        if v < best:
-                            best, x = v, trial
-                            steps[k] *= 2.0
-                        else:
-                            break
-                    break
-        if not improved:
+                if low is None or v < low[0]:
+                    low = (v, trial, k)
+        if low[0] < best:
+            best, x = low[0], low[1]
+            steps[low[2]] *= 2.0
+        else:
             steps = [0.5 * s for s in steps]
     return best, x
 

@@ -85,6 +85,28 @@ def test_energy3d_off_shell(capsys):
     assert json.loads(out)["energy"] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--F", "nan 0 0; 0 1 0; 0 0 1", "--n", "1 0 0"],
+        ["--F", "1 0 0; 0 1 0; 0 0 1", "--n", "nan 0 0"],
+        ["--F", "nan 0 0; 0 1 0; 0 0 1"],
+        ["--F", "inf 0 0; 0 1 0; 0 0 1"],
+    ],
+    ids=["nan-F", "nan-n", "nan-F-minimized", "inf-F-minimized"],
+)
+def test_energy3d_non_finite_input_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, "energy3d", *argv, "--r", "8", "--mu", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be finite" in err
+
+
+def test_relax_negative_seed_exit_2(capsys):
+    code, out, err = run_cli(capsys, "relax", "--F", "1 0; 0 1; 0 0", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed must be >= 0" in err
+
+
 def test_energy3d_minimized_over_director(capsys):
     _, out_min, _ = run_cli(
         capsys, "energy3d", "--F", "1 0 0; 0 1 0; 0 0 1", "--r", "8", "--mu", "2"

@@ -75,6 +75,31 @@ def test_step_length_rejects_non_unit_director():
         step_length_tensor(np.array([1.0, 1.0, 0.0]), p)
 
 
+_NAN_F = np.diag([np.nan, 1.0, 1.0])
+_INF_F = np.diag([np.inf, 1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: entropic_energy(_NAN_F, E1, p),
+        lambda p: entropic_energy(_INF_F, E1, p),
+        lambda p: entropic_energy(np.eye(3), np.array([np.nan, 0.0, 0.0]), p),
+        lambda p: bulk_energy(_NAN_F, p),
+        lambda p: bulk_energy(_INF_F, p),
+        lambda p: step_length_tensor(np.array([np.nan, 0.0, 0.0]), p),
+        lambda p: step_length_tensor(np.array([np.inf, 0.0, 0.0]), p),
+    ],
+    ids=["entropic-nan-F", "entropic-inf-F", "entropic-nan-n", "bulk-nan-F", "bulk-inf-F",
+         "step-nan-n", "step-inf-n"],
+)
+def test_non_finite_input_is_rejected(call):
+    # NaN passes every |x - 1| > tol test, so it is refused before them;
+    # a finite F off the shell stays +inf.
+    with pytest.raises(ValueError, match="finite"):
+        call(MaterialParams(mu=2.0, r=8.0))
+
+
 def test_entropic_energy_identity():
     p = MaterialParams(mu=2.0, r=8.0)
     assert abs(entropic_energy(np.eye(3), E1, p) - 1.25) <= 1e-14

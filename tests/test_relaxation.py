@@ -62,8 +62,11 @@ CFG = OracleConfig()
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth"):
         OracleConfig(depth=0)
+    # A negative seed is rejected here, not by numpy in the middle of a solve.
+    with pytest.raises(ValueError, match="seed"):
+        OracleConfig(seed=-1)
 
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
@@ -225,6 +228,29 @@ def test_line_relaxation_through_infinite_point():
 def test_line_relaxation_rejects_non_unit_directions():
     with pytest.raises(ValueError):
         relax_along_line(diag_embed(1.0, 1.0), np.array([2.0, 0, 0]), np.array([1.0, 0]), P8)
+
+
+_E1, _F1 = np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "Ft, a, b, match",
+    [
+        (diag_embed(1.0, 1.0), np.array([np.nan, 0, 0]), _F1, "unit"),
+        (diag_embed(1.0, 1.0), _E1, np.array([np.nan, 1.0]), "unit"),
+        (diag_embed(1.0, 1.0), np.array([1.0, 0]), _F1, "shape"),
+        (diag_embed(1.0, 1.0), _E1, _E1, "shape"),
+        (np.eye(2), _E1, _F1, "shape"),
+        (diag_embed(np.inf, 1.0), _E1, _F1, "finite"),
+        (diag_embed(1.0, np.nan), _E1, _F1, "finite"),
+    ],
+    ids=["nan-a", "nan-b", "short-a", "long-b", "square-F", "inf-F", "nan-F"],
+)
+def test_line_relaxation_rejects_bad_input(Ft, a, b, match):
+    # Each is refused at the boundary with its own message (the tests run
+    # with numpy RuntimeWarnings as errors, so none may come first).
+    with pytest.raises(ValueError, match=match):
+        relax_along_line(Ft, a, b, P8)
 
 
 def test_huge_target_is_a_domain_error_before_the_search():
@@ -414,9 +440,9 @@ def test_two_level_never_reads_the_closed_form(region, monkeypatch):
 
 
 def _budget(F, full):
-    # The two grid scans of the oracle's single splits: frame directions
-    # plus the seeded grid in the target's frame, 40 offsets, top 6; frame
-    # directions only, 16 offsets, top 3.
+    # The two grid scans of the oracle's single splits: the six frame
+    # directions plus the seeded grid in the target's frame, 40 offsets,
+    # top 6; frame directions only, 16 offsets, top 3.
     scale = max(1.0, float(np.linalg.norm(F)))
     sd = svd32(F)
     dirs = _frame_directions(sd)
@@ -494,7 +520,7 @@ def test_grid_search_builds_few_small_chord_tables(monkeypatch):
 
     monkeypatch.setattr(relaxation, "_chords", recording)
     assert len(_grid_search(F, P8, dirs, offsets, top_k)) == top_k
-    assert len(dirs[0]) == 268 and tables
+    assert len(dirs[0]) == 262 and tables
     assert all(shape == (shape[0], 40, 40) and shape[0] <= _CHUNK for shape in tables)
     assert sum(shape[0] for shape in tables) < len(dirs[0]) // 2
 
@@ -504,22 +530,22 @@ _TWO_LEVEL_PINS = [
     (
         diag_embed(1.0, 1.0),
         8.0,
-        (5.306944794725155e-08, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.617169830541779, 0.5),
+        (4.728362590356028e-09, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.6176436801737486, 0.5),
     ),
     (
         diag_embed(0.44, 0.08 / 0.44),
         2.0,
-        (1.6086464862397065e-06, [0.0, 0.0, 1.0], [-0.0, 1.0], 2.3445125572794394, 0.5),
+        (2.3818325090019243e-09, [0.0, 0.0, 1.0], [-0.0, 1.0], 2.3472616434105484, 0.5),
     ),
     (
         np.array([[1.2, 0.3], [-0.4, 0.9], [0.5, 0.2]]),
         8.0,
         (
-            1.6544496883597049e-09,
+            7.177149892392834e-13,
             [0.898280455039458, -0.22028534876224184, 0.3802191331519258],
             [-0.10795950712881482, 0.994155292105063],
-            2.160986190540832,
-            0.5,
+            2.1609664062119283,
+            0.5001182556152344,
         ),
     ),
 ]
@@ -539,19 +565,19 @@ _SOLVE_PINS = {
         (Region.L, 11),
         8.0,
         "-0x1.0000000000000p-51",
-        [(1, "0x1.575eeb9cbf908p-1", "0x1.234bc3d0e8916p-1")],
+        [(1, "0x1.2a812fbd6a8fap+1", "0x1.5c2702ff33dc7p-1")],
     ),
     "M": (
         (Region.M, 11),
         8.0,
-        "0x1.c72bae8220083p+2",
-        [(1, "0x1.5396fbffd7cdbp+2", "0x1.0000000000000p-1")],
+        "0x1.c72bae8220085p+2",
+        [(1, "0x1.5396fced8e4b3p+2", "0x1.0000000000000p-1")],
     ),
     "W": (
         (Region.W, 11),
         8.0,
-        "0x1.ee35506f475fap+0",
-        [(1, "0x1.a6cd28b993a90p-1", "0x1.0000004100000p-1")],
+        "0x1.ee35506f475f9p+0",
+        [(1, "0x1.e54e98eb8e0fcp-1", "0x1.04a5f944e50c7p-2")],
     ),
     "S": (
         (Region.S, 11),
@@ -562,11 +588,11 @@ _SOLVE_PINS = {
     "two-level": (
         diag_embed(0.44, 0.08 / 0.44),
         2.0,
-        "0x1.a708cc2000000p-23",
+        "0x1.3180000000000p-43",
         [
-            (1, "0x1.2c18fccb49cb6p+1", "0x1.0000000000000p-1"),
-            (2, "0x1.aab107cea9e7ep+0", "0x1.0000000000000p-1"),
-            (2, "0x1.aab107cea9e7ep+0", "0x1.0000000000000p-1"),
+            (1, "0x1.2c7311cccd402p+1", "0x1.0000000000000p-1"),
+            (2, "0x1.abb6ebc5b876bp+0", "0x1.0000000000000p-1"),
+            (2, "0x1.abb6ebc5b876bp+0", "0x1.0000000000000p-1"),
         ],
     ),
 }
@@ -704,6 +730,27 @@ def _plateau_objective(rng, dim):
         return np.where(X[:, 0] > wall, np.inf, q)
 
     return values
+
+
+@pytest.mark.parametrize("n_starts", [0, 1, 3, 7])
+def test_pattern_search_polls_once_per_round(n_starts):
+    # One values call on the starts, then one per round however many
+    # searches run side by side, each on every poll point of every search.
+    rng = np.random.default_rng(n_starts)
+    values = _plateau_objective(rng, 4)
+    sizes = []
+
+    def counting(X):
+        sizes.append(len(X))
+        return values(X)
+
+    starts = rng.uniform(-2.0, 2.0, (n_starts, 4)).tolist()
+    found = _pattern_search(counting, starts, [0.3] * 4, 12, [2, 0, 3])
+    if n_starts == 0:
+        assert found == [] and sizes == []
+    else:
+        assert len(found) == n_starts
+        assert sizes == [n_starts] + [6 * n_starts] * 12
 
 
 @pytest.mark.parametrize("seed", range(40))
