@@ -14,7 +14,7 @@ import numpy as np
 from nemem import MaterialParams, OracleConfig, diag_embed, relax_along_line, relax_lamination
 
 params = MaterialParams(mu=2.0, r=8.0)
-cfg = OracleConfig(depth=2, seed=0)
+cfg = OracleConfig(depth=2)
 
 points = [
     ("undeformed (L)", diag_embed(1.0, 1.0)),

@@ -150,7 +150,7 @@ def _cmd_laminate(args):
 def _cmd_relax(args):
     params = MaterialParams(mu=args.mu, r=args.r)
     F = _parse_matrix(args.F, 3, 2)
-    res = relax_lamination(F, params, OracleConfig(depth=args.depth, seed=args.seed))
+    res = relax_lamination(F, params, OracleConfig(depth=args.depth))
     out = {
         "value": res.value,
         "closed_form": res.closed_form,
@@ -275,7 +275,6 @@ def _build_parser():
     p.add_argument("--F", required=True, help="3x2 matrix 'a b; c d; e f'")
     _add_material_flags(p)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_relax)
 
     p = sub.add_parser("scan")

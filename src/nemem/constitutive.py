@@ -28,10 +28,14 @@ DET_TOL = 1e-9
 _UNIT_TOL = 1e-12
 
 
-def _finite(x, name):
-    """``x`` as a float array; ``ValueError`` when an entry is not finite
-    (a NaN would slip past every shell and unit-length test)."""
+def _finite(x, name, shape):
+    """``x`` as a float array of ``shape``; ``ValueError`` when its shape
+    differs (a 2x2 ``F`` would pass the shell test and get a value below
+    the density's minimum) or an entry is not finite (a NaN would slip
+    past every shell and unit-length test)."""
     x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x
@@ -77,9 +81,7 @@ def step_length_tensor(n, params):
     ValueError
         When ``n`` is not a finite unit 3-vector.
     """
-    n = _finite(n, "director")
-    if n.shape != (3,):
-        raise ValueError(f"director must be a 3-vector, got shape {n.shape}")
+    n = _finite(n, "director", (3,))
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
         raise ValueError(f"director must be a unit vector, |n| = {np.linalg.norm(n)}")
     r = params.r
@@ -92,7 +94,8 @@ def entropic_energy(F, n, params):
     Returns (mu/2) (r^(1/3) (|F|^2 - ((r-1)/r) |F^T n|^2) - 3) on the
     incompressibility shell |det F - 1| <= DET_TOL with a unit director,
     and +inf otherwise (infinity is a value, not an error).  Non-finite
-    entries of ``F`` or ``n`` raise ``ValueError``.
+    entries of ``F`` or ``n``, or shapes other than (3, 3) and (3,), raise
+    ``ValueError``.
 
     Parameters
     ----------
@@ -104,8 +107,8 @@ def entropic_energy(F, n, params):
     -------
     float
     """
-    F = _finite(F, "F")
-    n = _finite(n, "director")
+    F = _finite(F, "F", (3, 3))
+    n = _finite(n, "director", (3,))
     if abs(np.linalg.det(F) - 1.0) > DET_TOL:
         return np.inf
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
@@ -123,7 +126,7 @@ def bulk_energy(F, params):
     Equals ``inf over unit n of entropic_energy(F, n)``; the optimal
     director is the largest left singular direction, so the closed form
     uses the largest singular value of F.  +inf off the shell; non-finite
-    entries of ``F`` raise ``ValueError``.
+    entries of ``F``, or a shape other than (3, 3), raise ``ValueError``.
 
     Parameters
     ----------
@@ -134,7 +137,7 @@ def bulk_energy(F, params):
     -------
     float
     """
-    F = _finite(F, "F")
+    F = _finite(F, "F", (3, 3))
     if abs(np.linalg.det(F) - 1.0) > DET_TOL:
         return np.inf
     r = params.r

@@ -16,19 +16,15 @@ singular values, so the estimate forms neither frames nor line matrices:
 the invariants along an endpoint's frame lines have closed forms in its two
 singular values (``_frame_lines``), four of the six lines are even in the
 offset, and only the other two need chord tables.
-Depth one searches the target's six frame directions and a grid of 256
-lines laid in that frame over one quarter of line space, which holds a
-line with the same plane energies as any other, by the sign symmetries of
-the frame (``_grid_directions``).  The grid scan of depth one is bounded: a
-chord is a weighted mean of its two ends, so chords are formed only
-along the directions whose lowest ladder sample can still reach the top
-candidates, which are those of the exhaustive scan, bit for bit.  The
-best candidates are polished side by side by a derivative-free pattern
-search whose rounds poll every move of every search in one batch, and the
-reported value is always the plane-energy pairing of an explicit witness
-measure.
+Depth one scans the target's six frame directions (``_frame_scan``), one
+chord table in all.  The best candidates are polished side by side by a
+derivative-free pattern search whose rounds poll every move of every live
+search in one batch; a search stops once its steps are spent (below
+``_STEP_MIN``), and the polish leaves the frame, because its coordinates
+are angles.  The reported value is always the plane-energy pairing of an
+explicit witness measure.
 The search budget (directions, offsets, polish rounds) is a set of module
-constants; ``OracleConfig`` chooses only the depth and the grid's seed.
+constants; ``OracleConfig`` chooses only the depth.
 """
 
 import math
@@ -47,21 +43,12 @@ from .microstructure import DiscreteYoungMeasure
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
-# The direction grid in the target's singular frame (see _grid_directions):
-# polar rings of the 3-vector on a quarter sphere, its azimuths per ring on
-# a half turn, and angles of the 2-vector on a quarter turn.  That is one
-# quarter of line space at the spacing of 1024 lines over all of it.
-_N_POL = 16
-_N_AZ = 4
-_N_BETA = 4
-_T_GRID = 40  # offsets per side of each rank-one line of the grid search
+_T_SCAN = 40  # offsets per side of each frame line of the full depth-one scan
 _REFINE_ITERS = 100  # pattern-search rounds of the full depth-one polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
-_CHUNK = 64  # directions per plane-energy batch and chord table of the grid search
-# Relative and absolute slack of the grid search's bound on the chords
-# of a direction (see _grid_search).
-_SLACK = 4.0 * np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+# A pattern search stops once every active step is below this: the
+# standard step-size termination of generalized pattern search.
+_STEP_MIN = 1e-8
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
 # score their endpoints.
@@ -75,10 +62,10 @@ _ENDPOINT_TOP = 8.0
 _NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
     (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
 )
-# Unit ladders of offsets, scaled by max(1, |F|) per call: the grid
-# search's and the light single split's, the first splits of two-level
-# trees, and the endpoint estimate's frame chords.
-_GRID_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_GRID)
+# Unit ladders of offsets, scaled by max(1, |F|) per call: the full and
+# the light single split's, the first splits of two-level trees, and the
+# endpoint estimate's frame chords.
+_SCAN_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_SCAN)
 _LIGHT_LADDER = np.geomspace(1e-3, _SPLIT_TOP, 16)
 _PAIR_LADDER = np.geomspace(1e-2, _PAIR_TOP, 24)
 _ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
@@ -86,25 +73,21 @@ _ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Lamination depth and direction-grid seed of the oracle.
+    """Lamination depth of the oracle.
 
-    The search budget is fixed: ``_N_POL x _N_AZ x _N_BETA`` grid
-    directions (256, in the target's singular frame) on top of the
-    target's six frame directions, ``_T_GRID`` offsets per side of each
-    rank-one line and ``_REFINE_ITERS`` polish rounds.  ``depth`` is the
-    lamination order searched (1 or 2, deeper levels split witness atoms
-    further); ``seed``, a non-negative integer, fixes the deterministic
-    shift of the grid's angle lattices within their cells.
+    The search budget is fixed: the target's six frame directions,
+    ``_T_SCAN`` offsets per side of each rank-one line and at most
+    ``_REFINE_ITERS`` polish rounds, each search stopping once its steps
+    are below ``_STEP_MIN``.  ``depth`` is the lamination order searched
+    (1 or 2, deeper levels split witness atoms further).  The search is
+    deterministic.
     """
 
     depth: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +155,8 @@ def _frame_directions(sd):
 
 def _unit_vectors(pol, az, beta):
     """The angle map of the search: unit 3-vectors ``a`` from polar and
-    azimuthal angles, unit 2-vectors ``b`` from one angle; on arrays."""
-    pol, az = np.broadcast_arrays(pol, az)
+    azimuthal angles, unit 2-vectors ``b`` from one angle; on arrays of
+    one shape."""
     sin_pol = np.sin(pol)
     a = np.empty(pol.shape + (3,))
     np.multiply(sin_pol, np.cos(az), out=a[..., 0])
@@ -190,33 +173,6 @@ def _angles_of(a, b):
     az = math.atan2(a[1], a[0])
     beta = math.atan2(b[1], b[0])
     return pol, az, beta
-
-
-def _grid_directions(sd, seed):
-    """The direction grid of the depth-one search of one ``F``, laid in its
-    singular frame ``sd`` (``F = Q D R``) over one quarter of line space:
-    ``_N_POL x _N_AZ x _N_BETA`` pairs ``(a, b) = (Q a', R^T b')``, ``b``
-    fastest.
-
-    The line ``F + s a b^T`` has the plane energies of
-    ``D + s a' b'^T``, which depend only on its singular values.  So the
-    sign flips of ``a'_3``, of ``(a'_1, b'_1)`` together and of
-    ``(a'_2, b'_2)`` together, and the negation of ``a'`` (``s -> -s``),
-    map every line to one with the same plane energies, and the lowest
-    chord through 0 of a ladder symmetric in ``s`` is the same on both.
-    Every line thus has a representative with ``a'_1 >= 0``,
-    ``a'_3 >= 0`` and ``b'`` in the first quadrant, where the grid lies.
-    ``seed`` shifts each angle lattice by a fraction of a cell, which
-    keeps it inside that quarter.
-    """
-    shift = np.random.default_rng(seed).random(3)
-    pol = (np.arange(_N_POL) + shift[0]) * (0.5 * np.pi) / _N_POL
-    az = (np.arange(_N_AZ) + shift[1] - 0.5 * _N_AZ) * np.pi / _N_AZ
-    beta = (np.arange(_N_BETA) + shift[2]) * (0.5 * np.pi) / _N_BETA
-    a, b = _unit_vectors(pol[:, None], az[None, :], beta)
-    a = a.reshape(-1, 3) @ sd.Q.T
-    b = b @ sd.R
-    return np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))
 
 
 def _weight(theta):
@@ -265,94 +221,69 @@ def _pattern_search(values, starts, steps, iters, active):
     their values.  A search moves to its lowest poll point when that beats
     its best value (ties go to the first: coordinates in ``active`` order,
     ``+`` before ``-``) and doubles the step it moved along; a search that
-    does not improve halves all of its steps.  ``iters`` rounds follow the
-    call on the starts.  Returns ``(best, x)`` for each start.
+    does not improve halves all of its steps.  A search whose active steps
+    are all below ``_STEP_MIN`` is spent and is no longer polled, so each
+    search takes the path it would take alone.  At most ``iters`` rounds
+    follow the call on the starts; they end early once every search is
+    spent.  ``steps`` is one row of steps for every start, or one row per
+    start.  Returns ``(best, x)`` for each start.
     """
     if len(starts) == 0:
         return []
     X = np.array(starts, dtype=float)
-    S = np.tile(np.asarray(steps, dtype=float), (len(X), 1))
-    best = values(X)
+    S = np.array(np.broadcast_to(np.asarray(steps, dtype=float), X.shape))
+    best = np.array(values(X), dtype=float)
     active = np.asarray(active)
     # The poll directions +e_k, -e_k of each active k, in poll order.
     U = np.eye(X.shape[1])[active]
     E = np.stack([U, -U], axis=1).reshape(-1, X.shape[1])
-    rows = np.arange(len(X))
     for _ in range(iters):
-        P = X[:, None, :] + E * S[:, None, :]
-        V = values(P.reshape(-1, X.shape[1])).reshape(len(X), len(E))
+        live = np.flatnonzero((S[:, active] >= _STEP_MIN).any(axis=1))
+        if len(live) == 0:
+            break
+        P = X[live, None, :] + E * S[live, None, :]
+        V = values(P.reshape(-1, X.shape[1])).reshape(len(live), len(E))
         j = np.argmin(V, axis=1)
-        v = V[rows, j]
-        up = v < best
-        best = np.where(up, v, best)
-        X[up] = P[rows[up], j[up]]
-        S[rows[up], active[j[up] // 2]] *= 2.0
-        S[~up] *= 0.5
+        v = V[np.arange(len(live)), j]
+        up = v < best[live]
+        moved = live[up]
+        best[moved] = v[up]
+        X[moved] = P[up, j[up]]
+        S[moved, active[j[up] // 2]] *= 2.0
+        S[live[~up]] *= 0.5
     return [(float(b), x) for b, x in zip(best, X)]
 
 
-def _grid_search(F, params, dirs, offsets, top_k):
-    """Top candidates over the searched directions, at most one per
+def _frame_scan(F, params, dirs, offsets, top_k):
+    """Top candidates over the directions ``dirs``, at most one per
     direction: the lowest chord through ``F`` between the ``offsets``
     ladders on either side, ranked by value with ties broken on the
-    direction index (chunked == serial).
+    direction index.  Directions without a finite chord give none.
 
     A chord from ``s+`` to ``-s-`` is the split ``t = s+ + s-``,
     ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
-
-    The scan is bounded.  A chord is a weighted mean of its two ends, so
-    no chord along a direction is below the direction's lowest ladder
-    sample.  Every ladder is evaluated, the directions are visited in
-    increasing order of that bound, and their chord tables are built a
-    chunk at a time until the next bound is above the ``top_k``-th best
-    chord found.  A direction never visited cannot reach the top
-    ``top_k``, even on a tie, so the candidates are those of the
-    exhaustive scan, bit for bit.  Directions with a non-finite bound
-    (every sample +inf) have no finite chord and are never visited.
     """
     n = len(offsets)
-    A = _dyads(*dirs)
-    W = np.concatenate(
-        [
-            _ladder_values(lambda G: _w2d(G, params), F, A[start : start + _CHUNK], offsets)
-            for start in range(0, len(A), _CHUNK)
-        ]
-    )
-    lo = W.min(axis=1)
-    # A computed chord can round a few ulps below its lower end (and an
-    # underflowing product loses less than _TINY), so the bound keeps
-    # that much slack below the lowest sample.
-    bound = lo * np.where(lo < 0.0, 1.0 + _SLACK, 1.0 - _SLACK) - _TINY
-    order = np.argsort(bound, kind="stable")[: np.count_nonzero(bound < np.inf)]
-    ranked = bound[order]
-    per_dir_best = np.full(len(A), np.inf)
-    per_dir_arg = np.zeros(len(A), dtype=int)
-    done, end = 0, len(order)
-    while done < end:
-        visit = order[done : min(end, done + _CHUNK)]
-        chords = _chords(W[visit, :n], W[visit, n:], offsets, offsets).reshape(len(visit), -1)
-        arg = np.argmin(chords, axis=1)
-        per_dir_arg[visit] = arg
-        per_dir_best[visit] = chords[np.arange(len(visit)), arg]
-        done += len(visit)
-        if done >= top_k:
-            kth = np.partition(per_dir_best[order[:done]], top_k - 1)[top_k - 1]
-            end = np.searchsorted(ranked, kth, side="right")
+    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(*dirs), offsets)
+    chords = chords.reshape(len(chords), -1)
+    arg = np.argmin(chords, axis=1)
+    lowest = chords[np.arange(len(chords)), arg]
     out = []
-    for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
-        if not np.isfinite(per_dir_best[d]):
-            continue
-        i, j = divmod(int(per_dir_arg[d]), n)
-        s_pos, s_neg = float(offsets[i]), float(offsets[j])
-        t = s_pos + s_neg
-        out.append((float(per_dir_best[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
+    for d in np.argsort(lowest, kind="stable")[:top_k]:
+        if np.isfinite(lowest[d]):
+            i, j = divmod(int(arg[d]), n)
+            s_pos, s_neg = float(offsets[i]), float(offsets[j])
+            t = s_pos + s_neg
+            out.append((float(lowest[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
     return out
 
 
-def _depth1(F, params, cfg, light=False, sd=None):
-    """Best single split (or none): grid scan plus pattern-search polish
-    of the top candidates, side by side.  ``sd`` is ``svd32(F)``, when the
-    caller has it.
+def _depth1(F, params, light=False, sd=None):
+    """Best single split (or none): a scan of the six frame directions of
+    ``F`` plus a pattern-search polish of the top candidates, side by side.
+    The polish moves the directions off the frame, because its
+    coordinates are angles.  ``sd`` is ``svd32(F)``, when the caller has
+    it.
 
     Returns ``(value, split_or_None)`` with ``split = (a, b, t, theta)``.
     """
@@ -360,17 +291,12 @@ def _depth1(F, params, cfg, light=False, sd=None):
     scale = max(1.0, float(np.linalg.norm(F)))
     if sd is None:
         sd = svd32(F)
-    dirs = _frame_directions(sd)
     if light:
         ladder, top_k, iters = _LIGHT_LADDER, 3, 28
     else:
-        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(sd, cfg.seed))]
-        ladder, top_k, iters = _GRID_LADDER, 6, _REFINE_ITERS
-    offsets = ladder * scale
-    starts = [
-        [*_angles_of(a, b), math.log(t), theta]
-        for _, (a, b, t, theta) in _grid_search(F, params, dirs, offsets, top_k)
-    ]
+        ladder, top_k, iters = _SCAN_LADDER, 6, _REFINE_ITERS
+    candidates = _frame_scan(F, params, _frame_directions(sd), ladder * scale, top_k)
+    starts = [[*_angles_of(a, b), math.log(t), theta] for _, (a, b, t, theta) in candidates]
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
     polished = _pattern_search(lambda X: _split_values(F, params, X), starts, steps, iters, range(5))
     best_val, best_split = math.inf, None
@@ -498,8 +424,8 @@ def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
     Takes the lowest chord through ``Ft`` along each searched rank-one
-    direction (a direction grid plus the target's singular frame) as a
-    candidate split, and polishes the best ones by pattern search; at
+    direction (the six of the target's singular frame) as a candidate
+    split, and polishes the best ones by pattern search; at
     depth two, scans two-level trees whose endpoints are scored by their
     own depth-one relaxation.  The value is the plane-energy pairing of
     the returned witness measure, an upper bound on the rank-one convex
@@ -532,7 +458,7 @@ def relax_lamination(Ft, params, cfg=None):
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
 
-    value1, split1 = _depth1(F, params, cfg, sd=sd)
+    value1, split1 = _depth1(F, params, sd=sd)
     trees = [(split1, None, None)]
 
     # A two-level tree can beat every single split (the first split may
@@ -542,8 +468,8 @@ def relax_lamination(Ft, params, cfg=None):
         est, split = _two_level(F, params, sd)
         if est < value1:
             Gp, Gm = _split_endpoints(F, split)
-            _, sp = _depth1(Gp, params, cfg, light=True)
-            _, sm = _depth1(Gm, params, cfg, light=True)
+            _, sp = _depth1(Gp, params, light=True)
+            _, sm = _depth1(Gm, params, light=True)
             trees.append((split, sp, sm))
 
     best = None
@@ -571,7 +497,7 @@ def relax_lamination(Ft, params, cfg=None):
         atoms = []
         tree = list(best.tree)
         for w, G in best.atoms:
-            _, sub = _depth1(G, params, cfg, light=True)
+            _, sub = _depth1(G, params, light=True)
             atoms += _split_atom(w, G, sub, level, tree)
         if len(tree) == len(best.tree):  # no atom split
             break

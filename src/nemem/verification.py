@@ -373,7 +373,7 @@ def verify_envelope_chain(params, n_samples=12, seed=0):
     a witness whose pairing reproduces its value to 1e-12.
     """
     rng = np.random.default_rng(seed)
-    cfg = OracleConfig(seed=seed)
+    cfg = OracleConfig()
     worst = _Worst(params)
     count = 0
     for region in regions_for(params):

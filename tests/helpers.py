@@ -10,7 +10,7 @@ invariants and random frames only.
 import numpy as np
 
 from nemem.algebra import adj2, diag_embed, svd32
-from nemem.relaxation import _ENDPOINT_LADDER, _dyads, _ladder_chords, _w2d
+from nemem.relaxation import _ENDPOINT_LADDER, _STEP_MIN, _ladder_chords, _w2d
 from nemem.verification import region_window
 
 
@@ -81,12 +81,16 @@ def pattern_search_reference(value, x0, steps, iters, active):
     scalar objective ``value``: each round tries ``+step`` then ``-step``
     along every ``active`` coordinate in order and keeps the first of the
     lowest trials; when that beats the best value the search moves there
-    and doubles the step it moved along, otherwise all steps halve.  The
-    reference for the oracle's batched search."""
+    and doubles the step it moved along, otherwise all steps halve.  It
+    stops after ``iters`` rounds, or before a round once every active step
+    is below ``_STEP_MIN``.  The reference for the oracle's batched
+    search."""
     x = list(x0)
     best = value(x)
     steps = list(steps)
     for _ in range(iters):
+        if all(steps[k] < _STEP_MIN for k in active):
+            break
         low = None
         for k in active:
             for sign in (1.0, -1.0):
@@ -101,29 +105,6 @@ def pattern_search_reference(value, x0, steps, iters, active):
         else:
             steps = [0.5 * s for s in steps]
     return best, x
-
-
-def grid_search_reference(F, params, dirs, offsets, top_k):
-    """Exhaustive grid scan: the lowest chord through ``F`` between the
-    ``offsets`` ladders on either side of every direction, all chord
-    tables built at once, ranked by value with ties broken on the
-    direction index; at most ``top_k`` finite candidates
-    ``(value, (a, b, t, theta))``.  The reference for the oracle's
-    bounded scan."""
-    n = len(offsets)
-    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(*dirs), offsets)
-    chords = chords.reshape(len(chords), -1)
-    per_dir_arg = np.argmin(chords, axis=1)
-    per_dir_best = chords[np.arange(len(chords)), per_dir_arg]
-    out = []
-    for d in np.argsort(per_dir_best, kind="stable")[:top_k]:
-        if not np.isfinite(per_dir_best[d]):
-            continue
-        i, j = divmod(int(per_dir_arg[d]), n)
-        s_pos, s_neg = float(offsets[i]), float(offsets[j])
-        t = s_pos + s_neg
-        out.append((float(per_dir_best[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
-    return out
 
 
 def endpoint_estimate_reference(E, params):

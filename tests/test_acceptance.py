@@ -273,7 +273,7 @@ def test_criterion_9_frame_indifference_and_determinism(tmp_path, capsys):
     scan_same = (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
     relax_args = [
-        "relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--mu", "2", "--seed", "11",
+        "relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--mu", "2",
     ]
     cli_main(relax_args)
     out_first = capsys.readouterr().out

@@ -100,6 +100,24 @@ def test_non_finite_input_is_rejected(call):
         call(MaterialParams(mu=2.0, r=8.0))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: bulk_energy(np.eye(2), p),
+        lambda p: entropic_energy(np.eye(2), [1.0, 0.0], p),
+        lambda p: entropic_energy(np.eye(3), [1.0, 0.0], p),
+        lambda p: step_length_tensor(np.array([1.0, 0.0]), p),
+    ],
+    ids=["bulk-2x2-F", "entropic-2x2-F", "entropic-2-vector-n", "step-2-vector-n"],
+)
+def test_wrong_shapes_are_rejected(call):
+    # A 2x2 identity has det 1, so it passed the shell test and got -0.75,
+    # below the density's minimum of 0; a 2-vector director made numpy's
+    # matmul raise.  Each is refused with the shape it should have.
+    with pytest.raises(ValueError, match="must have shape"):
+        call(MaterialParams(mu=2.0, r=8.0))
+
+
 def test_entropic_energy_identity():
     p = MaterialParams(mu=2.0, r=8.0)
     assert abs(entropic_energy(np.eye(3), E1, p) - 1.25) <= 1e-14

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     endpoint_estimate_reference,
-    grid_search_reference,
     lower_hull_at_zero,
     matrix_from_invariants,
     pattern_search_reference,
@@ -32,11 +31,11 @@ from nemem.membrane import (
 )
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
-    _CHUNK,
     _ENDPOINT_LADDER,
-    _GRID_LADDER,
     _LIGHT_LADDER,
     _NORM_MAX,
+    _SCAN_LADDER,
+    _STEP_MIN,
     OracleConfig,
     OracleResult,
     _angles_of,
@@ -44,8 +43,7 @@ from nemem.relaxation import (
     _endpoint_depth1_estimate,
     _frame_directions,
     _frame_lines,
-    _grid_directions,
-    _grid_search,
+    _frame_scan,
     _ladder_chords,
     _ladder_values,
     _pattern_search,
@@ -64,9 +62,6 @@ CFG = OracleConfig()
 def test_config_validation():
     with pytest.raises(ValueError, match="depth"):
         OracleConfig(depth=0)
-    # A negative seed is rejected here, not by numpy in the middle of a solve.
-    with pytest.raises(ValueError, match="seed"):
-        OracleConfig(seed=-1)
 
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
@@ -174,10 +169,11 @@ def test_two_level_tree_needed_below_the_soft_segment():
     assert res.closed_form == 0.0
 
 
-def test_deterministic_under_seed():
+def test_deterministic():
+    # The search has no random part: two solves give the same bits.
     F = diag_embed(1.7, 0.9)
-    a = relax_lamination(F, P8, OracleConfig(seed=5))
-    b = relax_lamination(F, P8, OracleConfig(seed=5))
+    a = relax_lamination(F, P8, CFG)
+    b = relax_lamination(F, P8, CFG)
     assert a.value == b.value and a.gap == b.gap
     assert len(a.best_measure.atoms) == len(b.best_measure.atoms)
     for (wa, Ga), (wb, Gb) in zip(a.best_measure.atoms, b.best_measure.atoms):
@@ -299,17 +295,18 @@ def test_line_relaxation_matches_lower_hull_reference(r, F, a, b):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_candidates_are_the_splits_of_their_chords(region):
-    # Each candidate's value is the weighted plane energy of the split it
-    # names: weight theta on F + (1 - theta) t a b^T.
+    # Each candidate of the full depth-one scan, one per frame direction,
+    # ranked by value, is the weighted plane energy of the split it names:
+    # weight theta on F + (1 - theta) t a b^T.
     rng = np.random.default_rng(5)
     lamM, delta = sample_invariants(region, 8.0, 0.4, 0.6)
     assert classify(lamM, delta, P8) is region
     F = matrix_from_invariants(lamM, delta, rng)
-    offsets = np.geomspace(1e-3, 10.0, 40) * max(1.0, float(np.linalg.norm(F)))
-    sd = svd32(F)
-    dirs = [np.concatenate(d) for d in zip(_frame_directions(sd), _grid_directions(sd, 0))]
-    candidates = _grid_search(F, P8, dirs, offsets, 6)
+    offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
+    candidates = _frame_scan(F, P8, _frame_directions(svd32(F)), offsets, 6)
     assert len(candidates) == 6
+    values = [value for value, _ in candidates]
+    assert values == sorted(values)
     for value, (a, b, t, theta) in candidates:
         assert t > 0.0 and 0.0 < theta < 1.0
         D = np.outer(a, b)
@@ -341,7 +338,8 @@ _SIGN_MAPS = [
     ids=["random", "repeated", "near-rank-one"],
 )
 def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
-    # The reduction behind the quarter grid: with F = Q D R, the line
+    # The symmetry _frame_lines relies on, which reads the lines even in
+    # the offset at +s only: with F = Q D R, the line
     # (Q a', R^T b') and its image (Q S3 a', R^T S2 b') under each sign
     # map, read at offsets e s with e = S3[0] S2[0], have the same plane
     # energies.  They are taken from svd32: the oracle's Gram-matrix
@@ -359,7 +357,7 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
     ap /= np.linalg.norm(ap, axis=1)[:, None]
     bp /= np.linalg.norm(bp, axis=1)[:, None]
     sd = svd32(F)
-    s = _GRID_LADDER * max(1.0, float(np.linalg.norm(F)))
+    s = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
     ref = _ladder_values(energies, F, _dyads(ap @ sd.Q.T, bp @ sd.R), s)
     finite = np.isfinite(ref)
     assert finite.any()
@@ -369,33 +367,6 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
         np.testing.assert_array_equal(np.isfinite(got), finite)
         err = np.abs(got[finite] - ref[finite]) / np.maximum(params.mu, np.abs(ref[finite]))
         assert err.max() <= 1e-12, (s3, s2)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 123])
-@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
-def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
-    # Read back in the target's frame, a' = Q^T a and b' = R b, every line
-    # has a'_1 >= 0, a'_3 >= 0 and b' in the first quadrant.
-    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(seed))
-    sd = svd32(F)
-    a, b = _grid_directions(sd, seed)
-    assert a.shape == (256, 3) and b.shape == (256, 2)
-    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, rtol=1e-14)
-    np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, rtol=1e-14)
-    ap, bp = a @ sd.Q, b @ sd.R.T
-    assert ap[:, 0].min() >= -1e-15 and ap[:, 2].min() >= -1e-15
-    assert bp.min() >= -1e-15
-    # 256 distinct lines.
-    assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 256
-
-
-def test_grid_seeds_give_different_grids():
-    sd = svd32(diag_embed(1.6, 1.25))
-    a0, b0 = _grid_directions(sd, 0)
-    a1, b1 = _grid_directions(sd, 1)
-    assert not np.array_equal(a0, a1) and not np.array_equal(b0, b1)
-    a2, b2 = _grid_directions(sd, 0)
-    assert np.array_equal(a0, a2) and np.array_equal(b0, b2)
 
 
 def _trap_closed_form(monkeypatch):
@@ -413,13 +384,13 @@ def _trap_closed_form(monkeypatch):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_search_never_reads_the_closed_form(region, monkeypatch):
-    # The depth-one search of the grid is the same with the relaxed energy
-    # and the laminate functions booby-trapped: the oracle must stay blind
-    # to the closed form it checks.
+    # The full depth-one search, frame scan and polish, is the same with
+    # the relaxed energy and the laminate functions booby-trapped: the
+    # oracle must stay blind to the closed form it checks.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
-    expected = relaxation._depth1(F, P8, CFG)
+    expected = relaxation._depth1(F, P8)
     _trap_closed_form(monkeypatch)
-    value, split = relaxation._depth1(F, P8, CFG)
+    value, split = relaxation._depth1(F, P8)
     assert value == expected[0]
     assert (split is None) == (expected[1] is None)
     for got, want in zip(split or (), expected[1] or ()):
@@ -439,77 +410,10 @@ def test_two_level_never_reads_the_closed_form(region, monkeypatch):
         assert np.array_equal(got, want)
 
 
-def _budget(F, full):
-    # The two grid scans of the oracle's single splits: the six frame
-    # directions plus the seeded grid in the target's frame, 40 offsets,
-    # top 6; frame directions only, 16 offsets, top 3.
-    scale = max(1.0, float(np.linalg.norm(F)))
-    sd = svd32(F)
-    dirs = _frame_directions(sd)
-    if full:
-        dirs = [np.concatenate(d) for d in zip(dirs, _grid_directions(sd, 0))]
-        return dirs, _GRID_LADDER * scale, 6
-    return dirs, _LIGHT_LADDER * scale, 3
-
-
-def _bits(candidates):
-    return [(v.hex(), a.tobytes(), b.tobytes(), t.hex(), th.hex()) for v, (a, b, t, th) in candidates]
-
-
-@pytest.mark.parametrize("full", [True, False], ids=["grid", "frame"])
-@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
-@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
-def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
-    # The bounded scan skips the chord tables of directions whose lowest
-    # ladder sample is above the top candidates; the candidates, values
-    # and splits must be those of the exhaustive scan, bit for bit.
-    params = MaterialParams(mu=2.0, r=r)
-    lamM, delta = sample_invariants(region, r, 0.4, 0.6)
-    assert classify(lamM, delta, params) is region
-    F = matrix_from_invariants(lamM, delta, np.random.default_rng(5))
-    dirs, offsets, top_k = _budget(F, full)
-    got = _grid_search(F, params, dirs, offsets, top_k)
-    assert len(got) == top_k
-    assert _bits(got) == _bits(grid_search_reference(F, params, dirs, offsets, top_k))
-
-
-def test_bounded_grid_search_breaks_ties_on_the_lower_index():
-    # Every direction twice, the second copy as (-a, -b): the same dyad, so
-    # the same ladder and chords, but a candidate that names its copy.  An
-    # odd top_k splits the last tied pair, which the first copy must win.
-    F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
-    (a, b), offsets, _ = _budget(F, True)
-    dirs = [np.concatenate([a, -a]), np.concatenate([b, -b])]
-    got = _grid_search(F, P8, dirs, offsets, 5)
-    assert _bits(got) == _bits(grid_search_reference(F, P8, dirs, offsets, 5))
-    picked = [
-        int(np.flatnonzero((dirs[0] == ca).all(axis=1) & (dirs[1] == cb).all(axis=1))[0])
-        for _, (ca, cb, _, _) in got
-    ]
-    first = picked[0::2]
-    assert all(d < len(a) for d in first)
-    assert picked[1::2] == [d + len(a) for d in first[:2]]
-
-
-@pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
-def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
-    # Most ladders of a rank-deficient target are +inf everywhere (every
-    # frame ladder of the zero matrix is), so fewer than top_k directions
-    # have a finite chord: every one of them is a candidate.
-    dirs, offsets, _ = _budget(F, False)
-    finite = np.isfinite(_ladder_chords(lambda G: _w2d(G, P8), F, _dyads(*dirs), offsets))
-    n_finite = int(np.count_nonzero(finite.any(axis=(1, 2))))
-    assert n_finite < 6
-    got = _grid_search(F, P8, dirs, offsets, 6)
-    assert len(got) == n_finite
-    assert _bits(got) == _bits(grid_search_reference(F, P8, dirs, offsets, 6))
-
-
-def test_grid_search_builds_few_small_chord_tables(monkeypatch):
-    # Bit identity cannot tell whether the bound is on: count the chord
-    # tables of one full-grid scan of a liquid target.
+def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
+    # The full pass scans the six frame directions of the target, 40
+    # offsets per side: one chord table, however the scan is written.
     F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.4, 0.6), np.random.default_rng(5))
-    dirs, offsets, top_k = _budget(F, True)
     tables = []
     chords = relaxation._chords
 
@@ -519,10 +423,8 @@ def test_grid_search_builds_few_small_chord_tables(monkeypatch):
         return out
 
     monkeypatch.setattr(relaxation, "_chords", recording)
-    assert len(_grid_search(F, P8, dirs, offsets, top_k)) == top_k
-    assert len(dirs[0]) == 262 and tables
-    assert all(shape == (shape[0], 40, 40) and shape[0] <= _CHUNK for shape in tables)
-    assert sum(shape[0] for shape in tables) < len(dirs[0]) // 2
+    relaxation._depth1(F, P8)
+    assert tables == [(6, 40, 40)]
 
 
 # (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
@@ -565,19 +467,19 @@ _SOLVE_PINS = {
         (Region.L, 11),
         8.0,
         "-0x1.0000000000000p-51",
-        [(1, "0x1.2a812fbd6a8fap+1", "0x1.5c2702ff33dc7p-1")],
+        [(1, "0x1.2c032f90709ffp-1", "0x1.0b7f959f10398p-1")],
     ),
     "M": (
         (Region.M, 11),
         8.0,
-        "0x1.c72bae8220085p+2",
-        [(1, "0x1.5396fced8e4b3p+2", "0x1.0000000000000p-1")],
+        "0x1.c72bae8220084p+2",
+        [(1, "0x1.5397b5b56259bp+2", "0x1.010bd01000000p-1")],
     ),
     "W": (
         (Region.W, 11),
         8.0,
-        "0x1.ee35506f475f9p+0",
-        [(1, "0x1.e54e98eb8e0fcp-1", "0x1.04a5f944e50c7p-2")],
+        "0x1.ee35506f475fap+0",
+        [(1, "0x1.a6cd28b993a90p-1", "0x1.0000000004000p-1")],
     ),
     "S": (
         (Region.S, 11),
@@ -753,6 +655,36 @@ def test_pattern_search_polls_once_per_round(n_starts):
         assert sizes == [n_starts] + [6 * n_starts] * 12
 
 
+def test_pattern_search_stops_when_its_steps_are_spent():
+    # On a flat objective no poll improves, so every round halves every
+    # step.  Each search is polled while one of its active steps is at
+    # least _STEP_MIN (coordinate 1 is inactive, and its large step does
+    # not count), so the batch shrinks as the searches finish, and no
+    # values call follows the last one.
+    sizes = []
+
+    def flat(X):
+        sizes.append(len(X))
+        return np.zeros(len(X))
+
+    steps = np.array([[1e-7, 1.0, 1e-9], [1e-9, 1.0, 1e-4], [1e-5, 1.0, 1e-6]])
+    starts = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
+    active = [2, 0]
+    found = _pattern_search(flat, starts, steps, 100, active)
+    # Rounds each search is polled: its largest active step halves from
+    # 1e-7, 1e-4 and 1e-5 until it is below 1e-8.
+    rounds = [4, 14, 10]
+    for row, n in zip(steps, rounds):
+        assert row[active].max() * 0.5 ** (n - 1) >= _STEP_MIN > row[active].max() * 0.5**n
+    live = [sum(k < n for n in rounds) for k in range(max(rounds))]
+    assert sizes == [3] + [4 * m for m in live]
+    assert sizes[1:] == sorted(sizes[1:], reverse=True) and sizes[-1] == 4
+    for x0, row, (best, x) in zip(starts, steps, found):
+        assert best == 0.0 and x.tolist() == x0
+        ref = pattern_search_reference(lambda xs: 0.0, x0, row.tolist(), 100, active)
+        assert (best, x.tolist()) == ref
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_pattern_search_matches_serial_reference(seed):
     rng = np.random.default_rng(seed)
@@ -771,7 +703,7 @@ def test_pattern_search_matches_serial_reference(seed):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_split_polish_matches_serial_reference(region):
-    # The polish of the oracle's grid candidates, batched and one row per
+    # The polish of the oracle's frame-scan candidates, batched and one row per
     # call of the same objective.
     rng = np.random.default_rng(7)
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.3, 0.7), rng)
@@ -779,7 +711,7 @@ def test_split_polish_matches_serial_reference(region):
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
     starts = [
         [*_angles_of(a, b), np.log(t), theta]
-        for _, (a, b, t, theta) in _grid_search(F, P8, _frame_directions(svd32(F)), offsets, 3)
+        for _, (a, b, t, theta) in _frame_scan(F, P8, _frame_directions(svd32(F)), offsets, 3)
     ]
     found = _pattern_search(lambda X: _split_values(F, P8, X), starts, steps, 50, range(5))
     for x0, (best, x) in zip(starts, found):
