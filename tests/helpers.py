@@ -10,7 +10,7 @@ invariants and random frames only.
 import numpy as np
 
 from nemem.algebra import adj2, diag_embed, svd32
-from nemem.relaxation import _ENDPOINT_LADDER, _STEP_MIN, _ladder_chords, _w2d
+from nemem.relaxation import _ENDPOINT_LADDER, _STEP_MIN, _dyads, _ladder_chords, _w2d
 from nemem.verification import region_window
 
 
@@ -105,6 +105,33 @@ def pattern_search_reference(value, x0, steps, iters, active):
         else:
             steps = [0.5 * s for s in steps]
     return best, x
+
+
+def frame_scan_reference(F, params, dirs, offsets, top_k):
+    """The oracle's direction scan, one direction at a time: the chord
+    table of each direction alone, its lowest chord found by a loop in
+    row-major order (the first of equal lows), the finite lows ranked by
+    value with ties broken on the direction index; at most ``top_k``
+    candidates ``(value, (a, b, t, theta))``.  The reference for
+    ``relaxation._frame_scan``."""
+    a, b = dirs
+    lows = []
+    for d in range(len(a)):
+        chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a[d], b[d])[None], offsets)[0]
+        assert not np.isnan(chords).any()
+        low = (float(chords[0, 0]), 0, 0)
+        for i in range(len(offsets)):
+            for j in range(len(offsets)):
+                if chords[i, j] < low[0]:
+                    low = (float(chords[i, j]), i, j)
+        if np.isfinite(low[0]):
+            lows.append((low[0], d, low[1], low[2]))
+    out = []
+    for value, d, i, j in sorted(lows)[:top_k]:
+        s_pos, s_neg = float(offsets[i]), float(offsets[j])
+        t = s_pos + s_neg
+        out.append((value, (a[d], b[d], t, s_neg / t)))
+    return out
 
 
 def endpoint_estimate_reference(E, params):

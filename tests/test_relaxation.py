@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     endpoint_estimate_reference,
+    frame_scan_reference,
     lower_hull_at_zero,
     matrix_from_invariants,
     pattern_search_reference,
@@ -367,6 +368,99 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
         np.testing.assert_array_equal(np.isfinite(got), finite)
         err = np.abs(got[finite] - ref[finite]) / np.maximum(params.mu, np.abs(ref[finite]))
         assert err.max() <= 1e-12, (s3, s2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
+    # The scanned lines, the six frame directions, read back in the
+    # target's frame, a' = Q^T a and b' = R b, are the frame's axes
+    # (e_i, e_j) with i outer: every line has a'_1 >= 0, a'_3 >= 0 and b'
+    # in the first quadrant, the quarter the sign maps reduce the lines to.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(seed))
+    sd = svd32(F)
+    a, b = _frame_directions(sd)
+    assert a.shape == (6, 3) and b.shape == (6, 2)
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, rtol=1e-14)
+    ap, bp = a @ sd.Q, b @ sd.R.T
+    assert ap[:, 0].min() >= -1e-15 and ap[:, 2].min() >= -1e-15
+    assert bp.min() >= -1e-15
+    axes = [(i, j) for i in range(3) for j in range(2)]
+    np.testing.assert_allclose(ap, np.eye(3)[[i for i, _ in axes]], atol=1e-14)
+    np.testing.assert_allclose(bp, np.eye(2)[[j for _, j in axes]], atol=1e-14)
+    # Six distinct lines.
+    assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 6
+
+
+def _budget(F, full):
+    # The scans of the oracle's single splits, frame directions, 16
+    # offsets, top 3 ("frame"); and the full ladder, 40 offsets, top 6,
+    # over the frame directions plus 58 seeded unit lines ("grid"), so
+    # the ranking runs over many directions.
+    scale = max(1.0, float(np.linalg.norm(F)))
+    dirs = _frame_directions(svd32(F))
+    if not full:
+        return dirs, _LIGHT_LADDER * scale, 3
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((58, 3)), rng.standard_normal((58, 2))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b /= np.linalg.norm(b, axis=1)[:, None]
+    dirs = [np.concatenate(d) for d in zip(dirs, (a, b))]
+    return dirs, _SCAN_LADDER * scale, 6
+
+
+def _bits(candidates):
+    return [(v.hex(), a.tobytes(), b.tobytes(), t.hex(), th.hex()) for v, (a, b, t, th) in candidates]
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["grid", "frame"])
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
+    # The batched scan, one chord table for all directions and an argmin
+    # per row, must give the candidates, values and splits of the scan
+    # one direction at a time, bit for bit.
+    params = MaterialParams(mu=2.0, r=r)
+    lamM, delta = sample_invariants(region, r, 0.4, 0.6)
+    assert classify(lamM, delta, params) is region
+    F = matrix_from_invariants(lamM, delta, np.random.default_rng(5))
+    dirs, offsets, top_k = _budget(F, full)
+    got = _frame_scan(F, params, dirs, offsets, top_k)
+    assert len(got) == top_k
+    assert _bits(got) == _bits(frame_scan_reference(F, params, dirs, offsets, top_k))
+
+
+def test_bounded_grid_search_breaks_ties_on_the_lower_index():
+    # Every direction twice, the second copy as (-a, -b): the same dyad, so
+    # the same ladder and chords, but a candidate that names its copy.  An
+    # odd top_k splits the last tied pair, which the first copy must win.
+    F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
+    (a, b), offsets, _ = _budget(F, True)
+    dirs = [np.concatenate([a, -a]), np.concatenate([b, -b])]
+    got = _frame_scan(F, P8, dirs, offsets, 5)
+    assert _bits(got) == _bits(frame_scan_reference(F, P8, dirs, offsets, 5))
+    picked = [
+        int(np.flatnonzero((dirs[0] == ca).all(axis=1) & (dirs[1] == cb).all(axis=1))[0])
+        for _, (ca, cb, _, _) in got
+    ]
+    first = picked[0::2]
+    assert all(d < len(a) for d in first)
+    assert picked[1::2] == [d + len(a) for d in first[:2]]
+
+
+@pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
+def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
+    # Most ladders of a rank-deficient target are +inf everywhere (every
+    # frame ladder of the zero matrix is), so fewer than top_k directions
+    # have a finite chord: every one of them is a candidate.
+    dirs, offsets, _ = _budget(F, False)
+    finite = np.isfinite(_ladder_chords(lambda G: _w2d(G, P8), F, _dyads(*dirs), offsets))
+    n_finite = int(np.count_nonzero(finite.any(axis=(1, 2))))
+    assert n_finite < 6
+    got = _frame_scan(F, P8, dirs, offsets, 6)
+    assert len(got) == n_finite
+    assert _bits(got) == _bits(frame_scan_reference(F, P8, dirs, offsets, 6))
 
 
 def _trap_closed_form(monkeypatch):
