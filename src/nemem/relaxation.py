@@ -5,29 +5,31 @@ convex envelope without trusting the closed-form relaxed energy.  Along
 one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
-One function, ``_chords``, scores such chords everywhere, over ladders
-of offsets on both sides of the target (``_ladder_values``), and one
-kernel, ``_w2d``, evaluates every plane energy of a matrix.  Depth one
-takes the lowest chord along each searched direction; depth two scans
-two-level trees whose first split is a chord between depth-one estimates
-of both endpoints (each the lowest chord along the endpoint's frame
-directions).  The plane energy depends on a matrix only through its
-singular values, so the estimate forms neither frames nor line matrices:
-the invariants along an endpoint's frame lines have closed forms in its two
-singular values (``_frame_lines``), four of the six lines are even in the
-offset, and only the other two need chord tables.
-Depth one scans the target's six frame directions (``_frame_scan``), one
-chord table in all.  The best candidates are polished side by side by a
-derivative-free pattern search whose rounds poll every move of every live
-search in one batch; a search stops once its steps are spent (below
-``_STEP_MIN``), and the polish leaves the frame, because its coordinates
-are angles.  The reported value is always the plane-energy pairing of an
-explicit witness measure.
+One function, ``_chords``, scores such chords everywhere, and one
+kernel, ``_w2d``, evaluates every plane energy of a matrix.  The plane
+energy depends on a matrix only through its singular values, so along
+its six frame lines, the rank-one lines along pairs of its singular
+vectors, it has closed forms in two numbers (``_frame_lines``).  One
+scorer, ``_frame_chords``, takes the lowest chord along each frame line
+from them, with no frame and no line matrix: four of the six lines are
+even in the offset, so their lowest chord is their lowest sample, and
+only the other two get chord tables.  Depth one scans the target's frame
+lines (``_frame_scan``).  Depth two scans two-level trees whose first
+split runs along a frame line of the target and is ranked by a depth-one
+estimate of both endpoints, the lowest chord along their own frame lines;
+the endpoints lie on the target's frame lines, so the scorer scores both
+levels from the target's two singular values.  The best candidates are
+polished side by side by a derivative-free pattern search whose rounds
+poll every move of every live search in one batch; a search stops once
+its steps are spent (below ``_STEP_MIN``), and the polish leaves the
+frame, because its coordinates are angles.  The reported value is always
+the plane-energy pairing of an explicit witness measure.
 The search budget (directions, offsets, polish rounds) is a set of module
 constants; ``OracleConfig`` chooses only the depth.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +88,8 @@ class OracleConfig:
     depth: int = 2
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
+            raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
 
 
 @dataclass(frozen=True)
@@ -98,11 +100,15 @@ class OracleResult:
     gap: float
 
 
+def _energies(params):
+    """The plane energy as a function of singular values ``(hi, lo)``."""
+    return lambda hi, lo: plane_energy_values(hi, hi * lo, params)
+
+
 def _w2d(G, params):
     """Plane energy of a batch of 3x2 matrices, shape ``(..., 3, 2)``: the
-    one plane-energy path of the oracle."""
-    lamM, lamm = singular_values(G)
-    return plane_energy_values(lamM, lamM * lamm, params)
+    one plane-energy path of the oracle for matrices."""
+    return _energies(params)(*singular_values(G))
 
 
 def _chords(w_pos, w_neg, s_pos, s_neg):
@@ -118,25 +124,18 @@ def _chords(w_pos, w_neg, s_pos, s_neg):
     return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
 
 
-def _ladder_values(value, F, D, s):
-    """``value(F + s_i D)`` for every ``i``, then ``value(F - s_i D)``,
-    with shape ``(..., 2 n)``.
+def _ladder_chords(value, F, D, s):
+    """Chords through each ``F`` between ``value(F + s_i D)`` and
+    ``value(F - s_j D)``, with shape ``(..., i, j)``.
 
     ``F`` and ``D`` are ``(..., 3, 2)`` and ``s`` is ``(..., n)``, all
     broadcast against each other; ``value`` maps a batch of matrices to
     their values and is called once, on both sides of the ladder.
     """
     s = np.asarray(s)
+    n = s.shape[-1]
     both = np.concatenate([s, -s], axis=-1)[..., :, None, None]
-    return value(F[..., None, :, :] + both * D[..., None, :, :])
-
-
-def _ladder_chords(value, F, D, s):
-    """Chords through each ``F`` between ``value(F + s_i D)`` and
-    ``value(F - s_j D)``, with shape ``(..., i, j)``; arguments as in
-    ``_ladder_values``."""
-    n = np.shape(s)[-1]
-    W = _ladder_values(value, F, D, s)
+    W = value(F[..., None, :, :] + both * D[..., None, :, :])
     return _chords(W[..., :n], W[..., n:], s, s)
 
 
@@ -254,48 +253,95 @@ def _pattern_search(values, starts, steps, iters, active):
     return [(float(b), x) for b, x in zip(best, X)]
 
 
-def _frame_scan(F, params, dirs, offsets, top_k):
-    """Top candidates over the directions ``dirs``, at most one per
-    direction: the lowest chord through ``F`` between the ``offsets``
-    ladders on either side, ranked by value with ties broken on the
-    direction index.  Directions without a finite chord give none.
+def _frame_lines(l1, l2, c):
+    """Singular values ``hi, lo`` along the frame lines, in
+    ``_frame_directions`` order, of matrices with singular values ``l1 >=
+    l2`` (shape ``(...)``) at signed offsets ``c`` (shape ``(..., n)``),
+    stacked in one array of shape ``(2, ..., 6, n)``.
+
+    With ``E = Q D R``, the line ``E + c Q[:, i] R[j, :]`` has the singular
+    values of ``D + c e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0, 0),
+    ``l1`` and ``|l2 + c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on
+    (2, 0), ``l1`` and ``hypot(l2, c)`` on (2, 1); on (0, 1) and (1, 0),
+    which are one line, the larger is ``(hypot(l1 + l2, c) + hypot(l1 -
+    l2, c)) / 2`` and the product ``l1 l2``.  All but (0, 0) and (1, 1) are
+    even in ``c``.
+    """
+    l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
+    shape = np.broadcast_shapes(l1.shape, np.shape(c))
+    m = 0.5 * (np.hypot(l1 + l2, c) + np.hypot(l1 - l2, c))
+    # Both singular values of each line, in either order (m >= l1 l2 / m).
+    pairs = [(np.abs(l1 + c), l2), (m, l1 * l2 / m), (m, l1 * l2 / m), (l1, np.abs(l2 + c)),
+             (np.hypot(l1, c), l2), (l1, np.hypot(l2, c))]
+    xy = np.empty((2,) + shape[:-1] + (6,) + shape[-1:])
+    for k, pair in enumerate(pairs):
+        xy[0, ..., k, :], xy[1, ..., k, :] = pair
+    return np.stack([np.maximum(*xy), np.minimum(*xy)])
+
+
+def _frame_chords(l1, l2, s, value):
+    """The one scorer of frame lines.  For matrices with singular values
+    ``l1 >= l2`` (shape ``(...)``) and offsets ``s > 0`` (shape ``(...,
+    n)``), returns ``(own, low, i, j)``: each matrix's own value, and the
+    lowest chord through it along each frame line (shape ``(..., 6)``, in
+    ``_frame_directions`` order) between ``s[i]`` and ``-s[j]``; ties go
+    to the first chord in row-major order.  ``value`` maps singular
+    values ``(hi, lo)`` to values and is called once.
+
+    The lowest chord of a line even in the offset is its lowest sample
+    ``k`` (no chord is below its lower end), taken as ``i = j = k``, so
+    only (0, 0) and (1, 1) get chord tables, and (1, 0) is (0, 1).
+    """
+    s = np.asarray(s)
+    n = s.shape[-1]
+    X = _frame_lines(l1, l2, np.concatenate([s, -s], axis=-1))
+    lead = X.shape[1:-2]
+    # Scored: the matrix itself, (0, 0) and (1, 1) at s and -s, and the
+    # even lines (0, 1), (2, 0) and (2, 1) at s.
+    cols = [np.array([l1, l2])[..., None], X[..., [0, 3], :], X[..., [1, 4, 5], :n]]
+    W = value(*np.concatenate([np.reshape(c, (2,) + lead + (-1,)) for c in cols], axis=-1))
+    odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
+    chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
+    chords = chords.reshape(lead + (2, n * n))
+    even = W[..., 4 * n + 1 :].reshape(lead + (3, n))
+    # Rows (0, 0), (1, 1), (0, 1), (2, 0), (2, 1); a sample k is the chord k (n + 1).
+    rows = [0, 2, 2, 1, 3, 4]
+    low = np.concatenate([chords.min(axis=-1), even.min(axis=-1)], axis=-1)[..., rows]
+    k = np.concatenate([chords.argmin(axis=-1), even.argmin(axis=-1) * (n + 1)], axis=-1)
+    return (W[..., 0], low, *np.divmod(k[..., rows], n))
+
+
+def _frame_scan(sd, params, offsets, top_k):
+    """The plane energy of the matrix whose ``svd32`` is ``sd``, and its
+    top candidates, at most one per frame line: the lowest chord through
+    it between the ``offsets`` on either side, ranked by value with ties
+    broken on the direction index.  Lines without a finite chord give none.
 
     A chord from ``s+`` to ``-s-`` is the split ``t = s+ + s-``,
     ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
     """
-    n = len(offsets)
-    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(*dirs), offsets)
-    chords = chords.reshape(len(chords), -1)
-    arg = np.argmin(chords, axis=1)
-    lowest = chords[np.arange(len(chords)), arg]
+    w0, low, i, j = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
+    a, b = _frame_directions(sd)
     out = []
-    for d in np.argsort(lowest, kind="stable")[:top_k]:
-        if np.isfinite(lowest[d]):
-            i, j = divmod(int(arg[d]), n)
-            s_pos, s_neg = float(offsets[i]), float(offsets[j])
+    for d in np.argsort(low, kind="stable")[:top_k]:
+        if np.isfinite(low[d]):
+            s_pos, s_neg = float(offsets[i[d]]), float(offsets[j[d]])
             t = s_pos + s_neg
-            out.append((float(lowest[d]), (dirs[0][d], dirs[1][d], t, s_neg / t)))
-    return out
+            out.append((float(low[d]), (a[d], b[d], t, s_neg / t)))
+    return float(w0), out
 
 
-def _depth1(F, params, light=False, sd=None):
-    """Best single split (or none): a scan of the six frame directions of
-    ``F`` plus a pattern-search polish of the top candidates, side by side.
+def _depth1(F, params, light=False):
+    """Best single split (or none): a scan of the six frame lines of ``F``
+    plus a pattern-search polish of the top candidates, side by side.
     The polish moves the directions off the frame, because its
-    coordinates are angles.  ``sd`` is ``svd32(F)``, when the caller has
-    it.
+    coordinates are angles.
 
     Returns ``(value, split_or_None)`` with ``split = (a, b, t, theta)``.
     """
-    w0 = _w2d(F, params)
     scale = max(1.0, float(np.linalg.norm(F)))
-    if sd is None:
-        sd = svd32(F)
-    if light:
-        ladder, top_k, iters = _LIGHT_LADDER, 3, 28
-    else:
-        ladder, top_k, iters = _SCAN_LADDER, 6, _REFINE_ITERS
-    candidates = _frame_scan(F, params, _frame_directions(sd), ladder * scale, top_k)
+    ladder, top_k, iters = (_LIGHT_LADDER, 3, 28) if light else (_SCAN_LADDER, 6, _REFINE_ITERS)
+    w0, candidates = _frame_scan(svd32(F), params, ladder * scale, top_k)
     starts = [[*_angles_of(a, b), math.log(t), theta] for _, (a, b, t, theta) in candidates]
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
     polished = _pattern_search(lambda X: _split_values(F, params, X), starts, steps, iters, range(5))
@@ -309,89 +355,39 @@ def _depth1(F, params, light=False, sd=None):
     return best_val, best_split
 
 
-def _frame_lines(l1, l2, s):
-    """Invariants ``(lamM, delta)`` along the frame lines of a matrix with
-    singular values ``l1 >= l2``: five pairs, broadcast over ``l1``,
-    ``l2`` and the positive offsets ``s`` of shape ``(..., n)``.
+def _two_level(sd, params):
+    """Best two-level tree of the matrix whose ``svd32`` is ``sd``: a first
+    split along one of its frame lines, scanned over pairs of offsets with
+    depth-one-estimated endpoints, then a light (t, theta) polish.
+    Returns ``(estimate, first_split)``.
 
-    With ``E = Q D R``, the line ``E + s Q[:, i] R[j, :]`` has the plane
-    energies of ``D + s e_i e_j^T``, whose singular values are
-    ``(|l1 + s|, l2)`` on (0, 0), ``(l1, |l2 + s|)`` on (1, 1),
-    ``(hypot(l1, s), l2)`` on (2, 0) and ``(l1, hypot(l2, s))`` on
-    (2, 1); on (0, 1) and (1, 0), which are the same, their product is
-    ``l1 l2`` and the larger one ``(hypot(l1 + l2, s) + hypot(l1 - l2, s))
-    / 2``.  The first two lines are returned at the offsets ``s`` then
-    ``-s``, shape ``(..., 2 n)``; the other three are even in ``s`` and are
-    returned at ``s`` only, in the order (0, 1), (2, 0), (2, 1).
+    An endpoint's estimate, the least of its plane energy and its frame
+    lows, ranks first splits.  The endpoints lie on the frame lines, so the
+    scan is ``_frame_chords`` with the estimate as its value, and the
+    polish reads them from ``_frame_lines``: no matrix is formed.
     """
-    both = np.concatenate([s, -s], axis=-1)
-    p, q = np.abs(l1 + both), np.abs(l2 + both)
-    h1, h2 = np.hypot(l1, s), np.hypot(l2, s)
-    return [
-        (np.maximum(p, l2), p * l2),
-        (np.maximum(l1, q), l1 * q),
-        (0.5 * (np.hypot(l1 + l2, s) + np.hypot(l1 - l2, s)), l1 * l2),
-        (h1, h1 * l2),
-        (np.maximum(l1, h2), l1 * h2),
-    ]
+    energies = _energies(params)
 
+    def estimate(hi, lo):
+        s = np.maximum(1.0, np.hypot(hi, lo))[..., None] * _ENDPOINT_LADDER
+        own, low, _, _ = _frame_chords(hi, lo, s, energies)
+        return np.minimum(own, low.min(axis=-1))
 
-def _endpoint_depth1_estimate(E, params):
-    """Vectorized depth-one estimate for endpoint matrices of any leading
-    shape, ``(..., 3, 2) -> (...)``.
-
-    For each endpoint the estimate is the least of its own plane energy
-    and the lowest chord through it along its six frame-aligned rank-one
-    directions, with offsets on a log ladder of ``max(1, |E|)`` on both
-    sides.  Upper bound by construction; used only to rank first-level
-    splits of two-level trees.
-
-    No frame is formed: the plane energies along the frame lines are
-    those of the closed-form invariants of ``_frame_lines``, from the
-    endpoint's singular values.  The lowest chord through 0 of a line
-    even in ``s`` is its lowest sample (the chord between ``s_k`` and
-    ``-s_k`` is ``w(s_k)``, and no chord is below its lower end), so only
-    the lines (0, 0) and (1, 1) get chord tables.
-    """
-    E = np.asarray(E, dtype=float)
-    l1, l2 = (np.asarray(x)[..., None] for x in singular_values(E))
-    scale = np.maximum(1.0, np.linalg.norm(E.reshape(E.shape[:-2] + (6,)), axis=-1))
-    s = scale[..., None] * _ENDPOINT_LADDER
-    n = s.shape[-1]
-    # Columns: E itself, the two ladders of (0, 0) and (1, 1), then the
-    # even lines on one side; one plane-energy call.
-    pairs = [(l1, l1 * l2)] + _frame_lines(l1, l2, s)
-    lamM, delta = (
-        np.concatenate(cols, axis=-1) for cols in zip(*(np.broadcast_arrays(*pr) for pr in pairs))
-    )
-    W = plane_energy_values(lamM, delta, params)
-    odd = W[..., 1 : 1 + 4 * n].reshape(W.shape[:-1] + (2, 2 * n))
-    chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
-    lowest = np.minimum(W[..., 0], W[..., 1 + 4 * n :].min(axis=-1))
-    return np.minimum(lowest, chords.min(axis=(-3, -2, -1)))
-
-
-def _two_level(F, params, sd=None):
-    """Best two-level tree: frame-aligned first split scanned over signed
-    magnitude pairs with depth-one-estimated endpoints, then a light
-    (t, theta) polish.  ``sd`` is ``svd32(F)``, when the caller has it.
-    Returns ``(estimate, first_split)``."""
-    scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(svd32(F) if sd is None else sd)
-    base = _PAIR_LADDER * scale
-    pairing = _ladder_chords(lambda G: _endpoint_depth1_estimate(G, params), F, _dyads(*dirs), base)
-    d_idx, ip, im = np.unravel_index(np.argmin(pairing), pairing.shape)
-    a, b = dirs[0][d_idx], dirs[1][d_idx]
-    s_pos, s_neg = float(base[ip]), float(base[im])
-    t = s_pos + s_neg
+    l1, l2 = sd.lamM, sd.lamm
+    base = _PAIR_LADDER * max(1.0, math.hypot(l1, l2))
+    _, low, i, j = _frame_chords(l1, l2, base, estimate)
+    d = int(np.argmin(low))
+    a, b = (x[d] for x in _frame_directions(sd))
+    t = float(base[i[d]] + base[j[d]])
 
     def values(X):
-        th = _weight(X[:, 1])
-        ends = _split_endpoints(F, (a, b, np.exp(X[:, 0]), th))
-        vp, vm = _endpoint_depth1_estimate(ends, params)
+        th, mag = _weight(X[:, 1]), np.exp(X[:, 0])
+        ends = _frame_lines(l1, l2, np.stack([(1.0 - th) * mag, -(th * mag)], axis=-1))
+        hi, lo = (x[:, d] for x in ends)
+        vp, vm = estimate(hi, lo).T
         return th * vp + (1.0 - th) * vm
 
-    [(est, x)] = _pattern_search(values, [[math.log(t), s_neg / t]], [0.3, 1.0 / 16], 20, [0, 1])
+    [(est, x)] = _pattern_search(values, [[math.log(t), base[j[d]] / t]], [0.3, 1.0 / 16], 20, [0, 1])
     return est, (a, b, float(np.exp(x[0])), float(_weight(x[1])))
 
 
@@ -458,14 +454,14 @@ def relax_lamination(Ft, params, cfg=None):
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
 
-    value1, split1 = _depth1(F, params, sd=sd)
+    value1, split1 = _depth1(F, params)
     trees = [(split1, None, None)]
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
     # estimated two-level value, not by their depth-one objective.
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
-        est, split = _two_level(F, params, sd)
+        est, split = _two_level(sd, params)
         if est < value1:
             Gp, Gm = _split_endpoints(F, split)
             _, sp = _depth1(Gp, params, light=True)

@@ -10,7 +10,8 @@ invariants and random frames only.
 import numpy as np
 
 from nemem.algebra import adj2, diag_embed, svd32
-from nemem.relaxation import _ENDPOINT_LADDER, _STEP_MIN, _dyads, _ladder_chords, _w2d
+from nemem.membrane import plane_energy_values
+from nemem.relaxation import _STEP_MIN, _ladder_chords
 from nemem.verification import region_window
 
 
@@ -107,49 +108,73 @@ def pattern_search_reference(value, x0, steps, iters, active):
     return best, x
 
 
-def frame_scan_reference(F, params, dirs, offsets, top_k):
-    """The oracle's direction scan, one direction at a time: the chord
-    table of each direction alone, its lowest chord found by a loop in
-    row-major order (the first of equal lows), the finite lows ranked by
-    value with ties broken on the direction index; at most ``top_k``
-    candidates ``(value, (a, b, t, theta))``.  The reference for
-    ``relaxation._frame_scan``."""
-    a, b = dirs
+def svd32_energies(params):
+    """Plane energies of a batch of matrices from their ``svd32`` singular
+    values, which keep the smaller one's relative accuracy."""
+
+    def energies(G):
+        sd = svd32(G)
+        return plane_energy_values(sd.lamM, sd.delta, params)
+
+    return energies
+
+
+def frame_axes(F):
+    """The six frame lines ``(Q[:, i], R[j, :])`` of ``F = Q D R``, ``i``
+    outer, from one ``svd32`` call."""
+    sd = svd32(F)
+    return [(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)]
+
+
+def frame_lows_reference(F, params, offsets):
+    """The lowest chord through ``F`` along each of its six frame lines, on
+    matrices: the dyad ``Q[:, i] R[j, :]`` of each line (``frame_axes``),
+    its chord table through ``_ladder_chords`` with ``svd32`` plane
+    energies, and its lowest chord found by a loop in row-major order (the
+    first of equal lows).  Returns ``(w0, lows)``, ``lows`` a list of
+    ``(value, i, j)`` in ``frame_axes`` order."""
+    energies = svd32_energies(params)
     lows = []
-    for d in range(len(a)):
-        chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a[d], b[d])[None], offsets)[0]
+    for a, b in frame_axes(F):
+        chords = _ladder_chords(energies, F, np.outer(a, b)[None], offsets)[0]
         assert not np.isnan(chords).any()
         low = (float(chords[0, 0]), 0, 0)
         for i in range(len(offsets)):
             for j in range(len(offsets)):
                 if chords[i, j] < low[0]:
                     low = (float(chords[i, j]), i, j)
-        if np.isfinite(low[0]):
-            lows.append((low[0], d, low[1], low[2]))
+        lows.append(low)
+    return float(energies(F[None])[0]), lows
+
+
+def frame_scan_reference(F, params, offsets, top_k):
+    """The oracle's frame scan on matrices: ``frame_lows_reference``, the
+    finite lows ranked by value with ties broken on the direction index;
+    ``(w0, candidates)`` with at most ``top_k`` candidates ``(value, (a,
+    b, t, theta))``.  The reference for ``relaxation._frame_scan``."""
+    w0, lows = frame_lows_reference(F, params, offsets)
+    axes = frame_axes(F)
     out = []
-    for value, d, i, j in sorted(lows)[:top_k]:
+    finite = sorted((v, d, i, j) for d, (v, i, j) in enumerate(lows) if np.isfinite(v))
+    for value, d, i, j in finite[:top_k]:
         s_pos, s_neg = float(offsets[i]), float(offsets[j])
         t = s_pos + s_neg
-        out.append((value, (a[d], b[d], t, s_neg / t)))
-    return out
+        out.append((value, (*axes[d], t, s_neg / t)))
+    return w0, out
 
 
-def endpoint_estimate_reference(E, params):
+def endpoint_estimate_reference(E, params, ladder):
     """The endpoint estimate on matrices: for each endpoint of ``E``
-    (shape ``(..., 3, 2)``), one ``svd32`` call for its frame ``Q D R``,
-    the six dyads ``Q[:, i] R[j, :]`` (``i`` outer), and the least of its
-    own plane energy and the lowest chord through it along each dyad's
-    line, every plane energy through ``_w2d``.  The reference for the
-    oracle's closed-form frame lines."""
+    (shape ``(..., 3, 2)``), the least of its own plane energy and the
+    lowest chord through it along each of its frame lines
+    (``frame_lows_reference``), offsets ``ladder`` times ``max(1, |E|)``.
+    The reference for the oracle's closed-form frame lines."""
     E = np.asarray(E, dtype=float)
     out = np.empty(E.shape[:-2])
     for idx in np.ndindex(*out.shape):
         G = E[idx]
-        sd = svd32(G)
-        D = np.array([np.outer(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)])
-        s = max(1.0, float(np.linalg.norm(G.reshape(6), axis=-1))) * _ENDPOINT_LADDER
-        chords = _ladder_chords(lambda X: _w2d(X, params), G, D, s)
-        out[idx] = min(_w2d(G, params), chords.min())
+        w0, lows = frame_lows_reference(G, params, max(1.0, float(np.linalg.norm(G))) * ladder)
+        out[idx] = min(w0, *(v for v, _, _ in lows))
     return out
 
 

@@ -417,6 +417,25 @@ def test_zero_set_is_liquid_region():
                 assert w > 0.0
 
 
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_plane_energy_zero_set_is_the_soft_segment(r):
+    # The plane energy vanishes on lamm = r^(-1/6), lamM in [r^(-1/6),
+    # r^(1/3)] (its ends and geometric midpoint checked) and is clearly
+    # positive 1e-3 relative off it: in lamm, or beyond either end.  At
+    # r = 1.01 the segment is only 5e-3 long.  Arrays, then floats; on the
+    # segment the rounding error is absolute, up to 4.4e-16 either way.
+    params = MaterialParams(mu=2.0, r=r)
+    m = r ** (-1.0 / 6.0)
+    on = [(c, m) for c in (m, r ** (1.0 / 12.0), r ** (1.0 / 3.0))]
+    off = [(c, m * f) for c, _ in on for f in (1.0 - 1e-3, 1.0 + 1e-3) if m * f <= c]
+    off += [(m * (1.0 - 1e-3), m * (1.0 - 1e-3)), (on[-1][0] * (1.0 + 1e-3), m)]
+    for pairs, low, high in ((on, -1e-15, 1e-15), (off, 1e-6 * params.mu, np.inf)):
+        lam, lamm = np.array(pairs).T
+        for w in (plane_energy_values(lam, lam * lamm, params),
+                  [plane_energy_values(a, a * b, params) for a, b in pairs]):
+            assert low <= min(w) and max(w) <= high
+
+
 def test_continuity_across_region_boundaries():
     # Jump of the invariant representative across each boundary.
     rng = np.random.default_rng(7)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     endpoint_estimate_reference,
+    frame_lows_reference,
     frame_scan_reference,
     lower_hull_at_zero,
     matrix_from_invariants,
@@ -41,12 +42,11 @@ from nemem.relaxation import (
     OracleResult,
     _angles_of,
     _dyads,
-    _endpoint_depth1_estimate,
+    _energies,
+    _frame_chords,
     _frame_directions,
     _frame_lines,
     _frame_scan,
-    _ladder_chords,
-    _ladder_values,
     _pattern_search,
     _split_endpoints,
     _split_values,
@@ -61,8 +61,11 @@ CFG = OracleConfig()
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="depth"):
-        OracleConfig(depth=0)
+    # A non-integer depth is refused at construction, not after a whole
+    # search in the deeper passes.
+    for depth in (0, 2.5, float("nan"), "2"):
+        with pytest.raises(ValueError, match="depth"):
+            OracleConfig(depth=depth)
 
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
@@ -187,14 +190,26 @@ def test_result_type():
     assert res.gap == res.value - res.closed_form
 
 
-@pytest.mark.parametrize(
-    "F", [np.zeros((3, 2)), diag_embed(0.5, 1e-13), diag_embed(1e-8, 1e-8)]
-)
+@pytest.mark.parametrize("F", [np.zeros((3, 2)), diag_embed(0.5, 1e-13)])
 def test_rank_deficient_target_without_witness_is_a_domain_error(F):
     # The plane energy is +inf at F, and no searched split reaches finite
     # endpoints: an unwitnessed value must not come back as a result.
     with pytest.raises(DomainError, match="witness"):
         relax_lamination(F, P8, CFG)
+
+
+def test_tiny_target_keeps_a_sound_witness():
+    # The plane energy is +inf at diag(1e-8, 1e-8), whose relaxed energy
+    # is 0; a two-level tree reaches four finite atoms.  The witness is
+    # sound: its barycenter is the target and its value is its pairing.
+    F = diag_embed(1e-8, 1e-8)
+    res = relax_lamination(F, P8, CFG)
+    assert res.closed_form == 0.0
+    assert 0.0 <= res.gap <= 5e-3
+    assert len(res.best_measure.atoms) == 4
+    np.testing.assert_allclose(res.best_measure.barycenter(), F, rtol=0.0, atol=1e-15)
+    paired = measure_pairing(res.best_measure, lambda G: plane_energy(G, P8))
+    assert abs(paired - res.value) <= 1e-15
 
 
 def test_rank_deficient_target_is_a_domain_error_at_depth_three():
@@ -296,15 +311,16 @@ def test_line_relaxation_matches_lower_hull_reference(r, F, a, b):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_candidates_are_the_splits_of_their_chords(region):
-    # Each candidate of the full depth-one scan, one per frame direction,
-    # ranked by value, is the weighted plane energy of the split it names:
-    # weight theta on F + (1 - theta) t a b^T.
+    # Each candidate of the full depth-one scan, one per frame line, ranked
+    # by value, is the weighted plane energy of the split it names: weight
+    # theta on F + (1 - theta) t a b^T.
     rng = np.random.default_rng(5)
     lamM, delta = sample_invariants(region, 8.0, 0.4, 0.6)
     assert classify(lamM, delta, P8) is region
     F = matrix_from_invariants(lamM, delta, rng)
     offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
-    candidates = _frame_scan(F, P8, _frame_directions(svd32(F)), offsets, 6)
+    w0, candidates = _frame_scan(svd32(F), P8, offsets, 6)
+    assert abs(w0 - plane_energy(F, P8)) <= 1e-12 * max(1.0, abs(w0))
     assert len(candidates) == 6
     values = [value for value, _ in candidates]
     assert values == sorted(values)
@@ -349,8 +365,10 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
     params = MaterialParams(mu=2.0, r=r)
     assert len(_SIGN_MAPS) == 16
 
-    def energies(G):
-        sd = svd32(G)
+    def ladder(D, s):
+        # Plane energies at F + s_i D, then at F - s_i D, for each line D.
+        both = np.concatenate([s, -s])
+        sd = svd32(F + both[:, None, None] * D[:, None])
         return plane_energy_values(sd.lamM, sd.delta, params)
 
     rng = np.random.default_rng(23)
@@ -359,12 +377,12 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
     bp /= np.linalg.norm(bp, axis=1)[:, None]
     sd = svd32(F)
     s = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
-    ref = _ladder_values(energies, F, _dyads(ap @ sd.Q.T, bp @ sd.R), s)
+    ref = ladder(_dyads(ap @ sd.Q.T, bp @ sd.R), s)
     finite = np.isfinite(ref)
     assert finite.any()
     for s3, s2 in _SIGN_MAPS:
         D = _dyads((ap * s3) @ sd.Q.T, (bp * s2) @ sd.R)
-        got = _ladder_values(energies, F, D, s3[0] * s2[0] * s)
+        got = ladder(D, s3[0] * s2[0] * s)
         np.testing.assert_array_equal(np.isfinite(got), finite)
         err = np.abs(got[finite] - ref[finite]) / np.maximum(params.mu, np.abs(ref[finite]))
         assert err.max() <= 1e-12, (s3, s2)
@@ -393,74 +411,72 @@ def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
     assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 6
 
 
-def _budget(F, full):
-    # The scans of the oracle's single splits, frame directions, 16
-    # offsets, top 3 ("frame"); and the full ladder, 40 offsets, top 6,
-    # over the frame directions plus 58 seeded unit lines ("grid"), so
-    # the ranking runs over many directions.
-    scale = max(1.0, float(np.linalg.norm(F)))
-    dirs = _frame_directions(svd32(F))
-    if not full:
-        return dirs, _LIGHT_LADDER * scale, 3
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((58, 3)), rng.standard_normal((58, 2))
-    a /= np.linalg.norm(a, axis=1)[:, None]
-    b /= np.linalg.norm(b, axis=1)[:, None]
-    dirs = [np.concatenate(d) for d in zip(dirs, (a, b))]
-    return dirs, _SCAN_LADDER * scale, 6
-
-
-def _bits(candidates):
-    return [(v.hex(), a.tobytes(), b.tobytes(), t.hex(), th.hex()) for v, (a, b, t, th) in candidates]
+def _assert_scan_matches_reference(F, params, offsets, top_k):
+    # The closed-form scan against the scan on line matrices: the same
+    # number of candidates, and the values (own, then ranked) to 1e-12.
+    w0, got = _frame_scan(svd32(F), params, offsets, top_k)
+    ref_w0, ref = frame_scan_reference(F, params, offsets, top_k)
+    assert len(got) == len(ref)
+    for v, r in zip([w0] + [v for v, _ in got], [ref_w0] + [v for v, _ in ref]):
+        assert v == r or abs(v - r) <= 1e-12 * max(1.0, abs(r)), (v, r)
+    return got
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["grid", "frame"])
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
-    # The batched scan, one chord table for all directions and an argmin
-    # per row, must give the candidates, values and splits of the scan
-    # one direction at a time, bit for bit.
+    # The scan reads the six frame lines in closed form from the target's
+    # singular values, with chord tables only for (0, 0) and (1, 1); the
+    # reference scores every line on its matrices, one full chord table per
+    # line.  The per-line lows, and the ranked candidates, agree to 1e-12.
     params = MaterialParams(mu=2.0, r=r)
     lamM, delta = sample_invariants(region, r, 0.4, 0.6)
     assert classify(lamM, delta, params) is region
     F = matrix_from_invariants(lamM, delta, np.random.default_rng(5))
-    dirs, offsets, top_k = _budget(F, full)
-    got = _frame_scan(F, params, dirs, offsets, top_k)
-    assert len(got) == top_k
-    assert _bits(got) == _bits(frame_scan_reference(F, params, dirs, offsets, top_k))
+    # The scans of the oracle's single splits: the full one, 40 offsets and
+    # top 6 ("grid"), and the light one, 16 offsets and top 3 ("frame").
+    ladder, top_k = (_SCAN_LADDER, 6) if full else (_LIGHT_LADDER, 3)
+    offsets = ladder * max(1.0, float(np.linalg.norm(F)))
+    sd = svd32(F)
+    _, low, _, _ = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
+    _, lows = frame_lows_reference(F, params, offsets)
+    for v, (ref, _, _) in zip(low, lows):
+        assert v == ref or abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (v, ref)
+    assert len(_assert_scan_matches_reference(F, params, offsets, top_k)) == top_k
 
 
 def test_bounded_grid_search_breaks_ties_on_the_lower_index():
-    # Every direction twice, the second copy as (-a, -b): the same dyad, so
-    # the same ladder and chords, but a candidate that names its copy.  An
-    # odd top_k splits the last tied pair, which the first copy must win.
+    # The frame lines (0, 1) and (1, 0) are one line, so the scan gives them
+    # the same low, an exact tie that the ranking breaks on the direction
+    # index: (0, 1) comes first, and a top_k that splits the pair keeps it.
     F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
-    (a, b), offsets, _ = _budget(F, True)
-    dirs = [np.concatenate([a, -a]), np.concatenate([b, -b])]
-    got = _frame_scan(F, P8, dirs, offsets, 5)
-    assert _bits(got) == _bits(frame_scan_reference(F, P8, dirs, offsets, 5))
-    picked = [
-        int(np.flatnonzero((dirs[0] == ca).all(axis=1) & (dirs[1] == cb).all(axis=1))[0])
-        for _, (ca, cb, _, _) in got
-    ]
-    first = picked[0::2]
-    assert all(d < len(a) for d in first)
-    assert picked[1::2] == [d + len(a) for d in first[:2]]
+    sd = svd32(F)
+    offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
+    _, low, i, j = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(P8))
+    assert low[1] == low[2] and (i[1], j[1]) == (i[2], j[2])
+    a, b = _frame_directions(sd)
+
+    def picked(candidates):
+        return [int(np.flatnonzero((a == ca).all(axis=1) & (b == cb).all(axis=1))[0])
+                for _, (ca, cb, _, _) in candidates]
+
+    full = picked(_assert_scan_matches_reference(F, P8, offsets, 6))
+    k = full.index(1)
+    assert full[k + 1] == 2
+    assert picked(_frame_scan(sd, P8, offsets, k + 1)[1]) == full[: k + 1]
 
 
 @pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
 def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
-    # Most ladders of a rank-deficient target are +inf everywhere (every
-    # frame ladder of the zero matrix is), so fewer than top_k directions
-    # have a finite chord: every one of them is a candidate.
-    dirs, offsets, _ = _budget(F, False)
-    finite = np.isfinite(_ladder_chords(lambda G: _w2d(G, P8), F, _dyads(*dirs), offsets))
-    n_finite = int(np.count_nonzero(finite.any(axis=(1, 2))))
+    # Most frame lines of a rank-deficient target are +inf everywhere
+    # (every line of the zero matrix is), so fewer than top_k lines have a
+    # finite chord: every one of them is a candidate.
+    offsets = _LIGHT_LADDER * max(1.0, float(np.linalg.norm(F)))
+    _, lows = frame_lows_reference(F, P8, offsets)
+    n_finite = sum(np.isfinite(v) for v, _, _ in lows)
     assert n_finite < 6
-    got = _frame_scan(F, P8, dirs, offsets, 6)
-    assert len(got) == n_finite
-    assert _bits(got) == _bits(frame_scan_reference(F, P8, dirs, offsets, 6))
+    assert len(_assert_scan_matches_reference(F, P8, offsets, 6)) == n_finite
 
 
 def _trap_closed_form(monkeypatch):
@@ -496,17 +512,37 @@ def test_two_level_never_reads_the_closed_form(region, monkeypatch):
     # The two-level scan, its endpoint estimates and its polish are the
     # same, bit for bit, with the closed form booby-trapped.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
-    expected = _two_level(F, P8)
+    expected = _two_level(svd32(F), P8)
     _trap_closed_form(monkeypatch)
-    est, split = _two_level(F, P8)
+    est, split = _two_level(svd32(F), P8)
+    assert float(est).hex() == float(expected[0]).hex()
+    for got, want in zip(split, expected[1]):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_two_level_builds_no_matrices(region, monkeypatch):
+    # The two-level phase reads every endpoint from the target's singular
+    # values: it decomposes no matrix and forms none.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
+    sd = svd32(F)
+    expected = _two_level(sd, P8)
+
+    def trap(*args, **kwargs):
+        raise AssertionError("the two-level phase used a matrix")
+
+    for name in ("singular_values", "svd32", "_w2d", "_split_endpoints", "_dyads", "_ladder_chords"):
+        monkeypatch.setattr(relaxation, name, trap)
+    est, split = _two_level(sd, P8)
     assert float(est).hex() == float(expected[0]).hex()
     for got, want in zip(split, expected[1]):
         assert np.array_equal(got, want)
 
 
 def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
-    # The full pass scans the six frame directions of the target, 40
-    # offsets per side: one chord table, however the scan is written.
+    # The full pass scans the six frame lines of the target, 40 offsets per
+    # side; four of them are even in the offset, so one chord table holds
+    # the other two, however the scan is written.
     F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.4, 0.6), np.random.default_rng(5))
     tables = []
     chords = relaxation._chords
@@ -518,7 +554,7 @@ def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
 
     monkeypatch.setattr(relaxation, "_chords", recording)
     relaxation._depth1(F, P8)
-    assert tables == [(6, 40, 40)]
+    assert tables == [(2, 40, 40)]
 
 
 # (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
@@ -537,10 +573,10 @@ _TWO_LEVEL_PINS = [
         np.array([[1.2, 0.3], [-0.4, 0.9], [0.5, 0.2]]),
         8.0,
         (
-            7.177149892392834e-13,
+            7.177540947521506e-13,
             [0.898280455039458, -0.22028534876224184, 0.3802191331519258],
             [-0.10795950712881482, 0.994155292105063],
-            2.1609664062119283,
+            2.160966406211928,
             0.5001182556152344,
         ),
     ),
@@ -549,7 +585,7 @@ _TWO_LEVEL_PINS = [
 
 @pytest.mark.parametrize("F, r, pinned", _TWO_LEVEL_PINS)
 def test_two_level_scan_is_pinned(F, r, pinned):
-    est, (a, b, t, theta) = _two_level(F, MaterialParams(mu=2.0, r=r))
+    est, (a, b, t, theta) = _two_level(svd32(F), MaterialParams(mu=2.0, r=r))
     assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
 
 
@@ -560,8 +596,8 @@ _SOLVE_PINS = {
     "L": (
         (Region.L, 11),
         8.0,
-        "-0x1.0000000000000p-51",
-        [(1, "0x1.2c032f90709ffp-1", "0x1.0b7f959f10398p-1")],
+        "-0x1.0000000800000p-52",
+        [(1, "0x1.2eb04a67dd7f1p-1", "0x1.fffffff000000p-2")],
     ),
     "M": (
         (Region.M, 11),
@@ -578,8 +614,8 @@ _SOLVE_PINS = {
     "S": (
         (Region.S, 11),
         8.0,
-        "0x1.61b2bccffe5cep+1",
-        [(1, "0x1.14c884253a5dep-31", "0x1.d000000000000p-2")],
+        "0x1.61b2bccffe5d6p+1",
+        [],
     ),
     "two-level": (
         diag_embed(0.44, 0.08 / 0.44),
@@ -635,10 +671,11 @@ def test_split_endpoints_match_the_two_expressions():
 
 
 def test_endpoint_estimate_matches_one_frame_per_endpoint():
-    # The estimate reads each endpoint's frame lines from its singular
-    # values in closed form; the reference takes every endpoint's six frame
-    # dyads Q[:, i] R[j, :] from its own svd32 call and scores them on
-    # matrices.  They agree to rounding, and on +inf exactly.
+    # The endpoint estimate, the least of an endpoint's own plane energy
+    # and its frame lows, read in closed form from its singular values;
+    # the reference takes every endpoint's six frame dyads Q[:, i] R[j, :]
+    # from its own svd32 call and scores them on matrices.  They agree to
+    # rounding, and on +inf exactly.
     rng = np.random.default_rng(8)
     E = rng.normal(size=(2, 24, 6, 3, 2)) * rng.choice([0.1, 1.0, 3.0], size=(2, 24, 6, 1, 1))
     E[0, 0, 0] = diag_embed(1.0, 1.0)
@@ -649,11 +686,14 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
     E[0, 0, 5] = diag_embed(9e30, 9e30)
     E[0, 1, 0] = matrix_from_invariants(2.0, 4.0, np.random.default_rng(2))
     E[0, 1, 1] = np.outer([0.0, 0.6, -0.8], [1.0, 0.0])
+    sd = svd32(E)
+    s = np.maximum(1.0, np.linalg.norm(E, axis=(-2, -1)))[..., None] * _ENDPOINT_LADDER
     for r in (1.01, 2.0, 8.0, 100.0):
         params = MaterialParams(mu=2.0, r=r)
-        est = _endpoint_depth1_estimate(E, params)
-        assert est.shape == (2, 24, 6)
-        ref = endpoint_estimate_reference(E, params)
+        own, low, _, _ = _frame_chords(sd.lamM, sd.lamm, s, _energies(params))
+        assert own.shape == (2, 24, 6) and low.shape == (2, 24, 6, 6)
+        est = np.minimum(own, low.min(axis=-1))
+        ref = endpoint_estimate_reference(E, params, _ENDPOINT_LADDER)
         assert np.array_equal(np.isinf(est), np.isinf(ref))
         assert np.isinf(est[0, 0, 4])
         finite = np.isfinite(ref)
@@ -661,9 +701,7 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
         assert np.all(np.abs(est - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-# The frame line (i, j): its index in _frame_lines and whether it is even in s.
-_FRAME_LINES = {(0, 0): (0, False), (1, 1): (1, False), (0, 1): (2, True), (1, 0): (2, True),
-                (2, 0): (3, True), (2, 1): (4, True)}
+_FRAME_AXES = [(i, j) for i in range(3) for j in range(2)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -678,26 +716,24 @@ _FRAME_LINES = {(0, 0): (0, False), (1, 1): (1, False), (0, 1): (2, True), (1, 0
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, seed):
-    # With E = Q D R, the closed-form invariants of each frame line are
-    # those svd32 finds on Q (D + s e_i e_j^T) R, up to the top of the
-    # endpoint ladder, both singular values to 1e-12 of the larger one;
-    # (0, 1) and (1, 0) are the same line, and every line but (0, 0) and
-    # (1, 1) is even in s.
+    # With E = Q D R, the closed-form singular values of each frame line,
+    # in _frame_directions order, are those svd32 finds on
+    # Q (D + c e_i e_j^T) R, at both signs of c up to the top of the
+    # endpoint ladder, both to 1e-12 of the larger one.
     rng = np.random.default_rng(seed)
     Q, R = random_rotation(rng), random_orthogonal2(rng)
     l2 = l1 * ratio
     D = diag_embed(l1, l2)
     s = u * _ENDPOINT_LADDER[-1] * max(1.0, float(np.hypot(l1, l2)))
-    lines = _frame_lines(l1, l2, np.array([s]))
-    for (i, j), (k, even) in _FRAME_LINES.items():
-        lamM, delta = (np.broadcast_to(x, (2,) if k < 2 else (1,)) for x in lines[k])
-        for side, sign in enumerate((1.0, -1.0)):
+    hi, lo = _frame_lines(l1, l2, np.array([s, -s]))
+    assert hi.shape == lo.shape == (6, 2)
+    for d, (i, j) in enumerate(_FRAME_AXES):
+        for side, c in enumerate((s, -s)):
             X = D.copy()
-            X[i, j] += sign * s
+            X[i, j] += c
             sd = svd32(Q @ X @ R)
-            want = 0 if even else side
-            assert abs(lamM[want] - sd.lamM) <= 1e-12 * sd.lamM, (i, j, sign)
-            assert abs(delta[want] - sd.delta) <= 1e-12 * sd.lamM * sd.lamM, (i, j, sign)
+            assert abs(hi[d, side] - sd.lamM) <= 1e-12 * sd.lamM, (i, j, c)
+            assert abs(lo[d, side] - sd.lamm) <= 1e-12 * sd.lamM, (i, j, c)
 
 
 @pytest.mark.parametrize("x", [1e15, 1e16, 9e30])
@@ -705,7 +741,7 @@ def test_two_level_estimate_is_not_below_the_closed_form(x):
     # Every estimate is a weighted sum of chords of plane energies, so it
     # bounds the rank-one convex envelope from above also where those
     # energies are huge.
-    est, _ = _two_level(diag_embed(x, x), P8)
+    est, _ = _two_level(svd32(diag_embed(x, x)), P8)
     assert est >= (1.0 - 1e-12) * psi(x, x * x, P8)
 
 
@@ -805,7 +841,7 @@ def test_split_polish_matches_serial_reference(region):
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
     starts = [
         [*_angles_of(a, b), np.log(t), theta]
-        for _, (a, b, t, theta) in _frame_scan(F, P8, _frame_directions(svd32(F)), offsets, 3)
+        for _, (a, b, t, theta) in _frame_scan(svd32(F), P8, offsets, 3)[1]
     ]
     found = _pattern_search(lambda X: _split_values(F, P8, X), starts, steps, 50, range(5))
     for x0, (best, x) in zip(starts, found):
