@@ -9,21 +9,26 @@ One function, ``_chords``, scores such chords everywhere, and one
 kernel, ``_w2d``, evaluates every plane energy of a matrix.  The plane
 energy depends on a matrix only through its singular values, so along
 its six frame lines, the rank-one lines along pairs of its singular
-vectors, it has closed forms in two numbers (``_frame_lines``).  One
-scorer, ``_frame_chords``, takes the lowest chord along each frame line
-from them, with no frame and no line matrix: four of the six lines are
-even in the offset, so their lowest chord is their lowest sample, and
-only the other two get chord tables.  Depth one scans the target's frame
-lines (``_frame_scan``).  Depth two scans two-level trees whose first
-split runs along a frame line of the target and is ranked by a depth-one
-estimate of both endpoints, the lowest chord along their own frame lines;
-the endpoints lie on the target's frame lines, so the scorer scores both
-levels from the target's two singular values.  The best candidates are
-polished side by side by a derivative-free pattern search whose rounds
-poll every move of every live search in one batch; a search stops once
-its steps are spent (below ``_STEP_MIN``), and the polish leaves the
-frame, because its coordinates are angles.  The reported value is always
-the plane-energy pairing of an explicit witness measure.
+vectors, it has closed forms in two numbers (``_frame_lines``, which
+computes only the lines asked for).  One scorer, ``_frame_tables``,
+scores the frame lines from them, with no frame and no line matrix: four
+of the six lines are even in the offset, so their lowest chord is their
+lowest sample, taken on one side only, and only the other two get chord
+tables.  The scans rank by where the lowest chords lie
+(``_frame_chords``); the endpoint estimate takes only their values.
+Depth one scans the target's frame lines (``_frame_scan``).  Depth two
+scans two-level trees whose first split runs along a frame line of the
+target and is ranked by a depth-one estimate of both endpoints, the
+lowest chord along their own frame lines; the endpoints lie on the
+target's frame lines, so the scorer scores both levels from the target's
+two singular values.  The best candidates are polished side by side by a
+derivative-free pattern search whose rounds poll every move of every
+live search in one batch; a search stops once its steps are spent (below
+``_STEP_MIN``), and the polish leaves the frame, because its coordinates
+are angles.  The light passes over several matrices (both endpoints of
+a two-level tree, every atom of a deeper level) share one polish, with
+the matrix index as an inactive coordinate.  The reported value is
+always the plane-energy pairing of an explicit witness measure.
 The search budget (directions, offsets, polish rounds) is a set of module
 constants; ``OracleConfig`` chooses only the depth.
 """
@@ -88,7 +93,8 @@ class OracleConfig:
     depth: int = 2
 
     def __post_init__(self):
-        if not isinstance(self.depth, numbers.Integral) or self.depth < 1:
+        # bool is an Integral, but a flag passed as a depth is a mistake.
+        if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) or self.depth < 1:
             raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
 
 
@@ -175,7 +181,20 @@ def _angles_of(a, b):
 
 
 def _weight(theta):
-    return np.clip(theta, 1e-6, 1.0 - 1e-6)
+    return np.minimum(np.maximum(theta, 1e-6), 1.0 - 1e-6)
+
+
+def _split_offsets(t, theta):
+    """Offsets ``(1 - theta) t`` and ``-(theta t)`` of the two endpoints of
+    splits along their lines, ``t`` and ``theta`` of shape ``(...)``,
+    stacked into one array of shape ``(2, ...)``.  Negation is exact, so
+    the second is ``-theta t`` to the bit."""
+    t = np.asarray(t)
+    c = np.empty((2,) + t.shape)
+    np.multiply(1.0 - theta, t, out=c[0, ...])
+    np.multiply(theta, t, out=c[1, ...])
+    np.negative(c[1, ...], out=c[1, ...])
+    return c
 
 
 def _split_endpoints(F, split):
@@ -185,13 +204,11 @@ def _split_endpoints(F, split):
     array of shape ``(2, ..., 3, 2)``.
 
     Both come from one broadcast ``F + c a b^T`` with the coefficients
-    ``c = ((1 - theta) t, -(theta t))``: negation is exact, so the second
-    endpoint has the bits of ``F - theta t a b^T``.
+    ``c = ((1 - theta) t, -(theta t))`` of ``_split_offsets``, so the
+    second endpoint has the bits of ``F - theta t a b^T``.
     """
     a, b, t, theta = split
-    t = np.asarray(t)[..., None, None]
-    theta = np.asarray(theta)[..., None, None]
-    return F + np.array([(1.0 - theta) * t, -(theta * t)]) * _dyads(a, b)
+    return F + _split_offsets(t, theta)[..., None, None] * _dyads(a, b)
 
 
 def _splits_of(X):
@@ -202,8 +219,10 @@ def _splits_of(X):
 
 
 def _split_values(F, params, X):
-    """Weighted plane energy of the split of each row of ``X``, the
-    batched objective of the polish (coordinates as in ``_splits_of``)."""
+    """Weighted plane energy of the split of each row of ``X`` of the
+    matrix of that row, ``F`` of shape ``(len(X), 3, 2)`` or one ``(3, 2)``
+    for every row: the batched objective of the polish (coordinates as in
+    ``_splits_of``)."""
     split = _splits_of(X)
     W = _w2d(_split_endpoints(F, split), params)
     theta = split[3]
@@ -225,7 +244,9 @@ def _pattern_search(values, starts, steps, iters, active):
     search takes the path it would take alone.  At most ``iters`` rounds
     follow the call on the starts; they end early once every search is
     spent.  ``steps`` is one row of steps for every start, or one row per
-    start.  Returns ``(best, x)`` for each start.
+    start.  A coordinate left out of ``active`` is never polled and keeps
+    its start: a label, such as the matrix a search belongs to, that
+    ``values`` can read.  Returns ``(best, x)`` for each start.
     """
     if len(starts) == 0:
         return []
@@ -236,8 +257,10 @@ def _pattern_search(values, starts, steps, iters, active):
     # The poll directions +e_k, -e_k of each active k, in poll order.
     U = np.eye(X.shape[1])[active]
     E = np.stack([U, -U], axis=1).reshape(-1, X.shape[1])
+    live = np.arange(len(X))
     for _ in range(iters):
-        live = np.flatnonzero((S[:, active] >= _STEP_MIN).any(axis=1))
+        # Only a search polled last round can have spent its steps.
+        live = live[(S[live][:, active] >= _STEP_MIN).any(axis=1)]
         if len(live) == 0:
             break
         P = X[live, None, :] + E * S[live, None, :]
@@ -253,62 +276,109 @@ def _pattern_search(values, starts, steps, iters, active):
     return [(float(b), x) for b, x in zip(best, X)]
 
 
-def _frame_lines(l1, l2, c):
-    """Singular values ``hi, lo`` along the frame lines, in
-    ``_frame_directions`` order, of matrices with singular values ``l1 >=
+def _off_diagonal(l1, l2, c):
+    m = 0.5 * (np.hypot(l1 + l2, c) + np.hypot(l1 - l2, c))
+    return m, l1 * l2 / m
+
+
+# Both singular values of each frame line, in either order, as functions
+# of (l1, l2, c); see _frame_lines.
+_LINE_PAIRS = (
+    lambda l1, l2, c: (np.abs(l1 + c), l2),
+    _off_diagonal,
+    _off_diagonal,
+    lambda l1, l2, c: (l1, np.abs(l2 + c)),
+    lambda l1, l2, c: (np.hypot(l1, c), l2),
+    lambda l1, l2, c: (l1, np.hypot(l2, c)),
+)
+
+
+def _frame_lines(l1, l2, c, lines, out=None):
+    """Singular values ``hi, lo`` along the frame ``lines`` (indices in
+    ``_frame_directions`` order) of matrices with singular values ``l1 >=
     l2`` (shape ``(...)``) at signed offsets ``c`` (shape ``(..., n)``),
-    stacked in one array of shape ``(2, ..., 6, n)``.
+    written into ``out`` (a new array if None) of shape ``(2, ...,
+    len(lines), n)``, which is returned.
 
     With ``E = Q D R``, the line ``E + c Q[:, i] R[j, :]`` has the singular
     values of ``D + c e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0, 0),
     ``l1`` and ``|l2 + c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on
     (2, 0), ``l1`` and ``hypot(l2, c)`` on (2, 1); on (0, 1) and (1, 0),
-    which are one line, the larger is ``(hypot(l1 + l2, c) + hypot(l1 -
-    l2, c)) / 2`` and the product ``l1 l2``.  All but (0, 0) and (1, 1) are
-    even in ``c``.
+    which are one line, the larger is ``m = (hypot(l1 + l2, c) + hypot(l1
+    - l2, c)) / 2`` and the smaller ``l1 l2 / m``.  All but (0, 0) and
+    (1, 1) are even in ``c``.
     """
     l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
-    shape = np.broadcast_shapes(l1.shape, np.shape(c))
-    m = 0.5 * (np.hypot(l1 + l2, c) + np.hypot(l1 - l2, c))
-    # Both singular values of each line, in either order (m >= l1 l2 / m).
-    pairs = [(np.abs(l1 + c), l2), (m, l1 * l2 / m), (m, l1 * l2 / m), (l1, np.abs(l2 + c)),
-             (np.hypot(l1, c), l2), (l1, np.hypot(l2, c))]
-    xy = np.empty((2,) + shape[:-1] + (6,) + shape[-1:])
-    for k, pair in enumerate(pairs):
-        xy[0, ..., k, :], xy[1, ..., k, :] = pair
-    return np.stack([np.maximum(*xy), np.minimum(*xy)])
+    if out is None:
+        shape = np.broadcast_shapes(l1.shape, np.shape(c))
+        out = np.empty((2,) + shape[:-1] + (len(lines),) + shape[-1:])
+    for k, d in enumerate(lines):
+        x, y = _LINE_PAIRS[d](l1, l2, c)
+        np.maximum(x, y, out=out[0, ..., k, :])
+        np.minimum(x, y, out=out[1, ..., k, :])
+    return out
 
 
-def _frame_chords(l1, l2, s, value):
+def _frame_tables(l1, l2, s, value):
     """The one scorer of frame lines.  For matrices with singular values
     ``l1 >= l2`` (shape ``(...)``) and offsets ``s > 0`` (shape ``(...,
-    n)``), returns ``(own, low, i, j)``: each matrix's own value, and the
-    lowest chord through it along each frame line (shape ``(..., 6)``, in
-    ``_frame_directions`` order) between ``s[i]`` and ``-s[j]``; ties go
-    to the first chord in row-major order.  ``value`` maps singular
-    values ``(hi, lo)`` to values and is called once.
+    n)``), returns ``(own, chords, even)``: each matrix's own value; the
+    chords through it along (0, 0) and (1, 1), between ``s[i]`` and
+    ``-s[j]``, shape ``(..., 2, n, n)``; and the samples of the even lines
+    (0, 1), (2, 0) and (2, 1) at ``s``, shape ``(..., 3, n)``.  ``value``
+    maps singular values ``(hi, lo)`` to values and is called once.
 
     The lowest chord of a line even in the offset is its lowest sample
-    ``k`` (no chord is below its lower end), taken as ``i = j = k``, so
-    only (0, 0) and (1, 1) get chord tables, and (1, 0) is (0, 1).
+    (no chord is below its lower end), so only (0, 0) and (1, 1) get chord
+    tables, and (1, 0) is (0, 1).
     """
     s = np.asarray(s)
     n = s.shape[-1]
-    X = _frame_lines(l1, l2, np.concatenate([s, -s], axis=-1))
-    lead = X.shape[1:-2]
-    # Scored: the matrix itself, (0, 0) and (1, 1) at s and -s, and the
-    # even lines (0, 1), (2, 0) and (2, 1) at s.
-    cols = [np.array([l1, l2])[..., None], X[..., [0, 3], :], X[..., [1, 4, 5], :n]]
-    W = value(*np.concatenate([np.reshape(c, (2,) + lead + (-1,)) for c in cols], axis=-1))
+    lead = np.broadcast_shapes(np.shape(l1), s.shape[:-1])
+    # The values' input: the matrix itself, (0, 0) and (1, 1) at s and -s,
+    # and the even lines at s, each line written in place by _frame_lines.
+    V = np.empty((2,) + lead + (7 * n + 1,))
+    V[0, ..., 0] = l1
+    V[1, ..., 0] = l2
+    c = np.concatenate([s, -s], axis=-1)
+    _frame_lines(l1, l2, c, (0, 3), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
+    _frame_lines(l1, l2, s, (1, 4, 5), V[..., 4 * n + 1 :].reshape((2,) + lead + (3, n)))
+    W = value(V[0], V[1])
     odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
     chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
-    chords = chords.reshape(lead + (2, n * n))
-    even = W[..., 4 * n + 1 :].reshape(lead + (3, n))
+    return W[..., 0], chords, W[..., 4 * n + 1 :].reshape(lead + (3, n))
+
+
+def _frame_chords(l1, l2, s, value):
+    """The lowest chord along each frame line and where it lies: from
+    ``_frame_tables``, ``(own, low, i, j)`` with ``low`` of shape ``(...,
+    6)`` in ``_frame_directions`` order, the chord between ``s[i]`` and
+    ``-s[j]``; ties go to the first chord in row-major order.  An even
+    line's lowest sample ``k`` is taken as ``i = j = k``.
+    """
+    own, chords, even = _frame_tables(l1, l2, s, value)
+    n = even.shape[-1]
+    chords = chords.reshape(chords.shape[:-2] + (n * n,))
     # Rows (0, 0), (1, 1), (0, 1), (2, 0), (2, 1); a sample k is the chord k (n + 1).
     rows = [0, 2, 2, 1, 3, 4]
     low = np.concatenate([chords.min(axis=-1), even.min(axis=-1)], axis=-1)[..., rows]
     k = np.concatenate([chords.argmin(axis=-1), even.argmin(axis=-1) * (n + 1)], axis=-1)
-    return (W[..., 0], low, *np.divmod(k[..., rows], n))
+    return (own, low, *np.divmod(k[..., rows], n))
+
+
+def _endpoint_estimate(params):
+    """The endpoint estimate as a function of singular values ``(hi,
+    lo)``: the least of a matrix's plane energy and the lowest chord
+    through it along its frame lines, offsets ``_ENDPOINT_LADDER`` times
+    ``max(1, |E|)``.  Only the lows are taken, not where they lie."""
+    energies = _energies(params)
+
+    def estimate(hi, lo):
+        s = np.maximum(1.0, np.hypot(hi, lo))[..., None] * _ENDPOINT_LADDER
+        own, chords, even = _frame_tables(hi, lo, s, energies)
+        return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
+
+    return estimate
 
 
 def _frame_scan(sd, params, offsets, top_k):
@@ -332,27 +402,47 @@ def _frame_scan(sd, params, offsets, top_k):
 
 
 def _depth1(F, params, light=False):
-    """Best single split (or none): a scan of the six frame lines of ``F``
-    plus a pattern-search polish of the top candidates, side by side.
-    The polish moves the directions off the frame, because its
-    coordinates are angles.
+    """Best single split (or none) of each matrix of a stack ``F`` of
+    shape ``(k, 3, 2)``: a scan of the six frame lines of each, then one
+    pattern-search polish of the top candidates of all of them, side by
+    side.  A polish coordinate beyond the split's five is the index of its
+    matrix, inactive (step 0).  The polish moves the directions off the
+    frame, because its coordinates are angles.
 
-    Returns ``(value, split_or_None)`` with ``split = (a, b, t, theta)``.
+    Returns a list of ``(value, split_or_None)``, one per matrix, with
+    ``split = (a, b, t, theta)``; for one matrix ``F`` of shape ``(3,
+    2)``, its ``(value, split_or_None)``.
     """
-    scale = max(1.0, float(np.linalg.norm(F)))
+    Fs = np.asarray(F, dtype=float)
+    if Fs.ndim == 2:
+        return _depth1(Fs[None], params, light)[0]
     ladder, top_k, iters = (_LIGHT_LADDER, 3, 28) if light else (_SCAN_LADDER, 6, _REFINE_ITERS)
-    w0, candidates = _frame_scan(svd32(F), params, ladder * scale, top_k)
-    starts = [[*_angles_of(a, b), math.log(t), theta] for _, (a, b, t, theta) in candidates]
-    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
-    polished = _pattern_search(lambda X: _split_values(F, params, X), starts, steps, iters, range(5))
-    best_val, best_split = math.inf, None
+    scans = [
+        _frame_scan(svd32(G), params, ladder * max(1.0, float(np.linalg.norm(G))), top_k)
+        for G in Fs
+    ]
+    starts = [
+        [*_angles_of(a, b), math.log(t), theta, k]
+        for k, (_, candidates) in enumerate(scans)
+        for _, (a, b, t, theta) in candidates
+    ]
+    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32, 0.0]
+    polished = _pattern_search(
+        lambda X: _split_values(Fs[X[:, 5].astype(np.intp)], params, X), starts, steps, iters, range(5)
+    )
+    best = [(math.inf, None)] * len(Fs)
     for val, x in polished:
-        if val < best_val:
-            best_val, best_split = val, _splits_of(x)
-    # A split that wins by rounding noise only is reported as no split.
-    if w0 <= best_val + 1e-12 * max(1.0, abs(w0)):
-        return w0, None
-    return best_val, best_split
+        k = int(x[5])
+        if val < best[k][0]:
+            best[k] = (val, x)
+    out = []
+    for (w0, _), (val, x) in zip(scans, best):
+        # A split that wins by rounding noise only is reported as no split.
+        if w0 <= val + 1e-12 * max(1.0, abs(w0)):
+            out.append((w0, None))
+        else:
+            out.append((val, _splits_of(x)))
+    return out
 
 
 def _two_level(sd, params):
@@ -361,18 +451,12 @@ def _two_level(sd, params):
     depth-one-estimated endpoints, then a light (t, theta) polish.
     Returns ``(estimate, first_split)``.
 
-    An endpoint's estimate, the least of its plane energy and its frame
-    lows, ranks first splits.  The endpoints lie on the frame lines, so the
-    scan is ``_frame_chords`` with the estimate as its value, and the
-    polish reads them from ``_frame_lines``: no matrix is formed.
+    An endpoint's estimate (``_endpoint_estimate``) ranks first splits.
+    The endpoints lie on the frame lines, so the scan is ``_frame_chords``
+    with the estimate as its value, and the polish reads them from
+    ``_frame_lines``, on the scanned line only: no matrix is formed.
     """
-    energies = _energies(params)
-
-    def estimate(hi, lo):
-        s = np.maximum(1.0, np.hypot(hi, lo))[..., None] * _ENDPOINT_LADDER
-        own, low, _, _ = _frame_chords(hi, lo, s, energies)
-        return np.minimum(own, low.min(axis=-1))
-
+    estimate = _endpoint_estimate(params)
     l1, l2 = sd.lamM, sd.lamm
     base = _PAIR_LADDER * max(1.0, math.hypot(l1, l2))
     _, low, i, j = _frame_chords(l1, l2, base, estimate)
@@ -382,9 +466,8 @@ def _two_level(sd, params):
 
     def values(X):
         th, mag = _weight(X[:, 1]), np.exp(X[:, 0])
-        ends = _frame_lines(l1, l2, np.stack([(1.0 - th) * mag, -(th * mag)], axis=-1))
-        hi, lo = (x[:, d] for x in ends)
-        vp, vm = estimate(hi, lo).T
+        hi, lo = _frame_lines(l1, l2, _split_offsets(mag, th), (d,))[:, :, 0]
+        vp, vm = estimate(hi, lo)
         return th * vp + (1.0 - th) * vm
 
     [(est, x)] = _pattern_search(values, [[math.log(t), base[j[d]] / t]], [0.3, 1.0 / 16], 20, [0, 1])
@@ -463,9 +546,7 @@ def relax_lamination(Ft, params, cfg=None):
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
         est, split = _two_level(sd, params)
         if est < value1:
-            Gp, Gm = _split_endpoints(F, split)
-            _, sp = _depth1(Gp, params, light=True)
-            _, sm = _depth1(Gm, params, light=True)
+            (_, sp), (_, sm) = _depth1(_split_endpoints(F, split), params, light=True)
             trees.append((split, sp, sm))
 
     best = None
@@ -488,13 +569,15 @@ def relax_lamination(Ft, params, cfg=None):
         )
 
     # Exploration depths beyond two: keep splitting witness atoms with a
-    # light single-split pass while it pays.
+    # light single-split pass, all atoms of a level in one, while it pays.
     for level in range(3, cfg.depth + 1):
-        atoms = []
         tree = list(best.tree)
-        for w, G in best.atoms:
-            _, sub = _depth1(G, params, light=True)
-            atoms += _split_atom(w, G, sub, level, tree)
+        subs = _depth1(np.stack([G for _, G in best.atoms]), params, light=True)
+        atoms = [
+            atom
+            for (w, G), (_, sub) in zip(best.atoms, subs)
+            for atom in _split_atom(w, G, sub, level, tree)
+        ]
         if len(tree) == len(best.tree):  # no atom split
             break
         paired = _witness_pairing(atoms, params)

@@ -43,6 +43,7 @@ from nemem.relaxation import (
     _angles_of,
     _dyads,
     _energies,
+    _endpoint_estimate,
     _frame_chords,
     _frame_directions,
     _frame_lines,
@@ -62,8 +63,9 @@ CFG = OracleConfig()
 
 def test_config_validation():
     # A non-integer depth is refused at construction, not after a whole
-    # search in the deeper passes.
-    for depth in (0, 2.5, float("nan"), "2"):
+    # search in the deeper passes; so is a boolean, which would run at
+    # depth 1.
+    for depth in (0, 2.5, float("nan"), "2", True, False):
         with pytest.raises(ValueError, match="depth"):
             OracleConfig(depth=depth)
 
@@ -557,6 +559,56 @@ def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
     assert tables == [(2, 40, 40)]
 
 
+def _assert_same_pass(got, want):
+    # One depth-one result against another, bit for bit.
+    (value, split), (ref_value, ref_split) = got, want
+    assert float(value).hex() == float(ref_value).hex()
+    assert (split is None) == (ref_split is None)
+    for x, y in zip(split or (), ref_split or ()):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("light", [True, False], ids=["light", "full"])
+def test_depth_one_pass_on_a_stack_is_each_matrix_alone(light):
+    # The passes over a stack share one polish, with the matrix index as an
+    # inactive coordinate; each matrix still gets, bit for bit, the result
+    # of its own pass.  The zero matrix has no finite candidate, the
+    # S target's best split loses to no split, and the last two are the
+    # endpoints of the two-level pin's first split.
+    F2 = diag_embed(0.44, 0.08 / 0.44)
+    P2 = MaterialParams(mu=2.0, r=2.0)
+    _, split = _two_level(svd32(F2), P2)
+    stack = [
+        matrix_from_invariants(*sample_invariants(g, 2.0, 0.4, 0.6), np.random.default_rng(k))
+        for k, g in enumerate([Region.L, Region.M, Region.W, Region.S])
+    ]
+    stack[2:2] = [np.zeros((3, 2))]
+    stack += list(_split_endpoints(F2, split))
+    got = relaxation._depth1(np.stack(stack), P2, light)
+    assert len(got) == len(stack)
+    for G, res in zip(stack, got):
+        _assert_same_pass(res, relaxation._depth1(G, P2, light))
+    assert got[2] == (np.inf, None)
+    assert got[4][1] is None and all(res[1] is not None for res in got[5:])
+
+
+def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
+    # A solve whose two-level tree is accepted polishes three times: the
+    # full depth-one pass, the two-level (t, theta) polish, and one light
+    # pass over both endpoints of the first split.
+    calls = []
+    search = relaxation._pattern_search
+
+    def counting(values, starts, steps, iters, active):
+        calls.append(iters)
+        return search(values, starts, steps, iters, active)
+
+    monkeypatch.setattr(relaxation, "_pattern_search", counting)
+    res = relax_lamination(diag_embed(0.44, 0.08 / 0.44), MaterialParams(mu=2.0, r=2.0), CFG)
+    assert [e["level"] for e in res.best_measure.tree] == [1, 2, 2]
+    assert calls == [100, 20, 28]
+
+
 # (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
 _TWO_LEVEL_PINS = [
     (
@@ -694,6 +746,13 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
         assert own.shape == (2, 24, 6) and low.shape == (2, 24, 6, 6)
         est = np.minimum(own, low.min(axis=-1))
         ref = endpoint_estimate_reference(E, params, _ENDPOINT_LADDER)
+        # The oracle's estimate takes only the lows, at offsets scaled by
+        # hypot(lamM, lamm): bit for bit the least of the own value and
+        # the ranked scorer's lows at the same offsets.
+        s_sv = np.maximum(1.0, np.hypot(sd.lamM, sd.lamm))[..., None] * _ENDPOINT_LADDER
+        own_sv, low_sv, _, _ = _frame_chords(sd.lamM, sd.lamm, s_sv, _energies(params))
+        got = _endpoint_estimate(params)(sd.lamM, sd.lamm)
+        assert got.tobytes() == np.minimum(own_sv, low_sv.min(axis=-1)).tobytes()
         assert np.array_equal(np.isinf(est), np.isinf(ref))
         assert np.isinf(est[0, 0, 4])
         finite = np.isfinite(ref)
@@ -725,8 +784,17 @@ def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, se
     l2 = l1 * ratio
     D = diag_embed(l1, l2)
     s = u * _ENDPOINT_LADDER[-1] * max(1.0, float(np.hypot(l1, l2)))
-    hi, lo = _frame_lines(l1, l2, np.array([s, -s]))
+    c = np.array([s, -s])
+    hi, lo = _frame_lines(l1, l2, c, range(6))
     assert hi.shape == lo.shape == (6, 2)
+    # A subset of the lines, new or written into a view as the scorer
+    # does, is bit for bit the matching rows of all six.
+    for lines in [(0,), (5,), (1, 4, 5), (3, 0), (2, 1)]:
+        want = np.stack([hi, lo])[:, list(lines)]
+        assert _frame_lines(l1, l2, c, lines).tobytes() == want.tobytes()
+        out = np.full((2, 3 * len(lines) + 1), np.nan)
+        _frame_lines(l1, l2, c, lines, out[:, 1:2 * len(lines) + 1].reshape(2, len(lines), 2))
+        assert out[:, 1:2 * len(lines) + 1].tobytes() == want.reshape(2, -1).tobytes()
     for d, (i, j) in enumerate(_FRAME_AXES):
         for side, c in enumerate((s, -s)):
             X = D.copy()
