@@ -8,6 +8,7 @@ measure whose atoms average to the target and whose plane-energy pairing
 equals the relaxed energy.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +40,18 @@ class DiscreteYoungMeasure:
     """Finite list of (weight, 3x2 matrix) atoms with split provenance.
 
     ``tree`` records one entry per lamination split:
-    ``{"level", "a", "b", "magnitude", "weight"}`` where the two branch
-    matrices differ by ``magnitude * outer(a, b)`` and ``weight`` is the
-    fraction carried by the "+" branch.
+    ``{"level", "a", "b", "magnitude", "weight"}`` (built by ``_split``)
+    where the two branch matrices differ by ``magnitude * outer(a, b)``
+    and ``weight`` is the fraction carried by the "+" branch.  A measure
+    has at least one atom.
     """
 
     atoms: tuple
     tree: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if len(self.atoms) == 0:
+            raise ValueError("a Young measure needs at least one atom")
 
     def barycenter(self):
         out = np.zeros((3, 2))
@@ -55,6 +61,24 @@ class DiscreteYoungMeasure:
 
     def total_weight(self):
         return sum(w for w, _ in self.atoms)
+
+
+def _split(level, a, b, magnitude, weight):
+    """The one form of a split record: the level as an int, the directions
+    as float arrays, the magnitude and weight as floats."""
+    return {
+        "level": int(level),
+        "a": np.asarray(a, dtype=float),
+        "b": np.asarray(b, dtype=float),
+        "magnitude": float(magnitude),
+        "weight": float(weight),
+    }
+
+
+def _require_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {name} = {x}")
 
 
 def _pruned(atoms):
@@ -102,6 +126,7 @@ def laminate_wrinkle(q, d, delta_bar):
     -------
     DiscreteYoungMeasure
     """
+    _require_finite(q=q, d=d, delta_bar=delta_bar)
     if not q > 0.0:
         raise ValueError(f"wrinkle laminate needs q > 0, got q = {q}")
     if not d > 0.0:
@@ -112,19 +137,10 @@ def laminate_wrinkle(q, d, delta_bar):
         raise ValueError(f"target delta_bar = {delta_bar} outside [0, d = {d}]")
     delta_bar = min(max(delta_bar, 0.0), d)
     theta = 0.5 * (1.0 + delta_bar / d)
-    plus = diag_embed(q, d / q)
-    minus = diag_embed(q, -d / q)
-    atoms = _pruned([(theta, plus), (1.0 - theta, minus)])
-    if len(atoms) == 1:
-        return DiscreteYoungMeasure(atoms=atoms, tree=())
-    split = {
-        "level": 1,
-        "a": np.array([0.0, 1.0, 0.0]),
-        "b": np.array([0.0, 1.0]),
-        "magnitude": 2.0 * d / q,
-        "weight": theta,
-    }
-    return DiscreteYoungMeasure(atoms=atoms, tree=(split,))
+    atoms = _pruned([(theta, diag_embed(q, d / q)), (1.0 - theta, diag_embed(q, -d / q))])
+    # A pruned atom leaves a Dirac, with no split.
+    tree = (_split(1, [0.0, 1.0, 0.0], [0.0, 1.0], 2.0 * d / q, theta),) if len(atoms) == 2 else ()
+    return DiscreteYoungMeasure(atoms=atoms, tree=tree)
 
 
 def laminate_shear(q, d, c):
@@ -148,6 +164,7 @@ def laminate_shear(q, d, c):
     -------
     DiscreteYoungMeasure
     """
+    _require_finite(q=q, d=d, c=c)
     if d < 0.0:
         raise ValueError(f"shear laminate needs d >= 0, got d = {d}")
     if q * q < d * (1.0 - 1e-12):
@@ -155,9 +172,7 @@ def laminate_shear(q, d, c):
     if c == 0.0 and d == 0.0:
         if not q > 0.0:
             raise ValueError("zero-target shear needs q > 0")
-        xi = q
-        plus = np.array([[0.0, xi], [0.0, 0.0], [0.0, 0.0]])
-        minus = np.array([[0.0, -xi], [0.0, 0.0], [0.0, 0.0]])
+        c, lo, xi = 0.0, 0.0, q
     else:
         if not (np.sqrt(d) * (1.0 - 1e-12) <= c <= q * (1.0 + 1e-12)):
             raise ValueError(
@@ -165,19 +180,13 @@ def laminate_shear(q, d, c):
             )
         # d = 0 has no d^2 / c^2 term, also where c * c underflows to 0.
         xi2 = d * d / (q * q) + q * q - (d * d / (c * c) if d else 0.0) - c * c
-        xi = np.sqrt(max(xi2, 0.0))
-        plus = np.array([[c, xi], [0.0, d / c], [0.0, 0.0]])
-        minus = np.array([[c, -xi], [0.0, d / c], [0.0, 0.0]])
+        lo, xi = d / c, np.sqrt(max(xi2, 0.0))
+    plus = np.array([[c, xi], [0.0, lo], [0.0, 0.0]])
+    minus = np.array([[c, -xi], [0.0, lo], [0.0, 0.0]])
     if xi <= _SHEAR_TINY * max(1.0, q):
         # Target already on the atom set: Dirac.
         return DiscreteYoungMeasure(atoms=((1.0, plus),), tree=())
-    split = {
-        "level": 1,
-        "a": np.array([1.0, 0.0, 0.0]),
-        "b": np.array([0.0, 1.0]),
-        "magnitude": 2.0 * xi,
-        "weight": 0.5,
-    }
+    split = _split(1, [1.0, 0.0, 0.0], [0.0, 1.0], 2.0 * xi, 0.5)
     return DiscreteYoungMeasure(atoms=((0.5, plus), (0.5, minus)), tree=(split,))
 
 
@@ -185,18 +194,11 @@ def _conjugate(nu, Q, R, level_offset=0):
     # Map a diagonal-frame measure through G -> Q G R; split directions
     # transform as a -> Q a, b -> R^T b.
     atoms = tuple((w, Q @ G @ R) for w, G in nu.atoms)
-    tree = []
-    for s in nu.tree:
-        tree.append(
-            {
-                "level": s["level"] + level_offset,
-                "a": Q @ s["a"],
-                "b": R.T @ s["b"],
-                "magnitude": s["magnitude"],
-                "weight": s["weight"],
-            }
-        )
-    return DiscreteYoungMeasure(atoms=atoms, tree=tuple(tree))
+    tree = tuple(
+        _split(s["level"] + level_offset, Q @ s["a"], R.T @ s["b"], s["magnitude"], s["weight"])
+        for s in nu.tree
+    )
+    return DiscreteYoungMeasure(atoms=atoms, tree=tree)
 
 
 def young_measure_for(Ft, params):
@@ -228,9 +230,7 @@ def young_measure_for(Ft, params):
         base = laminate_wrinkle(q=sd.lamM, d=np.sqrt(sd.lamM), delta_bar=sd.delta)
         return _conjugate(base, sd.Q, sd.R)
     if region is Region.M:
-        base = laminate_shear(
-            q=r**0.25 * np.sqrt(sd.delta), d=sd.delta, c=sd.lamM
-        )
+        base = laminate_shear(q=r**0.25 * np.sqrt(sd.delta), d=sd.delta, c=sd.lamM)
         return _conjugate(base, sd.Q, sd.R)
 
     # Region L: shear-then-wrinkle, two levels.
@@ -262,9 +262,30 @@ class SupportReport:
     worst: float
 
 
-def _report(violations, worst):
+def _support_report(nu, q_t, d_t, own_test):
+    """The support checks' one per-atom loop: each atom's largest and areal
+    stretch against ``q_t`` and ``d_t``, then the check's own ``(error,
+    text)`` pairs from ``own_test(G, sde)`` (an error of None is a violation
+    without a size).  A deviation is a violation unless it is at most
+    ``_SUPPORT_TOL``, so a NaN one is, and ``worst`` is then NaN."""
+    violations = []
+    errors = [0.0]
+    for idx, (_, G) in enumerate(nu.atoms):
+        sde = svd32(G)
+        tests = [
+            (abs(sde.lamM - q_t), f"largest stretch {sde.lamM!r} differs from {q_t!r} by"),
+            (abs(sde.delta - d_t), f"areal stretch {sde.delta!r} differs from {d_t!r} by"),
+            *own_test(G, sde),
+        ]
+        for err, text in tests:
+            if err is None:
+                violations.append(f"atom {idx}: {text}")
+                continue
+            errors.append(err)
+            if not err <= _SUPPORT_TOL:
+                violations.append(f"atom {idx}: {text} {err:.3e}")
     return SupportReport(
-        passed=not violations, violations=tuple(violations), worst=float(worst)
+        passed=not violations, violations=tuple(violations), worst=float(np.max(errors))
     )
 
 
@@ -273,42 +294,22 @@ def check_support_M(nu, delta_bar, params):
 
     Every atom must carry invariants ``(r**(1/4) sqrt(delta_bar),
     delta_bar)`` and map the reference plane into one common deformed
-    plane (the oriented unit normals ``adj2(G)/delta(G)`` agree).
+    plane (the oriented unit normals ``adj2(G)/delta(G)`` agree).  Raises
+    ``ValueError`` unless ``delta_bar`` is finite and >= 0.
     """
-    r = params.r
-    q_t = r**0.25 * np.sqrt(delta_bar)
-    violations = []
-    worst = 0.0
-    normal0 = None
-    for idx, (w, G) in enumerate(nu.atoms):
-        sde = svd32(G)
-        err_q = abs(sde.lamM - q_t)
-        err_d = abs(sde.delta - delta_bar)
-        worst = max(worst, err_q, err_d)
-        if err_q > _SUPPORT_TOL:
-            violations.append(
-                f"atom {idx}: largest stretch {sde.lamM!r} differs from "
-                f"{q_t!r} by {err_q:.3e}"
-            )
-        if err_d > _SUPPORT_TOL:
-            violations.append(
-                f"atom {idx}: areal stretch {sde.delta!r} differs from "
-                f"{delta_bar!r} by {err_d:.3e}"
-            )
+    if not (math.isfinite(delta_bar) and delta_bar >= 0.0):
+        raise ValueError(f"delta_bar must be finite and >= 0, got {delta_bar}")
+    normals = []
+
+    def common_normal(G, sde):
         if sde.delta <= 0.0:
-            violations.append(f"atom {idx}: rank-deficient, no deformed plane")
-            continue
-        normal = adj2(G) / sde.delta
-        if normal0 is None:
-            normal0 = normal
-        else:
-            err_n = float(np.linalg.norm(normal - normal0))
-            worst = max(worst, err_n)
-            if err_n > _SUPPORT_TOL:
-                violations.append(
-                    f"atom {idx}: deformed-plane normal deviates by {err_n:.3e}"
-                )
-    return _report(violations, worst)
+            return [(None, "rank-deficient, no deformed plane")]
+        normals.append(adj2(G) / sde.delta)
+        if len(normals) == 1:
+            return []
+        return [(float(np.linalg.norm(normals[-1] - normals[0])), "deformed-plane normal deviates by")]
+
+    return _support_report(nu, params.r**0.25 * np.sqrt(delta_bar), delta_bar, common_normal)
 
 
 def check_support_W(nu, Ft):
@@ -320,30 +321,11 @@ def check_support_W(nu, Ft):
     """
     sd = svd32(np.asarray(Ft, dtype=float))
     lam = sd.lamM
-    target_d = np.sqrt(lam)
-    violations = []
-    worst = 0.0
-    for idx, (w, G) in enumerate(nu.atoms):
-        sde = svd32(G)
-        err_q = abs(sde.lamM - lam)
-        err_d = abs(sde.delta - target_d)
-        err_f = float(np.linalg.norm(np.asarray(G) @ sd.f1 - lam * sd.e1))
-        worst = max(worst, err_q, err_d, err_f)
-        if err_q > _SUPPORT_TOL:
-            violations.append(
-                f"atom {idx}: largest stretch {sde.lamM!r} differs from "
-                f"{lam!r} by {err_q:.3e}"
-            )
-        if err_d > _SUPPORT_TOL:
-            violations.append(
-                f"atom {idx}: areal stretch {sde.delta!r} differs from "
-                f"{target_d!r} by {err_d:.3e}"
-            )
-        if err_f > _SUPPORT_TOL:
-            violations.append(
-                f"atom {idx}: stretched fiber moves by {err_f:.3e}"
-            )
-    return _report(violations, worst)
+
+    def fixed_fiber(G, sde):
+        return [(float(np.linalg.norm(np.asarray(G) @ sd.f1 - lam * sd.e1)), "stretched fiber moves by")]
+
+    return _support_report(nu, lam, np.sqrt(lam), fixed_fiber)
 
 
 def measure_to_json_dict(nu):
@@ -353,14 +335,5 @@ def measure_to_json_dict(nu):
         "atoms": [
             {"weight": float(w), "matrix": np.asarray(G).tolist()} for w, G in nu.atoms
         ],
-        "tree": [
-            {
-                "level": int(s["level"]),
-                "a": np.asarray(s["a"]).tolist(),
-                "b": np.asarray(s["b"]).tolist(),
-                "magnitude": float(s["magnitude"]),
-                "weight": float(s["weight"]),
-            }
-            for s in nu.tree
-        ],
+        "tree": [{k: np.asarray(v).tolist() for k, v in _split(**s).items()} for s in nu.tree],
     }

@@ -25,10 +25,11 @@ two singular values.  The best candidates are polished side by side by a
 derivative-free pattern search whose rounds poll every move of every
 live search in one batch; a search stops once its steps are spent (below
 ``_STEP_MIN``), and the polish leaves the frame, because its coordinates
-are angles.  The light passes over several matrices (both endpoints of
-a two-level tree, every atom of a deeper level) share one polish, with
-the matrix index as an inactive coordinate.  The reported value is
-always the plane-energy pairing of an explicit witness measure.
+are angles.  A witness grows by one level step, ``_deepen``: a light
+pass over all its atoms (both endpoints of a two-level tree, every atom
+of a deeper level) in one polish, with the matrix index as an inactive
+coordinate.  The reported value is always the plane-energy pairing of
+an explicit witness measure.
 The search budget (directions, offsets, polish rounds) is a set of module
 constants; ``OracleConfig`` chooses only the depth.
 """
@@ -46,7 +47,7 @@ from .membrane import (
     plane_energy_values,
     psi,
 )
-from .microstructure import DiscreteYoungMeasure
+from .microstructure import DiscreteYoungMeasure, _split
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
@@ -474,23 +475,23 @@ def _two_level(sd, params):
     return est, (a, b, float(np.exp(x[0])), float(_weight(x[1])))
 
 
-def _split_atom(w, G, split, level, tree):
-    """The atoms of ``(w, G)`` after ``split``, which is recorded in
-    ``tree`` at ``level``; the atom itself when ``split`` is None."""
+def _split_atom(w, G, split, level):
+    """The atoms of ``(w, G)`` after ``split`` and its record at ``level``;
+    the atom itself and no record when ``split`` is None."""
     if split is None:
-        return [(w, G)]
+        return [(w, G)], []
     a, b, t, theta = split
-    tree.append(
-        {
-            "level": level,
-            "a": np.asarray(a, dtype=float),
-            "b": np.asarray(b, dtype=float),
-            "magnitude": float(t),
-            "weight": float(theta),
-        }
-    )
     Gp, Gm = _split_endpoints(G, split)
-    return [(w * theta, Gp), (w * (1.0 - theta), Gm)]
+    return [(w * theta, Gp), (w * (1.0 - theta), Gm)], [_split(level, a, b, t, theta)]
+
+
+def _deepen(atoms, tree, level, params):
+    """One level step of a witness: a light depth-one pass over all
+    ``atoms`` in one polish.  Returns the atoms after the splits it finds
+    and ``tree`` followed by their records at ``level``, as new lists."""
+    subs = _depth1(np.stack([G for _, G in atoms]), params, light=True)
+    steps = [_split_atom(w, G, sub, level) for (w, G), (_, sub) in zip(atoms, subs)]
+    return [atom for step, _ in steps for atom in step], tree + [r for _, records in steps for r in records]
 
 
 def _witness_pairing(atoms, params):
@@ -524,9 +525,13 @@ def relax_lamination(Ft, params, cfg=None):
         searched has a finite pairing, so there is no witness (the plane
         energy is +inf at a rank-deficient ``Ft``, and the search may
         find no split that leaves it).
+    TypeError
+        When ``cfg`` is neither None nor an ``OracleConfig``.
     """
     if cfg is None:
         cfg = OracleConfig()
+    elif not isinstance(cfg, OracleConfig):
+        raise TypeError(f"cfg must be an OracleConfig or None, got {type(cfg).__name__}")
     F = np.asarray(Ft, dtype=float)
     sd = svd32(F)
     closed = psi(sd.lamM, sd.delta, params)
@@ -538,7 +543,7 @@ def relax_lamination(Ft, params, cfg=None):
         )
 
     value1, split1 = _depth1(F, params)
-    trees = [(split1, None, None)]
+    trees = [_split_atom(1.0, F, split1, 1)]
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
@@ -546,49 +551,31 @@ def relax_lamination(Ft, params, cfg=None):
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
         est, split = _two_level(sd, params)
         if est < value1:
-            (_, sp), (_, sm) = _depth1(_split_endpoints(F, split), params, light=True)
-            trees.append((split, sp, sm))
+            trees.append(_deepen(*_split_atom(1.0, F, split, 1), 2, params))
 
-    best = None
-    best_pairing = math.inf
-    for split, sp, sm in trees:
-        tree = []
-        atoms = [
-            atom
-            for (w, G), sub in zip(_split_atom(1.0, F, split, 1, tree), (sp, sm))
-            for atom in _split_atom(w, G, sub, 2, tree)
-        ]
-        paired = _witness_pairing(atoms, params)
-        if paired < best_pairing:
-            best_pairing = paired
-            best = DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree))
-    if best is None:
+    # The first tree of lowest pairing wins.
+    best_pairing, atoms, tree = min(
+        ((_witness_pairing(atoms, params), atoms, tree) for atoms, tree in trees), key=lambda c: c[0]
+    )
+    if not best_pairing < math.inf:
         raise DomainError(
             f"no lamination witness with finite plane energy was found for "
             f"(lamM, delta) = ({sd.lamM}, {sd.delta})"
         )
 
-    # Exploration depths beyond two: keep splitting witness atoms with a
-    # light single-split pass, all atoms of a level in one, while it pays.
+    # Exploration depths beyond two: keep splitting witness atoms, all
+    # atoms of a level in one step, while it pays.
     for level in range(3, cfg.depth + 1):
-        tree = list(best.tree)
-        subs = _depth1(np.stack([G for _, G in best.atoms]), params, light=True)
-        atoms = [
-            atom
-            for (w, G), (_, sub) in zip(best.atoms, subs)
-            for atom in _split_atom(w, G, sub, level, tree)
-        ]
-        if len(tree) == len(best.tree):  # no atom split
+        deeper, deeper_tree = _deepen(atoms, tree, level, params)
+        if len(deeper) == len(atoms):  # no atom split
             break
-        paired = _witness_pairing(atoms, params)
-        if paired < best_pairing:
-            best_pairing = paired
-            best = DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree))
-        else:
+        paired = _witness_pairing(deeper, params)
+        if not paired < best_pairing:
             break
+        best_pairing, atoms, tree = paired, deeper, deeper_tree
     return OracleResult(
         value=best_pairing,
-        best_measure=best,
+        best_measure=DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree)),
         closed_form=float(closed),
         gap=best_pairing - float(closed),
     )

@@ -324,3 +324,108 @@ def test_json_serialization_schema():
     assert parsed["atoms"][0]["weight"] == nu.atoms[0][0]
     levels = sorted(s["level"] for s in d["tree"])
     assert levels[0] == 1 and levels[-1] == 2
+
+
+def _support_cases():
+    # One measure per kind of violation: a Dirac off the M support (largest
+    # stretch), an M measure against the wrong delta (areal stretch), a
+    # rank-deficient atom, an atom tilted out of the common plane (normal),
+    # and a W measure against a target spun in its plane (fiber).
+    c, s = np.cos(0.3), np.sin(0.3)
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    (w0, G0), (w1, G1) = young_measure_for(diag_embed(1.6, 1.25), P8).atoms
+    wrinkle = young_measure_for(diag_embed(3.0, 1.0 / 3.0), P8)
+    return {
+        "largest": lambda: check_support_M(
+            DiscreteYoungMeasure(atoms=((1.0, diag_embed(1.6, 1.25)),)), 2.0, P8
+        ),
+        "areal": lambda: check_support_M(DiscreteYoungMeasure(atoms=((w0, G0), (w1, G1))), 1.9, P8),
+        "rank": lambda: check_support_M(
+            DiscreteYoungMeasure(atoms=((0.5, G0), (0.5, diag_embed(2.0, 0.0)))), 2.0, P8
+        ),
+        "normal": lambda: check_support_M(DiscreteYoungMeasure(atoms=((w0, G0), (w1, tilt @ G1))), 2.0, P8),
+        "fiber": lambda: check_support_W(wrinkle, spin @ diag_embed(3.0, 1.0 / 3.0)),
+    }
+
+
+# (worst as hex, violations) of each case, word for word.
+_SUPPORT_PINS = {
+    "largest": (
+        "0x1.8e8c4f593a920p-1",
+        ("atom 0: largest stretch 1.6 differs from np.float64(2.378414230005442) by 7.784e-01",),
+    ),
+    "areal": (
+        "0x1.99999999999a0p-4",
+        (
+            "atom 0: largest stretch 2.378414230005442 differs from np.float64(2.318191436663021) by 6.022e-02",
+            "atom 0: areal stretch 2.0 differs from 1.9 by 1.000e-01",
+            "atom 1: largest stretch 2.378414230005442 differs from np.float64(2.318191436663021) by 6.022e-02",
+            "atom 1: areal stretch 2.0 differs from 1.9 by 1.000e-01",
+        ),
+    ),
+    "rank": (
+        "0x1.0000000000000p+1",
+        (
+            "atom 1: largest stretch 2.0 differs from np.float64(2.378414230005442) by 3.784e-01",
+            "atom 1: areal stretch 0.0 differs from 2.0 by 2.000e+00",
+            "atom 1: rank-deficient, no deformed plane",
+        ),
+    ),
+    "normal": ("0x1.320c9e9dfed22p-2", ("atom 1: deformed-plane normal deviates by 2.989e-01",)),
+    "fiber": (
+        "0x1.cb12edecfe3b2p-1",
+        (
+            "atom 0: stretched fiber moves by 8.966e-01",
+            "atom 1: stretched fiber moves by 8.966e-01",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SUPPORT_PINS))
+def test_support_check_reports_are_pinned(case):
+    rep = _support_cases()[case]()
+    assert not rep.passed
+    assert (rep.worst.hex(), rep.violations) == _SUPPORT_PINS[case]
+
+
+@pytest.mark.parametrize("delta_bar", [float("nan"), float("inf"), -1.0])
+def test_support_law_microstructure_rejects_bad_delta(delta_bar):
+    nu = young_measure_for(diag_embed(1.6, 1.25), P8)
+    with pytest.raises(ValueError, match="delta_bar"):
+        check_support_M(nu, delta_bar, P8)
+
+
+def test_support_loop_counts_a_nan_deviation():
+    # A NaN deviation is a violation, and the worst deviation keeps it.
+    from nemem.microstructure import _support_report
+
+    nu = young_measure_for(diag_embed(1.6, 1.25), P8)
+    rep = _support_report(nu, float("nan"), 2.0, lambda G, sde: [])
+    assert not rep.passed and np.isnan(rep.worst)
+    assert rep.violations == (
+        "atom 0: largest stretch 2.378414230005442 differs from nan by nan",
+        "atom 1: largest stretch 2.378414230005442 differs from nan by nan",
+    )
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: laminate_wrinkle(np.inf, 1.0, 0.5), "q"),
+        (lambda: laminate_wrinkle(2.0, np.inf, 0.5), "d"),
+        (lambda: laminate_wrinkle(2.0, 1.0, np.nan), "delta_bar"),
+        (lambda: laminate_shear(np.inf, 1.0, 1.0), "q"),
+        (lambda: laminate_shear(2.0, np.nan, 1.0), "d"),
+        (lambda: laminate_shear(2.0, 1.0, -np.inf), "c"),
+    ],
+)
+def test_laminates_reject_non_finite_arguments(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
+def test_empty_measure_is_refused():
+    with pytest.raises(ValueError, match="at least one atom"):
+        DiscreteYoungMeasure(atoms=())

@@ -698,6 +698,94 @@ def test_whole_solve_is_pinned(name):
     assert got == tree
 
 
+# An L target at r = 1.01 whose third level is accepted (the first
+# target of the oracle bench's seed 12): its entries, the value and every
+# tree entry (level, a, b, magnitude, weight), floats as hex.
+_DEPTH_THREE_PIN = (
+    [
+        "-0x1.271416b8d9e8bp-4", "0x1.87b1212a9a75ap-2", "0x1.b88437886b7b8p-6",
+        "-0x1.4c8d2c321575cp-3", "-0x1.b18fc57463fd8p-5", "0x1.b5e708df4159ap-3",
+    ],
+    "0x1.0baf8c8c9d000p-14",
+    [
+        (
+            1,
+            ["-0x1.a24b935fd1a15p-1", "0x1.61983de72deabp-2", "-0x1.d8ee33bcd1ecfp-2"],
+            ["0x1.f63d20ee66cbfp-1", "0x1.8dffc38b37d8dp-3"],
+            "0x1.bb8799395bcd2p+0",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            2,
+            ["-0x1.f725c850e066dp-2", "-0x1.ac0f8e619767fp-1", "0x1.f3e5cf4dbd914p-3"],
+            ["0x1.359d85ac6d1d9p-2", "0x1.e809126ea4c74p-1"],
+            "0x1.020df3942fea9p+1",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            2,
+            ["-0x1.f725c850e0685p-2", "-0x1.ac0f8e619766cp-1", "0x1.f3e5cf4dbd9b7p-3"],
+            ["-0x1.492efb8060308p-1", "0x1.8826973949899p-1"],
+            "0x1.0202a99d8ce3bp+1",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            3,
+            ["-0x1.40ff8aa4c8cdcp-2", "0x1.b3620ce50b666p-2", "0x1.b2bc2361cb30cp-1"],
+            ["-0x1.e809126ea4c68p-1", "0x1.359d85ac6d227p-2"],
+            "0x1.ed8c7d3b4195dp-3",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            3,
+            ["0x1.3b26f36e0382cp-2", "-0x1.bd548bf72ec87p-2", "-0x1.b148683ec5875p-1"],
+            ["-0x1.e809126ea4c7ap-1", "0x1.359d85ac6d1b4p-2"],
+            "0x1.ed8c7d3b4195dp-3",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            3,
+            ["0x1.29212b1573184p-2", "-0x1.b5b6bfbd008e2p-2", "-0x1.b66070c181396p-1"],
+            ["0x1.88269739498b0p-1", "0x1.492efb80602edp-1"],
+            "0x1.f06c922348b42p-3",
+            "0x1.0000000000000p-1",
+        ),
+        (
+            3,
+            ["-0x1.2efa0673537ffp-2", "0x1.abc3cf5bde1fap-2", "0x1.b7d43c28211d2p-1"],
+            ["0x1.8826973949899p-1", "0x1.492efb8060308p-1"],
+            "0x1.f06f492395653p-3",
+            "0x1.0000000000000p-1",
+        ),
+    ],
+)
+
+
+def test_depth_three_solve_is_pinned():
+    entries, value, tree = _DEPTH_THREE_PIN
+    F = np.array([float.fromhex(x) for x in entries]).reshape(3, 2)
+    res = relax_lamination(F, MaterialParams(mu=2.0, r=1.01), OracleConfig(depth=3))
+    assert res.value.hex() == value
+    assert len(res.best_measure.atoms) == 8
+    got = [
+        (
+            e["level"],
+            [x.hex() for x in e["a"].tolist()],
+            [x.hex() for x in e["b"].tolist()],
+            e["magnitude"].hex(),
+            e["weight"].hex(),
+        )
+        for e in res.best_measure.tree
+    ]
+    assert got == tree
+
+
+def test_config_of_the_wrong_type_is_refused():
+    # A depth passed in place of the config is refused before any work.
+    with pytest.raises(TypeError, match="OracleConfig"):
+        relax_lamination(diag_embed(1.0, 1.0), P8, 3)
+
+
 def test_split_endpoints_match_the_two_expressions():
     # One broadcast gives both endpoints with the bits of the written-out
     # F + (1 - theta) t a b^T and F - theta t a b^T.
