@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import adj2, svd32
-from .constitutive import MaterialParams, step_length_tensor
+from .constitutive import step_length_tensor
 
 __all__ = [
     "DomainError",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import adj2, diag_embed, svd32
-from .membrane import Region, classify, plane_energy
+from .membrane import Region, classify
 
 __all__ = [
     "DiscreteYoungMeasure",
@@ -178,9 +178,9 @@ def laminate_shear(q, d, c):
             raise ValueError(
                 f"shear target c = {c} outside [sqrt(d) = {np.sqrt(d)}, q = {q}]"
             )
-        # d = 0 has no d^2 / c^2 term, also where c * c underflows to 0.
-        xi2 = d * d / (q * q) + q * q - (d * d / (c * c) if d else 0.0) - c * c
-        lo, xi = d / c, np.sqrt(max(xi2, 0.0))
+        # (q^2 - c^2)(1 - (d / qc)^2), factored so that no terms of size q^2 cancel.
+        lo = d / c
+        xi = np.sqrt(max((q - c) * (q + c) * (1.0 - lo / q) * (1.0 + lo / q), 0.0))
     plus = np.array([[c, xi], [0.0, lo], [0.0, 0.0]])
     minus = np.array([[c, -xi], [0.0, lo], [0.0, 0.0]])
     if xi <= _SHEAR_TINY * max(1.0, q):
@@ -309,7 +309,7 @@ def check_support_M(nu, delta_bar, params):
             return []
         return [(float(np.linalg.norm(normals[-1] - normals[0])), "deformed-plane normal deviates by")]
 
-    return _support_report(nu, params.r**0.25 * np.sqrt(delta_bar), delta_bar, common_normal)
+    return _support_report(nu, params.r**0.25 * math.sqrt(delta_bar), delta_bar, common_normal)
 
 
 def check_support_W(nu, Ft):
@@ -325,7 +325,7 @@ def check_support_W(nu, Ft):
     def fixed_fiber(G, sde):
         return [(float(np.linalg.norm(np.asarray(G) @ sd.f1 - lam * sd.e1)), "stretched fiber moves by")]
 
-    return _support_report(nu, lam, np.sqrt(lam), fixed_fiber)
+    return _support_report(nu, lam, math.sqrt(lam), fixed_fiber)
 
 
 def measure_to_json_dict(nu):

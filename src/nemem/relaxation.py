@@ -131,21 +131,6 @@ def _chords(w_pos, w_neg, s_pos, s_neg):
     return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
 
 
-def _ladder_chords(value, F, D, s):
-    """Chords through each ``F`` between ``value(F + s_i D)`` and
-    ``value(F - s_j D)``, with shape ``(..., i, j)``.
-
-    ``F`` and ``D`` are ``(..., 3, 2)`` and ``s`` is ``(..., n)``, all
-    broadcast against each other; ``value`` maps a batch of matrices to
-    their values and is called once, on both sides of the ladder.
-    """
-    s = np.asarray(s)
-    n = s.shape[-1]
-    both = np.concatenate([s, -s], axis=-1)[..., :, None, None]
-    W = value(F[..., None, :, :] + both * D[..., None, :, :])
-    return _chords(W[..., :n], W[..., n:], s, s)
-
-
 def _dyads(a, b):
     """Rank-one matrices ``a b^T`` of broadcast rows, ``(..., 3)`` and
     ``(..., 2)`` to ``(..., 3, 2)``."""
@@ -607,5 +592,6 @@ def relax_along_line(Ft, a, b, params):
         raise ValueError("line direction must be a unit rank-one pair")
     span = _SPLIT_TOP * max(1.0, float(np.linalg.norm(F)))
     s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
-    chords = _ladder_chords(lambda G: _w2d(G, params), F, _dyads(a, b), s)
+    W = _w2d(F + np.concatenate([s, -s])[:, None, None] * _dyads(a, b), params)
+    chords = _chords(W[:_LINE_SAMPLES], W[_LINE_SAMPLES:], s, s)
     return float(np.min(chords, initial=_w2d(F, params)))

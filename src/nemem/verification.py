@@ -284,11 +284,9 @@ def region_window(region, r):
 
 
 def regions_for(params):
-    """Regions that are non-empty for this material."""
-    out = [Region.L, Region.M, Region.W, Region.S]
-    if params.r <= 1.0 + 1e-9:
-        out.remove(Region.M)
-    return tuple(out)
+    """Regions that are non-empty for this material: those with a window."""
+    regions = (Region.L, Region.M, Region.W, Region.S)
+    return tuple(g for g in regions if region_window(g, params.r) is not None)
 
 
 def _random_frames(rng):
@@ -317,10 +315,18 @@ def sample_region_matrix(region, params, rng):
     return Q @ D @ R
 
 
-def _fd_plane_gradient(G, params, h=None):
+def _region_samples(params, per_region, seed):
+    """Pairs ``(Ft, svd32(Ft))``, ``per_region`` from each non-empty region."""
+    rng = np.random.default_rng(seed)
+    for region in regions_for(params):
+        for _ in range(per_region):
+            Ft = sample_region_matrix(region, params, rng)
+            yield Ft, svd32(Ft)
+
+
+def _fd_plane_gradient(G, params):
     G = np.asarray(G, dtype=float)
-    if h is None:
-        h = 1e-7 * max(1.0, float(np.linalg.norm(G)))
+    h = 1e-7 * max(1.0, float(np.linalg.norm(G)))
     return _central_difference(lambda X: plane_energy(X, params), G, h)
 
 
@@ -332,36 +338,28 @@ def verify_stress_identities(params, n_samples=50, seed=0):
     energy gradient over the minimizing measure reproduces both the
     gradient and the stress (rel tol 1e-4).
     """
-    rng = np.random.default_rng(seed)
     worst = _Worst(params)
     count = 0
-    for region in regions_for(params):
-        for _ in range(n_samples):
-            Ft = sample_region_matrix(region, params, rng)
-            sd = svd32(Ft)
-            # Natural stress scale; keeps the checks relative where the
-            # reference is O(mu) and absolute where the identity
-            # degenerates to 0 = 0 (the liquid region).
-            floor = 0.05 * params.mu * max(1.0, float(np.sum(Ft * Ft)))
-            grad = relaxed_energy_grad_fd(Ft, params)
-            sigma = membrane_stress(Ft, params).sigma
-            err_a = np.linalg.norm(grad @ Ft.T - sigma) / max(
-                np.linalg.norm(sigma), floor
-            )
-            worst.update("fd-gradient-vs-stress", err_a / 1e-5, sd.lamM, sd.delta)
+    for Ft, sd in _region_samples(params, n_samples, seed):
+        # Natural stress scale; keeps the checks relative where the
+        # reference is O(mu) and absolute where the identity
+        # degenerates to 0 = 0 (the liquid region).
+        floor = 0.05 * params.mu * max(1.0, float(np.sum(Ft * Ft)))
+        grad = relaxed_energy_grad_fd(Ft, params)
+        sigma = membrane_stress(Ft, params).sigma
+        err_a = np.linalg.norm(grad @ Ft.T - sigma) / max(np.linalg.norm(sigma), floor)
+        worst.update("fd-gradient-vs-stress", err_a / 1e-5, sd.lamM, sd.delta)
 
-            nu = young_measure_for(Ft, params)
-            grad_nu = measure_pairing(nu, lambda G: _fd_plane_gradient(G, params))
-            err_b = np.linalg.norm(grad_nu - grad) / max(np.linalg.norm(grad), floor)
-            sigma_nu = measure_pairing(
-                nu, lambda G: _fd_plane_gradient(G, params) @ np.asarray(G).T
-            )
-            err_c = np.linalg.norm(sigma_nu - sigma) / max(
-                np.linalg.norm(sigma), floor
-            )
-            worst.update("measure-pairing-gradient", err_b / 1e-4, sd.lamM, sd.delta)
-            worst.update("measure-pairing-stress", err_c / 1e-4, sd.lamM, sd.delta)
-            count += 1
+        nu = young_measure_for(Ft, params)
+        grad_nu = measure_pairing(nu, lambda G: _fd_plane_gradient(G, params))
+        err_b = np.linalg.norm(grad_nu - grad) / max(np.linalg.norm(grad), floor)
+        sigma_nu = measure_pairing(
+            nu, lambda G: _fd_plane_gradient(G, params) @ np.asarray(G).T
+        )
+        err_c = np.linalg.norm(sigma_nu - sigma) / max(np.linalg.norm(sigma), floor)
+        worst.update("measure-pairing-gradient", err_b / 1e-4, sd.lamM, sd.delta)
+        worst.update("measure-pairing-stress", err_c / 1e-4, sd.lamM, sd.delta)
+        count += 1
     return worst.report("stress", count, 1.0)
 
 
@@ -372,25 +370,19 @@ def verify_envelope_chain(params, n_samples=12, seed=0):
     lamination oracle lands within [-1e-9, 5e-3] of the closed form with
     a witness whose pairing reproduces its value to 1e-12.
     """
-    rng = np.random.default_rng(seed)
     cfg = OracleConfig()
     worst = _Worst(params)
     count = 0
-    for region in regions_for(params):
-        for _ in range(max(1, n_samples // 4)):
-            Ft = sample_region_matrix(region, params, rng)
-            sd = svd32(Ft)
-            w2d = plane_energy(Ft, params)
-            wm = psi(sd.lamM, sd.delta, params)
-            worst.update("relaxed-le-plane", (wm - w2d) / 1e-12, sd.lamM, sd.delta)
-            res = relax_lamination(Ft, params, cfg)
-            worst.update("oracle-gap", res.gap / 5e-3, sd.lamM, sd.delta)
-            worst.update("oracle-gap", -res.gap / 1e-9, sd.lamM, sd.delta)
-            paired = measure_pairing(
-                res.best_measure, lambda G: plane_energy(G, params)
-            )
-            worst.update("oracle-witness", abs(paired - res.value) / 1e-12, sd.lamM, sd.delta)
-            count += 1
+    for Ft, sd in _region_samples(params, max(1, n_samples // 4), seed):
+        w2d = plane_energy(Ft, params)
+        wm = psi(sd.lamM, sd.delta, params)
+        worst.update("relaxed-le-plane", (wm - w2d) / 1e-12, sd.lamM, sd.delta)
+        res = relax_lamination(Ft, params, cfg)
+        worst.update("oracle-gap", res.gap / 5e-3, sd.lamM, sd.delta)
+        worst.update("oracle-gap", -res.gap / 1e-9, sd.lamM, sd.delta)
+        paired = measure_pairing(res.best_measure, lambda G: plane_energy(G, params))
+        worst.update("oracle-witness", abs(paired - res.value) / 1e-12, sd.lamM, sd.delta)
+        count += 1
     return worst.report("envelope", count, 1.0)
 
 

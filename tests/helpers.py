@@ -9,9 +9,9 @@ invariants and random frames only.
 
 import numpy as np
 
-from nemem.algebra import adj2, diag_embed, svd32
+from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
-from nemem.relaxation import _STEP_MIN, _ladder_chords
+from nemem.relaxation import _STEP_MIN
 from nemem.verification import region_window
 
 
@@ -56,6 +56,30 @@ def sample_invariants(region, r, u, v):
     (l_lo, l_hi), delta_fn = region_window(region, r)
     lam = l_lo + u * (l_hi - l_lo)
     return lam, delta_fn(lam, v)
+
+
+def split_gaps(nu):
+    """Worst rank-one defect of the splits of a closed-form laminate: its
+    two atoms, or at two levels each endpoint's pair and the two endpoint
+    means; with three atoms (one endpoint a Dirac), the lower of the two
+    ways to pair them."""
+    w = [wi for wi, _ in nu.atoms]
+    G = [Gi for _, Gi in nu.atoms]
+
+    def mean(i, j):
+        return (w[i] * G[i] + w[j] * G[j]) / (w[i] + w[j])
+
+    if len(G) == 1:
+        return 0.0
+    if len(G) == 2:
+        return rank_one_gap(G[0], G[1])
+    if len(G) == 3:
+        return min(
+            max(rank_one_gap(G[0], G[1]), rank_one_gap(mean(0, 1), G[2])),
+            max(rank_one_gap(G[1], G[2]), rank_one_gap(G[0], mean(1, 2))),
+        )
+    assert len(G) == 4
+    return max(rank_one_gap(G[0], G[1]), rank_one_gap(G[2], G[3]), rank_one_gap(mean(0, 1), mean(2, 3)))
 
 
 def lower_hull_at_zero(ts, vs):
@@ -129,14 +153,17 @@ def frame_axes(F):
 def frame_lows_reference(F, params, offsets):
     """The lowest chord through ``F`` along each of its six frame lines, on
     matrices: the dyad ``Q[:, i] R[j, :]`` of each line (``frame_axes``),
-    its chord table through ``_ladder_chords`` with ``svd32`` plane
-    energies, and its lowest chord found by a loop in row-major order (the
-    first of equal lows).  Returns ``(w0, lows)``, ``lows`` a list of
-    ``(value, i, j)`` in ``frame_axes`` order."""
+    its chord table between ``F + offsets[i] D`` and ``F - offsets[j] D``
+    with ``svd32`` plane energies, and its lowest chord found by a loop in
+    row-major order (the first of equal lows).  Returns ``(w0, lows)``,
+    ``lows`` a list of ``(value, i, j)`` in ``frame_axes`` order."""
     energies = svd32_energies(params)
+    s = np.asarray(offsets)[:, None]
     lows = []
     for a, b in frame_axes(F):
-        chords = _ladder_chords(energies, F, np.outer(a, b)[None], offsets)[0]
+        steps = s[:, :, None] * np.outer(a, b)
+        w_pos, w_neg = energies(F + steps), energies(F - steps)
+        chords = (s * w_neg + s.T * w_pos[:, None]) / (s + s.T)
         assert not np.isnan(chords).any()
         low = (float(chords[0, 0]), 0, 0)
         for i in range(len(offsets)):

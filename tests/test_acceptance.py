@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from nemem.algebra import diag_embed, rank_one_gap, singular_values, svd32
+from nemem.algebra import diag_embed, singular_values, svd32
 from nemem.cli import main as cli_main
 from nemem.constitutive import MaterialParams
 from nemem.membrane import Region, classify, plane_energy, psi, relaxed_energy
@@ -29,6 +29,7 @@ from helpers import (
     random_orthogonal2,
     random_rotation,
     sample_invariants,
+    split_gaps,
 )
 
 REGIONS = (Region.L, Region.M, Region.W, Region.S)
@@ -37,22 +38,6 @@ REGIONS = (Region.L, Region.M, Region.W, Region.S)
 def _verdict(num, label, ok, detail):
     print(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'} [{detail}]")
     return ok
-
-
-def _split_gaps(nu):
-    # Worst rank-one defect over the recorded lamination structure.
-    atoms = nu.atoms
-    if len(atoms) == 1:
-        return 0.0
-    if len(atoms) == 2:
-        return rank_one_gap(atoms[0][1], atoms[1][1])
-    assert len(atoms) == 4
-    (w0, g0), (w1, g1), (w2, g2), (w3, g3) = atoms
-    plus = (w0 * g0 + w1 * g1) / (w0 + w1)
-    minus = (w2 * g2 + w3 * g3) / (w2 + w3)
-    return max(
-        rank_one_gap(g0, g1), rank_one_gap(g2, g3), rank_one_gap(plus, minus)
-    )
 
 
 def test_criterion_1_closed_form_vs_oracle():
@@ -164,7 +149,7 @@ def test_criterion_5_young_measure_identities():
             worst_pair = max(
                 worst_pair, abs(paired - relaxed_energy(F, params).energy)
             )
-            worst_split = max(worst_split, _split_gaps(nu))
+            worst_split = max(worst_split, split_gaps(nu))
             if region is Region.M:
                 support_ok &= check_support_M(nu, svd32(F).delta, params).passed
             if region is Region.W:

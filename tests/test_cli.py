@@ -237,6 +237,14 @@ def test_laminate_of_a_tiny_matrix(capsys):
     assert json.loads(out)["barycenter"][0][0] == 1e-200
 
 
+def test_laminate_near_isotropy(capsys):
+    # A near-isotropic target of the neo-Hookean material (r = 1) lies in
+    # the liquid region; its shear and wrinkle atoms keep their stretches.
+    code, out, err = run_cli(capsys, "laminate", "--F", "0.9999999 0; 0 0.9999999; 0 0", "--r", "1")
+    assert (code, err) == (0, "")
+    np.testing.assert_allclose(json.loads(out)["barycenter"], np.diag([0.9999999, 0.9999999, 0.0])[:, :2], atol=1e-15)
+
+
 def test_relax_json(capsys):
     code, out, _ = run_cli(
         capsys,

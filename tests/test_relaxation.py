@@ -533,7 +533,7 @@ def test_two_level_builds_no_matrices(region, monkeypatch):
     def trap(*args, **kwargs):
         raise AssertionError("the two-level phase used a matrix")
 
-    for name in ("singular_values", "svd32", "_w2d", "_split_endpoints", "_dyads", "_ladder_chords"):
+    for name in ("singular_values", "svd32", "_w2d", "_split_endpoints", "_dyads"):
         monkeypatch.setattr(relaxation, name, trap)
     est, split = _two_level(sd, P8)
     assert float(est).hex() == float(expected[0]).hex()
