@@ -178,12 +178,13 @@ def laminate_shear(q, d, c):
             raise ValueError(
                 f"shear target c = {c} outside [sqrt(d) = {np.sqrt(d)}, q = {q}]"
             )
-        # (q^2 - c^2)(1 - (d / qc)^2), factored so that no terms of size q^2 cancel.
+        # q^2 (1 - (c / q)^2)(1 - (d / qc)^2), factored so that no terms of
+        # size q^2 cancel, and scaled by q so that nothing underflows.
         lo = d / c
-        xi = np.sqrt(max((q - c) * (q + c) * (1.0 - lo / q) * (1.0 + lo / q), 0.0))
+        xi = q * np.sqrt(max((q - c) / q * ((q + c) / q) * (1.0 - lo / q) * (1.0 + lo / q), 0.0))
     plus = np.array([[c, xi], [0.0, lo], [0.0, 0.0]])
     minus = np.array([[c, -xi], [0.0, lo], [0.0, 0.0]])
-    if xi <= _SHEAR_TINY * max(1.0, q):
+    if xi <= _SHEAR_TINY * q:
         # Target already on the atom set: Dirac.
         return DiscreteYoungMeasure(atoms=((1.0, plus),), tree=())
     split = _split(1, [1.0, 0.0, 0.0], [0.0, 1.0], 2.0 * xi, 0.5)

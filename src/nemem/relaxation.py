@@ -21,17 +21,20 @@ scans two-level trees whose first split runs along a frame line of the
 target and is ranked by a depth-one estimate of both endpoints, the
 lowest chord along their own frame lines; the endpoints lie on the
 target's frame lines, so the scorer scores both levels from the target's
-two singular values.  The best candidates are polished side by side by a
-derivative-free pattern search whose rounds poll every move of every
-live search in one batch; a search stops once its steps are spent (below
-``_STEP_MIN``), and the polish leaves the frame, because its coordinates
-are angles.  A witness grows by one level step, ``_deepen``: a light
-pass over all its atoms (both endpoints of a two-level tree, every atom
-of a deeper level) in one polish, with the matrix index as an inactive
-coordinate.  The reported value is always the plane-energy pairing of
-an explicit witness measure.
-The search budget (directions, offsets, polish rounds) is a set of module
-constants; ``OracleConfig`` chooses only the depth.
+two singular values.  A single split is polished along its own frame
+line (``_zoom``): a search along one line is a problem in the two
+offsets of the chord, solved by ``_ZOOM_LEVELS`` chord tables, each
+centred on the lowest chord of the one before and smaller.  The
+two-level tree's first split is polished in (t, theta) by a
+derivative-free pattern search whose rounds poll every move in one
+batch; it stops once its steps are spent (below ``_STEP_MIN``).  A
+witness grows by one level step, ``_deepen``: a light pass over all its
+atoms (both endpoints of a two-level tree, every atom of a deeper level)
+in one zoom.  A deeper tree replaces a shallower one only when its
+pairing is lower by more than rounding noise (``_lower``).  The reported
+value is always the plane-energy pairing of an explicit witness measure.
+The search budget (directions, offsets, zoom levels, polish rounds) is a
+set of module constants; ``OracleConfig`` chooses only the depth.
 """
 
 import math
@@ -52,7 +55,8 @@ from .microstructure import DiscreteYoungMeasure, _split
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
 
 _T_SCAN = 40  # offsets per side of each frame line of the full depth-one scan
-_REFINE_ITERS = 100  # pattern-search rounds of the full depth-one polish
+_ZOOM_POINTS = 33  # grid points per side of a zoomed chord table
+_ZOOM_LEVELS = 9  # zoom levels of a single split's polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
 # A pattern search stops once every active step is below this: the
 # standard step-size termination of generalized pattern search.
@@ -84,9 +88,10 @@ class OracleConfig:
     """Lamination depth of the oracle.
 
     The search budget is fixed: the target's six frame directions,
-    ``_T_SCAN`` offsets per side of each rank-one line and at most
-    ``_REFINE_ITERS`` polish rounds, each search stopping once its steps
-    are below ``_STEP_MIN``.  ``depth`` is the lamination order searched
+    ``_T_SCAN`` offsets per side of each rank-one line, and a polish of
+    the best single splits by ``_ZOOM_LEVELS`` chord tables of
+    ``_ZOOM_POINTS`` offsets per side along their frame lines.  ``depth``
+    is the lamination order searched
     (1 or 2, deeper levels split witness atoms further).  The search is
     deterministic.
     """
@@ -144,28 +149,6 @@ def _frame_directions(sd):
     return np.repeat(sd.Q.T, 2, axis=0), np.tile(sd.R, (3, 1))
 
 
-def _unit_vectors(pol, az, beta):
-    """The angle map of the search: unit 3-vectors ``a`` from polar and
-    azimuthal angles, unit 2-vectors ``b`` from one angle; on arrays of
-    one shape."""
-    sin_pol = np.sin(pol)
-    a = np.empty(pol.shape + (3,))
-    np.multiply(sin_pol, np.cos(az), out=a[..., 0])
-    np.multiply(sin_pol, np.sin(az), out=a[..., 1])
-    np.cos(pol, out=a[..., 2])
-    b = np.empty(np.shape(beta) + (2,))
-    np.cos(beta, out=b[..., 0])
-    np.sin(beta, out=b[..., 1])
-    return a, b
-
-
-def _angles_of(a, b):
-    pol = math.acos(min(1.0, max(-1.0, a[2] / np.linalg.norm(a))))
-    az = math.atan2(a[1], a[0])
-    beta = math.atan2(b[1], b[0])
-    return pol, az, beta
-
-
 def _weight(theta):
     return np.minimum(np.maximum(theta, 1e-6), 1.0 - 1e-6)
 
@@ -197,24 +180,6 @@ def _split_endpoints(F, split):
     return F + _split_offsets(t, theta)[..., None, None] * _dyads(a, b)
 
 
-def _splits_of(X):
-    """Splits ``(a, b, t, theta)`` of the polish coordinates, rows
-    ``(pol, az, beta, log t, theta)``."""
-    a, b = _unit_vectors(X[..., 0], X[..., 1], X[..., 2])
-    return a, b, np.exp(X[..., 3]), _weight(X[..., 4])
-
-
-def _split_values(F, params, X):
-    """Weighted plane energy of the split of each row of ``X`` of the
-    matrix of that row, ``F`` of shape ``(len(X), 3, 2)`` or one ``(3, 2)``
-    for every row: the batched objective of the polish (coordinates as in
-    ``_splits_of``)."""
-    split = _splits_of(X)
-    W = _w2d(_split_endpoints(F, split), params)
-    theta = split[3]
-    return theta * W[0] + (1.0 - theta) * W[1]
-
-
 def _pattern_search(values, starts, steps, iters, active):
     """Generalized pattern search with a complete poll from each point of
     ``starts``, side by side; deterministic.
@@ -231,8 +196,7 @@ def _pattern_search(values, starts, steps, iters, active):
     follow the call on the starts; they end early once every search is
     spent.  ``steps`` is one row of steps for every start, or one row per
     start.  A coordinate left out of ``active`` is never polled and keeps
-    its start: a label, such as the matrix a search belongs to, that
-    ``values`` can read.  Returns ``(best, x)`` for each start.
+    its start.  Returns ``(best, x)`` for each start.
     """
     if len(starts) == 0:
         return []
@@ -372,62 +336,91 @@ def _frame_scan(sd, params, offsets, top_k):
     top candidates, at most one per frame line: the lowest chord through
     it between the ``offsets`` on either side, ranked by value with ties
     broken on the direction index.  Lines without a finite chord give none.
-
-    A chord from ``s+`` to ``-s-`` is the split ``t = s+ + s-``,
-    ``theta = s- / t``: weight ``theta`` on ``F + (1 - theta) t a b^T``.
+    A candidate is ``(value, d, s_pos, s_neg)``: the chord along line ``d``
+    (in ``_frame_directions`` order) from ``s_pos`` to ``-s_neg``.
     """
     w0, low, i, j = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
-    a, b = _frame_directions(sd)
-    out = []
-    for d in np.argsort(low, kind="stable")[:top_k]:
-        if np.isfinite(low[d]):
-            s_pos, s_neg = float(offsets[i[d]]), float(offsets[j[d]])
-            t = s_pos + s_neg
-            out.append((float(low[d]), (a[d], b[d], t, s_neg / t)))
-    return float(w0), out
+    return float(w0), [
+        (float(low[d]), int(d), float(offsets[i[d]]), float(offsets[j[d]]))
+        for d in np.argsort(low, kind="stable")[:top_k]
+        if np.isfinite(low[d])
+    ]
+
+
+def _zoom(l1, l2, lines, s_pos, s_neg, h, params):
+    """Zoomed chord tables along frame lines, one row per candidate: row
+    ``m`` is the line ``lines[m]`` of a matrix with singular values
+    ``l1[m] >= l2[m]``, started at the chord from ``s_pos[m]`` to
+    ``-s_neg[m]``.  Returns the lowest chord of each row's last table and
+    its ends ``(low, s_pos, s_neg)``.
+
+    Each of ``_ZOOM_LEVELS`` levels scores the chords from ``exp(u + h g)``
+    to ``-exp(v + h g)``, with ``(u, v)`` the logs of the row's ends and
+    ``g`` on ``_ZOOM_POINTS`` points of [-1, 1], in closed form
+    (``_frame_lines``), moves the ends to the lowest chord (ties to the
+    first in row-major order) and shrinks ``h`` to two grid cells.  The grid
+    holds its centre (``g = 0``), so a row's value never rises.  Every step
+    is elementwise, so a row's result does not depend on the other rows.
+    """
+    g = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
+    n, rows = len(g), np.arange(len(lines))
+    groups = [(d, lines == d) for d in set(lines.tolist())]
+    energies = _energies(params)
+    X = np.log(np.stack([s_pos, s_neg], axis=-1))
+    hl = np.empty((2, len(rows), 2 * n))
+    for _ in range(_ZOOM_LEVELS):
+        E = X[..., None] + h * g
+        s = np.exp(E)
+        c = np.concatenate([s[:, 0], -s[:, 1]], axis=-1)
+        for d, on in groups:
+            hl[:, on] = _frame_lines(l1[on], l2[on], c[on], (d,))[..., 0, :]
+        W = energies(hl[0], hl[1])
+        table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(len(rows), n * n)
+        i, j = np.divmod(table.argmin(axis=1), n)
+        X = np.stack([E[rows, 0, i], E[rows, 1, j]], axis=-1)
+        h *= 4.0 / (n - 1)
+    return table.min(axis=1), s[rows, 0, i], s[rows, 1, j]
 
 
 def _depth1(F, params, light=False):
     """Best single split (or none) of each matrix of a stack ``F`` of
     shape ``(k, 3, 2)``: a scan of the six frame lines of each, then one
-    pattern-search polish of the top candidates of all of them, side by
-    side.  A polish coordinate beyond the split's five is the index of its
-    matrix, inactive (step 0).  The polish moves the directions off the
-    frame, because its coordinates are angles.
+    zoom (``_zoom``) of the top candidates of all of them, side by side,
+    each along its own frame line.  The zoom starts at two ladder steps.
 
     Returns a list of ``(value, split_or_None)``, one per matrix, with
     ``split = (a, b, t, theta)``; for one matrix ``F`` of shape ``(3,
-    2)``, its ``(value, split_or_None)``.
+    2)``, its ``(value, split_or_None)``.  A chord from ``s+`` to ``-s-``
+    is the split ``t = s+ + s-``, ``theta = s- / t``: weight ``theta`` on
+    ``F + (1 - theta) t a b^T``.
     """
     Fs = np.asarray(F, dtype=float)
     if Fs.ndim == 2:
         return _depth1(Fs[None], params, light)[0]
-    ladder, top_k, iters = (_LIGHT_LADDER, 3, 28) if light else (_SCAN_LADDER, 6, _REFINE_ITERS)
+    ladder, top_k = (_LIGHT_LADDER, 3) if light else (_SCAN_LADDER, 6)
+    sds = [svd32(G) for G in Fs]
     scans = [
-        _frame_scan(svd32(G), params, ladder * max(1.0, float(np.linalg.norm(G))), top_k)
-        for G in Fs
+        _frame_scan(sd, params, ladder * max(1.0, float(np.linalg.norm(G))), top_k) for sd, G in zip(sds, Fs)
     ]
-    starts = [
-        [*_angles_of(a, b), math.log(t), theta, k]
-        for k, (_, candidates) in enumerate(scans)
-        for _, (a, b, t, theta) in candidates
-    ]
-    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32, 0.0]
-    polished = _pattern_search(
-        lambda X: _split_values(Fs[X[:, 5].astype(np.intp)], params, X), starts, steps, iters, range(5)
-    )
+    candidates = [(k, d, s_pos, s_neg) for k, (_, found) in enumerate(scans) for _, d, s_pos, s_neg in found]
     best = [(math.inf, None)] * len(Fs)
-    for val, x in polished:
-        k = int(x[5])
-        if val < best[k][0]:
-            best[k] = (val, x)
+    if candidates:
+        k, d, s_pos, s_neg = (np.array(x) for x in zip(*candidates))
+        lam = np.array([(sd.lamM, sd.lamm) for sd in sds])[k]
+        h = 2.0 * math.log(ladder[1] / ladder[0])
+        low, s_pos, s_neg = _zoom(lam[:, 0], lam[:, 1], d, s_pos, s_neg, h, params)
+        for m, (km, v) in enumerate(zip(k, low.tolist())):
+            if v < best[km][0]:
+                best[km] = (v, m)
     out = []
-    for (w0, _), (val, x) in zip(scans, best):
+    for sd, (w0, _), (val, m) in zip(sds, scans, best):
         # A split that wins by rounding noise only is reported as no split.
         if w0 <= val + 1e-12 * max(1.0, abs(w0)):
             out.append((w0, None))
         else:
-            out.append((val, _splits_of(x)))
+            a, b = _frame_directions(sd)
+            t = s_pos[m] + s_neg[m]
+            out.append((val, (a[d[m]], b[d[m]], t, s_neg[m] / t)))
     return out
 
 
@@ -472,7 +465,7 @@ def _split_atom(w, G, split, level):
 
 def _deepen(atoms, tree, level, params):
     """One level step of a witness: a light depth-one pass over all
-    ``atoms`` in one polish.  Returns the atoms after the splits it finds
+    ``atoms`` in one zoom.  Returns the atoms after the splits it finds
     and ``tree`` followed by their records at ``level``, as new lists."""
     subs = _depth1(np.stack([G for _, G in atoms]), params, light=True)
     steps = [_split_atom(w, G, sub, level) for (w, G), (_, sub) in zip(atoms, subs)]
@@ -485,16 +478,23 @@ def _witness_pairing(atoms, params):
     return sum(w * v for (w, _), v in zip(atoms, W.tolist()))
 
 
+def _lower(new, old):
+    """Whether a deeper tree's pairing ``new`` is below ``old`` by more than
+    rounding noise, 1e-12 relative; a finite pairing is below +inf."""
+    return new < old and old - new > 1e-12 * max(1.0, abs(new))
+
+
 def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
     Takes the lowest chord through ``Ft`` along each searched rank-one
     direction (the six of the target's singular frame) as a candidate
-    split, and polishes the best ones by pattern search; at
-    depth two, scans two-level trees whose endpoints are scored by their
-    own depth-one relaxation.  The value is the plane-energy pairing of
-    the returned witness measure, an upper bound on the rank-one convex
-    envelope by construction.
+    split, and polishes the best ones along their lines by zoomed chord
+    tables; at depth two, scans two-level trees whose endpoints are scored
+    by their own depth-one relaxation, and keeps a deeper tree only when
+    its pairing is lower by more than 1e-12 relative.  The value is the
+    plane-energy pairing of the returned witness measure, an upper bound
+    on the rank-one convex envelope by construction.
 
     Returns
     -------
@@ -528,7 +528,8 @@ def relax_lamination(Ft, params, cfg=None):
         )
 
     value1, split1 = _depth1(F, params)
-    trees = [_split_atom(1.0, F, split1, 1)]
+    atoms, tree = _split_atom(1.0, F, split1, 1)
+    best_pairing = _witness_pairing(atoms, params)
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
@@ -536,12 +537,10 @@ def relax_lamination(Ft, params, cfg=None):
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
         est, split = _two_level(sd, params)
         if est < value1:
-            trees.append(_deepen(*_split_atom(1.0, F, split, 1), 2, params))
-
-    # The first tree of lowest pairing wins.
-    best_pairing, atoms, tree = min(
-        ((_witness_pairing(atoms, params), atoms, tree) for atoms, tree in trees), key=lambda c: c[0]
-    )
+            deeper, deeper_tree = _deepen(*_split_atom(1.0, F, split, 1), 2, params)
+            paired = _witness_pairing(deeper, params)
+            if _lower(paired, best_pairing):
+                best_pairing, atoms, tree = paired, deeper, deeper_tree
     if not best_pairing < math.inf:
         raise DomainError(
             f"no lamination witness with finite plane energy was found for "
@@ -555,7 +554,7 @@ def relax_lamination(Ft, params, cfg=None):
         if len(deeper) == len(atoms):  # no atom split
             break
         paired = _witness_pairing(deeper, params)
-        if not paired < best_pairing:
+        if not _lower(paired, best_pairing):
             break
         best_pairing, atoms, tree = paired, deeper, deeper_tree
     return OracleResult(

@@ -11,7 +11,15 @@ import numpy as np
 
 from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
-from nemem.relaxation import _STEP_MIN
+from nemem.relaxation import (
+    _SCAN_LADDER,
+    _STEP_MIN,
+    _frame_directions,
+    _frame_scan,
+    _pattern_search,
+    _split_endpoints,
+    _w2d,
+)
 from nemem.verification import region_window
 
 
@@ -132,6 +140,21 @@ def pattern_search_reference(value, x0, steps, iters, active):
     return best, x
 
 
+def gap_table(solves):
+    """The oracle's gap table over ``solves``, an iterable of ``(region, r,
+    gap)``: a dict with the number of misses (gap above 5e-3), the lowest
+    gap, and ``worst``, the largest gap per ``(region, r)``."""
+    solves = list(solves)
+    worst = {}
+    for region, r, gap in solves:
+        worst[region, r] = max(worst.get((region, r), -np.inf), gap)
+    return {
+        "misses": sum(gap > 5e-3 for _, _, gap in solves),
+        "lowest": min(gap for _, _, gap in solves),
+        "worst": worst,
+    }
+
+
 def svd32_energies(params):
     """Plane energies of a batch of matrices from their ``svd32`` singular
     values, which keep the smaller one's relative accuracy."""
@@ -177,17 +200,55 @@ def frame_lows_reference(F, params, offsets):
 def frame_scan_reference(F, params, offsets, top_k):
     """The oracle's frame scan on matrices: ``frame_lows_reference``, the
     finite lows ranked by value with ties broken on the direction index;
-    ``(w0, candidates)`` with at most ``top_k`` candidates ``(value, (a,
-    b, t, theta))``.  The reference for ``relaxation._frame_scan``."""
+    ``(w0, candidates)`` with at most ``top_k`` candidates ``(value, d,
+    s_pos, s_neg)``, the chord along line ``d`` from ``s_pos`` to
+    ``-s_neg``.  The reference for ``relaxation._frame_scan``."""
     w0, lows = frame_lows_reference(F, params, offsets)
-    axes = frame_axes(F)
-    out = []
     finite = sorted((v, d, i, j) for d, (v, i, j) in enumerate(lows) if np.isfinite(v))
-    for value, d, i, j in finite[:top_k]:
-        s_pos, s_neg = float(offsets[i]), float(offsets[j])
-        t = s_pos + s_neg
-        out.append((value, (*axes[d], t, s_neg / t)))
-    return w0, out
+    return w0, [(v, d, float(offsets[i]), float(offsets[j])) for v, d, i, j in finite[:top_k]]
+
+
+def _unit_vectors(pol, az, beta):
+    # Unit 3-vectors a from polar and azimuthal angles, unit 2-vectors b
+    # from one angle; on arrays of one shape.
+    sin_pol = np.sin(pol)
+    a = np.stack([sin_pol * np.cos(az), sin_pol * np.sin(az), np.cos(pol)], axis=-1)
+    return a, np.stack([np.cos(beta), np.sin(beta)], axis=-1)
+
+
+def _angles_of(a, b):
+    pol = np.arccos(np.clip(a[2] / np.linalg.norm(a), -1.0, 1.0))
+    return pol, np.arctan2(a[1], a[0]), np.arctan2(b[1], b[0])
+
+
+def _angle_split_values(F, params, X):
+    """Weighted plane energy of the split of ``F`` named by each row of
+    ``X``, coordinates ``(pol, az, beta, log t, theta)``: weight ``theta``
+    on ``F + (1 - theta) t a b^T``, ``a`` and ``b`` unit vectors from the
+    angles, ``theta`` kept within [1e-6, 1 - 1e-6]."""
+    a, b = _unit_vectors(X[:, 0], X[:, 1], X[:, 2])
+    theta = np.clip(X[:, 4], 1e-6, 1.0 - 1e-6)
+    W = _w2d(_split_endpoints(F, (a, b, np.exp(X[:, 3]), theta)), params)
+    return theta * W[0] + (1.0 - theta) * W[1]
+
+
+def angle_polish_reference(F, params, iters=100):
+    """The best single split of ``F`` by a pattern search over five
+    coordinates, ``(pol, az, beta, log t, theta)``, from the candidates of
+    the full frame scan: the angles move the split's line off the frame.
+    Returns the least of ``F``'s own plane energy and the polished values.
+    The reference that checks the oracle's frame-line polish for
+    generality."""
+    sd = svd32(F)
+    w0, candidates = _frame_scan(sd, params, _SCAN_LADDER * max(1.0, float(np.linalg.norm(F))), 6)
+    a, b = _frame_directions(sd)
+    starts = [
+        [*_angles_of(a[d], b[d]), np.log(s_pos + s_neg), s_neg / (s_pos + s_neg)]
+        for _, d, s_pos, s_neg in candidates
+    ]
+    steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
+    polished = _pattern_search(lambda X: _angle_split_values(F, params, X), starts, steps, iters, range(5))
+    return min([w0] + [v for v, _ in polished])
 
 
 def endpoint_estimate_reference(E, params, ladder):

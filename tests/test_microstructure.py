@@ -81,6 +81,17 @@ def test_shear_invalid_target():
         laminate_shear(2.0, 1.0, 3.0)  # above q
 
 
+def test_shear_keeps_tiny_stretches():
+    # Below stretches of about 1e-154, q^2 underflows: the shear is scaled
+    # by q, so the laminate still has two atoms of largest stretch q.
+    q, c = 2e-170, 1e-170
+    nu = laminate_shear(q, 0.0, c)
+    assert len(nu.atoms) == 2
+    for _, G in nu.atoms:
+        assert abs(svd32(G).lamM - q) <= 1e-12 * q
+    assert np.array_equal(nu.barycenter(), diag_embed(c, 0.0))
+
+
 def test_shear_zero_case():
     nu = laminate_shear(1.26, 0.0, 0.0)
     assert len(nu.atoms) == 2
