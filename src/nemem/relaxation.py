@@ -21,20 +21,19 @@ scans two-level trees whose first split runs along a frame line of the
 target and is ranked by a depth-one estimate of both endpoints, the
 lowest chord along their own frame lines; the endpoints lie on the
 target's frame lines, so the scorer scores both levels from the target's
-two singular values.  A single split is polished along its own frame
-line (``_zoom``): a search along one line is a problem in the two
-offsets of the chord, solved by ``_ZOOM_LEVELS`` chord tables, each
-centred on the lowest chord of the one before and smaller.  The
-two-level tree's first split is polished in (t, theta) by a
-derivative-free pattern search whose rounds poll every move in one
-batch; it stops once its steps are spent (below ``_STEP_MIN``).  A
-witness grows by one level step, ``_deepen``: a light pass over all its
-atoms (both endpoints of a two-level tree, every atom of a deeper level)
-in one zoom.  A deeper tree replaces a shallower one only when its
-pairing is lower by more than rounding noise (``_lower``).  The reported
-value is always the plane-energy pairing of an explicit witness measure.
-The search budget (directions, offsets, zoom levels, polish rounds) is a
-set of module constants; ``OracleConfig`` chooses only the depth.
+two singular values.  Every split is polished along its own frame line
+by one zoom (``_zoom``): a search along one line is a problem in the
+two offsets of the chord, solved by ``_ZOOM_LEVELS`` chord tables, each
+centred on the lowest chord of the one before and smaller.  A single
+split's chords join plane energies; a two-level tree's first split's
+chords join endpoint estimates.  A witness grows by one level step,
+``_deepen``: a light pass over all its atoms (both endpoints of a
+two-level tree, every atom of a deeper level) in one zoom.  A split, or
+a deeper tree, is taken only when its value is lower by more than
+rounding noise (``_lower``).  The reported value is always the
+plane-energy pairing of an explicit witness measure.
+The search budget (directions, offsets, zoom levels) is a set of module
+constants; ``OracleConfig`` chooses only the depth.
 """
 
 import math
@@ -56,11 +55,8 @@ __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination
 
 _T_SCAN = 40  # offsets per side of each frame line of the full depth-one scan
 _ZOOM_POINTS = 33  # grid points per side of a zoomed chord table
-_ZOOM_LEVELS = 9  # zoom levels of a single split's polish
+_ZOOM_LEVELS = 9  # zoom levels of a split's polish
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
-# A pattern search stops once every active step is below this: the
-# standard step-size termination of generalized pattern search.
-_STEP_MIN = 1e-8
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
 # score their endpoints.
@@ -89,9 +85,9 @@ class OracleConfig:
 
     The search budget is fixed: the target's six frame directions,
     ``_T_SCAN`` offsets per side of each rank-one line, and a polish of
-    the best single splits by ``_ZOOM_LEVELS`` chord tables of
-    ``_ZOOM_POINTS`` offsets per side along their frame lines.  ``depth``
-    is the lamination order searched
+    the best single splits and of a two-level tree's first split by
+    ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS`` offsets per side
+    along their frame lines.  ``depth`` is the lamination order searched
     (1 or 2, deeper levels split witness atoms further).  The search is
     deterministic.
     """
@@ -149,23 +145,6 @@ def _frame_directions(sd):
     return np.repeat(sd.Q.T, 2, axis=0), np.tile(sd.R, (3, 1))
 
 
-def _weight(theta):
-    return np.minimum(np.maximum(theta, 1e-6), 1.0 - 1e-6)
-
-
-def _split_offsets(t, theta):
-    """Offsets ``(1 - theta) t`` and ``-(theta t)`` of the two endpoints of
-    splits along their lines, ``t`` and ``theta`` of shape ``(...)``,
-    stacked into one array of shape ``(2, ...)``.  Negation is exact, so
-    the second is ``-theta t`` to the bit."""
-    t = np.asarray(t)
-    c = np.empty((2,) + t.shape)
-    np.multiply(1.0 - theta, t, out=c[0, ...])
-    np.multiply(theta, t, out=c[1, ...])
-    np.negative(c[1, ...], out=c[1, ...])
-    return c
-
-
 def _split_endpoints(F, split):
     """Endpoints ``F + (1 - theta) t a b^T`` and ``F - theta t a b^T`` of
     one split or of a batch, ``a`` of shape ``(..., 3)``, ``b`` of shape
@@ -173,57 +152,12 @@ def _split_endpoints(F, split):
     array of shape ``(2, ..., 3, 2)``.
 
     Both come from one broadcast ``F + c a b^T`` with the coefficients
-    ``c = ((1 - theta) t, -(theta t))`` of ``_split_offsets``, so the
-    second endpoint has the bits of ``F - theta t a b^T``.
+    ``c = ((1 - theta) t, -(theta t))``.  Negation is exact, so the second
+    endpoint has the bits of ``F - theta t a b^T``.
     """
     a, b, t, theta = split
-    return F + _split_offsets(t, theta)[..., None, None] * _dyads(a, b)
-
-
-def _pattern_search(values, starts, steps, iters, active):
-    """Generalized pattern search with a complete poll from each point of
-    ``starts``, side by side; deterministic.
-
-    A round polls ``x + step_k e_k`` and ``x - step_k e_k`` along every
-    ``active`` coordinate ``k`` of every search, all in one call of
-    ``values``, which maps a batch of points, shape ``(m, len(x0))``, to
-    their values.  A search moves to its lowest poll point when that beats
-    its best value (ties go to the first: coordinates in ``active`` order,
-    ``+`` before ``-``) and doubles the step it moved along; a search that
-    does not improve halves all of its steps.  A search whose active steps
-    are all below ``_STEP_MIN`` is spent and is no longer polled, so each
-    search takes the path it would take alone.  At most ``iters`` rounds
-    follow the call on the starts; they end early once every search is
-    spent.  ``steps`` is one row of steps for every start, or one row per
-    start.  A coordinate left out of ``active`` is never polled and keeps
-    its start.  Returns ``(best, x)`` for each start.
-    """
-    if len(starts) == 0:
-        return []
-    X = np.array(starts, dtype=float)
-    S = np.array(np.broadcast_to(np.asarray(steps, dtype=float), X.shape))
-    best = np.array(values(X), dtype=float)
-    active = np.asarray(active)
-    # The poll directions +e_k, -e_k of each active k, in poll order.
-    U = np.eye(X.shape[1])[active]
-    E = np.stack([U, -U], axis=1).reshape(-1, X.shape[1])
-    live = np.arange(len(X))
-    for _ in range(iters):
-        # Only a search polled last round can have spent its steps.
-        live = live[(S[live][:, active] >= _STEP_MIN).any(axis=1)]
-        if len(live) == 0:
-            break
-        P = X[live, None, :] + E * S[live, None, :]
-        V = values(P.reshape(-1, X.shape[1])).reshape(len(live), len(E))
-        j = np.argmin(V, axis=1)
-        v = V[np.arange(len(live)), j]
-        up = v < best[live]
-        moved = live[up]
-        best[moved] = v[up]
-        X[moved] = P[up, j[up]]
-        S[moved, active[j[up] // 2]] *= 2.0
-        S[live[~up]] *= 0.5
-    return [(float(b), x) for b, x in zip(best, X)]
+    c = np.stack([(1.0 - theta) * t, -(theta * t)])
+    return F + c[..., None, None] * _dyads(a, b)
 
 
 def _off_diagonal(l1, l2, c):
@@ -347,25 +281,28 @@ def _frame_scan(sd, params, offsets, top_k):
     ]
 
 
-def _zoom(l1, l2, lines, s_pos, s_neg, h, params):
+def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
     """Zoomed chord tables along frame lines, one row per candidate: row
     ``m`` is the line ``lines[m]`` of a matrix with singular values
     ``l1[m] >= l2[m]``, started at the chord from ``s_pos[m]`` to
-    ``-s_neg[m]``.  Returns the lowest chord of each row's last table and
+    ``-s_neg[m]``, a chord of the offset ``ladder`` the start was scanned
+    on.  ``value`` maps singular values ``(hi, lo)`` to the values the
+    chords join.  Returns the lowest chord of each row's last table and
     its ends ``(low, s_pos, s_neg)``.
 
     Each of ``_ZOOM_LEVELS`` levels scores the chords from ``exp(u + h g)``
     to ``-exp(v + h g)``, with ``(u, v)`` the logs of the row's ends and
     ``g`` on ``_ZOOM_POINTS`` points of [-1, 1], in closed form
     (``_frame_lines``), moves the ends to the lowest chord (ties to the
-    first in row-major order) and shrinks ``h`` to two grid cells.  The grid
-    holds its centre (``g = 0``), so a row's value never rises.  Every step
-    is elementwise, so a row's result does not depend on the other rows.
+    first in row-major order) and shrinks ``h`` to two grid cells.  ``h``
+    starts at two steps of the ladder.  The grid holds its centre (``g =
+    0``), so a row's value never rises.  Every step is elementwise, so a
+    row's result does not depend on the other rows.
     """
     g = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     n, rows = len(g), np.arange(len(lines))
     groups = [(d, lines == d) for d in set(lines.tolist())]
-    energies = _energies(params)
+    h = 2.0 * math.log(ladder[1] / ladder[0])
     X = np.log(np.stack([s_pos, s_neg], axis=-1))
     hl = np.empty((2, len(rows), 2 * n))
     for _ in range(_ZOOM_LEVELS):
@@ -374,12 +311,19 @@ def _zoom(l1, l2, lines, s_pos, s_neg, h, params):
         c = np.concatenate([s[:, 0], -s[:, 1]], axis=-1)
         for d, on in groups:
             hl[:, on] = _frame_lines(l1[on], l2[on], c[on], (d,))[..., 0, :]
-        W = energies(hl[0], hl[1])
+        W = value(hl[0], hl[1])
         table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(len(rows), n * n)
         i, j = np.divmod(table.argmin(axis=1), n)
         X = np.stack([E[rows, 0, i], E[rows, 1, j]], axis=-1)
         h *= 4.0 / (n - 1)
     return table.min(axis=1), s[rows, 0, i], s[rows, 1, j]
+
+
+def _lower(new, old):
+    """Whether ``new`` is below ``old`` by more than rounding noise, 1e-12
+    relative; a finite value is below +inf.  A split, or a deeper tree,
+    that is not lower than what it would replace is not taken."""
+    return new < old and old - new > 1e-12 * max(1.0, abs(new))
 
 
 def _depth1(F, params, light=False):
@@ -407,15 +351,14 @@ def _depth1(F, params, light=False):
     if candidates:
         k, d, s_pos, s_neg = (np.array(x) for x in zip(*candidates))
         lam = np.array([(sd.lamM, sd.lamm) for sd in sds])[k]
-        h = 2.0 * math.log(ladder[1] / ladder[0])
-        low, s_pos, s_neg = _zoom(lam[:, 0], lam[:, 1], d, s_pos, s_neg, h, params)
+        low, s_pos, s_neg = _zoom(lam[:, 0], lam[:, 1], d, s_pos, s_neg, ladder, _energies(params))
         for m, (km, v) in enumerate(zip(k, low.tolist())):
             if v < best[km][0]:
                 best[km] = (v, m)
     out = []
     for sd, (w0, _), (val, m) in zip(sds, scans, best):
         # A split that wins by rounding noise only is reported as no split.
-        if w0 <= val + 1e-12 * max(1.0, abs(w0)):
+        if not _lower(val, w0):
             out.append((w0, None))
         else:
             a, b = _frame_directions(sd)
@@ -427,13 +370,13 @@ def _depth1(F, params, light=False):
 def _two_level(sd, params):
     """Best two-level tree of the matrix whose ``svd32`` is ``sd``: a first
     split along one of its frame lines, scanned over pairs of offsets with
-    depth-one-estimated endpoints, then a light (t, theta) polish.
-    Returns ``(estimate, first_split)``.
+    depth-one-estimated endpoints, then zoomed along the scanned line
+    (``_zoom``).  Returns ``(estimate, first_split)``.
 
     An endpoint's estimate (``_endpoint_estimate``) ranks first splits.
     The endpoints lie on the frame lines, so the scan is ``_frame_chords``
-    with the estimate as its value, and the polish reads them from
-    ``_frame_lines``, on the scanned line only: no matrix is formed.
+    and the zoom is ``_zoom``, both with the estimate as their value and
+    both on the frame lines' closed forms: no matrix is formed.
     """
     estimate = _endpoint_estimate(params)
     l1, l2 = sd.lamM, sd.lamm
@@ -441,16 +384,12 @@ def _two_level(sd, params):
     _, low, i, j = _frame_chords(l1, l2, base, estimate)
     d = int(np.argmin(low))
     a, b = (x[d] for x in _frame_directions(sd))
-    t = float(base[i[d]] + base[j[d]])
-
-    def values(X):
-        th, mag = _weight(X[:, 1]), np.exp(X[:, 0])
-        hi, lo = _frame_lines(l1, l2, _split_offsets(mag, th), (d,))[:, :, 0]
-        vp, vm = estimate(hi, lo)
-        return th * vp + (1.0 - th) * vm
-
-    [(est, x)] = _pattern_search(values, [[math.log(t), base[j[d]] / t]], [0.3, 1.0 / 16], 20, [0, 1])
-    return est, (a, b, float(np.exp(x[0])), float(_weight(x[1])))
+    line = np.array([d])
+    [est], [s_pos], [s_neg] = _zoom(
+        np.array([l1]), np.array([l2]), line, base[i[line]], base[j[line]], _PAIR_LADDER, estimate
+    )
+    t = float(s_pos + s_neg)
+    return float(est), (a, b, t, float(s_neg / t))
 
 
 def _split_atom(w, G, split, level):
@@ -476,12 +415,6 @@ def _witness_pairing(atoms, params):
     # The weights are positive, so an infinite atom makes the sum infinite.
     W = _w2d(np.stack([G for _, G in atoms]), params)
     return sum(w * v for (w, _), v in zip(atoms, W.tolist()))
-
-
-def _lower(new, old):
-    """Whether a deeper tree's pairing ``new`` is below ``old`` by more than
-    rounding noise, 1e-12 relative; a finite pairing is below +inf."""
-    return new < old and old - new > 1e-12 * max(1.0, abs(new))
 
 
 def relax_lamination(Ft, params, cfg=None):

@@ -13,10 +13,8 @@ from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
 from nemem.relaxation import (
     _SCAN_LADDER,
-    _STEP_MIN,
     _frame_directions,
     _frame_scan,
-    _pattern_search,
     _split_endpoints,
     _w2d,
 )
@@ -109,6 +107,58 @@ def lower_hull_at_zero(ts, vs):
     return float(np.interp(0.0, [p[0] for p in hull], [p[1] for p in hull]))
 
 
+# A pattern search stops once every active step is below this: the
+# standard step-size termination of generalized pattern search.
+STEP_MIN = 1e-8
+
+
+def pattern_search(values, starts, steps, iters, active):
+    """Generalized pattern search with a complete poll from each point of
+    ``starts``, side by side; deterministic.
+
+    A round polls ``x + step_k e_k`` and ``x - step_k e_k`` along every
+    ``active`` coordinate ``k`` of every search, all in one call of
+    ``values``, which maps a batch of points, shape ``(m, len(x0))``, to
+    their values.  A search moves to its lowest poll point when that beats
+    its best value (ties go to the first: coordinates in ``active`` order,
+    ``+`` before ``-``) and doubles the step it moved along; a search that
+    does not improve halves all of its steps.  A search whose active steps
+    are all below ``STEP_MIN`` is spent and is no longer polled, so each
+    search takes the path it would take alone.  At most ``iters`` rounds
+    follow the call on the starts; they end early once every search is
+    spent.  ``steps`` is one row of steps for every start, or one row per
+    start.  A coordinate left out of ``active`` is never polled and keeps
+    its start.  Returns ``(best, x)`` for each start.  The search of
+    ``angle_polish_reference``; ``pattern_search_reference`` checks it.
+    """
+    if len(starts) == 0:
+        return []
+    X = np.array(starts, dtype=float)
+    S = np.array(np.broadcast_to(np.asarray(steps, dtype=float), X.shape))
+    best = np.array(values(X), dtype=float)
+    active = np.asarray(active)
+    # The poll directions +e_k, -e_k of each active k, in poll order.
+    U = np.eye(X.shape[1])[active]
+    E = np.stack([U, -U], axis=1).reshape(-1, X.shape[1])
+    live = np.arange(len(X))
+    for _ in range(iters):
+        # Only a search polled last round can have spent its steps.
+        live = live[(S[live][:, active] >= STEP_MIN).any(axis=1)]
+        if len(live) == 0:
+            break
+        P = X[live, None, :] + E * S[live, None, :]
+        V = values(P.reshape(-1, X.shape[1])).reshape(len(live), len(E))
+        j = np.argmin(V, axis=1)
+        v = V[np.arange(len(live)), j]
+        up = v < best[live]
+        moved = live[up]
+        best[moved] = v[up]
+        X[moved] = P[up, j[up]]
+        S[moved, active[j[up] // 2]] *= 2.0
+        S[live[~up]] *= 0.5
+    return [(float(b), x) for b, x in zip(best, X)]
+
+
 def pattern_search_reference(value, x0, steps, iters, active):
     """Serial complete-poll pattern search, one point per call of the
     scalar objective ``value``: each round tries ``+step`` then ``-step``
@@ -116,13 +166,13 @@ def pattern_search_reference(value, x0, steps, iters, active):
     lowest trials; when that beats the best value the search moves there
     and doubles the step it moved along, otherwise all steps halve.  It
     stops after ``iters`` rounds, or before a round once every active step
-    is below ``_STEP_MIN``.  The reference for the oracle's batched
-    search."""
+    is below ``STEP_MIN``.  The reference for the batched
+    ``pattern_search``."""
     x = list(x0)
     best = value(x)
     steps = list(steps)
     for _ in range(iters):
-        if all(steps[k] < _STEP_MIN for k in active):
+        if all(steps[k] < STEP_MIN for k in active):
             break
         low = None
         for k in active:
@@ -247,7 +297,7 @@ def angle_polish_reference(F, params, iters=100):
         for _, d, s_pos, s_neg in candidates
     ]
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]
-    polished = _pattern_search(lambda X: _angle_split_values(F, params, X), starts, steps, iters, range(5))
+    polished = pattern_search(lambda X: _angle_split_values(F, params, X), starts, steps, iters, range(5))
     return min([w0] + [v for v, _ in polished])
 
 

@@ -12,7 +12,7 @@ from nemem import cli
 from nemem.algebra import diag_embed
 from nemem.cli import main
 from nemem.constitutive import MaterialParams
-from nemem.membrane import Region, classify, membrane_stress, psi
+from nemem.membrane import Region, classify, membrane_stress, plane_energy, psi
 from nemem.relaxation import _NORM_MAX
 
 
@@ -151,11 +151,19 @@ def test_non_finite_energy_is_a_json_string(capsys):
 
 
 def test_relax_rank_deficient_exit_code(capsys):
+    # The plane energy is +inf at F = 0, but a witness with finite atoms
+    # reaches the relaxed energy 0: a result, not a domain error.
     code, out, err = run_cli(
         capsys, "relax", "--F", "0 0; 0 0; 0 0", "--r", "8", "--mu", "2"
     )
-    assert code == 3 and out == ""
-    assert "domain error" in err
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["closed_form"] == 0.0 and -1e-9 <= rec["gap"] <= 5e-3
+    nu = rec["best_measure"]
+    np.testing.assert_allclose(nu["barycenter"], np.zeros((3, 2)), rtol=0.0, atol=1e-15)
+    params = MaterialParams(mu=2.0, r=8.0)
+    paired = sum(atom["weight"] * plane_energy(np.array(atom["matrix"]), params) for atom in nu["atoms"])
+    assert abs(paired - rec["value"]) <= 1e-15
 
 
 def test_relax_huge_target_exit_code(capsys):
