@@ -26,12 +26,15 @@ by one zoom (``_zoom``): a search along one line is a problem in the
 two offsets of the chord, solved by ``_ZOOM_LEVELS`` chord tables, each
 centred on the lowest chord of the one before and smaller.  A single
 split's chords join plane energies; a two-level tree's first split's
-chords join endpoint estimates.  A witness grows by one level step,
-``_deepen``: a light pass over all its atoms (both endpoints of a
-two-level tree, every atom of a deeper level) in one zoom.  A split, or
-a deeper tree, is taken only when its value is lower by more than
-rounding noise (``_lower``).  The reported value is always the
-plane-energy pairing of an explicit witness measure.
+chords join endpoint estimates.  That first split is zoomed only when
+the pair scan's lowest chord is already below the best single split's
+value, since the zoom never rises above its start; one split or none is
+the answer in most targets, and then the two-level phase is one scan.
+A witness grows by one level step, ``_deepen``: a light pass over all
+its atoms (both endpoints of a two-level tree, every atom of a deeper
+level) in one zoom.  A split, or a deeper tree, is taken only when its
+value is lower by more than rounding noise (``_lower``).  The reported
+value is always the plane-energy pairing of an explicit witness measure.
 The search budget (directions, offsets, zoom levels) is a set of module
 constants; ``OracleConfig`` chooses only the depth.
 """
@@ -85,11 +88,11 @@ class OracleConfig:
 
     The search budget is fixed: the target's six frame directions,
     ``_T_SCAN`` offsets per side of each rank-one line, and a polish of
-    the best single splits and of a two-level tree's first split by
-    ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS`` offsets per side
-    along their frame lines.  ``depth`` is the lamination order searched
-    (1 or 2, deeper levels split witness atoms further).  The search is
-    deterministic.
+    the best single splits and of a two-level tree's first split (when
+    its scan beats the best single split) by ``_ZOOM_LEVELS`` chord
+    tables of ``_ZOOM_POINTS`` offsets per side along their frame lines.
+    ``depth`` is the lamination order searched (1 or 2, deeper levels
+    split witness atoms further).  The search is deterministic.
     """
 
     depth: int = 2
@@ -297,26 +300,32 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
     first in row-major order) and shrinks ``h`` to two grid cells.  ``h``
     starts at two steps of the ladder.  The grid holds its centre (``g =
     0``), so a row's value never rises.  Every step is elementwise, so a
-    row's result does not depend on the other rows.
+    row's result does not depend on the other rows: the rows are worked
+    on ordered by line, each line's rows one contiguous slice, and
+    returned in the caller's order.
     """
     g = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     n, rows = len(g), np.arange(len(lines))
-    groups = [(d, lines == d) for d in set(lines.tolist())]
+    order = np.argsort(lines, kind="stable")
+    l1, l2 = l1[order], l2[order]
+    line_ids, first = np.unique(lines[order], return_index=True)
+    spans = list(zip(line_ids.tolist(), first.tolist(), first[1:].tolist() + [len(rows)]))
     h = 2.0 * math.log(ladder[1] / ladder[0])
-    X = np.log(np.stack([s_pos, s_neg], axis=-1))
+    X = np.log(np.stack([s_pos[order], s_neg[order]], axis=-1))
     hl = np.empty((2, len(rows), 2 * n))
     for _ in range(_ZOOM_LEVELS):
         E = X[..., None] + h * g
         s = np.exp(E)
         c = np.concatenate([s[:, 0], -s[:, 1]], axis=-1)
-        for d, on in groups:
-            hl[:, on] = _frame_lines(l1[on], l2[on], c[on], (d,))[..., 0, :]
+        for d, a, b in spans:
+            _frame_lines(l1[a:b], l2[a:b], c[a:b], (d,), hl[:, a:b, None, :])
         W = value(hl[0], hl[1])
         table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(len(rows), n * n)
         i, j = np.divmod(table.argmin(axis=1), n)
         X = np.stack([E[rows, 0, i], E[rows, 1, j]], axis=-1)
         h *= 4.0 / (n - 1)
-    return table.min(axis=1), s[rows, 0, i], s[rows, 1, j]
+    back = np.argsort(order)
+    return table.min(axis=1)[back], s[rows, 0, i][back], s[rows, 1, j][back]
 
 
 def _lower(new, old):
@@ -367,11 +376,15 @@ def _depth1(F, params, light=False):
     return out
 
 
-def _two_level(sd, params):
-    """Best two-level tree of the matrix whose ``svd32`` is ``sd``: a first
-    split along one of its frame lines, scanned over pairs of offsets with
-    depth-one-estimated endpoints, then zoomed along the scanned line
-    (``_zoom``).  Returns ``(estimate, first_split)``.
+def _two_level(sd, params, bound):
+    """Best two-level tree of the matrix whose ``svd32`` is ``sd``, if its
+    estimate beats ``bound``: a first split along one of its frame lines,
+    scanned over pairs of offsets with depth-one-estimated endpoints, then
+    zoomed along the scanned line (``_zoom``).  Returns ``(estimate,
+    first_split)``; when the scan's lowest chord is not below ``bound``,
+    ``(lowest_chord, None)`` and no zoom runs.  The zoom never rises above
+    the chord it starts from, so a returned split's estimate is below
+    ``bound``.
 
     An endpoint's estimate (``_endpoint_estimate``) ranks first splits.
     The endpoints lie on the frame lines, so the scan is ``_frame_chords``
@@ -383,6 +396,8 @@ def _two_level(sd, params):
     base = _PAIR_LADDER * max(1.0, math.hypot(l1, l2))
     _, low, i, j = _frame_chords(l1, l2, base, estimate)
     d = int(np.argmin(low))
+    if not low[d] < bound:
+        return float(low[d]), None
     a, b = (x[d] for x in _frame_directions(sd))
     line = np.array([d])
     [est], [s_pos], [s_neg] = _zoom(
@@ -424,10 +439,12 @@ def relax_lamination(Ft, params, cfg=None):
     direction (the six of the target's singular frame) as a candidate
     split, and polishes the best ones along their lines by zoomed chord
     tables; at depth two, scans two-level trees whose endpoints are scored
-    by their own depth-one relaxation, and keeps a deeper tree only when
-    its pairing is lower by more than 1e-12 relative.  The value is the
-    plane-energy pairing of the returned witness measure, an upper bound
-    on the rank-one convex envelope by construction.
+    by their own depth-one relaxation, polishes and deepens the best one
+    only when its scanned estimate is already below the best single
+    split's value, and keeps a deeper tree only when its pairing is lower
+    by more than 1e-12 relative.  The value is the plane-energy pairing
+    of the returned witness measure, an upper bound on the rank-one
+    convex envelope by construction.
 
     Returns
     -------
@@ -466,10 +483,12 @@ def relax_lamination(Ft, params, cfg=None):
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
-    # estimated two-level value, not by their depth-one objective.
+    # estimated two-level value, not by their depth-one objective.  Only
+    # a first split whose scan already beats the best single split is
+    # zoomed and deepened.
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
-        est, split = _two_level(sd, params)
-        if est < value1:
+        _, split = _two_level(sd, params, value1)
+        if split is not None:
             deeper, deeper_tree = _deepen(*_split_atom(1.0, F, split, 1), 2, params)
             paired = _witness_pairing(deeper, params)
             if _lower(paired, best_pairing):

@@ -471,9 +471,9 @@ def _readme_commands():
 def test_readme_commands_succeed(tmp_path, capsys):
     ran = set()
     for argv in _readme_commands():
-        # verify --suite all --seed 7 is left out: it takes about 20 s and
-        # still exits 1 on the r=1.01 envelope check, an oracle gap that
-        # ROADMAP item 1 fixes.
+        # verify --suite all --seed 7 is left out only because it still
+        # exits 1 on the r=1.01 envelope check, an oracle gap that ROADMAP
+        # item 1 fixes; it runs in about 2 s.
         if argv == ["verify", "--suite", "all", "--seed", "7"]:
             continue
         if "--out" in argv:

@@ -1,6 +1,7 @@
 """Lamination oracle: witnessed upper bounds on the rank-one envelope."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -519,9 +520,9 @@ def test_two_level_never_reads_the_closed_form(region, monkeypatch):
     # The two-level scan, its endpoint estimates and its polish are the
     # same, bit for bit, with the closed form booby-trapped.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
-    expected = _two_level(svd32(F), P8)
+    expected = _two_level(svd32(F), P8, math.inf)
     _trap_closed_form(monkeypatch)
-    est, split = _two_level(svd32(F), P8)
+    est, split = _two_level(svd32(F), P8, math.inf)
     assert float(est).hex() == float(expected[0]).hex()
     for got, want in zip(split, expected[1]):
         assert np.array_equal(got, want)
@@ -533,14 +534,14 @@ def test_two_level_builds_no_matrices(region, monkeypatch):
     # values: it decomposes no matrix and forms none.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
     sd = svd32(F)
-    expected = _two_level(sd, P8)
+    expected = _two_level(sd, P8, math.inf)
 
     def trap(*args, **kwargs):
         raise AssertionError("the two-level phase used a matrix")
 
     for name in ("singular_values", "svd32", "_w2d", "_split_endpoints", "_dyads"):
         monkeypatch.setattr(relaxation, name, trap)
-    est, split = _two_level(sd, P8)
+    est, split = _two_level(sd, P8, math.inf)
     assert float(est).hex() == float(expected[0]).hex()
     for got, want in zip(split, expected[1]):
         assert np.array_equal(got, want)
@@ -583,7 +584,7 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(light):
     # endpoints of the two-level pin's first split.
     F2 = diag_embed(0.44, 0.08 / 0.44)
     P2 = MaterialParams(mu=2.0, r=2.0)
-    _, split = _two_level(svd32(F2), P2)
+    _, split = _two_level(svd32(F2), P2, math.inf)
     stack = [
         matrix_from_invariants(*sample_invariants(g, 2.0, 0.4, 0.6), np.random.default_rng(k))
         for k, g in enumerate([Region.L, Region.M, Region.W, Region.S])
@@ -616,6 +617,83 @@ def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
     assert calls == [("zoom", 6), ("zoom", 1), ("zoom", 6)]
 
 
+@pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
+def test_two_level_zooms_only_a_scan_below_its_bound(region, monkeypatch):
+    # With the bound at or below the pair scan's lowest chord, the scan's
+    # low comes back with no split and no zoom runs; one step above it, the
+    # first split is zoomed, and its estimate is at most the low.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
+    sd = svd32(F)
+    base = _PAIR_LADDER * max(1.0, float(np.hypot(sd.lamM, sd.lamm)))
+    low = float(_frame_chords(sd.lamM, sd.lamm, base, _endpoint_estimate(P8))[1].min())
+    calls = []
+    zoom = relaxation._zoom
+
+    def counting_zoom(*args):
+        calls.append(len(args[2]))
+        return zoom(*args)
+
+    monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
+    for bound in (low, np.nextafter(low, -math.inf), low - 1.0, -math.inf):
+        est, split = _two_level(sd, P8, bound)
+        assert split is None and est.hex() == low.hex()
+    assert calls == []
+    est, split = _two_level(sd, P8, np.nextafter(low, math.inf))
+    assert split is not None and est <= low
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("region", [Region.M, Region.W, Region.S])
+def test_single_split_solves_zoom_once_and_never_deepen(region, monkeypatch):
+    # In M, W and S one split or none is the answer: the two-level scan
+    # does not beat it, so the whole solve runs the full depth-one zoom
+    # and nothing else.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(11))
+    calls, splits = [], []
+    zoom, two_level = relaxation._zoom, relaxation._two_level
+
+    def counting_zoom(*args):
+        calls.append(("zoom", len(args[2])))
+        return zoom(*args)
+
+    def recording_two_level(*args):
+        out = two_level(*args)
+        splits.append(out[1])
+        return out
+
+    def trap(*args):
+        raise AssertionError("a single-split solve was deepened")
+
+    monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
+    monkeypatch.setattr(relaxation, "_two_level", recording_two_level)
+    monkeypatch.setattr(relaxation, "_deepen", trap)
+    relax_lamination(F, P8, CFG)
+    assert calls == [("zoom", 6)]
+    assert splits == [None]
+
+
+@pytest.mark.parametrize("light", [False, True], ids=["full", "light"])
+def test_zoom_rows_do_not_depend_on_their_order(light):
+    # _zoom works on its rows ordered by line and returns them in the
+    # caller's order: shuffled rows of a full pass (one target) and of a
+    # light pass (two targets) get, row by row, the same results bit for bit.
+    ladder, top_k, seeds = (_LIGHT_LADDER, 3, (0, 1)) if light else (_SCAN_LADDER, 6, (0,))
+    rows = []
+    for seed in seeds:
+        F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.3, 0.7), np.random.default_rng(seed))
+        sd = svd32(F)
+        offsets = ladder * max(1.0, float(np.linalg.norm(F)))
+        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _frame_scan(sd, P8, offsets, top_k)[1]]
+    l1, l2, d, s_pos, s_neg = (np.array(x) for x in zip(*rows))
+    assert len(d) == 6 and len(set(d.tolist())) > 1
+    want = _zoom(l1, l2, d, s_pos, s_neg, ladder, _energies(P8))
+    for seed in range(3):
+        p = np.random.default_rng(seed).permutation(len(d))
+        got = _zoom(l1[p], l2[p], d[p], s_pos[p], s_neg[p], ladder, _energies(P8))
+        for x, y in zip(got, want):
+            assert x.tobytes() == y[p].tobytes()
+
+
 # (estimate, a, b, t, theta) of the two-level scan, pinned bit for bit.
 _TWO_LEVEL_PINS = [
     (
@@ -644,7 +722,7 @@ _TWO_LEVEL_PINS = [
 
 @pytest.mark.parametrize("F, r, pinned", _TWO_LEVEL_PINS)
 def test_two_level_scan_is_pinned(F, r, pinned):
-    est, (a, b, t, theta) = _two_level(svd32(F), MaterialParams(mu=2.0, r=r))
+    est, (a, b, t, theta) = _two_level(svd32(F), MaterialParams(mu=2.0, r=r), math.inf)
     assert (float(est), a.tolist(), b.tolist(), t, theta) == pinned
 
 
@@ -904,7 +982,7 @@ def test_two_level_estimate_is_not_below_the_closed_form(x):
     # Every estimate is a weighted sum of chords of plane energies, so it
     # bounds the rank-one convex envelope from above also where those
     # energies are huge.
-    est, _ = _two_level(svd32(diag_embed(x, x)), P8)
+    est, _ = _two_level(svd32(diag_embed(x, x)), P8, math.inf)
     assert est >= (1.0 - 1e-12) * psi(x, x * x, P8)
 
 
@@ -930,7 +1008,7 @@ def test_two_level_polish_is_its_estimate_on_matrices(region, r):
     for u, v in zip(halton(3, 2), halton(3, 3)):
         F = matrix_from_invariants(*sample_invariants(region, r, u, v), rng)
         sd = svd32(F)
-        est, split = _two_level(sd, params)
+        est, split = _two_level(sd, params, math.inf)
         ref = endpoint_estimate_reference(_split_endpoints(F, split), params, _ENDPOINT_LADDER)
         theta = split[3]
         want = theta * ref[0] + (1.0 - theta) * ref[1]
