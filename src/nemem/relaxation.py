@@ -16,19 +16,18 @@ of the six lines are even in the offset, so their lowest chord is their
 lowest sample, taken on one side only, and only the other two get chord
 tables.  The scans rank by where the lowest chords lie
 (``_frame_chords``); the endpoint estimate takes only their values.
-Depth one scans the target's frame lines (``_frame_scan``).  Depth two
-scans two-level trees whose first split runs along a frame line of the
-target and is ranked by a depth-one estimate of both endpoints, the
-lowest chord along their own frame lines; the endpoints lie on the
-target's frame lines, so the scorer scores both levels from the target's
-two singular values.  Every split is polished along its own frame line
-by one zoom (``_zoom``): a search along one line is a problem in the
-two offsets of the chord, solved by ``_ZOOM_LEVELS`` chord tables, each
-centred on the lowest chord of the one before and smaller.  A single
-split's chords join plane energies; a two-level tree's first split's
-chords join endpoint estimates.  That first split is zoomed only when
-the pair scan's lowest chord is already below the best single split's
-value, since the zoom never rises above its start; one split or none is
+One split search, ``_best_splits``, serves both depths on a stack of
+singular values: one scan ranks each row's frame lines, and one zoom
+(``_zoom``) polishes the best along their own lines, a problem in the
+two offsets of the chord solved by ``_ZOOM_LEVELS`` chord tables, each
+centred on the lowest chord of the one before and smaller.  Depth one
+searches chords of plane energies.  Depth two searches first splits of
+two-level trees along the target's frame lines, with chords of a
+depth-one estimate of both endpoints, the lowest chord along their own
+frame lines; the endpoints lie on the target's frame lines, so both
+levels are read from the target's two singular values.  That first
+split is zoomed only when its scan's lowest chord is not above the best
+single split's value by more than rounding noise; one split or none is
 the answer in most targets, and then the two-level phase is one scan.
 A witness grows by one level step, ``_deepen``: a light pass over all
 its atoms (both endpoints of a two-level tree, every atom of a deeper
@@ -88,8 +87,8 @@ class OracleConfig:
 
     The search budget is fixed: the target's six frame directions,
     ``_T_SCAN`` offsets per side of each rank-one line, and a polish of
-    the best single splits and of a two-level tree's first split (when
-    its scan beats the best single split) by ``_ZOOM_LEVELS`` chord
+    the best single splits and of a two-level tree's first split (unless
+    its scan is above the best single split) by ``_ZOOM_LEVELS`` chord
     tables of ``_ZOOM_POINTS`` offsets per side along their frame lines.
     ``depth`` is the lamination order searched (1 or 2, deeper levels
     split witness atoms further).  The search is deterministic.
@@ -141,13 +140,6 @@ def _dyads(a, b):
     return np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
 
 
-def _frame_directions(sd):
-    """Rank-one directions ``(a, b)`` of the singular frame ``sd`` (the
-    ``svd32`` of one ``F``), ``(Q[:, i], R[j, :])`` with ``i`` outer:
-    shapes ``(6, 3)`` and ``(6, 2)``."""
-    return np.repeat(sd.Q.T, 2, axis=0), np.tile(sd.R, (3, 1))
-
-
 def _split_endpoints(F, split):
     """Endpoints ``F + (1 - theta) t a b^T`` and ``F - theta t a b^T`` of
     one split or of a batch, ``a`` of shape ``(..., 3)``, ``b`` of shape
@@ -168,8 +160,8 @@ def _off_diagonal(l1, l2, c):
     return m, l1 * l2 / m
 
 
-# Both singular values of each frame line, in either order, as functions
-# of (l1, l2, c); see _frame_lines.
+# Both singular values of each frame line d = 2 i + j, in either order,
+# as functions of (l1, l2, c); see _frame_lines.
 _LINE_PAIRS = (
     lambda l1, l2, c: (np.abs(l1 + c), l2),
     _off_diagonal,
@@ -181,19 +173,19 @@ _LINE_PAIRS = (
 
 
 def _frame_lines(l1, l2, c, lines, out=None):
-    """Singular values ``hi, lo`` along the frame ``lines`` (indices in
-    ``_frame_directions`` order) of matrices with singular values ``l1 >=
-    l2`` (shape ``(...)``) at signed offsets ``c`` (shape ``(..., n)``),
-    written into ``out`` (a new array if None) of shape ``(2, ...,
-    len(lines), n)``, which is returned.
+    """Singular values ``hi, lo`` along the frame ``lines`` of matrices
+    with singular values ``l1 >= l2`` (shape ``(...)``) at signed offsets
+    ``c`` (shape ``(..., n)``), written into ``out`` (a new array if None)
+    of shape ``(2, ..., len(lines), n)``, which is returned.
 
-    With ``E = Q D R``, the line ``E + c Q[:, i] R[j, :]`` has the singular
-    values of ``D + c e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0, 0),
-    ``l1`` and ``|l2 + c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on
-    (2, 0), ``l1`` and ``hypot(l2, c)`` on (2, 1); on (0, 1) and (1, 0),
-    which are one line, the larger is ``m = (hypot(l1 + l2, c) + hypot(l1
-    - l2, c)) / 2`` and the smaller ``l1 l2 / m``.  All but (0, 0) and
-    (1, 1) are even in ``c``.
+    With ``E = Q D R``, the frame line ``d = 2 i + j`` is the rank-one
+    line ``E + c Q[:, i] R[j, :]``, with the singular values of ``D + c
+    e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0, 0), ``l1`` and ``|l2 +
+    c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on (2, 0), ``l1`` and
+    ``hypot(l2, c)`` on (2, 1); on (0, 1) and (1, 0), which are one line,
+    the larger is ``m = (hypot(l1 + l2, c) + hypot(l1 - l2, c)) / 2`` and
+    the smaller ``l1 l2 / m``.  All but (0, 0) and (1, 1) are even in
+    ``c``.
     """
     l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
     if out is None:
@@ -239,9 +231,9 @@ def _frame_tables(l1, l2, s, value):
 def _frame_chords(l1, l2, s, value):
     """The lowest chord along each frame line and where it lies: from
     ``_frame_tables``, ``(own, low, i, j)`` with ``low`` of shape ``(...,
-    6)`` in ``_frame_directions`` order, the chord between ``s[i]`` and
-    ``-s[j]``; ties go to the first chord in row-major order.  An even
-    line's lowest sample ``k`` is taken as ``i = j = k``.
+    6)`` indexed by frame line (``_frame_lines``), the chord between
+    ``s[i]`` and ``-s[j]``; ties go to the first chord in row-major order.
+    An even line's lowest sample ``k`` is taken as ``i = j = k``.
     """
     own, chords, even = _frame_tables(l1, l2, s, value)
     n = even.shape[-1]
@@ -266,22 +258,6 @@ def _endpoint_estimate(params):
         return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
 
     return estimate
-
-
-def _frame_scan(sd, params, offsets, top_k):
-    """The plane energy of the matrix whose ``svd32`` is ``sd``, and its
-    top candidates, at most one per frame line: the lowest chord through
-    it between the ``offsets`` on either side, ranked by value with ties
-    broken on the direction index.  Lines without a finite chord give none.
-    A candidate is ``(value, d, s_pos, s_neg)``: the chord along line ``d``
-    (in ``_frame_directions`` order) from ``s_pos`` to ``-s_neg``.
-    """
-    w0, low, i, j = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
-    return float(w0), [
-        (float(low[d]), int(d), float(offsets[i[d]]), float(offsets[j[d]]))
-        for d in np.argsort(low, kind="stable")[:top_k]
-        if np.isfinite(low[d])
-    ]
 
 
 def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
@@ -330,81 +306,101 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
 
 def _lower(new, old):
     """Whether ``new`` is below ``old`` by more than rounding noise, 1e-12
-    relative; a finite value is below +inf.  A split, or a deeper tree,
-    that is not lower than what it would replace is not taken."""
-    return new < old and old - new > 1e-12 * max(1.0, abs(new))
+    relative, of two floats or elementwise; a finite value is below +inf
+    and -inf below a finite value.  A split, or a deeper tree, that is not
+    lower than what it would replace is not taken."""
+    if isinstance(new, float) and isinstance(old, float):
+        return new < old and (new == -math.inf or old - new > 1e-12 * max(1.0, abs(new)))
+    # inf - inf is nan where new < old fails anyway.
+    with np.errstate(invalid="ignore"):
+        return (new < old) & (np.isneginf(new) | (old - new > 1e-12 * np.maximum(1.0, abs(new))))
 
 
-def _depth1(F, params, light=False):
-    """Best single split (or none) of each matrix of a stack ``F`` of
-    shape ``(k, 3, 2)``: a scan of the six frame lines of each, then one
-    zoom (``_zoom``) of the top candidates of all of them, side by side,
-    each along its own frame line.  The zoom starts at two ladder steps.
+def _best_splits(l1, l2, scale, ladder, value, top_k, bound):
+    """The one split search: the best split along the frame lines of each
+    matrix of a stack with singular values ``l1 >= l2`` (shape ``(k,)``),
+    of chords of ``value``, which maps singular values ``(hi, lo)`` to
+    values.
+
+    One scan (``_frame_chords``) on the offsets ``ladder`` times each
+    row's ``scale`` ranks each row's lines by their lowest chord, ties to
+    the lower line.  Of the first ``top_k``, the lines whose chord is
+    finite and not above ``bound`` by more than rounding noise
+    (``_lower``) are zoomed (``_zoom``), all rows in one call, and each
+    row keeps its first lowest zoomed chord.  Returns
+    ``(own, low, d, s_pos, s_neg)``, each of shape ``(k,)``: the row's own
+    value and its best chord, along line ``d`` from ``s_pos`` to
+    ``-s_neg``.  A row with no line zoomed has ``d = -1``, its scan's
+    lowest chord and infinite ends.
+    """
+    s = scale[:, None] * ladder
+    own, low, i, j = _frame_chords(l1, l2, s, value)
+    least = low.min(axis=1)
+    first = float(least.min())
+    if not first < math.inf or _lower(bound, first):  # most two-level scans: nothing to zoom
+        inf = np.full(len(low), np.inf)
+        return own, least, np.full(len(low), -1), inf, inf
+    rows = np.arange(len(low))
+    rank = np.argsort(low, axis=1, kind="stable")[:, :top_k]
+    top = low[rows[:, None], rank]
+    kept = np.isfinite(top) & ~_lower(bound, top)
+    row, col = np.nonzero(kept)
+    # Each kept line's zoomed (low, s_pos, s_neg); +inf in the slots not kept.
+    zoomed = np.full((3,) + top.shape, np.inf)
+    d = rank[row, col]
+    zoomed[:, row, col] = _zoom(l1[row], l2[row], d, s[row, i[row, d]], s[row, j[row, d]], ladder, value)
+    best = np.argmin(zoomed[0], axis=1)
+    low, s_pos, s_neg = zoomed[:, rows, best]
+    hit = kept.any(axis=1)
+    return own, np.where(hit, low, least), np.where(hit, rank[rows, best], -1), s_pos, s_neg
+
+
+def _frame_split(Q, R, d, s_pos, s_neg):
+    """The split ``(a, b, t, theta)`` of the chord from ``s_pos`` to
+    ``-s_neg`` along the frame line ``d`` of ``F = Q D R``
+    (``_frame_lines``): ``a = Q[:, d // 2]``, ``b = R[d % 2, :]``, ``t =
+    s_pos + s_neg`` and weight ``theta = s_neg / t`` on ``F + (1 - theta)
+    t a b^T``."""
+    t = s_pos + s_neg
+    return Q[:, d // 2], R[d % 2, :], t, s_neg / t
+
+
+def _depth1(sd, scale, params, light=False):
+    """Best single split (or none) of one matrix or of each of a stack
+    of shape ``(k, 3, 2)``, from its ``svd32`` ``sd`` and its ``scale =
+    max(1, |F|)``: one search (``_best_splits``) of chords of the plane
+    energy, the top six lines on ``_SCAN_LADDER``, or with ``light`` the
+    top three on ``_LIGHT_LADDER``.
 
     Returns a list of ``(value, split_or_None)``, one per matrix, with
-    ``split = (a, b, t, theta)``; for one matrix ``F`` of shape ``(3,
-    2)``, its ``(value, split_or_None)``.  A chord from ``s+`` to ``-s-``
-    is the split ``t = s+ + s-``, ``theta = s- / t``: weight ``theta`` on
-    ``F + (1 - theta) t a b^T``.
+    ``split = (a, b, t, theta)`` (``_frame_split``).  A split that wins by
+    rounding noise only is reported as no split.
     """
-    Fs = np.asarray(F, dtype=float)
-    if Fs.ndim == 2:
-        return _depth1(Fs[None], params, light)[0]
     ladder, top_k = (_LIGHT_LADDER, 3) if light else (_SCAN_LADDER, 6)
-    sds = [svd32(G) for G in Fs]
-    scans = [
-        _frame_scan(sd, params, ladder * max(1.0, float(np.linalg.norm(G))), top_k) for sd, G in zip(sds, Fs)
+    l1, l2, scale = np.reshape([sd.lamM, sd.lamm, scale], (3, -1))
+    own, low, d, s_pos, s_neg = _best_splits(l1, l2, scale, ladder, _energies(params), top_k, math.inf)
+    Q, R = np.reshape(sd.Q, (-1, 3, 3)), np.reshape(sd.R, (-1, 2, 2))
+    return [
+        (v, _frame_split(Q[k], R[k], dk, s_pos[k], s_neg[k])) if dk >= 0 and _lower(v, w0) else (w0, None)
+        for k, (w0, v, dk) in enumerate(zip(own.tolist(), low.tolist(), d.tolist()))
     ]
-    candidates = [(k, d, s_pos, s_neg) for k, (_, found) in enumerate(scans) for _, d, s_pos, s_neg in found]
-    best = [(math.inf, None)] * len(Fs)
-    if candidates:
-        k, d, s_pos, s_neg = (np.array(x) for x in zip(*candidates))
-        lam = np.array([(sd.lamM, sd.lamm) for sd in sds])[k]
-        low, s_pos, s_neg = _zoom(lam[:, 0], lam[:, 1], d, s_pos, s_neg, ladder, _energies(params))
-        for m, (km, v) in enumerate(zip(k, low.tolist())):
-            if v < best[km][0]:
-                best[km] = (v, m)
-    out = []
-    for sd, (w0, _), (val, m) in zip(sds, scans, best):
-        # A split that wins by rounding noise only is reported as no split.
-        if not _lower(val, w0):
-            out.append((w0, None))
-        else:
-            a, b = _frame_directions(sd)
-            t = s_pos[m] + s_neg[m]
-            out.append((val, (a[d[m]], b[d[m]], t, s_neg[m] / t)))
-    return out
 
 
 def _two_level(sd, params, bound):
-    """Best two-level tree of the matrix whose ``svd32`` is ``sd``, if its
-    estimate beats ``bound``: a first split along one of its frame lines,
-    scanned over pairs of offsets with depth-one-estimated endpoints, then
-    zoomed along the scanned line (``_zoom``).  Returns ``(estimate,
-    first_split)``; when the scan's lowest chord is not below ``bound``,
-    ``(lowest_chord, None)`` and no zoom runs.  The zoom never rises above
-    the chord it starts from, so a returned split's estimate is below
-    ``bound``.
-
-    An endpoint's estimate (``_endpoint_estimate``) ranks first splits.
-    The endpoints lie on the frame lines, so the scan is ``_frame_chords``
-    and the zoom is ``_zoom``, both with the estimate as their value and
-    both on the frame lines' closed forms: no matrix is formed.
+    """Best two-level tree of the matrix whose ``svd32`` is ``sd``: one
+    search (``_best_splits``) of its first split on ``_PAIR_LADDER`` with
+    chords of the endpoint estimate (``_endpoint_estimate``), read from
+    the target's singular values alone.  Only the top line is zoomed, and
+    only when its chord is not above ``bound`` by more than rounding
+    noise.  Returns ``(estimate, first_split)``, or ``(lowest_chord,
+    None)`` when no zoom ran.
     """
-    estimate = _endpoint_estimate(params)
     l1, l2 = sd.lamM, sd.lamm
-    base = _PAIR_LADDER * max(1.0, math.hypot(l1, l2))
-    _, low, i, j = _frame_chords(l1, l2, base, estimate)
-    d = int(np.argmin(low))
-    if not low[d] < bound:
-        return float(low[d]), None
-    a, b = (x[d] for x in _frame_directions(sd))
-    line = np.array([d])
-    [est], [s_pos], [s_neg] = _zoom(
-        np.array([l1]), np.array([l2]), line, base[i[line]], base[j[line]], _PAIR_LADDER, estimate
+    scale = np.array([max(1.0, math.hypot(l1, l2))])
+    _, [est], [d], [s_pos], [s_neg] = _best_splits(
+        np.array([l1]), np.array([l2]), scale, _PAIR_LADDER, _endpoint_estimate(params), 1, bound
     )
-    t = float(s_pos + s_neg)
-    return float(est), (a, b, t, float(s_neg / t))
+    return float(est), None if d < 0 else _frame_split(sd.Q, sd.R, d, s_pos, s_neg)
 
 
 def _split_atom(w, G, split, level):
@@ -421,7 +417,8 @@ def _deepen(atoms, tree, level, params):
     """One level step of a witness: a light depth-one pass over all
     ``atoms`` in one zoom.  Returns the atoms after the splits it finds
     and ``tree`` followed by their records at ``level``, as new lists."""
-    subs = _depth1(np.stack([G for _, G in atoms]), params, light=True)
+    Fs = np.stack([G for _, G in atoms])
+    subs = _depth1(svd32(Fs), [max(1.0, float(np.linalg.norm(G))) for G in Fs], params, light=True)
     steps = [_split_atom(w, G, sub, level) for (w, G), (_, sub) in zip(atoms, subs)]
     return [atom for step, _ in steps for atom in step], tree + [r for _, records in steps for r in records]
 
@@ -440,11 +437,11 @@ def relax_lamination(Ft, params, cfg=None):
     split, and polishes the best ones along their lines by zoomed chord
     tables; at depth two, scans two-level trees whose endpoints are scored
     by their own depth-one relaxation, polishes and deepens the best one
-    only when its scanned estimate is already below the best single
-    split's value, and keeps a deeper tree only when its pairing is lower
-    by more than 1e-12 relative.  The value is the plane-energy pairing
-    of the returned witness measure, an upper bound on the rank-one
-    convex envelope by construction.
+    unless its scanned estimate is above the best single split's value,
+    and keeps a deeper tree only when its pairing is lower.  "Above" and
+    "lower" mean by more than 1e-12 relative.  The value is the
+    plane-energy pairing of the returned witness measure, an upper bound
+    on the rank-one convex envelope by construction.
 
     Returns
     -------
@@ -477,15 +474,14 @@ def relax_lamination(Ft, params, cfg=None):
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
 
-    value1, split1 = _depth1(F, params)
+    [(value1, split1)] = _depth1(sd, max(1.0, norm), params)
     atoms, tree = _split_atom(1.0, F, split1, 1)
     best_pairing = _witness_pairing(atoms, params)
 
     # A two-level tree can beat every single split (the first split may
     # pass through high-energy intermediates), so rank first splits by
-    # estimated two-level value, not by their depth-one objective.  Only
-    # a first split whose scan already beats the best single split is
-    # zoomed and deepened.
+    # estimated two-level value, not by their depth-one objective.  A
+    # first split whose scan is above the best single split is not zoomed.
     if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
         _, split = _two_level(sd, params, value1)
         if split is not None:

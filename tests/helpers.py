@@ -11,13 +11,7 @@ import numpy as np
 
 from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
-from nemem.relaxation import (
-    _SCAN_LADDER,
-    _frame_directions,
-    _frame_scan,
-    _split_endpoints,
-    _w2d,
-)
+from nemem.relaxation import _SCAN_LADDER, _split_endpoints, _w2d
 from nemem.verification import region_window
 
 
@@ -252,7 +246,8 @@ def frame_scan_reference(F, params, offsets, top_k):
     finite lows ranked by value with ties broken on the direction index;
     ``(w0, candidates)`` with at most ``top_k`` candidates ``(value, d,
     s_pos, s_neg)``, the chord along line ``d`` from ``s_pos`` to
-    ``-s_neg``.  The reference for ``relaxation._frame_scan``."""
+    ``-s_neg``.  The reference for the scan and ranking of
+    ``relaxation._best_splits``."""
     w0, lows = frame_lows_reference(F, params, offsets)
     finite = sorted((v, d, i, j) for d, (v, i, j) in enumerate(lows) if np.isfinite(v))
     return w0, [(v, d, float(offsets[i]), float(offsets[j])) for v, d, i, j in finite[:top_k]]
@@ -285,15 +280,15 @@ def _angle_split_values(F, params, X):
 def angle_polish_reference(F, params, iters=100):
     """The best single split of ``F`` by a pattern search over five
     coordinates, ``(pol, az, beta, log t, theta)``, from the candidates of
-    the full frame scan: the angles move the split's line off the frame.
-    Returns the least of ``F``'s own plane energy and the polished values.
-    The reference that checks the oracle's frame-line polish for
-    generality."""
-    sd = svd32(F)
-    w0, candidates = _frame_scan(sd, params, _SCAN_LADDER * max(1.0, float(np.linalg.norm(F))), 6)
-    a, b = _frame_directions(sd)
+    the full frame scan (``frame_scan_reference``): the angles move the
+    split's line off the frame.  Returns the least of ``F``'s own plane
+    energy and the polished values.  The reference that checks the
+    oracle's frame-line polish for generality."""
+    offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
+    w0, candidates = frame_scan_reference(F, params, offsets, 6)
+    axes = frame_axes(F)
     starts = [
-        [*_angles_of(a[d], b[d]), np.log(s_pos + s_neg), s_neg / (s_pos + s_neg)]
+        [*_angles_of(*axes[d]), np.log(s_pos + s_neg), s_neg / (s_pos + s_neg)]
         for _, d, s_pos, s_neg in candidates
     ]
     steps = [0.1, 0.1, 0.1, 0.35, 1.0 / 32]

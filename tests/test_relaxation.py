@@ -46,13 +46,14 @@ from nemem.relaxation import (
     _SCAN_LADDER,
     OracleConfig,
     OracleResult,
+    _best_splits,
     _dyads,
     _energies,
     _endpoint_estimate,
     _frame_chords,
-    _frame_directions,
     _frame_lines,
-    _frame_scan,
+    _frame_split,
+    _lower,
     _split_endpoints,
     _two_level,
     _w2d,
@@ -319,24 +320,24 @@ def test_line_relaxation_matches_lower_hull_reference(r, F, a, b):
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_candidates_are_the_splits_of_their_chords(region):
     # Each candidate of the full depth-one scan, one per frame line, ranked
-    # by value, is the weighted plane energy of the split it names: weight
-    # theta on F + (1 - theta) t a b^T.
+    # by value, is the weighted plane energy of the split it names
+    # (_frame_split): weight theta on F + (1 - theta) t a b^T.
     rng = np.random.default_rng(5)
     lamM, delta = sample_invariants(region, 8.0, 0.4, 0.6)
     assert classify(lamM, delta, P8) is region
     F = matrix_from_invariants(lamM, delta, rng)
     offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
     sd = svd32(F)
-    w0, candidates = _frame_scan(sd, P8, offsets, 6)
+    w0, candidates = _ranked_candidates(F, P8, _SCAN_LADDER, 6)
     assert abs(w0 - plane_energy(F, P8)) <= 1e-12 * max(1.0, abs(w0))
     assert len(candidates) == 6
     values = [value for value, _, _, _ in candidates]
     assert values == sorted(values)
-    a, b = _frame_directions(sd)
     for value, d, s_pos, s_neg in candidates:
         assert s_pos in offsets and s_neg in offsets
-        t, theta = s_pos + s_neg, s_neg / (s_pos + s_neg)
-        D = np.outer(a[d], b[d])
+        a, b, t, theta = _frame_split(sd.Q, sd.R, d, s_pos, s_neg)
+        assert t == s_pos + s_neg and theta == s_neg / t
+        D = np.outer(a, b)
         split = theta * plane_energy(F + (1.0 - theta) * t * D, P8) + (
             1.0 - theta
         ) * plane_energy(F - theta * t * D, P8)
@@ -401,13 +402,14 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
-    # The scanned lines, the six frame directions, read back in the
-    # target's frame, a' = Q^T a and b' = R b, are the frame's axes
-    # (e_i, e_j) with i outer: every line has a'_1 >= 0, a'_3 >= 0 and b'
-    # in the first quadrant, the quarter the sign maps reduce the lines to.
+    # The scanned lines, the directions of the six frame lines' splits
+    # (_frame_split), read back in the target's frame, a' = Q^T a and
+    # b' = R b, are the frame's axes (e_i, e_j) with i outer: every line
+    # has a'_1 >= 0, a'_3 >= 0 and b' in the first quadrant, the quarter
+    # the sign maps reduce the lines to.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(seed))
     sd = svd32(F)
-    a, b = _frame_directions(sd)
+    a, b = (np.array(x) for x in zip(*(_frame_split(sd.Q, sd.R, d, 1.0, 1.0)[:2] for d in range(6))))
     assert a.shape == (6, 3) and b.shape == (6, 2)
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, rtol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, rtol=1e-14)
@@ -421,11 +423,33 @@ def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
     assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 6
 
 
-def _assert_scan_matches_reference(F, params, offsets, top_k):
+def _ranked_candidates(F, params, ladder, top_k):
+    # The candidates of the one split search on the plane energy of F, in
+    # rank order: the rows its one zoom is given (line, chord ends), each
+    # with its scan chord, as (w0, [(value, d, s_pos, s_neg), ...]), the
+    # form of helpers.frame_scan_reference.
+    sd = svd32(F)
+    l1, l2 = np.array([sd.lamM]), np.array([sd.lamm])
+    scale = np.array([max(1.0, float(np.linalg.norm(F)))])
+    rows = []
+    zoom = relaxation._zoom
+
+    def recording(*args):
+        rows.extend(zip(*(x.tolist() for x in args[2:5])))
+        return zoom(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relaxation, "_zoom", recording)
+        _best_splits(l1, l2, scale, ladder, _energies(params), top_k, math.inf)
+    own, low, _, _ = _frame_chords(l1, l2, scale[:, None] * ladder, _energies(params))
+    return float(own[0]), [(float(low[0, d]), d, s_pos, s_neg) for d, s_pos, s_neg in rows]
+
+
+def _assert_scan_matches_reference(F, params, ladder, top_k):
     # The closed-form scan against the scan on line matrices: the same
     # number of candidates, and the values (own, then ranked) to 1e-12.
-    w0, got = _frame_scan(svd32(F), params, offsets, top_k)
-    ref_w0, ref = frame_scan_reference(F, params, offsets, top_k)
+    w0, got = _ranked_candidates(F, params, ladder, top_k)
+    ref_w0, ref = frame_scan_reference(F, params, ladder * max(1.0, float(np.linalg.norm(F))), top_k)
     assert len(got) == len(ref)
     for v, r in zip([w0] + [c[0] for c in got], [ref_w0] + [c[0] for c in ref]):
         assert v == r or abs(v - r) <= 1e-12 * max(1.0, abs(r)), (v, r)
@@ -453,7 +477,7 @@ def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
     _, lows = frame_lows_reference(F, params, offsets)
     for v, (ref, _, _) in zip(low, lows):
         assert v == ref or abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (v, ref)
-    assert len(_assert_scan_matches_reference(F, params, offsets, top_k)) == top_k
+    assert len(_assert_scan_matches_reference(F, params, ladder, top_k)) == top_k
 
 
 def test_bounded_grid_search_breaks_ties_on_the_lower_index():
@@ -469,10 +493,10 @@ def test_bounded_grid_search_breaks_ties_on_the_lower_index():
     def picked(candidates):
         return [d for _, d, _, _ in candidates]
 
-    full = picked(_assert_scan_matches_reference(F, P8, offsets, 6))
+    full = picked(_assert_scan_matches_reference(F, P8, _SCAN_LADDER, 6))
     k = full.index(1)
     assert full[k + 1] == 2
-    assert picked(_frame_scan(sd, P8, offsets, k + 1)[1]) == full[: k + 1]
+    assert picked(_ranked_candidates(F, P8, _SCAN_LADDER, k + 1)[1]) == full[: k + 1]
 
 
 @pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
@@ -484,7 +508,13 @@ def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
     _, lows = frame_lows_reference(F, P8, offsets)
     n_finite = sum(np.isfinite(v) for v, _, _ in lows)
     assert n_finite < 6
-    assert len(_assert_scan_matches_reference(F, P8, offsets, 6)) == n_finite
+    assert len(_assert_scan_matches_reference(F, P8, _LIGHT_LADDER, 6)) == n_finite
+
+
+def _depth1_of(F, params, light=False):
+    # The depth-one pass of one matrix, given its svd32 and norm as
+    # relax_lamination gives them.
+    return relaxation._depth1(svd32(F), max(1.0, float(np.linalg.norm(F))), params, light)[0]
 
 
 def _trap_closed_form(monkeypatch):
@@ -506,9 +536,9 @@ def test_grid_search_never_reads_the_closed_form(region, monkeypatch):
     # the relaxed energy and the laminate functions booby-trapped: the
     # oracle must stay blind to the closed form it checks.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
-    expected = relaxation._depth1(F, P8)
+    expected = _depth1_of(F, P8)
     _trap_closed_form(monkeypatch)
-    value, split = relaxation._depth1(F, P8)
+    value, split = _depth1_of(F, P8)
     assert value == expected[0]
     assert (split is None) == (expected[1] is None)
     for got, want in zip(split or (), expected[1] or ()):
@@ -548,10 +578,11 @@ def test_two_level_builds_no_matrices(region, monkeypatch):
 
 
 def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
-    # The full pass scans the six frame lines of the target, 40 offsets per
-    # side; four of them are even in the offset, so one chord table holds
-    # the other two, however the scan is written.  The zoom then builds one
-    # table per level, 33 by 33 offsets, for all six candidates at once.
+    # The full pass scans the six frame lines of the target (a stack of
+    # one), 40 offsets per side; four of them are even in the offset, so
+    # one chord table holds the other two, however the scan is written.
+    # The zoom then builds one table per level, 33 by 33 offsets, for all
+    # six candidates at once.
     F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.4, 0.6), np.random.default_rng(5))
     tables = []
     chords = relaxation._chords
@@ -562,8 +593,8 @@ def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
         return out
 
     monkeypatch.setattr(relaxation, "_chords", recording)
-    relaxation._depth1(F, P8)
-    assert tables == [(2, 40, 40)] + [(6, 33, 33)] * relaxation._ZOOM_LEVELS
+    _depth1_of(F, P8)
+    assert tables == [(1, 2, 40, 40)] + [(6, 33, 33)] * relaxation._ZOOM_LEVELS
 
 
 def _assert_same_pass(got, want):
@@ -575,13 +606,16 @@ def _assert_same_pass(got, want):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("light", [True, False], ids=["light", "full"])
-def test_depth_one_pass_on_a_stack_is_each_matrix_alone(light):
-    # The passes over a stack share one polish, with the matrix index as an
-    # inactive coordinate; each matrix still gets, bit for bit, the result
-    # of its own pass.  The zero matrix has no finite candidate, the
-    # S target's best split loses to no split, and the last two are the
-    # endpoints of the two-level pin's first split.
+@pytest.mark.parametrize("search", ["light", "full", "plane-scan", "plane-light", "pair-estimate"])
+def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
+    # The searches over a stack share one scan and one zoom; each matrix
+    # still gets, bit for bit, the result of its own search: the light and
+    # the full depth-one pass against the pass on the matrix's own svd32,
+    # and the split search itself, on the plane energy or the endpoint
+    # estimate, against the search on a stack of that row alone.  The
+    # zero matrix has no finite candidate, the S target's best split loses
+    # to no split, and the last two are the endpoints of the two-level
+    # pin's first split.
     F2 = diag_embed(0.44, 0.08 / 0.44)
     P2 = MaterialParams(mu=2.0, r=2.0)
     _, split = _two_level(svd32(F2), P2, math.inf)
@@ -591,12 +625,35 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(light):
     ]
     stack[2:2] = [np.zeros((3, 2))]
     stack += list(_split_endpoints(F2, split))
-    got = relaxation._depth1(np.stack(stack), P2, light)
-    assert len(got) == len(stack)
-    for G, res in zip(stack, got):
-        _assert_same_pass(res, relaxation._depth1(G, P2, light))
-    assert got[2] == (np.inf, None)
-    assert got[4][1] is None and all(res[1] is not None for res in got[5:])
+    sd = svd32(np.stack(stack))
+    scale = np.array([max(1.0, float(np.linalg.norm(G))) for G in stack])
+    if search in ("light", "full"):
+        light = search == "light"
+        got = relaxation._depth1(sd, scale, P2, light)
+        assert len(got) == len(stack)
+        for G, res in zip(stack, got):
+            _assert_same_pass(res, _depth1_of(G, P2, light))
+        assert got[2] == (np.inf, None)
+        assert got[4][1] is None and all(res[1] is not None for res in got[5:])
+        return
+    ladder, value, top_k = {
+        "plane-scan": (_SCAN_LADDER, _energies(P2), 6),
+        "plane-light": (_LIGHT_LADDER, _energies(P2), 3),
+        "pair-estimate": (_PAIR_LADDER, _endpoint_estimate(P2), 1),
+    }[search]
+    l1, l2 = sd.lamM, sd.lamm
+    # The pair search runs with a bound that some rows' scans are above.
+    scan = _frame_chords(l1, l2, scale[:, None] * ladder, value)[1].min(axis=1)
+    bound = float(np.median(scan[np.isfinite(scan)])) if search == "pair-estimate" else math.inf
+    got = _best_splits(l1, l2, scale, ladder, value, top_k, bound)
+    for k in range(len(stack)):
+        alone = _best_splits(l1[k : k + 1], l2[k : k + 1], scale[k : k + 1], ladder, value, top_k, bound)
+        assert all(x[k].tobytes() == y[0].tobytes() for x, y in zip(got, alone)), k
+    _, low, d, _, _ = got
+    if search == "pair-estimate":
+        assert np.any(d >= 0) and np.any((d < 0) & np.isfinite(low))
+    else:
+        assert d[2] == -1 and np.isinf(low[2]) and np.all(np.delete(d, 2) >= 0)
 
 
 def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
@@ -619,13 +676,16 @@ def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_two_level_zooms_only_a_scan_below_its_bound(region, monkeypatch):
-    # With the bound at or below the pair scan's lowest chord, the scan's
-    # low comes back with no split and no zoom runs; one step above it, the
-    # first split is zoomed, and its estimate is at most the low.
+    # With the bound below the pair scan's lowest chord by more than
+    # rounding noise (_lower), the scan's low comes back with no split and
+    # no zoom runs.  With the bound above the low, equal to it, or below it
+    # by noise only (a tie), the first split is zoomed, and its estimate is
+    # at most the low.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(3))
     sd = svd32(F)
     base = _PAIR_LADDER * max(1.0, float(np.hypot(sd.lamM, sd.lamm)))
     low = float(_frame_chords(sd.lamM, sd.lamm, base, _endpoint_estimate(P8))[1].min())
+    noise = 1e-12 * max(1.0, abs(low))
     calls = []
     zoom = relaxation._zoom
 
@@ -634,13 +694,15 @@ def test_two_level_zooms_only_a_scan_below_its_bound(region, monkeypatch):
         return zoom(*args)
 
     monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
-    for bound in (low, np.nextafter(low, -math.inf), low - 1.0, -math.inf):
+    for bound in (low - 10.0 * noise, low - 1.0, -math.inf):
         est, split = _two_level(sd, P8, bound)
         assert split is None and est.hex() == low.hex()
     assert calls == []
-    est, split = _two_level(sd, P8, np.nextafter(low, math.inf))
-    assert split is not None and est <= low
-    assert calls == [1]
+    ties = (low - 0.5 * noise, np.nextafter(low, -math.inf), low)
+    for bound in ties + (np.nextafter(low, math.inf), math.inf):
+        est, split = _two_level(sd, P8, bound)
+        assert split is not None and est <= low
+    assert calls == [1] * 5
 
 
 @pytest.mark.parametrize("region", [Region.M, Region.W, Region.S])
@@ -672,6 +734,24 @@ def test_single_split_solves_zoom_once_and_never_deepen(region, monkeypatch):
     assert splits == [None]
 
 
+@pytest.mark.parametrize("region", [Region.M, Region.W, Region.S])
+def test_single_split_solve_decomposes_its_target_once(region, monkeypatch):
+    # relax_lamination passes its own svd32 of the target (and its norm) to
+    # the depth-one pass and the two-level phase: a solve that is not
+    # deepened decomposes one matrix, once.
+    F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(11))
+    calls = []
+
+    def counting_svd32(G):
+        calls.append(np.shape(G))
+        return svd32(G)
+
+    monkeypatch.setattr(relaxation, "svd32", counting_svd32)
+    res = relax_lamination(F, P8, CFG)
+    assert len(res.best_measure.tree) <= 1
+    assert calls == [(3, 2)]
+
+
 @pytest.mark.parametrize("light", [False, True], ids=["full", "light"])
 def test_zoom_rows_do_not_depend_on_their_order(light):
     # _zoom works on its rows ordered by line and returns them in the
@@ -682,8 +762,7 @@ def test_zoom_rows_do_not_depend_on_their_order(light):
     for seed in seeds:
         F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.3, 0.7), np.random.default_rng(seed))
         sd = svd32(F)
-        offsets = ladder * max(1.0, float(np.linalg.norm(F)))
-        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _frame_scan(sd, P8, offsets, top_k)[1]]
+        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _ranked_candidates(F, P8, ladder, top_k)[1]]
     l1, l2, d, s_pos, s_neg = (np.array(x) for x in zip(*rows))
     assert len(d) == 6 and len(set(d.tolist())) > 1
     want = _zoom(l1, l2, d, s_pos, s_neg, ladder, _energies(P8))
@@ -948,8 +1027,8 @@ _FRAME_AXES = [(i, j) for i in range(3) for j in range(2)]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, seed):
-    # With E = Q D R, the closed-form singular values of each frame line,
-    # in _frame_directions order, are those svd32 finds on
+    # With E = Q D R, the closed-form singular values of each frame line
+    # d = 2 i + j are those svd32 finds on
     # Q (D + c e_i e_j^T) R, at both signs of c up to the top of the
     # endpoint ladder, both to 1e-12 of the larger one.
     rng = np.random.default_rng(seed)
@@ -1121,8 +1200,7 @@ def test_split_polish_matches_serial_reference(region):
         for seed in (0, 1):
             F = matrix_from_invariants(*sample_invariants(region, r, 0.3, 0.7), np.random.default_rng(seed))
             sd = svd32(F)
-            offsets = _LIGHT_LADDER * max(1.0, float(np.linalg.norm(F)))
-            rows += [(F, sd, cand) for cand in _frame_scan(sd, params, offsets, 3)[1]]
+            rows += [(F, sd, cand) for cand in _ranked_candidates(F, params, _LIGHT_LADDER, 3)[1]]
 
         def zoom(rows):
             l1 = np.array([sd.lamM for _, sd, _ in rows])
@@ -1136,9 +1214,8 @@ def test_split_polish_matches_serial_reference(region):
             assert all(x[m].tobytes() == y[0].tobytes() for x, y in zip(batched, alone))
             low, s_pos, s_neg = (float(x[0]) for x in alone)
             assert low <= value + 1e-12 * max(1.0, abs(value))
-            a, b = _frame_directions(sd)
-            t, theta = s_pos + s_neg, s_neg / (s_pos + s_neg)
-            ends = _split_endpoints(F, (a[d], b[d], t, theta))
+            a, b, t, theta = _frame_split(sd.Q, sd.R, d, s_pos, s_neg)
+            ends = _split_endpoints(F, (a, b, t, theta))
             split = theta * plane_energy(ends[0], params) + (1.0 - theta) * plane_energy(ends[1], params)
             assert abs(low - split) <= 1e-12 * max(1.0, abs(split))
 
@@ -1155,7 +1232,7 @@ def test_frame_line_polish_is_not_beaten_off_the_frame(region, r):
     rng = np.random.default_rng(int(r * 1000))
     for u, v in zip(halton(4, 2), halton(4, 3)):
         F = matrix_from_invariants(*sample_invariants(region, r, u, v), rng)
-        value = relaxation._depth1(F, params)[0]
+        value = _depth1_of(F, params)[0]
         assert angle_polish_reference(F, params) >= value - 1e-12 * max(1.0, abs(value))
 
 
@@ -1206,3 +1283,43 @@ def test_deeper_tree_must_beat_rounding_noise(entries, r):
     for depth in (2, 3):
         res = relax_lamination(F, params, OracleConfig(depth=depth))
         assert res.best_measure.tree == () and len(res.best_measure.atoms) == 1
+
+
+def test_lower_is_one_rule_on_floats_and_arrays():
+    # Below by more than 1e-12 relative; -inf is below every finite value
+    # and +inf above it.  Floats and arrays, elementwise, agree.
+    values = [-math.inf, -1.0, 0.0, 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-11, math.inf]
+    new, old = np.meshgrid(values, values, indexing="ij")
+    scalar = np.array([[_lower(a, b) for b in values] for a in values])
+    assert np.array_equal(_lower(new, old), scalar)
+    assert _lower(-math.inf, 0.0) and _lower(-math.inf, math.inf) and _lower(1.0, math.inf)
+    assert not (_lower(-math.inf, -math.inf) or _lower(math.inf, math.inf) or _lower(0.0, 1e-13))
+    assert not _lower(1.0, 1.0 + 1e-13) and _lower(1.0, 1.0 + 1e-11)
+
+
+# An L target at r = 1.01 (seed 26 #165 of the oracle bench's list) whose
+# pair scan's lowest chord is one ulp above its best single split's value:
+# its entries as hex.
+_TIED_SCAN_TARGET = [
+    "0x1.2e7a21bc6f1a7p-2", "-0x1.731e2199faf26p-3", "0x1.e6d073f08ef61p-2",
+    "-0x1.ef7be2b9ba041p-2", "0x1.d6a9c3f4d9734p-3", "-0x1.3b9a24308153dp-1",
+]
+
+
+def test_two_level_zooms_a_scan_that_ties_its_bound():
+    # A pair scan that ties the best single split, above it by rounding
+    # only, is zoomed: its first split reaches an estimate far below the
+    # single split, and the deepened tree is taken (gap 1.4e-3 when the
+    # tie skipped the zoom, 1.5e-5 with it).
+    F = np.array([float.fromhex(x) for x in _TIED_SCAN_TARGET]).reshape(3, 2)
+    params = MaterialParams(mu=2.0, r=1.01)
+    sd = svd32(F)
+    value1, _ = _depth1_of(F, params)
+    base = _PAIR_LADDER * max(1.0, math.hypot(sd.lamM, sd.lamm))
+    low = float(_frame_chords(sd.lamM, sd.lamm, base, _endpoint_estimate(params))[1].min())
+    assert value1 < low and not _lower(value1, low)
+    est, split = _two_level(sd, params, value1)
+    assert split is not None and est < 0.1 * value1
+    res = relax_lamination(F, params, CFG)
+    assert [e["level"] for e in res.best_measure.tree] == [1, 2, 2]
+    assert res.gap < 2e-5
