@@ -6,11 +6,12 @@ one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
 One function, ``_chords``, scores such chords everywhere, and one
-kernel, ``_w2d``, evaluates every plane energy of a matrix.  The plane
-energy depends on a matrix only through its singular values, so along
-its six frame lines, the rank-one lines along pairs of its singular
-vectors, it has closed forms in two numbers (``_frame_lines``, which
-computes only the lines asked for).  One scorer, ``_frame_tables``,
+kernel, ``_w2d``, evaluates every plane energy of a matrix: ``svd32``
+then ``plane_energy_values``, as ``membrane.plane_energy`` does.  The
+plane energy depends on a matrix only through its singular values, so
+along its six frame lines, the rank-one lines along pairs of its
+singular vectors, it has closed forms in two numbers (``_frame_lines``,
+which computes only the lines asked for).  One scorer, ``_frame_tables``,
 scores the frame lines from them, with no frame and no line matrix: four
 of the six lines are even in the offset, so their lowest chord is their
 lowest sample, taken on one side only, and only the other two get chord
@@ -29,11 +30,12 @@ levels are read from the target's two singular values.  That first
 split is zoomed only when its scan's lowest chord is not above the best
 single split's value by more than rounding noise; one split or none is
 the answer in most targets, and then the two-level phase is one scan.
-A witness grows by one level step, ``_deepen``: a light pass over all
-its atoms (both endpoints of a two-level tree, every atom of a deeper
-level) in one zoom.  A split, or a deeper tree, is taken only when its
-value is lower by more than rounding noise (``_lower``).  The reported
-value is always the plane-energy pairing of an explicit witness measure.
+A witness grows by one level step, ``_deepen``: the target's depth-one
+pass over all its atoms (both endpoints of a two-level tree, every atom
+of a deeper level) in one zoom.  A split, or a deeper tree, is taken
+only when its value is lower by more than rounding noise (``_lower``).
+The reported value is always the pairing of an explicit witness measure
+with ``plane_energy``, bit for bit.
 The search budget (directions, offsets, zoom levels) is a set of module
 constants; ``OracleConfig`` chooses only the depth.
 """
@@ -44,13 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import singular_values, svd32
-from .membrane import (
-    _INVARIANT_MAX,
-    DomainError,
-    plane_energy_values,
-    psi,
-)
+from .algebra import svd32
+from .membrane import _INVARIANT_MAX, DomainError, plane_energy_values, psi
 from .microstructure import DiscreteYoungMeasure, _split
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
@@ -72,11 +69,10 @@ _ENDPOINT_TOP = 8.0
 _NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
     (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
 )
-# Unit ladders of offsets, scaled by max(1, |F|) per call: the full and
-# the light single split's, the first splits of two-level trees, and the
-# endpoint estimate's frame chords.
+# Unit ladders of offsets, scaled by max(1, |F|) per matrix: single
+# splits, the first splits of two-level trees, and the endpoint estimate's
+# frame chords.
 _SCAN_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_SCAN)
-_LIGHT_LADDER = np.geomspace(1e-3, _SPLIT_TOP, 16)
 _PAIR_LADDER = np.geomspace(1e-2, _PAIR_TOP, 24)
 _ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
 
@@ -85,11 +81,12 @@ _ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
 class OracleConfig:
     """Lamination depth of the oracle.
 
-    The search budget is fixed: the target's six frame directions,
-    ``_T_SCAN`` offsets per side of each rank-one line, and a polish of
-    the best single splits and of a two-level tree's first split (unless
-    its scan is above the best single split) by ``_ZOOM_LEVELS`` chord
-    tables of ``_ZOOM_POINTS`` offsets per side along their frame lines.
+    The search budget is fixed: the six frame directions of each matrix
+    split, ``_T_SCAN`` offsets per side of each rank-one line, and a
+    polish of the best single splits (of the target, and of the atoms of
+    each level step) and of a two-level tree's first split (unless its
+    scan is above the best single split) by ``_ZOOM_LEVELS`` chord tables
+    of ``_ZOOM_POINTS`` offsets per side along their frame lines.
     ``depth`` is the lamination order searched (1 or 2, deeper levels
     split witness atoms further).  The search is deterministic.
     """
@@ -116,9 +113,10 @@ def _energies(params):
 
 
 def _w2d(G, params):
-    """Plane energy of a batch of 3x2 matrices, shape ``(..., 3, 2)``: the
-    one plane-energy path of the oracle for matrices."""
-    return _energies(params)(*singular_values(G))
+    """Plane energy of one 3x2 matrix or a batch, shape ``(..., 3, 2)``:
+    the oracle's one path for matrices, composed as ``plane_energy``."""
+    sd = svd32(G)
+    return plane_energy_values(sd.lamM, sd.delta, params)
 
 
 def _chords(w_pos, w_neg, s_pos, s_neg):
@@ -316,24 +314,24 @@ def _lower(new, old):
         return (new < old) & (np.isneginf(new) | (old - new > 1e-12 * np.maximum(1.0, abs(new))))
 
 
-def _best_splits(l1, l2, scale, ladder, value, top_k, bound):
+def _best_splits(l1, l2, ladder, value, top_k, bound):
     """The one split search: the best split along the frame lines of each
     matrix of a stack with singular values ``l1 >= l2`` (shape ``(k,)``),
     of chords of ``value``, which maps singular values ``(hi, lo)`` to
     values.
 
     One scan (``_frame_chords``) on the offsets ``ladder`` times each
-    row's ``scale`` ranks each row's lines by their lowest chord, ties to
-    the lower line.  Of the first ``top_k``, the lines whose chord is
-    finite and not above ``bound`` by more than rounding noise
-    (``_lower``) are zoomed (``_zoom``), all rows in one call, and each
-    row keeps its first lowest zoomed chord.  Returns
-    ``(own, low, d, s_pos, s_neg)``, each of shape ``(k,)``: the row's own
-    value and its best chord, along line ``d`` from ``s_pos`` to
+    row's ``max(1, |F|) = max(1, hypot(l1, l2))`` ranks each row's lines
+    by their lowest chord, ties to the lower line.  Of the first
+    ``top_k``, the lines whose chord is finite and not above ``bound`` by
+    more than rounding noise (``_lower``) are zoomed (``_zoom``), all rows
+    in one call, and each row keeps its first lowest zoomed chord.
+    Returns ``(own, low, d, s_pos, s_neg)``, each of shape ``(k,)``: the
+    row's own value and its best chord, along line ``d`` from ``s_pos`` to
     ``-s_neg``.  A row with no line zoomed has ``d = -1``, its scan's
     lowest chord and infinite ends.
     """
-    s = scale[:, None] * ladder
+    s = np.maximum(1.0, np.hypot(l1, l2))[:, None] * ladder
     own, low, i, j = _frame_chords(l1, l2, s, value)
     least = low.min(axis=1)
     first = float(least.min())
@@ -365,20 +363,18 @@ def _frame_split(Q, R, d, s_pos, s_neg):
     return Q[:, d // 2], R[d % 2, :], t, s_neg / t
 
 
-def _depth1(sd, scale, params, light=False):
+def _depth1(sd, params):
     """Best single split (or none) of one matrix or of each of a stack
-    of shape ``(k, 3, 2)``, from its ``svd32`` ``sd`` and its ``scale =
-    max(1, |F|)``: one search (``_best_splits``) of chords of the plane
-    energy, the top six lines on ``_SCAN_LADDER``, or with ``light`` the
-    top three on ``_LIGHT_LADDER``.
+    of shape ``(k, 3, 2)``, from its ``svd32`` ``sd``: one search
+    (``_best_splits``) of chords of the plane energy, all six lines on
+    ``_SCAN_LADDER``.
 
     Returns a list of ``(value, split_or_None)``, one per matrix, with
     ``split = (a, b, t, theta)`` (``_frame_split``).  A split that wins by
     rounding noise only is reported as no split.
     """
-    ladder, top_k = (_LIGHT_LADDER, 3) if light else (_SCAN_LADDER, 6)
-    l1, l2, scale = np.reshape([sd.lamM, sd.lamm, scale], (3, -1))
-    own, low, d, s_pos, s_neg = _best_splits(l1, l2, scale, ladder, _energies(params), top_k, math.inf)
+    l1, l2 = np.reshape([sd.lamM, sd.lamm], (2, -1))
+    own, low, d, s_pos, s_neg = _best_splits(l1, l2, _SCAN_LADDER, _energies(params), 6, math.inf)
     Q, R = np.reshape(sd.Q, (-1, 3, 3)), np.reshape(sd.R, (-1, 2, 2))
     return [
         (v, _frame_split(Q[k], R[k], dk, s_pos[k], s_neg[k])) if dk >= 0 and _lower(v, w0) else (w0, None)
@@ -395,10 +391,8 @@ def _two_level(sd, params, bound):
     noise.  Returns ``(estimate, first_split)``, or ``(lowest_chord,
     None)`` when no zoom ran.
     """
-    l1, l2 = sd.lamM, sd.lamm
-    scale = np.array([max(1.0, math.hypot(l1, l2))])
     _, [est], [d], [s_pos], [s_neg] = _best_splits(
-        np.array([l1]), np.array([l2]), scale, _PAIR_LADDER, _endpoint_estimate(params), 1, bound
+        np.array([sd.lamM]), np.array([sd.lamm]), _PAIR_LADDER, _endpoint_estimate(params), 1, bound
     )
     return float(est), None if d < 0 else _frame_split(sd.Q, sd.R, d, s_pos, s_neg)
 
@@ -414,11 +408,10 @@ def _split_atom(w, G, split, level):
 
 
 def _deepen(atoms, tree, level, params):
-    """One level step of a witness: a light depth-one pass over all
-    ``atoms`` in one zoom.  Returns the atoms after the splits it finds
+    """One level step of a witness: the depth-one pass the target gets
+    (``_depth1``), over all ``atoms`` in one zoom.  Returns the atoms after the splits it finds
     and ``tree`` followed by their records at ``level``, as new lists."""
-    Fs = np.stack([G for _, G in atoms])
-    subs = _depth1(svd32(Fs), [max(1.0, float(np.linalg.norm(G))) for G in Fs], params, light=True)
+    subs = _depth1(svd32(np.stack([G for _, G in atoms])), params)
     steps = [_split_atom(w, G, sub, level) for (w, G), (_, sub) in zip(atoms, subs)]
     return [atom for step, _ in steps for atom in step], tree + [r for _, records in steps for r in records]
 
@@ -474,7 +467,7 @@ def relax_lamination(Ft, params, cfg=None):
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
 
-    [(value1, split1)] = _depth1(sd, max(1.0, norm), params)
+    [(value1, split1)] = _depth1(sd, params)
     atoms, tree = _split_atom(1.0, F, split1, 1)
     best_pairing = _witness_pairing(atoms, params)
 
@@ -496,8 +489,10 @@ def relax_lamination(Ft, params, cfg=None):
         )
 
     # Exploration depths beyond two: keep splitting witness atoms, all
-    # atoms of a level in one step, while it pays.
-    for level in range(3, cfg.depth + 1):
+    # atoms of a level in one step, while it pays.  Each step is the level
+    # below the deepest of the kept tree.
+    for _ in range(cfg.depth - 2):
+        level = 1 + max((e["level"] for e in tree), default=0)
         deeper, deeper_tree = _deepen(atoms, tree, level, params)
         if len(deeper) == len(atoms):  # no atom split
             break

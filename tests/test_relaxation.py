@@ -25,7 +25,7 @@ from helpers import (
     sample_invariants,
 )
 from nemem import membrane, microstructure, relaxation
-from nemem.algebra import diag_embed, rank_one_gap, singular_values, svd32
+from nemem.algebra import diag_embed, rank_one_gap, svd32
 from nemem.constitutive import MaterialParams
 from nemem.membrane import (
     _INVARIANT_MAX,
@@ -40,7 +40,6 @@ from nemem.membrane import (
 from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
     _ENDPOINT_LADDER,
-    _LIGHT_LADDER,
     _NORM_MAX,
     _PAIR_LADDER,
     _SCAN_LADDER,
@@ -78,11 +77,8 @@ def test_config_validation():
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 def test_scalar_plane_energy_matches_array_kernel(r):
     # The oracle's plane-energy path _w2d, called on one matrix at a time,
-    # against plane_energy_values on the invariants directly.  _w2d takes
-    # its singular values (algebra.singular_values) from the Gram
-    # matrix, whose smaller one loses relative accuracy like
-    # eps * (lamM / lamm)^2, so the random pairs keep
-    # lamm / lamM = delta / lamM^2 >= 0.1.
+    # against plane_energy_values on the invariants directly.  The random
+    # pairs keep lamm / lamM = delta / lamM^2 >= 0.1.
     params = MaterialParams(mu=2.0, r=r)
     rng = np.random.default_rng(11)
     lam = rng.uniform(0.2, 3.0 * r ** (1.0 / 3.0), 2000)
@@ -110,6 +106,12 @@ def test_scalar_plane_energy_matches_array_kernel(r):
     scalar = np.array([_w2d(diag_embed(l, d / l), params) for l, d in zip(L, D)])
     array = plane_energy_values(L, D, params)
     np.testing.assert_array_equal(np.isfinite(array), expect_finite)
+    # _w2d reads delta as the rounded product l * (d / l) of the matrix's
+    # singular values, which on the exact-floor block can land just above
+    # the floor: there it is finite exactly when that product is.
+    floor = slice(lam.size + lam_e.size, lam.size + lam_e.size + 50)
+    areal = L[floor] * (D[floor] / L[floor])
+    expect_finite[floor] = areal > _RANK_TOL * np.maximum(1.0, L[floor] * L[floor])
     np.testing.assert_array_equal(np.isfinite(scalar), expect_finite)
     # The branches subtract 3, so near the energy well the rounding error
     # is absolute, on the scale of mu.
@@ -302,19 +304,37 @@ _unit_entries = st.floats(-1.0, 1.0, allow_subnormal=False)
 )
 def test_line_relaxation_matches_lower_hull_reference(r, F, a, b):
     # The lowest chord through 0 against the lower convex hull of the same
-    # samples, built independently and read at 0.
+    # samples, built independently (LAPACK's singular values) and read at 0.
     params = MaterialParams(mu=2.0, r=r)
     F = np.reshape(F, (3, 2))
     a = np.array(a) / np.linalg.norm(a)
     b = np.array(b) / np.linalg.norm(b)
     v = relax_along_line(F, a, b, params)
     ts = np.linspace(-1.0, 1.0, 1601) * 10.0 * max(1.0, float(np.linalg.norm(F)))
-    lamM, lamm = singular_values(F[None] + ts[:, None, None] * np.outer(a, b)[None])
-    ref = lower_hull_at_zero(ts, plane_energy_values(lamM, lamM * lamm, params))
+    sv = np.linalg.svd(F[None] + ts[:, None, None] * np.outer(a, b)[None], compute_uv=False)
+    ref = lower_hull_at_zero(ts, plane_energy_values(sv[:, 0], sv[:, 0] * sv[:, 1], params))
     if np.isinf(ref):
         assert v == ref
     else:
         assert abs(v - ref) <= 1e-12 * max(1.0, abs(v))
+
+
+_E2, _E3 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "x, a, b, want",
+    [(1.0, _E3, _E2[:2], math.inf), (1e-5, _E2, _E2[:2], 99338937.2869)],
+    ids=["rank-one-line", "thin-line"],
+)
+def test_line_relaxation_scores_near_rank_one_lines(x, a, b, want):
+    # Along a line of rank-one matrices the plane energy is +inf
+    # everywhere, and so is its relaxation; along a line of near-rank-one
+    # matrices the smaller singular value keeps its precision.
+    F = np.zeros((3, 2))
+    F[2, 0] = x
+    v = relax_along_line(F, a, b, MaterialParams(mu=2.0, r=1.01))
+    assert v == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
@@ -326,7 +346,7 @@ def test_grid_candidates_are_the_splits_of_their_chords(region):
     lamM, delta = sample_invariants(region, 8.0, 0.4, 0.6)
     assert classify(lamM, delta, P8) is region
     F = matrix_from_invariants(lamM, delta, rng)
-    offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
+    offsets = _offsets(F, _SCAN_LADDER)
     sd = svd32(F)
     w0, candidates = _ranked_candidates(F, P8, _SCAN_LADDER, 6)
     assert abs(w0 - plane_energy(F, P8)) <= 1e-12 * max(1.0, abs(w0))
@@ -423,6 +443,13 @@ def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
     assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 6
 
 
+def _offsets(F, ladder):
+    # A unit ladder in units of max(1, |F|), read from F's singular values
+    # as the split search reads it.
+    sd = svd32(F)
+    return ladder * max(1.0, float(np.hypot(sd.lamM, sd.lamm)))
+
+
 def _ranked_candidates(F, params, ladder, top_k):
     # The candidates of the one split search on the plane energy of F, in
     # rank order: the rows its one zoom is given (line, chord ends), each
@@ -430,7 +457,6 @@ def _ranked_candidates(F, params, ladder, top_k):
     # form of helpers.frame_scan_reference.
     sd = svd32(F)
     l1, l2 = np.array([sd.lamM]), np.array([sd.lamm])
-    scale = np.array([max(1.0, float(np.linalg.norm(F)))])
     rows = []
     zoom = relaxation._zoom
 
@@ -440,8 +466,8 @@ def _ranked_candidates(F, params, ladder, top_k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relaxation, "_zoom", recording)
-        _best_splits(l1, l2, scale, ladder, _energies(params), top_k, math.inf)
-    own, low, _, _ = _frame_chords(l1, l2, scale[:, None] * ladder, _energies(params))
+        _best_splits(l1, l2, ladder, _energies(params), top_k, math.inf)
+    own, low, _, _ = _frame_chords(l1, l2, _offsets(F, ladder)[None], _energies(params))
     return float(own[0]), [(float(low[0, d]), d, s_pos, s_neg) for d, s_pos, s_neg in rows]
 
 
@@ -449,17 +475,19 @@ def _assert_scan_matches_reference(F, params, ladder, top_k):
     # The closed-form scan against the scan on line matrices: the same
     # number of candidates, and the values (own, then ranked) to 1e-12.
     w0, got = _ranked_candidates(F, params, ladder, top_k)
-    ref_w0, ref = frame_scan_reference(F, params, ladder * max(1.0, float(np.linalg.norm(F))), top_k)
+    ref_w0, ref = frame_scan_reference(F, params, _offsets(F, ladder), top_k)
     assert len(got) == len(ref)
     for v, r in zip([w0] + [c[0] for c in got], [ref_w0] + [c[0] for c in ref]):
         assert v == r or abs(v - r) <= 1e-12 * max(1.0, abs(r)), (v, r)
     return got
 
 
-@pytest.mark.parametrize("full", [True, False], ids=["grid", "frame"])
+# The oracle's scans of plane energies: the single splits', 40 offsets
+# ("grid"), and the endpoint estimate's, 14 offsets ("frame").
+@pytest.mark.parametrize("ladder", [_SCAN_LADDER, _ENDPOINT_LADDER], ids=["grid", "frame"])
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
-def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
+def test_bounded_grid_search_matches_exhaustive_reference(region, r, ladder):
     # The scan reads the six frame lines in closed form from the target's
     # singular values, with chord tables only for (0, 0) and (1, 1); the
     # reference scores every line on its matrices, one full chord table per
@@ -468,16 +496,13 @@ def test_bounded_grid_search_matches_exhaustive_reference(region, r, full):
     lamM, delta = sample_invariants(region, r, 0.4, 0.6)
     assert classify(lamM, delta, params) is region
     F = matrix_from_invariants(lamM, delta, np.random.default_rng(5))
-    # The scans of the oracle's single splits: the full one, 40 offsets and
-    # top 6 ("grid"), and the light one, 16 offsets and top 3 ("frame").
-    ladder, top_k = (_SCAN_LADDER, 6) if full else (_LIGHT_LADDER, 3)
-    offsets = ladder * max(1.0, float(np.linalg.norm(F)))
+    offsets = _offsets(F, ladder)
     sd = svd32(F)
     _, low, _, _ = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
     _, lows = frame_lows_reference(F, params, offsets)
     for v, (ref, _, _) in zip(low, lows):
         assert v == ref or abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (v, ref)
-    assert len(_assert_scan_matches_reference(F, params, ladder, top_k)) == top_k
+    assert len(_assert_scan_matches_reference(F, params, ladder, 6)) == 6
 
 
 def test_bounded_grid_search_breaks_ties_on_the_lower_index():
@@ -486,8 +511,7 @@ def test_bounded_grid_search_breaks_ties_on_the_lower_index():
     # index: (0, 1) comes first, and a top_k that splits the pair keeps it.
     F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
     sd = svd32(F)
-    offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
-    _, low, i, j = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(P8))
+    _, low, i, j = _frame_chords(sd.lamM, sd.lamm, _offsets(F, _SCAN_LADDER), _energies(P8))
     assert low[1] == low[2] and (i[1], j[1]) == (i[2], j[2])
 
     def picked(candidates):
@@ -504,17 +528,16 @@ def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
     # Most frame lines of a rank-deficient target are +inf everywhere
     # (every line of the zero matrix is), so fewer than top_k lines have a
     # finite chord: every one of them is a candidate.
-    offsets = _LIGHT_LADDER * max(1.0, float(np.linalg.norm(F)))
-    _, lows = frame_lows_reference(F, P8, offsets)
+    _, lows = frame_lows_reference(F, P8, _offsets(F, _SCAN_LADDER))
     n_finite = sum(np.isfinite(v) for v, _, _ in lows)
     assert n_finite < 6
-    assert len(_assert_scan_matches_reference(F, P8, _LIGHT_LADDER, 6)) == n_finite
+    assert len(_assert_scan_matches_reference(F, P8, _SCAN_LADDER, 6)) == n_finite
 
 
-def _depth1_of(F, params, light=False):
-    # The depth-one pass of one matrix, given its svd32 and norm as
-    # relax_lamination gives them.
-    return relaxation._depth1(svd32(F), max(1.0, float(np.linalg.norm(F))), params, light)[0]
+def _depth1_of(F, params):
+    # The depth-one pass of one matrix, given its svd32 as relax_lamination
+    # gives it.
+    return relaxation._depth1(svd32(F), params)[0]
 
 
 def _trap_closed_form(monkeypatch):
@@ -569,7 +592,7 @@ def test_two_level_builds_no_matrices(region, monkeypatch):
     def trap(*args, **kwargs):
         raise AssertionError("the two-level phase used a matrix")
 
-    for name in ("singular_values", "svd32", "_w2d", "_split_endpoints", "_dyads"):
+    for name in ("svd32", "_w2d", "_split_endpoints", "_dyads"):
         monkeypatch.setattr(relaxation, name, trap)
     est, split = _two_level(sd, P8, math.inf)
     assert float(est).hex() == float(expected[0]).hex()
@@ -606,13 +629,13 @@ def _assert_same_pass(got, want):
         assert np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("search", ["light", "full", "plane-scan", "plane-light", "pair-estimate"])
+@pytest.mark.parametrize("search", ["full", "plane-scan", "pair-estimate"])
 def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
     # The searches over a stack share one scan and one zoom; each matrix
-    # still gets, bit for bit, the result of its own search: the light and
-    # the full depth-one pass against the pass on the matrix's own svd32,
-    # and the split search itself, on the plane energy or the endpoint
-    # estimate, against the search on a stack of that row alone.  The
+    # still gets, bit for bit, the result of its own search: the depth-one
+    # pass against the pass on the matrix's own svd32, and the split search
+    # itself, on the plane energy or the endpoint estimate, against the
+    # search on a stack of that row alone.  The
     # zero matrix has no finite candidate, the S target's best split loses
     # to no split, and the last two are the endpoints of the two-level
     # pin's first split.
@@ -626,28 +649,26 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
     stack[2:2] = [np.zeros((3, 2))]
     stack += list(_split_endpoints(F2, split))
     sd = svd32(np.stack(stack))
-    scale = np.array([max(1.0, float(np.linalg.norm(G))) for G in stack])
-    if search in ("light", "full"):
-        light = search == "light"
-        got = relaxation._depth1(sd, scale, P2, light)
+    if search == "full":
+        got = relaxation._depth1(sd, P2)
         assert len(got) == len(stack)
         for G, res in zip(stack, got):
-            _assert_same_pass(res, _depth1_of(G, P2, light))
+            _assert_same_pass(res, _depth1_of(G, P2))
         assert got[2] == (np.inf, None)
         assert got[4][1] is None and all(res[1] is not None for res in got[5:])
         return
     ladder, value, top_k = {
         "plane-scan": (_SCAN_LADDER, _energies(P2), 6),
-        "plane-light": (_LIGHT_LADDER, _energies(P2), 3),
         "pair-estimate": (_PAIR_LADDER, _endpoint_estimate(P2), 1),
     }[search]
     l1, l2 = sd.lamM, sd.lamm
+    scale = np.maximum(1.0, np.hypot(l1, l2))
     # The pair search runs with a bound that some rows' scans are above.
     scan = _frame_chords(l1, l2, scale[:, None] * ladder, value)[1].min(axis=1)
     bound = float(np.median(scan[np.isfinite(scan)])) if search == "pair-estimate" else math.inf
-    got = _best_splits(l1, l2, scale, ladder, value, top_k, bound)
+    got = _best_splits(l1, l2, ladder, value, top_k, bound)
     for k in range(len(stack)):
-        alone = _best_splits(l1[k : k + 1], l2[k : k + 1], scale[k : k + 1], ladder, value, top_k, bound)
+        alone = _best_splits(l1[k : k + 1], l2[k : k + 1], ladder, value, top_k, bound)
         assert all(x[k].tobytes() == y[0].tobytes() for x, y in zip(got, alone)), k
     _, low, d, _, _ = got
     if search == "pair-estimate":
@@ -658,9 +679,9 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
 
 def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
     # A solve whose two-level tree is accepted polishes three times, each
-    # by one zoom: the full depth-one pass (six candidates), the two-level
-    # first split (one row along its scanned line), and one light pass over
-    # both endpoints of the first split (three candidates each).
+    # by one zoom: the depth-one pass (six candidates), the two-level first
+    # split (one row along its scanned line), and one depth-one pass over
+    # both endpoints of the first split (six candidates each).
     calls = []
     zoom = relaxation._zoom
 
@@ -671,7 +692,7 @@ def test_accepted_two_level_tree_polishes_its_endpoints_once(monkeypatch):
     monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
     res = relax_lamination(diag_embed(0.44, 0.08 / 0.44), MaterialParams(mu=2.0, r=2.0), CFG)
     assert [e["level"] for e in res.best_measure.tree] == [1, 2, 2]
-    assert calls == [("zoom", 6), ("zoom", 1), ("zoom", 6)]
+    assert calls == [("zoom", 6), ("zoom", 1), ("zoom", 12)]
 
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
@@ -736,9 +757,9 @@ def test_single_split_solves_zoom_once_and_never_deepen(region, monkeypatch):
 
 @pytest.mark.parametrize("region", [Region.M, Region.W, Region.S])
 def test_single_split_solve_decomposes_its_target_once(region, monkeypatch):
-    # relax_lamination passes its own svd32 of the target (and its norm) to
-    # the depth-one pass and the two-level phase: a solve that is not
-    # deepened decomposes one matrix, once.
+    # relax_lamination passes its own svd32 of the target to the depth-one
+    # pass and the two-level phase: a solve that is not deepened decomposes
+    # the target once, and then its witness's atoms, stacked, to pair them.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(11))
     calls = []
 
@@ -749,26 +770,26 @@ def test_single_split_solve_decomposes_its_target_once(region, monkeypatch):
     monkeypatch.setattr(relaxation, "svd32", counting_svd32)
     res = relax_lamination(F, P8, CFG)
     assert len(res.best_measure.tree) <= 1
-    assert calls == [(3, 2)]
+    assert calls == [(3, 2), (len(res.best_measure.atoms), 3, 2)]
 
 
-@pytest.mark.parametrize("light", [False, True], ids=["full", "light"])
-def test_zoom_rows_do_not_depend_on_their_order(light):
+@pytest.mark.parametrize("seeds", [(0,), (0, 1)], ids=["full", "step"])
+def test_zoom_rows_do_not_depend_on_their_order(seeds):
     # _zoom works on its rows ordered by line and returns them in the
-    # caller's order: shuffled rows of a full pass (one target) and of a
-    # light pass (two targets) get, row by row, the same results bit for bit.
-    ladder, top_k, seeds = (_LIGHT_LADDER, 3, (0, 1)) if light else (_SCAN_LADDER, 6, (0,))
+    # caller's order: shuffled rows of a depth-one pass of one target, and
+    # of a level step's pass over two, get, row by row, the same results
+    # bit for bit.
     rows = []
     for seed in seeds:
         F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.3, 0.7), np.random.default_rng(seed))
         sd = svd32(F)
-        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _ranked_candidates(F, P8, ladder, top_k)[1]]
+        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _ranked_candidates(F, P8, _SCAN_LADDER, 6)[1]]
     l1, l2, d, s_pos, s_neg = (np.array(x) for x in zip(*rows))
-    assert len(d) == 6 and len(set(d.tolist())) > 1
-    want = _zoom(l1, l2, d, s_pos, s_neg, ladder, _energies(P8))
+    assert len(d) == 6 * len(seeds) and len(set(d.tolist())) > 1
+    want = _zoom(l1, l2, d, s_pos, s_neg, _SCAN_LADDER, _energies(P8))
     for seed in range(3):
         p = np.random.default_rng(seed).permutation(len(d))
-        got = _zoom(l1[p], l2[p], d[p], s_pos[p], s_neg[p], ladder, _energies(P8))
+        got = _zoom(l1[p], l2[p], d[p], s_pos[p], s_neg[p], _SCAN_LADDER, _energies(P8))
         for x, y in zip(got, want):
             assert x.tobytes() == y[p].tobytes()
 
@@ -812,8 +833,8 @@ _SOLVE_PINS = {
     "L": (
         (Region.L, 11),
         8.0,
-        "0x1.0000000000000p-51",
-        [(1, "0x1.1e062381394cfp-1", "0x1.0000000000000p-1")],
+        "0x0.0p+0",
+        [(1, "0x1.6a09e6540dbddp+0", "0x1.eb2e29a45a3f3p-1")],
     ),
     "M": (
         (Region.M, 11),
@@ -824,23 +845,23 @@ _SOLVE_PINS = {
     "W": (
         (Region.W, 11),
         8.0,
-        "0x1.ee35506f47600p+0",
-        [(1, "0x1.a6cd286c4e658p-1", "0x1.fffffffffffffp-2")],
+        "0x1.ee35506f475f8p+0",
+        [(1, "0x1.a6cd286c4e65ap-1", "0x1.fffffffffffffp-2")],
     ),
     "S": (
         (Region.S, 11),
         8.0,
-        "0x1.61b2bccffe5d6p+1",
+        "0x1.61b2bccffe5d4p+1",
         [],
     ),
     "two-level": (
         diag_embed(0.44, 0.08 / 0.44),
         2.0,
-        "0x0.0p+0",
+        "0x1.7e6f22ce283f8p-52",
         [
             (1, "0x1.2c6fbaf2968fep+1", "0x1.0000000000000p-1"),
-            (2, "0x1.8ca0703a5297ep+0", "0x1.0000000000000p-1"),
-            (2, "0x1.8ca0703a5297ep+0", "0x1.0000000000000p-1"),
+            (2, "0x1.c823e09ef9fbep+0", "0x1.7e6f22ce283f8p-1"),
+            (2, "0x1.c823e09ef9fbep+0", "0x1.7e6f22ce283f8p-1"),
         ],
     ),
 }
@@ -870,7 +891,7 @@ _DEPTH_THREE_PIN = (
         "-0x1.271416b8d9e8bp-4", "0x1.87b1212a9a75ap-2", "0x1.b88437886b7b8p-6",
         "-0x1.4c8d2c321575cp-3", "-0x1.b18fc57463fd8p-5", "0x1.b5e708df4159ap-3",
     ],
-    "0x1.dde1e00920c7bp-19",
+    "0x1.43cb75b66de4cp-19",
     [
         (
             1,
@@ -883,43 +904,43 @@ _DEPTH_THREE_PIN = (
             2,
             ["-0x1.f725c850e0676p-2", "-0x1.ac0f8e6197678p-1", "0x1.f3e5cf4dbd94cp-3"],
             ["0x1.35968d6886f71p-2", "0x1.e80a2d687b103p-1"],
-            "0x1.00ec495b60d00p+1",
-            "0x1.00045ffa36126p-1",
+            "0x1.00d3631bc97d7p+1",
+            "0x1.0004098cfd6ebp-1",
         ),
         (
             2,
-            ["-0x1.2c0ef85fabc0ep-2", "0x1.b0bf30333b1e1p-2", "0x1.b71c36755af77p-1"],
+            ["-0x1.f725c850e064ep-2", "-0x1.ac0f8e6197695p-1", "0x1.f3e5cf4dbd86bp-3"],
             ["-0x1.492c2ea440171p-1", "0x1.8828f0f610866p-1"],
-            "0x1.012c8ea3cac52p+1",
-            "0x1.01b52dfb9596ep-1",
+            "0x1.010f3b842ff43p+1",
+            "0x1.003f2c6874e67p-1",
         ),
         (
             3,
-            ["-0x1.4102c16b8ee00p-2", "0x1.b35c5f27e7944p-2", "0x1.b2bcf7773871ep-1"],
-            ["-0x1.e80a2d687b0fdp-1", "0x1.35968d6886f9dp-2"],
-            "0x1.19393fc02fe24p-2",
-            "0x1.0000007fb77afp-1",
+            ["-0x1.410309077b655p-2", "0x1.b35be47e0ddcap-2", "0x1.b2bd08f4d4362p-1"],
+            ["-0x1.e80a2d687b102p-1", "0x1.35968d6886f7ap-2"],
+            "0x1.1af2208b4e5e1p-2",
+            "0x1.0000000000000p-1",
         ),
         (
             3,
-            ["0x1.3b23a69046b88p-2", "-0x1.bd59f410d7386p-2", "-0x1.b1479e3784f76p-1"],
-            ["-0x1.e80a2d687b107p-1", "0x1.35968d6886f55p-2"],
-            "0x1.183ad20db09e6p-2",
-            "0x1.000000ebc8e30p-1",
+            ["0x1.3b235c7194caap-2", "-0x1.bd5a7157a882cp-2", "-0x1.b1478b80a51dcp-1"],
+            ["-0x1.e80a2d687b103p-1", "0x1.35968d6886f73p-2"],
+            "0x1.1af225b461299p-2",
+            "0x1.0000000000000p-1",
         ),
         (
             3,
-            ["-0x1.f725c850e064dp-2", "-0x1.ac0f8e6197695p-1", "0x1.f3e5cf4dbd86cp-3"],
-            ["0x1.8828f0f610854p-1", "0x1.492c2ea440189p-1"],
-            "0x1.17d99739d9ea6p-2",
-            "0x1.0000004e984bap-1",
+            ["0x1.291dc87fd353dp-2", "-0x1.b5bca542ad05ap-2", "-0x1.b65f8ac605aaap-1"],
+            ["0x1.8828f0f610887p-1", "0x1.492c2ea44014cp-1"],
+            "0x1.1af2259444a40p-2",
+            "0x1.0000000000000p-1",
         ),
         (
             3,
-            ["0x1.f725c850e064ep-2", "0x1.ac0f8e6197693p-1", "-0x1.f3e5cf4dbd86ap-3"],
-            ["0x1.8828f0f610876p-1", "0x1.492c2ea44015ep-1"],
-            "0x1.0aff7f46cecd8p-2",
-            "0x1.00000188f97a4p-1",
+            ["-0x1.2efc18c35158ep-2", "0x1.abc06d6a16aa2p-2", "0x1.b7d4b35fa09c4p-1"],
+            ["0x1.8828f0f610850p-1", "0x1.492c2ea44018ep-1"],
+            "0x1.0d618b59b4d5ep-2",
+            "0x1.00000227acff6p-1",
         ),
     ],
 )
@@ -1097,6 +1118,51 @@ def test_two_level_polish_is_its_estimate_on_matrices(region, r):
         assert est <= scan.min()
 
 
+# An M target at r = 100 (seed 43 #132 of the oracle bench's list) whose
+# value was 1.9e-13 off its witness's pairing when the oracle paired
+# through a second singular-value kernel: its entries as hex.
+_PAIRED_TARGET = [
+    "-0x1.3874cd1b8279dp+1", "0x1.bde70a81871cbp+0", "-0x1.0fdd56e93392cp+0",
+    "0x1.7f6d1b0860dcbp+2", "0x1.8a709b231ae87p+2", "0x1.387e17321c33dp+1",
+]
+
+
+@pytest.mark.parametrize("region, r", _REGION_CELLS, ids=[f"{g.value}-{r}" for g, r in _REGION_CELLS])
+def test_oracle_value_is_its_witness_pairing(region, r):
+    # The oracle pairs its witness through plane_energy's own composition,
+    # so the value is the witness's pairing with plane_energy bit for bit.
+    params = MaterialParams(mu=2.0, r=r)
+    rng = np.random.default_rng(int(r * 1000) + 7)
+    targets = [
+        matrix_from_invariants(*sample_invariants(region, r, u, v), rng)
+        for u, v in zip(halton(6, 2), halton(6, 3))
+    ]
+    if (region, r) == (Region.M, 100.0):
+        targets.append(np.array([float.fromhex(x) for x in _PAIRED_TARGET]).reshape(3, 2))
+    for F in targets:
+        res = relax_lamination(F, params, CFG)
+        assert res.value == measure_pairing(res.best_measure, lambda G: plane_energy(G, params))
+
+
+# An L target at r = 1.01 (seed 75 #90 of the oracle bench's list) whose
+# two-level tree is not taken and whose single split is deepened at
+# depth three: its entries as hex.
+_DEEPENED_SINGLE_SPLIT = [
+    "-0x1.bd8f0d093ef1bp-2", "-0x1.27c5ce670d15cp-2", "0x1.00990bda9d95cp-2",
+    "0x1.3cb6b21f5cd50p-1", "-0x1.35c443e145a04p-2", "-0x1.93dd2b84268a6p-2",
+]
+
+
+def test_level_step_is_numbered_after_the_kept_tree():
+    # A level step splits the atoms of the kept tree one level deeper, so
+    # a deepened single split is at level 2, whatever the depth searched.
+    F = np.array([float.fromhex(x) for x in _DEEPENED_SINGLE_SPLIT]).reshape(3, 2)
+    params = MaterialParams(mu=2.0, r=1.01)
+    assert [e["level"] for e in relax_lamination(F, params, CFG).best_measure.tree] == [1]
+    res = relax_lamination(F, params, OracleConfig(depth=3))
+    assert [e["level"] for e in res.best_measure.tree] == [1, 2, 2]
+
+
 # The batched pattern search is the search of helpers.angle_polish_reference,
 # the off-frame reference of the frame-line polish; these tests hold it to
 # its serial reference.
@@ -1190,7 +1256,7 @@ def test_pattern_search_matches_serial_reference(seed):
 
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_split_polish_matches_serial_reference(region):
-    # The zoom of the light scan's candidates of two targets, batched,
+    # The zoom of the depth-one scan's candidates of two targets, batched,
     # against one call per candidate: bit for bit, at every r.  Each result
     # is at most its scan chord and is the weighted plane energy of its
     # split, on matrices.
@@ -1200,13 +1266,13 @@ def test_split_polish_matches_serial_reference(region):
         for seed in (0, 1):
             F = matrix_from_invariants(*sample_invariants(region, r, 0.3, 0.7), np.random.default_rng(seed))
             sd = svd32(F)
-            rows += [(F, sd, cand) for cand in _ranked_candidates(F, params, _LIGHT_LADDER, 3)[1]]
+            rows += [(F, sd, cand) for cand in _ranked_candidates(F, params, _SCAN_LADDER, 6)[1]]
 
         def zoom(rows):
             l1 = np.array([sd.lamM for _, sd, _ in rows])
             l2 = np.array([sd.lamm for _, sd, _ in rows])
             d, s_pos, s_neg = (np.array(x) for x in list(zip(*(cand for _, _, cand in rows)))[1:])
-            return _zoom(l1, l2, d, s_pos, s_neg, _LIGHT_LADDER, _energies(params))
+            return _zoom(l1, l2, d, s_pos, s_neg, _SCAN_LADDER, _energies(params))
 
         batched = zoom(rows)
         for m, (F, sd, (value, d, _, _)) in enumerate(rows):
