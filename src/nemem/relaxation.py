@@ -22,14 +22,17 @@ singular values: one scan ranks each row's frame lines, and one zoom
 (``_zoom``) polishes the best along their own lines, a problem in the
 two offsets of the chord solved by ``_ZOOM_LEVELS`` chord tables, each
 centred on the lowest chord of the one before and smaller.  Depth one
-searches chords of plane energies.  Depth two searches first splits of
+searches chords of plane energies and zooms the first ``_ZOOM_LINES``
+lines of each row's ranking.  Depth two searches first splits of
 two-level trees along the target's frame lines, with chords of a
 depth-one estimate of both endpoints, the lowest chord along their own
 frame lines; the endpoints lie on the target's frame lines, so both
-levels are read from the target's two singular values.  That first
-split is zoomed only when its scan's lowest chord is not above the best
-single split's value by more than rounding noise; one split or none is
-the answer in most targets, and then the two-level phase is one scan.
+levels are read from the target's two singular values.  The estimate
+scores its endpoints in slices (``_ESTIMATE_SLICE``) whose temporaries
+stay under the allocator's mmap threshold.  That first split is zoomed
+only when its scan's lowest chord is not above the best single split's
+value by more than rounding noise; one split or none is the answer in
+most targets, and then the two-level phase is one scan.
 A witness grows by one level step, ``_deepen``: the target's depth-one
 pass over all its atoms (both endpoints of a two-level tree, every atom
 of a deeper level) in one zoom.  A split, or a deeper tree, is taken
@@ -55,6 +58,11 @@ __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination
 _T_SCAN = 40  # offsets per side of each frame line of the full depth-one scan
 _ZOOM_POINTS = 33  # grid points per side of a zoomed chord table
 _ZOOM_LEVELS = 9  # zoom levels of a split's polish
+# Lines of each matrix's scan ranking that a depth-one pass zooms.  Over
+# the 2340 default solves of the gap table every kept split came from the
+# first or second; a test checks on every region that zooming all six
+# finds the same splits, bit for bit.
+_ZOOM_LINES = 2
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
 # splits, first splits of two-level trees, and the frame chords that
@@ -69,12 +77,25 @@ _ENDPOINT_TOP = 8.0
 _NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
     (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
 )
+# relax_along_line samples F + s a b^T with |s| <= _SPLIT_TOP max(1, |F|).
+# A unit rank-one term moves the larger singular value by at most |s| and
+# leaves the smaller at most F's larger one, so a sample has lamM <= |F| +
+# |s| and delta <= |F| (|F| + |s|): lines through matrices up to this norm
+# keep every sampled invariant within _INVARIANT_MAX.
+_LINE_NORM_MAX = math.sqrt(_INVARIANT_MAX / (1.0 + _SPLIT_TOP))
 # Unit ladders of offsets, scaled by max(1, |F|) per matrix: single
 # splits, the first splits of two-level trees, and the endpoint estimate's
 # frame chords.
 _SCAN_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_SCAN)
 _PAIR_LADDER = np.geomspace(1e-2, _PAIR_TOP, 24)
 _ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
+# Endpoints per slice of the endpoint estimate.  Its largest temporary, the
+# chord tables of an endpoint's two odd frame lines, holds 2 n^2 float64 for
+# n = len(_ENDPOINT_LADDER); a slice keeps it under glibc's default mmap
+# threshold of 128 KiB, so no temporary is mapped and unmapped per call, and
+# a solve's peak heap use stays near 0.5 MB, which the heap keeps between
+# solves instead of trimming it and faulting it in again.
+_ESTIMATE_SLICE = (128 * 1024) // (8 * 2 * len(_ENDPOINT_LADDER) ** 2)
 
 
 @dataclass(frozen=True)
@@ -83,10 +104,11 @@ class OracleConfig:
 
     The search budget is fixed: the six frame directions of each matrix
     split, ``_T_SCAN`` offsets per side of each rank-one line, and a
-    polish of the best single splits (of the target, and of the atoms of
-    each level step) and of a two-level tree's first split (unless its
-    scan is above the best single split) by ``_ZOOM_LEVELS`` chord tables
-    of ``_ZOOM_POINTS`` offsets per side along their frame lines.
+    polish of the best single splits (the ``_ZOOM_LINES`` best-ranked
+    lines of the target, and of each atom of a level step) and of a
+    two-level tree's first split (unless its scan is above the best
+    single split) by ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS``
+    offsets per side along their frame lines.
     ``depth`` is the lamination order searched (1 or 2, deeper levels
     split witness atoms further).  The search is deterministic.
     """
@@ -247,13 +269,26 @@ def _endpoint_estimate(params):
     """The endpoint estimate as a function of singular values ``(hi,
     lo)``: the least of a matrix's plane energy and the lowest chord
     through it along its frame lines, offsets ``_ENDPOINT_LADDER`` times
-    ``max(1, |E|)``.  Only the lows are taken, not where they lie."""
+    ``max(1, |E|)``.  Only the lows are taken, not where they lie.
+
+    Each endpoint's estimate is elementwise in its own two numbers, so the
+    endpoints are taken in slices of ``_ESTIMATE_SLICE``, each slice's
+    temporaries freed before the next is scored.
+    """
     energies = _energies(params)
 
-    def estimate(hi, lo):
+    def low(hi, lo):
         s = np.maximum(1.0, np.hypot(hi, lo))[..., None] * _ENDPOINT_LADDER
         own, chords, even = _frame_tables(hi, lo, s, energies)
         return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
+
+    def estimate(hi, lo):
+        out = np.empty(np.shape(hi))
+        flat, hi, lo = out.reshape(-1), np.ravel(hi), np.ravel(lo)
+        for a in range(0, flat.size, _ESTIMATE_SLICE):
+            b = slice(a, a + _ESTIMATE_SLICE)
+            flat[b] = low(hi[b], lo[b])
+        return out
 
     return estimate
 
@@ -366,15 +401,16 @@ def _frame_split(Q, R, d, s_pos, s_neg):
 def _depth1(sd, params):
     """Best single split (or none) of one matrix or of each of a stack
     of shape ``(k, 3, 2)``, from its ``svd32`` ``sd``: one search
-    (``_best_splits``) of chords of the plane energy, all six lines on
-    ``_SCAN_LADDER``.
+    (``_best_splits``) of chords of the plane energy, all six lines scanned
+    on ``_SCAN_LADDER`` and the first ``_ZOOM_LINES`` of each matrix's
+    ranking zoomed.
 
     Returns a list of ``(value, split_or_None)``, one per matrix, with
     ``split = (a, b, t, theta)`` (``_frame_split``).  A split that wins by
     rounding noise only is reported as no split.
     """
     l1, l2 = np.reshape([sd.lamM, sd.lamm], (2, -1))
-    own, low, d, s_pos, s_neg = _best_splits(l1, l2, _SCAN_LADDER, _energies(params), 6, math.inf)
+    own, low, d, s_pos, s_neg = _best_splits(l1, l2, _SCAN_LADDER, _energies(params), _ZOOM_LINES, math.inf)
     Q, R = np.reshape(sd.Q, (-1, 3, 3)), np.reshape(sd.R, (-1, 2, 2))
     return [
         (v, _frame_split(Q[k], R[k], dk, s_pos[k], s_neg[k])) if dk >= 0 and _lower(v, w0) else (w0, None)
@@ -517,7 +553,10 @@ def relax_along_line(Ft, a, b, params):
     ``W(Ft)`` and the lowest chord through 0 between samples on either
     side.  Infinite samples never win; the result is +inf only when every
     candidate is.  Raises ``ValueError`` unless ``Ft`` is a finite 3x2
-    matrix and ``(a, b)`` a pair of unit 3- and 2-vectors.
+    matrix and ``(a, b)`` a pair of unit 3- and 2-vectors, and
+    ``DomainError`` (a ``ValueError``) when ``|Ft|`` exceeds
+    ``_LINE_NORM_MAX``, so that the samples would reach invariants above
+    ``_INVARIANT_MAX``.
     """
     F = np.asarray(Ft, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -532,7 +571,15 @@ def relax_along_line(Ft, a, b, params):
     # Written so that a NaN norm fails the test.
     if not (abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12):
         raise ValueError("line direction must be a unit rank-one pair")
-    span = _SPLIT_TOP * max(1.0, float(np.linalg.norm(F)))
+    # A finite matrix's norm can overflow; math.hypot scales, for the message.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(F))
+    if not norm <= _LINE_NORM_MAX:
+        raise DomainError(
+            f"|F| = {math.hypot(*F.flat):.6g} is above {_LINE_NORM_MAX:.6g}, the largest norm whose "
+            f"line samples keep the invariants at most {_INVARIANT_MAX:g}"
+        )
+    span = _SPLIT_TOP * max(1.0, norm)
     s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
     W = _w2d(F + np.concatenate([s, -s])[:, None, None] * _dyads(a, b), params)
     chords = _chords(W[:_LINE_SAMPLES], W[_LINE_SAMPLES:], s, s)
