@@ -161,6 +161,21 @@ def _cmd_relax(args):
     return 0
 
 
+def _csv_rows(lam_axis, dlt_axis, tags, energy, s1, s2):
+    # The scan's CSV lines, lamM outer and delta inner, built by columns so
+    # that each grid value is formatted once.  tolist() gives Python floats,
+    # whose repr is the shortest round trip; a missing cell (None) is empty.
+    lam_text = list(map(repr, lam_axis.tolist()))
+    dlt_text = list(map(repr, dlt_axis.tolist()))
+    columns = (
+        [text for text in lam_text for _ in dlt_text],
+        dlt_text * len(lam_text),
+        tags.tolist(),
+        *(["" if v is None else repr(v) for v in col.tolist()] for col in (energy, s1, s2)),
+    )
+    return (",".join(row) + "\n" for row in zip(*columns))
+
+
 def _cmd_scan(args):
     params = MaterialParams(mu=args.mu, r=args.r)
     for name, lo, hi, count in (
@@ -176,11 +191,9 @@ def _cmd_scan(args):
             raise ValueError(f"--{name}-count must be >= 2")
         if not (0.0 <= lo < hi):
             raise ValueError(f"--{name} range needs 0 <= min < max")
-    lam, dlt = np.meshgrid(
-        np.linspace(args.lamM_min, args.lamM_max, args.lamM_count),
-        np.linspace(args.delta_min, args.delta_max, args.delta_count),
-        indexing="ij",
-    )
+    lam_axis = np.linspace(args.lamM_min, args.lamM_max, args.lamM_count)
+    dlt_axis = np.linspace(args.delta_min, args.delta_max, args.delta_count)
+    lam, dlt = np.meshgrid(lam_axis, dlt_axis, indexing="ij")
     lam, dlt = lam.ravel(), dlt.ravel()  # row-major: lamM outer, delta inner
 
     tags = region_tags(lam, dlt, params)
@@ -192,19 +205,15 @@ def _cmd_scan(args):
     for region in (Region.M, Region.W, Region.S):
         cells = stressed & (tags == region.value)
         s1[cells], s2[cells] = principal_stresses(lam[cells], dlt[cells], region, params)
-    rows = zip(*(col.tolist() for col in (lam, dlt, tags, energy, s1, s2)))
 
     try:
         with open(args.out, "w", newline="") as fh:
             if args.format == "csv":
                 fh.write("lamM,delta,region,energy,sigma1,sigma2\n")
-                # tolist() gives Python floats, whose repr is the shortest round trip.
-                for lm, dl, tag, e, a, b in rows:
-                    fields = [repr(lm), repr(dl), tag]
-                    fields += ["" if v is None else repr(v) for v in (e, a, b)]
-                    fh.write(",".join(fields) + "\n")
+                fh.writelines(_csv_rows(lam_axis, dlt_axis, tags, energy, s1, s2))
             else:
                 keys = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
+                rows = zip(*(col.tolist() for col in (lam, dlt, tags, energy, s1, s2)))
                 fh.write(_json_text([dict(zip(keys, row)) for row in rows]) + "\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)

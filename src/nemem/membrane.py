@@ -130,28 +130,50 @@ def _region_tests(lamM, delta, r):
     )
 
 
-def _plane_branches(lamM, delta, r):
-    """Branches ``(phi1, phi2, phi3, window)`` of the plane energy, on
-    floats or arrays.
+def _plane_brackets(lamM, delta, r, out=None):
+    """Brackets ``b1``, ``b2``, ``b3`` of the plane energy's branches, then
+    the third branch's ``window``, one at a time, on floats or arrays.
 
-    The one copy of the branch formulas: the plane energy is ``mu/2``
-    times the least of ``phi1``, ``phi2`` and, where the closed test
-    ``window`` holds, ``phi3``.  ``lamM`` and ``delta`` must be positive.
+    The one copy of the branch formulas: branch ``k`` is
+    ``r**(1/3) * bk - 3`` (``_plane_branches``), and the plane energy is
+    ``mu/2`` times the least of branches 1, 2 and, where the closed test
+    ``window`` holds, 3.  ``lamM`` and ``delta`` must be positive and, as
+    arrays, of one shape.  Each bracket is built in place (``b1`` in
+    ``out`` when given, an array of that shape), and a shared term is
+    dropped once the last bracket that reads it is made, so a caller that
+    folds the brackets as they come holds few arrays at once.
     """
-    rc = r ** (1.0 / 3.0)
     sqr = math.sqrt(r)
     # Squares are products: float ** 2 calls libm pow, array ** 2 multiplies.
-    square = lamM * lamM
-    ratio = delta / lamM
-    ratio2 = ratio * ratio
+    ratio2 = delta / lamM
+    ratio2 *= ratio2
     inv_t2 = 1.0 / (delta * delta)
+    square = lamM * lamM
+    bracket = square / r if out is None else np.divide(square, r, out=out)
+    bracket += ratio2
+    bracket += inv_t2
+    yield bracket
+    square += ratio2
+    inv_t2 /= r
+    square += inv_t2
+    del inv_t2
+    yield square
+    del square
+    bracket = 2.0 * lamM
+    bracket /= sqr * delta
+    ratio2 += bracket
+    del bracket
+    yield ratio2
     prod = lamM * delta
-    return (
-        rc * (square / r + ratio2 + inv_t2) - 3.0,
-        rc * (square + ratio2 + inv_t2 / r) - 3.0,
-        rc * (ratio2 + 2.0 * lamM / (sqr * delta)) - 3.0,
-        (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr),
-    )
+    yield (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr)
+
+
+def _plane_branches(lamM, delta, r):
+    """Branches ``(phi1, phi2, phi3, window)`` of the plane energy, on
+    floats or arrays of one shape, from ``_plane_brackets``."""
+    rc = r ** (1.0 / 3.0)
+    b1, b2, b3, window = _plane_brackets(lamM, delta, r)
+    return rc * b1 - 3.0, rc * b2 - 3.0, rc * b3 - 3.0, window
 
 
 def _check_invariants(lamM, delta):
@@ -277,7 +299,7 @@ def _region_energy(lamM, delta, region, params):
     r = params.r
     rc = r ** (1.0 / 3.0)
     if region is Region.S:
-        phi = _plane_branches(lamM, delta, r)[0]
+        phi = rc * next(_plane_brackets(lamM, delta, r)) - 3.0
     elif region is Region.W:
         phi = rc * (lamM * lamM / r + 2.0 / lamM) - 3.0
     elif region is Region.M:
@@ -297,19 +319,27 @@ def plane_energy_values(lamM, delta, params):
     complement of the finite window of the third branch.
     """
     lamM, delta = _check_invariants(lamM, delta)
+    # The least bracket, then the shared rc * x - 3 and mu/2: the same bits
+    # as the least branch, as both maps are monotone under round-to-nearest.
+    rc = params.r ** (1.0 / 3.0)
     if lamM.__class__ is float:  # both are, after the check
         # lamM = 0 above the floor is unrealizable: +inf, as delta / 0 gives on arrays.
         if not (delta > _RANK_TOL * max(1.0, lamM * lamM) and lamM > 0.0):
             return math.inf
-        phi1, phi2, phi3, window = _plane_branches(lamM, delta, params.r)
-        return 0.5 * params.mu * min(phi1, phi2, phi3 if window else math.inf)
+        b1, b2, b3, window = _plane_brackets(lamM, delta, params.r)
+        return 0.5 * params.mu * (rc * min(b1, b2, b3 if window else math.inf) - 3.0)
     if lamM.shape != delta.shape:
         lamM, delta = np.broadcast_arrays(lamM, delta)
 
     def energy(s, t, out):
-        phi1, phi2, phi3, window = _plane_branches(s, t, params.r)
-        phi3 = np.where(window, phi3, np.inf)
-        return np.multiply(0.5 * params.mu, np.minimum(np.minimum(phi1, phi2), phi3), out=out)
+        brackets = _plane_brackets(s, t, params.r, out)
+        least = next(brackets)
+        np.minimum(least, next(brackets), out=least)
+        b3 = next(brackets)
+        np.minimum(least, b3, out=least, where=next(brackets))
+        np.multiply(least, rc, out=least)
+        np.subtract(least, 3.0, out=least)
+        return np.multiply(0.5 * params.mu, least, out=least)
 
     # Rank-deficient pairs (and lamM = 0, as on floats) are +inf: a mask,
     # skipped when every pair is rank two.  The output is allocated before

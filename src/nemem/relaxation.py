@@ -486,6 +486,8 @@ def relax_lamination(Ft, params, cfg=None):
         searched has a finite pairing, so there is no witness (the plane
         energy is +inf at a rank-deficient ``Ft``, and the search may
         find no split that leaves it).
+    ValueError
+        When ``Ft`` is not a finite 3x2 matrix.
     TypeError
         When ``cfg`` is neither None nor an ``OracleConfig``.
     """
@@ -494,14 +496,19 @@ def relax_lamination(Ft, params, cfg=None):
     elif not isinstance(cfg, OracleConfig):
         raise TypeError(f"cfg must be an OracleConfig or None, got {type(cfg).__name__}")
     F = np.asarray(Ft, dtype=float)
-    sd = svd32(F)
-    closed = psi(sd.lamM, sd.delta, params)
-    norm = float(np.linalg.norm(F))
-    if norm > _NORM_MAX:
+    # The bound is checked before svd32 and psi, which would refuse the
+    # invariants of a target far above it with a plain ValueError.  Its norm
+    # can overflow; math.hypot scales, for the message.  Non-finite entries
+    # are left to svd32's ValueError.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(F))
+    if norm > _NORM_MAX and np.isfinite(F).all():
         raise DomainError(
-            f"|F| = {norm:.6g} is above {_NORM_MAX:.6g}, the largest norm whose "
+            f"|F| = {math.hypot(*F.flat):.6g} is above {_NORM_MAX:.6g}, the largest norm whose "
             f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
         )
+    sd = svd32(F)
+    closed = psi(sd.lamM, sd.delta, params)
 
     [(value1, split1)] = _depth1(sd, params)
     atoms, tree = _split_atom(1.0, F, split1, 1)

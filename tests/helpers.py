@@ -199,6 +199,19 @@ def gap_table(solves):
     }
 
 
+def scan_csv_reference(rows):
+    """The scan's CSV text from ``rows`` of ``(lamM, delta, region, energy,
+    sigma1, sigma2)``, written one row at a time: the reference for the
+    CLI's column writer.  Floats are written by ``repr``, the shortest
+    round trip, and a missing value (None) as an empty cell."""
+    lines = ["lamM,delta,region,energy,sigma1,sigma2\n"]
+    for lm, dl, tag, e, a, b in rows:
+        fields = [repr(lm), repr(dl), tag]
+        fields += ["" if v is None else repr(v) for v in (e, a, b)]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)
+
+
 def svd32_energies(params):
     """Plane energies of a batch of matrices from their ``svd32`` singular
     values, which keep the smaller one's relative accuracy."""

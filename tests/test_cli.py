@@ -8,6 +8,7 @@ import shlex
 import numpy as np
 import pytest
 
+from helpers import scan_csv_reference
 from nemem import cli
 from nemem.algebra import diag_embed
 from nemem.cli import main
@@ -170,6 +171,15 @@ def test_relax_huge_target_exit_code(capsys):
     # Invariants of the target are within bounds (delta 8.1e99), those the
     # search would reach are not: a domain error naming the bound.
     code, out, err = run_cli(capsys, "relax", "--F", "9e49 0; 0 9e49; 0 0", "--r", "8")
+    assert code == 3 and out == ""
+    assert "domain error" in err and f"{_NORM_MAX:.6g}" in err
+
+
+@pytest.mark.parametrize("x", ["1e60", "1e200"])
+def test_relax_target_beyond_the_invariant_bound_exit_code(capsys, x):
+    # The target's own invariants are above 1e100 (its squared entries
+    # overflow at 1e200): still the norm's domain error, not a usage error.
+    code, out, err = run_cli(capsys, "relax", "--F", f"{x} 0; 0 {x}; 0 0", "--r", "8")
     assert code == 3 and out == ""
     assert "domain error" in err and f"{_NORM_MAX:.6g}" in err
 
@@ -361,6 +371,32 @@ README_SCAN = [
 ]
 
 
+SMALL_SCAN = [
+    "scan",
+    "--lamM-min", "0.5", "--lamM-max", "3", "--lamM-count", "3",
+    "--delta-min", "0", "--delta-max", "2.5", "--delta-count", "3",
+    "--mu", "2", "--r", "8",
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [README_SCAN + ["--r", r] for r in ("1.01", "2", "8", "100")] + [SMALL_SCAN],
+    ids=["readme-r1.01", "readme-r2", "readme-r8", "readme-r100", "invalid-and-zero-delta"],
+)
+def test_scan_csv_matches_the_row_writer(tmp_path, capsys, args):
+    # The CSV is written by columns; it must be the row-by-row reference
+    # writer's text, byte for byte, on the values of the JSON format.
+    csv_path, json_path = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert run_cli(capsys, *args, "--out", str(csv_path))[0] == 0
+    assert run_cli(capsys, *args, "--out", str(json_path), "--format", "json")[0] == 0
+    keys = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
+    rows = [tuple(rec[k] for k in keys) for rec in json.loads(json_path.read_text())]
+    assert csv_path.read_bytes() == scan_csv_reference(rows).encode()
+    if args is SMALL_SCAN:
+        assert {row[2] for row in rows} >= {"Invalid", "L"} and (0.5, 0.0, "L", 0.0, None, None) in rows
+
+
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 def test_scan_agrees_with_scalar_api(tmp_path, capsys, r):
     # The scan evaluates the grid with array calls; every cell must match
@@ -390,7 +426,7 @@ def test_scan_agrees_with_scalar_api(tmp_path, capsys, r):
         np.testing.assert_allclose([float(s1_s), float(s2_s)], ref, rtol=1e-12, atol=1e-12)
 
 
-def test_scan_serial_parallel_identical(tmp_path, capsys):
+def test_scan_is_deterministic(tmp_path, capsys):
     # The scan is deterministic: two runs write the same bytes.
     args = [
         "scan",

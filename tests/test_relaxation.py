@@ -291,6 +291,19 @@ def test_huge_target_is_a_domain_error_before_the_search():
 
 
 @pytest.mark.parametrize("x", [1e49, 1e60, 1e200])
+def test_huge_target_norm_is_checked_before_its_invariants(x):
+    # Above 1e50 the target's own delta is above _INVARIANT_MAX, and above
+    # about 1e154 its squared entries overflow: still the norm's
+    # DomainError, with no numpy warning, naming the norm.
+    F = diag_embed(x, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            relax_lamination(F, P8, CFG)
+    assert f"{_NORM_MAX:.6g}" in str(err.value) and f"{math.sqrt(2.0) * x:.6g}" in str(err.value)
+
+
+@pytest.mark.parametrize("x", [1e49, 1e60, 1e200])
 def test_line_relaxation_bounds_the_norm(x):
     # Below _LINE_NORM_MAX every sample's invariants are within
     # _INVARIANT_MAX and the line has a value; above it the line is a
