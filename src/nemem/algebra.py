@@ -6,11 +6,13 @@ decomposition with frames of one 3x2 matrix or a batch (``svd32``), the
 batched singular values alone (``singular_values``), and a rank-one
 certificate (``rank_one_gap``).  The SVD is computed analytically from
 the 2x2 symmetric eigenproblem of F^T F, so it is exact up to rounding
-and has no iteration and no LAPACK call.  One matrix in the generic case
-is decomposed on Python floats, with the batch's numpy reductions for
-its sums of products, so it has the bits of a batch element; the rare
-cases (repeated, swapped or negligible singular values, huge entries)
-and the input errors live only in the array kernel.
+and has no iteration and no LAPACK call.  Every sum of products adds
+rounded products left to right, in a batch as on one matrix, so no BLAS
+or fused multiply-add decides a bit.  One matrix in the generic case,
+and each of a stack of a few, is decomposed on Python floats, with no
+numpy reduction, and has the bits of a batch element; the rare cases
+(repeated, swapped or negligible singular values, huge entries) and the
+input errors live only in the array kernel.
 """
 
 import math
@@ -38,6 +40,10 @@ _FRAME_TOL = 1e-13
 # tie and thin tests are relative, so they judge it as at its own size.
 _LANE_MIN = 2.0**-20
 _LANE_MAX = 1e75
+# A stack of at most this many matrices takes the float lane one matrix
+# at a time: a matrix there costs about a tenth of the array kernel's
+# fixed cost, which is most of the kernel's time on a stack this small.
+_LANE_STACK = 8
 
 
 @dataclass(frozen=True)
@@ -115,22 +121,24 @@ def svd32(F):
 
     Solves the 2x2 symmetric eigenproblem of F^T F analytically and
     assembles F = Q D R with Q in SO(3) and R orthogonal, for one matrix
-    or a batch.  A batch is one array computation whose products are
-    stacked per-matrix ``np.matmul`` and ``np.vecdot`` calls, so each
-    element's bits do not depend on the batch; the rare cases are masked
-    and skipped when no element has them.  A matrix with an entry of at
-    least ``_LANE_MAX``, or whose entries are all below ``_LANE_MIN``, is
-    one of them: it is decomposed scaled by an exact power of two, so its
-    Gram matrix neither overflows nor underflows (the tie and thin tests
-    are relative to the largest value, so the scale does not change their
-    verdict); a ``delta`` beyond the float range comes back as inf (below
-    it, as 0).  One matrix in
-    the generic case takes a float lane that makes the same reductions
-    on that matrix and does everything elementwise on Python floats,
-    with the same bits; any other input, including a malformed one, goes
-    to the array kernel.  Repeated or zero singular values get a
-    deterministic frame; only ``lamM``, ``lamm`` and the reconstruction
-    are unique in those cases.
+    or a batch.  A batch is one array computation in which every sum of
+    products (the Gram matrix, the eigenvector norms, ``F v``, ``|F v|^2``
+    and the Gram-Schmidt dot and norm) adds its rounded products left to
+    right, so each element's bits depend neither on the batch nor on its
+    memory layout; the rare cases are masked and skipped when no element
+    has them.  A matrix with an entry of at least ``_LANE_MAX``, or
+    whose entries are all below ``_LANE_MIN``, is one of them: it is
+    decomposed scaled by an exact power of two, so its Gram matrix
+    neither overflows nor underflows (the tie and thin tests are relative
+    to the largest value, so the scale does not change their verdict); a
+    ``delta`` beyond the float range comes back as inf (below it, as 0).
+    One matrix in the generic case takes a float lane that makes the same
+    operations in the same order on Python floats, with the same bits,
+    and so does each matrix of a stack of at most ``_LANE_STACK`` when
+    none of them is a rare case; any other input, including a malformed
+    one, goes to the array kernel.  Repeated or
+    zero singular values get a deterministic frame; only ``lamM``,
+    ``lamm`` and the reconstruction are unique in those cases.
 
     Parameters
     ----------
@@ -142,42 +150,59 @@ def svd32(F):
         Float singular values for one matrix, arrays for a batch.
     """
     F = np.asarray(F, dtype=float)
-    # One check admits the float lane: a finite sum rules out nan, which
-    # max() can skip.
-    if F.shape == (3, 2) and (
-        _LANE_MIN <= max(map(abs, x := F.ravel().tolist())) < _LANE_MAX and math.isfinite(sum(x))
-    ):
-        one = _svd32_one(np.ascontiguousarray(F))
-        if one is not None:
-            return one
     lead = F.shape[:-2]
     if F.shape[-2:] != (3, 2):
         raise ValueError(f"expected 3x2 matrices, got shape {F.shape}")
-    F = np.ascontiguousarray(F.reshape(-1, 3, 2))
+    # A few matrices take the float lane, each on its own, unless one of
+    # them is a rare case; any other input goes to the array kernel.
+    lanes = [None]
+    if 0 < F.size <= 6 * _LANE_STACK:
+        lanes = [_svd32_one(x) for x in F.reshape(-1, 6).tolist()]
+    if None in lanes:
+        lamM, lamm, delta, Q, R = _svd32_batch(F.reshape(-1, 3, 2))
+    elif lead:
+        lamM, lamm, delta, Q, R = (np.array(f) for f in zip(*lanes))
+    else:
+        [(lamM, lamm, delta, Q, R)] = lanes
+        return SingularData(lamM, lamm, delta, np.array(Q).reshape(3, 3), np.array(R).reshape(2, 2))
+    if not lead:
+        return SingularData(float(lamM[0]), float(lamm[0]), float(delta[0]), Q[0], R[0])
+    values = (x.reshape(lead) for x in (lamM, lamm, delta))
+    return SingularData(*values, Q.reshape(lead + (3, 3)), R.reshape(lead + (2, 2)))
+
+
+def _svd32_batch(F):
+    # The array kernel of svd32 on a stack of shape (n, 3, 2): the arrays
+    # lamM, lamm, delta, Q and R.
     n = len(F)
     # A largest entry of at least _LANE_MAX (or not finite) or below
     # _LANE_MIN is a rare case: such a matrix is decomposed as 2^-e F,
     # largest entry in [1/2, 1), and its singular values are scaled back by
     # 2^e (exact, frames unchanged).  The zero matrix keeps e = 0.
     exp = None
-    peak = np.abs(F).reshape(n, 6).max(axis=1)
+    peak = np.abs(F).max(axis=(1, 2))
     if not (_LANE_MIN <= peak.min(initial=_LANE_MIN) and peak.max(initial=0.0) < _LANE_MAX):
         if not np.all(peak < np.inf):
             raise ValueError("matrix entries must be finite")
         exp = np.where((peak >= _LANE_MAX) | (peak < _LANE_MIN), np.frexp(peak)[1], 0)
         F = np.ldexp(F, -exp[:, None, None])
 
-    # Leading eigenvector of F^T F = [[a, b], [b, c]]: the longer of the
-    # two equivalent expressions (b, s1sq - a) and (s1sq - c, b).
-    C = np.matmul(F.swapaxes(1, 2), F)
+    # F^T F = [[a, b], [b, c]] sums the products F_ki F_kj over the rows k;
+    # each reduction below makes its products in one multiply and adds them
+    # in order, which keeps the kernel's numpy calls few.
+    C = F[:, :, :, None] * F[:, :, None]
+    C = C[:, 0] + C[:, 1] + C[:, 2]
     a, b, c = C[:, 0, 0], C[:, 0, 1], C[:, 1, 1]
     disc = np.hypot(0.5 * (a - c), b)
+    # Leading eigenvector: the longer of the two equivalent expressions
+    # (b, s1sq - a) and (s1sq - c, b).
     s1sq = 0.5 * (a + c) + disc
     V = np.empty((n, 2, 2))
     V[:, 0, 0] = V[:, 1, 1] = b
     V[:, 0, 1] = s1sq - a
     V[:, 1, 0] = s1sq - c
-    norm2 = np.vecdot(V, V)
+    norm2 = V * V
+    norm2 = norm2[:, :, 0] + norm2[:, :, 1]
     v = np.where((norm2[:, 0] >= norm2[:, 1])[:, None], V[:, 0], V[:, 1])
     norm2 = np.maximum(norm2[:, 0], norm2[:, 1])
     tie = disc <= 1e-15 * np.maximum(a, c)
@@ -193,8 +218,9 @@ def svd32(F):
     R[:, 1, 1] = v[:, 0]
 
     # Rows w1 = F v1, w2 = F v2 and their lengths lamM, lamm.
-    W = np.matmul(F[:, None], R[:, :, :, None])[..., 0]
-    lam = np.sqrt(np.vecdot(W, W))
+    W = F[:, None] * R[:, :, None]
+    W = W[..., 0] + W[..., 1]
+    lam = np.sqrt(_sum3(W * W))
     swap = lam[:, 1] > lam[:, 0]
     if np.count_nonzero(swap):
         # Rounding near a repeated value can swap the order; restore it:
@@ -210,8 +236,8 @@ def svd32(F):
     U = np.empty((n, 2, 5))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = np.divide(W, lam[:, :, None], out=U[:, :, :3])
-        u[:, 1] -= np.vecdot(u[:, 0], u[:, 1])[:, None] * u[:, 0]
-        u[:, 1] /= np.sqrt(np.vecdot(u[:, 1], u[:, 1]))[:, None]
+        u[:, 1] -= _sum3(u[:, 0] * u[:, 1])[:, None] * u[:, 0]
+        u[:, 1] /= np.sqrt(_sum3(u[:, 1] * u[:, 1]))[:, None]
         # Judged at the scaled size, where no singular value overflows.
         thin = lam[:, 1] <= _FRAME_TOL * lam[:, 0]
         if exp is not None:
@@ -220,66 +246,82 @@ def svd32(F):
         # downstream rejects.
         delta = lam[:, 0] * lam[:, 1]
     lamM, lamm = lam[:, 0], lam[:, 1]
-    if np.count_nonzero(thin):
+    any_thin = np.count_nonzero(thin)
+    if any_thin:
         t1 = u[thin, 0]
         rows = np.arange(len(t1))
         t2 = np.zeros_like(t1)
         t2[rows, np.argmin(np.abs(t1), axis=1)] = 1.0
-        t2 = t2 - np.vecdot(t2, t1)[:, None] * t1
-        t2 = t2 / np.sqrt(np.vecdot(t2, t2))[:, None]
+        t2 -= _sum3(t2 * t1)[:, None] * t1
+        t2 /= np.sqrt(_sum3(t2 * t2))[:, None]
         lead_comp = t2[rows, np.argmax(np.abs(t2) > 1e-12, axis=1)]
         u[thin, 1] = t2 * np.copysign(1.0, lead_comp)[:, None]
     U[:, :, 3:] = U[:, :, :2]
     Q = np.empty((n, 3, 3))
     Q[:, :, :2] = u.swapaxes(1, 2)
     Q[:, :, 2] = U[:, 0, 1:4] * U[:, 1, 2:5] - U[:, 0, 2:5] * U[:, 1, 1:4]
-    if np.count_nonzero(thin):
+    if any_thin:
         Q[lamM <= 0.0] = np.eye(3)
 
-    if not lead:
-        return SingularData(float(lamM[0]), float(lamm[0]), float(delta[0]), Q[0], R[0])
-    values = (x.reshape(lead) for x in (lamM, lamm, delta))
-    return SingularData(*values, Q.reshape(lead + (3, 3)), R.reshape(lead + (2, 2)))
+    return lamM, lamm, delta, Q, R
 
 
-def _svd32_one(F):
-    # svd32 of one C-contiguous 3x2 matrix with bounded entries, on Python
-    # floats; None when a rare case (tie, swap, thin) applies, for the
-    # array kernel to handle.  The reductions are the batch's numpy calls
-    # on this one matrix (numpy's matmul and vecdot accumulate with fused
-    # multiply-adds, plain float sums would not, and their rounding also
-    # depends on the memory layout, hence contiguous as in the batch), and
-    # every elementwise step is the batch's correctly rounded operation on
-    # floats, so each field has the bits of the array kernel.
-    (a, b), (_, c) = np.matmul(F.T, F).tolist()
+def _sum3(P):
+    # Sums over the last axis of length 3, added left to right.
+    s = P[..., 0] + P[..., 1]
+    s += P[..., 2]
+    return s
+
+
+def _svd32_one(x):
+    # svd32 of one 3x2 matrix, given as the list of its six entries in
+    # row-major order, on Python floats: lamM, lamm, delta and the entries
+    # of Q and R in row-major order.  None when a rare case (an entry out
+    # of bounds, a tie, swap or thin) applies, for the array kernel to
+    # handle.  Every step is the array kernel's, in its order: a sum of
+    # products adds the rounded products left to right, and each
+    # elementwise operation is correctly rounded on floats as in numpy, so
+    # each field has the bits of a batch element.  The hypot is numpy's,
+    # as in the batch (math.hypot rounds differently).  One check admits
+    # the lane: a finite sum rules out nan, which max() can skip.
+    if not (_LANE_MIN <= max(map(abs, x)) < _LANE_MAX and math.isfinite(sum(x))):
+        return None
+    x0, y0, x1, y1, x2, y2 = x
+    a = x0 * x0 + x1 * x1 + x2 * x2
+    b = x0 * y0 + x1 * y1 + x2 * y2
+    c = y0 * y0 + y1 * y1 + y2 * y2
     disc = float(np.hypot(0.5 * (a - c), b))
     if disc <= 1e-15 * max(a, c):
         return None
     s1sq = 0.5 * (a + c) + disc
-    V = [[b, s1sq - a], [s1sq - c, b]]
-    n0, n1 = np.vecdot(V, V).tolist()
-    (v0, v1), norm2 = (V[0], n0) if n0 >= n1 else (V[1], n1)
+    p, q = s1sq - a, s1sq - c
+    n0, n1 = b * b + p * p, q * q + b * b
+    (v0, v1), norm2 = ((b, p), n0) if n0 >= n1 else ((q, b), n1)
     norm = math.sqrt(norm2)
     v0, v1 = v0 / norm, v1 / norm
     sign = math.copysign(1.0, v0 if abs(v0) > 1e-12 else v1)
     v0, v1 = v0 * sign, v1 * sign
-    R = np.array([[v0, v1], [-v1, v0]])
 
-    W = np.matmul(F[None], R[:, :, None])[..., 0]
-    lamM, lamm = (math.sqrt(x) for x in np.vecdot(W, W).tolist())
+    w1 = (x0 * v0 + y0 * v1, x1 * v0 + y1 * v1, x2 * v0 + y2 * v1)
+    w2 = (x0 * -v1 + y0 * v0, x1 * -v1 + y1 * v0, x2 * -v1 + y2 * v0)
+    lamM = math.sqrt(w1[0] * w1[0] + w1[1] * w1[1] + w1[2] * w1[2])
+    lamm = math.sqrt(w2[0] * w2[0] + w2[1] * w2[1] + w2[2] * w2[2])
     if lamm > lamM or lamm <= _FRAME_TOL * lamM:
         return None
-    w1, w2 = W.tolist()
-    u1 = [x / lamM for x in w1]
-    u2 = [x / lamm for x in w2]
-    d = float(np.vecdot(u1, u2))
-    u2 = [y - d * x for x, y in zip(u1, u2)]
-    n = math.sqrt(np.vecdot(u2, u2))
-    (x0, x1, x2), (y0, y1, y2) = u1, [y / n for y in u2]
-    Q = np.array(
-        [[x0, y0, x1 * y2 - x2 * y1], [x1, y1, x2 * y0 - x0 * y2], [x2, y2, x0 * y1 - x1 * y0]]
+    # From here x and y are the first two columns of Q, u1 and u2.
+    x0, x1, x2 = (w / lamM for w in w1)
+    y0, y1, y2 = (w / lamm for w in w2)
+    d = x0 * y0 + x1 * y1 + x2 * y2
+    y0, y1, y2 = y0 - d * x0, y1 - d * x1, y2 - d * x2
+    norm = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    y0, y1, y2 = y0 / norm, y1 / norm, y2 / norm
+    return (
+        lamM,
+        lamm,
+        lamM * lamm,
+        (x0, y0, x1 * y2 - x2 * y1, x1, y1, x2 * y0 - x0 * y2, x2, y2, x0 * y1 - x1 * y0),
+        (v0, v1, -v1, v0),
     )
-    return SingularData(lamM, lamm, lamM * lamm, Q, R)
 
 
 def singular_values(F):

@@ -47,6 +47,11 @@ def _finite_json(obj):
     return obj
 
 
+def _finite_column(values):
+    # _finite_json of a flat list of floats, strings and None, in one pass.
+    return [repr(v) if v.__class__ is float and not math.isfinite(v) else v for v in values]
+
+
 def _json_text(obj):
     return json.dumps(_finite_json(obj), allow_nan=False)
 
@@ -212,9 +217,11 @@ def _cmd_scan(args):
                 fh.write("lamM,delta,region,energy,sigma1,sigma2\n")
                 fh.writelines(_csv_rows(lam_axis, dlt_axis, tags, energy, s1, s2))
             else:
+                # Non-finite floats are converted once per column, not per cell.
                 keys = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
-                rows = zip(*(col.tolist() for col in (lam, dlt, tags, energy, s1, s2)))
-                fh.write(_json_text([dict(zip(keys, row)) for row in rows]) + "\n")
+                columns = (_finite_column(col.tolist()) for col in (lam, dlt, tags, energy, s1, s2))
+                records = [dict(zip(keys, row)) for row in zip(*columns)]
+                fh.write(json.dumps(records, allow_nan=False) + "\n")
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 4

@@ -316,18 +316,20 @@ def plane_energy_values(lamM, delta, params):
     The minimum of the three candidate branches produced by the exact
     thickness/director minimization; +inf where the matrix would be
     rank-deficient (``delta`` at rounding scale) and on the closed
-    complement of the finite window of the third branch.
+    complement of the finite window of the third branch.  Never below 0.
     """
     lamM, delta = _check_invariants(lamM, delta)
     # The least bracket, then the shared rc * x - 3 and mu/2: the same bits
     # as the least branch, as both maps are monotone under round-to-nearest.
+    # The energy is never negative in exact arithmetic; on its zero set (the
+    # soft segment) the branches round below 0, so both lanes clamp at 0.
     rc = params.r ** (1.0 / 3.0)
     if lamM.__class__ is float:  # both are, after the check
         # lamM = 0 above the floor is unrealizable: +inf, as delta / 0 gives on arrays.
         if not (delta > _RANK_TOL * max(1.0, lamM * lamM) and lamM > 0.0):
             return math.inf
         b1, b2, b3, window = _plane_brackets(lamM, delta, params.r)
-        return 0.5 * params.mu * (rc * min(b1, b2, b3 if window else math.inf) - 3.0)
+        return max(0.0, 0.5 * params.mu * (rc * min(b1, b2, b3 if window else math.inf) - 3.0))
     if lamM.shape != delta.shape:
         lamM, delta = np.broadcast_arrays(lamM, delta)
 
@@ -339,7 +341,8 @@ def plane_energy_values(lamM, delta, params):
         np.minimum(least, b3, out=least, where=next(brackets))
         np.multiply(least, rc, out=least)
         np.subtract(least, 3.0, out=least)
-        return np.multiply(0.5 * params.mu, least, out=least)
+        np.multiply(0.5 * params.mu, least, out=least)
+        return np.maximum(least, 0.0, out=least)
 
     # Rank-deficient pairs (and lamM = 0, as on floats) are +inf: a mask,
     # skipped when every pair is rank two.  The output is allocated before

@@ -240,14 +240,12 @@ def young_measure_for(Ft, params):
     level1 = _conjugate(laminate_shear(q=q1, d=sd.delta, c=sd.lamM), sd.Q, sd.R)
     atoms = []
     tree = list(level1.tree)
-    # One svd32 call for every endpoint; tolist() gives the floats (and
-    # bits) of one-matrix calls.
-    sde = svd32(np.array([G for _, G in level1.atoms]))
-    for (w_end, _), lam, dlt, Q, R in zip(
-        level1.atoms, sde.lamM.tolist(), sde.delta.tolist(), sde.Q, sde.R
-    ):
-        wrinkle = laminate_wrinkle(q=lam, d=d2, delta_bar=dlt)
-        conj = _conjugate(wrinkle, Q, R, level_offset=1)
+    # Each endpoint is decomposed on its own: a one-matrix svd32 call has
+    # the bits of a batch element and takes the float lane.
+    for w_end, G in level1.atoms:
+        sde = svd32(G)
+        wrinkle = laminate_wrinkle(q=sde.lamM, d=d2, delta_bar=sde.delta)
+        conj = _conjugate(wrinkle, sde.Q, sde.R, level_offset=1)
         atoms.extend((w_end * w, G) for w, G in conj.atoms)
         tree.extend(conj.tree)
     return DiscreteYoungMeasure(atoms=_pruned(atoms), tree=tuple(tree))

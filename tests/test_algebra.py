@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
-from nemem.algebra import _FRAME_TOL, adj2, diag_embed, rank_one_gap, singular_values, svd32
+from nemem.algebra import _FRAME_TOL, _LANE_STACK, _svd32_batch, adj2, diag_embed, rank_one_gap, singular_values, svd32
 
 from helpers import random_orthogonal2, random_rotation, singular_values_einsum
 
@@ -383,13 +383,80 @@ _wide_matrices = st.one_of(
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(G=_wide_matrices)
 def test_svd32_one_matrix_is_element_of_its_batch(G):
-    # The one-matrix call must have the bits of the batch kernel, and
-    # return a value wherever the batch does.
+    # The one-matrix call must have the bits of the array kernel, and
+    # return a value wherever the kernel does.
     with np.errstate(all="ignore"):
-        one, batch = svd32(G), svd32(G[None])
-    for name in ("lamM", "lamm", "delta", "Q", "R"):
-        assert np.asarray(getattr(one, name)).tobytes() == getattr(batch, name)[0].tobytes(), name
+        one, batch = svd32(G), _svd32_batch(G[None])
+    for name, field in zip(("lamM", "lamm", "delta", "Q", "R"), batch):
+        assert np.asarray(getattr(one, name)).tobytes() == field[0].tobytes(), name
     assert one.delta <= one.lamM * one.lamM
+
+
+def _mixed_batch():
+    # 64 matrices: generic ones, repeated and near-repeated singular values,
+    # rank-one ones, lamm about the frame-completion threshold, the zero
+    # matrix, and huge and tiny ones, which the kernel decomposes scaled by
+    # a power of two.
+    rng = np.random.default_rng(21)
+    Q0, R0 = _frames(rng, 16)
+    mats = list(rng.normal(size=(34, 3, 2)))
+    mats += [Q0[i] @ diag_embed(c, c) @ R0[i] for i, c in enumerate(rng.uniform(0.1, 3.0, 6))]
+    mats += [Q0[6 + k] @ diag_embed(1.0, 1.0 + k * 2e-16) @ R0[6 + k] for k in range(6)]
+    mats += [np.outer(rng.normal(size=3), rng.normal(size=2)) for _ in range(4)]
+    mats += [
+        Q0[12 + i] @ diag_embed(1.0, f * _FRAME_TOL) @ R0[12 + i]
+        for i, f in enumerate((0.5, 0.999, 1.001, 2.0))
+    ]
+    mats.append(np.zeros((3, 2)))
+    scales = (1e80, 1e150, 1e300, 1e76, 1e-7, 1e-30, 1e-200, 1e-300, 2.0**-21)
+    mats += [G * x for G, x in zip(rng.normal(size=(len(scales), 3, 2)), scales)]
+    return np.array(mats)
+
+
+@pytest.mark.filterwarnings("error")
+def test_svd32_one_matrix_is_its_element_at_every_position_and_layout():
+    # Each matrix of a mixed batch has the bits of its one-matrix call at
+    # every position of the batch, and in C-order, F-order and strided
+    # layouts: the sums of products do not depend on the batch, its order
+    # or its memory layout.
+    # Stacks of at most _LANE_STACK matrices take the float lane unless one
+    # of them is a rare case: every window of the batch that short has
+    # the bits of the one-matrix calls too.
+    F = _mixed_batch()
+    assert F.shape == (64, 3, 2)
+    names = ("lamM", "lamm", "delta", "Q", "R")
+    ones = [svd32(G) for G in F]
+    want = {name: np.array([getattr(one, name) for one in ones]) for name in names}
+    strided = np.zeros((128, 3, 4))
+    for k in range(64):
+        base = np.roll(F, k, axis=0)
+        strided[::2, :, 1::2] = base
+        for X in (base, np.asfortranarray(base), strided[::2, :, 1::2]):
+            sd = svd32(X)
+            for name in names:
+                assert getattr(sd, name).tobytes() == np.roll(want[name], k, axis=0).tobytes()
+        for n in range(1, _LANE_STACK + 1):
+            sd = svd32(np.asfortranarray(base[:n]))
+            for name in names:
+                assert getattr(sd, name).tobytes() == np.roll(want[name], k, axis=0)[:n].tobytes()
+
+
+def test_svd32_sums_are_plain_left_to_right():
+    # A target of the oracle bench (region_targets(49, 12)[97], L at r = 8)
+    # whose singular values differ between the plain left-to-right sums of
+    # rounded products and numpy's matmul and vecdot, which accumulate with
+    # fused multiply-adds: those gave lamM 0x1.3ea03c604461dp-1 and lamm
+    # 0x1.a47fbeed87886p-2.  The float lane and the array kernel agree.
+    entries = [
+        "0x1.323963f4ba000p-2", "0x1.2fe19c2177941p-2", "-0x1.650fed0d60fefp-4",
+        "-0x1.f42f0980ea08dp-2", "-0x1.47b2facdc00fbp-2", "0x1.619297fbf9f62p-3",
+    ]
+    F = np.array([float.fromhex(x) for x in entries]).reshape(3, 2)
+    one, (big, small, *_) = svd32(F), _svd32_batch(np.stack([F, -F]))
+    pinned = ("0x1.3ea03c604461ep-1", "0x1.a47fbeed87888p-2")
+    assert (one.lamM.hex(), one.lamm.hex()) == pinned
+    for lamM, lamm in zip(big.tolist(), small.tolist()):
+        assert (lamM.hex(), lamm.hex()) == pinned
 
 
 def test_svd32_batch_reconstructs_with_rotation_frames():

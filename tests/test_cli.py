@@ -379,22 +379,36 @@ SMALL_SCAN = [
 ]
 
 
-@pytest.mark.parametrize(
+_SCAN_CASES = pytest.mark.parametrize(
     "args",
     [README_SCAN + ["--r", r] for r in ("1.01", "2", "8", "100")] + [SMALL_SCAN],
     ids=["readme-r1.01", "readme-r2", "readme-r8", "readme-r100", "invalid-and-zero-delta"],
 )
+_SCAN_KEYS = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
+
+
+@_SCAN_CASES
 def test_scan_csv_matches_the_row_writer(tmp_path, capsys, args):
     # The CSV is written by columns; it must be the row-by-row reference
     # writer's text, byte for byte, on the values of the JSON format.
     csv_path, json_path = tmp_path / "scan.csv", tmp_path / "scan.json"
     assert run_cli(capsys, *args, "--out", str(csv_path))[0] == 0
     assert run_cli(capsys, *args, "--out", str(json_path), "--format", "json")[0] == 0
-    keys = ("lamM", "delta", "region", "energy", "sigma1", "sigma2")
-    rows = [tuple(rec[k] for k in keys) for rec in json.loads(json_path.read_text())]
+    rows = [tuple(rec[k] for k in _SCAN_KEYS) for rec in json.loads(json_path.read_text())]
     assert csv_path.read_bytes() == scan_csv_reference(rows).encode()
     if args is SMALL_SCAN:
         assert {row[2] for row in rows} >= {"Invalid", "L"} and (0.5, 0.0, "L", 0.0, None, None) in rows
+
+
+@_SCAN_CASES
+def test_scan_json_matches_the_dict_writer(tmp_path, capsys, args):
+    # The JSON converts non-finite floats once per column; it must be the
+    # text of _json_text over one dict per cell, keys in the scan's column
+    # order, byte for byte (its floats read back exactly).
+    path = tmp_path / "scan.json"
+    assert run_cli(capsys, *args, "--out", str(path), "--format", "json")[0] == 0
+    records = [dict(zip(_SCAN_KEYS, rec.values())) for rec in json.loads(path.read_text())]
+    assert path.read_bytes() == (cli._json_text(records) + "\n").encode()
 
 
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])

@@ -423,7 +423,7 @@ def test_plane_energy_zero_set_is_the_soft_segment(r):
     # r^(1/3)] (its ends and geometric midpoint checked) and is clearly
     # positive 1e-3 relative off it: in lamm, or beyond either end.  At
     # r = 1.01 the segment is only 5e-3 long.  Arrays, then floats; on the
-    # segment the rounding error is absolute, up to 4.4e-16 either way.
+    # segment the rounding error is absolute, up to 4.4e-16 above 0.
     params = MaterialParams(mu=2.0, r=r)
     m = r ** (-1.0 / 6.0)
     on = [(c, m) for c in (m, r ** (1.0 / 12.0), r ** (1.0 / 3.0))]
@@ -434,6 +434,21 @@ def test_plane_energy_zero_set_is_the_soft_segment(r):
         for w in (plane_energy_values(lam, lam * lamm, params),
                   [plane_energy_values(a, a * b, params) for a, b in pairs]):
             assert low <= min(w) and max(w) <= high
+
+
+@pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
+def test_plane_energy_is_never_negative_on_the_soft_segment(r):
+    # On 2001 points of the soft segment the least branch rounds to either
+    # side of 0 (below it at 891, 87, 7 and 1842 of them for these r); the
+    # plane energy is clamped at 0, with the same bits on floats and arrays.
+    params = MaterialParams(mu=2.0, r=r)
+    m = r ** (-1.0 / 6.0)
+    lam = np.linspace(m, r ** (1.0 / 3.0), 2001)
+    delta = lam * m
+    w = plane_energy_values(lam, delta, params)
+    floats = [plane_energy_values(a, b, params) for a, b in zip(lam.tolist(), delta.tolist())]
+    assert np.array(floats).tobytes() == w.tobytes()
+    assert 0.0 <= w.min() and w.max() <= 1e-15
 
 
 def test_continuity_across_region_boundaries():

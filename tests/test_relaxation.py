@@ -873,7 +873,7 @@ _TWO_LEVEL_PINS = [
     (
         diag_embed(1.0, 1.0),
         8.0,
-        (-4.440892098500626e-16, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.4377190680745937, 0.5),
+        (0.0, [1.0, 0.0, 0.0], [-0.0, 1.0], 1.437719017427235, 0.5),
     ),
     (
         diag_embed(0.44, 0.08 / 0.44),
@@ -884,10 +884,10 @@ _TWO_LEVEL_PINS = [
         np.array([[1.2, 0.3], [-0.4, 0.9], [0.5, 0.2]]),
         8.0,
         (
-            -4.440892098500626e-16,
+            0.0,
             [0.898280455039458, -0.22028534876224184, 0.3802191331519258],
-            [-0.10795950712881482, 0.994155292105063],
-            2.139100085806825,
+            [-0.1079595071288148, 0.994155292105063],
+            2.1391000148841783,
             0.5,
         ),
     ),
@@ -907,20 +907,20 @@ _SOLVE_PINS = {
     "L": (
         (Region.L, 11),
         8.0,
-        "0x0.0p+0",
-        [(1, "0x1.6a09e6540dbddp+0", "0x1.eb2e29a45a3f3p-1")],
+        "0x1.0000000000000p-52",
+        [(1, "0x1.1e06239a8dec8p-1", "0x1.0000000000000p-1")],
     ),
     "M": (
         (Region.M, 11),
         8.0,
         "0x1.c72bae8220088p+2",
-        [(1, "0x1.5396fc37b1a54p+2", "0x1.0000001a7340dp-1")],
+        [(1, "0x1.5396fc55c4b11p+2", "0x1.0000002201e5bp-1")],
     ),
     "W": (
         (Region.W, 11),
         8.0,
-        "0x1.ee35506f475f8p+0",
-        [(1, "0x1.a6cd286c4e65ap-1", "0x1.fffffffffffffp-2")],
+        "0x1.ee35506f475fep+0",
+        [(1, "0x1.a6cd286c4e65ap-1", "0x1.0000003c75268p-1")],
     ),
     "S": (
         (Region.S, 11),
@@ -931,11 +931,11 @@ _SOLVE_PINS = {
     "two-level": (
         diag_embed(0.44, 0.08 / 0.44),
         2.0,
-        "0x1.7e6f22ce283f8p-52",
+        "0x0.0p+0",
         [
             (1, "0x1.2c6fbaf2968fep+1", "0x1.0000000000000p-1"),
-            (2, "0x1.c823e09ef9fbep+0", "0x1.7e6f22ce283f8p-1"),
-            (2, "0x1.c823e09ef9fbep+0", "0x1.7e6f22ce283f8p-1"),
+            (2, "0x1.8ca070566c538p+0", "0x1.0000000000000p-1"),
+            (2, "0x1.8ca070566c538p+0", "0x1.0000000000000p-1"),
         ],
     ),
 }
@@ -965,7 +965,7 @@ _DEPTH_THREE_PIN = (
         "-0x1.271416b8d9e8bp-4", "0x1.87b1212a9a75ap-2", "0x1.b88437886b7b8p-6",
         "-0x1.4c8d2c321575cp-3", "-0x1.b18fc57463fd8p-5", "0x1.b5e708df4159ap-3",
     ],
-    "0x1.43cb75b66de4cp-19",
+    "0x1.4c394b353cdbdp-19",
     [
         (
             1,
@@ -976,43 +976,43 @@ _DEPTH_THREE_PIN = (
         ),
         (
             2,
-            ["-0x1.f725c850e0676p-2", "-0x1.ac0f8e6197678p-1", "0x1.f3e5cf4dbd94cp-3"],
-            ["0x1.35968d6886f71p-2", "0x1.e80a2d687b103p-1"],
-            "0x1.00d3631bc97d7p+1",
-            "0x1.0004098cfd6ebp-1",
+            ["-0x1.f725c850e066ep-2", "-0x1.ac0f8e619767ep-1", "0x1.f3e5cf4dbd924p-3"],
+            ["0x1.35968d6886f72p-2", "0x1.e80a2d687b104p-1"],
+            "0x1.00ddb813dc24cp+1",
+            "0x1.000ddfe292ee4p-1",
         ),
         (
             2,
-            ["-0x1.f725c850e064ep-2", "-0x1.ac0f8e6197695p-1", "0x1.f3e5cf4dbd86bp-3"],
-            ["-0x1.492c2ea440171p-1", "0x1.8828f0f610866p-1"],
+            ["-0x1.f725c850e0654p-2", "-0x1.ac0f8e6197691p-1", "0x1.f3e5cf4dbd886p-3"],
+            ["-0x1.492c2ea440172p-1", "0x1.8828f0f610867p-1"],
             "0x1.010f3b842ff43p+1",
             "0x1.003f2c6874e67p-1",
         ),
         (
             3,
-            ["-0x1.410309077b655p-2", "0x1.b35be47e0ddcap-2", "0x1.b2bd08f4d4362p-1"],
-            ["-0x1.e80a2d687b102p-1", "0x1.35968d6886f7ap-2"],
-            "0x1.1af2208b4e5e1p-2",
+            ["-0x1.410307af6ee78p-2", "0x1.b35be6cb658b8p-2", "0x1.b2bd08a0cb6bfp-1"],
+            ["-0x1.e80a2d687b111p-1", "0x1.35968d6886f17p-2"],
+            "0x1.1af2196060709p-2",
             "0x1.0000000000000p-1",
         ),
         (
             3,
-            ["0x1.3b235c7194caap-2", "-0x1.bd5a7157a882cp-2", "-0x1.b1478b80a51dcp-1"],
-            ["-0x1.e80a2d687b103p-1", "0x1.35968d6886f73p-2"],
-            "0x1.1af225b461299p-2",
+            ["0x1.3b2397c6f7d0ap-2", "-0x1.bd5a0d0ebba24p-2", "-0x1.b1479a7bc74ebp-1"],
+            ["-0x1.e80a2d687b107p-1", "0x1.35968d6886f5ap-2"],
+            "0x1.18ccdaaa2bb34p-2",
+            "0x1.000003d2a85f5p-1",
+        ),
+        (
+            3,
+            ["0x1.291dc87fd3535p-2", "-0x1.b5bca542ad069p-2", "-0x1.b65f8ac605aa9p-1"],
+            ["0x1.8828f0f610853p-1", "0x1.492c2ea440189p-1"],
+            "0x1.1af2196060709p-2",
             "0x1.0000000000000p-1",
         ),
         (
             3,
-            ["0x1.291dc87fd353dp-2", "-0x1.b5bca542ad05ap-2", "-0x1.b65f8ac605aaap-1"],
-            ["0x1.8828f0f610887p-1", "0x1.492c2ea44014cp-1"],
-            "0x1.1af2259444a40p-2",
-            "0x1.0000000000000p-1",
-        ),
-        (
-            3,
-            ["-0x1.2efc18c35158ep-2", "0x1.abc06d6a16aa2p-2", "0x1.b7d4b35fa09c4p-1"],
-            ["0x1.8828f0f610850p-1", "0x1.492c2ea44018ep-1"],
+            ["-0x1.2efc18c351586p-2", "0x1.abc06d6a16ab2p-2", "0x1.b7d4b35fa09c2p-1"],
+            ["0x1.8828f0f610856p-1", "0x1.492c2ea440186p-1"],
             "0x1.0d618b59b4d5ep-2",
             "0x1.00000227acff6p-1",
         ),
