@@ -2,8 +2,8 @@
 
 Everything a membrane calculation needs from linear algebra lives here:
 the vector of 2x2 minors (``adj2``), a closed-form singular value
-decomposition with frames of one 3x2 matrix or a batch (``svd32``), the
-batched singular values alone (``singular_values``), and a rank-one
+decomposition with frames of one 3x2 matrix or a batch (``svd32``), its
+singular values without the frames (``singular_values``), and a rank-one
 certificate (``rank_one_gap``).  The SVD is computed analytically from
 the 2x2 symmetric eigenproblem of F^T F, so it is exact up to rounding
 and has no iteration and no LAPACK call.  Every sum of products adds
@@ -325,12 +325,8 @@ def _svd32_one(x):
 
 
 def singular_values(F):
-    """Singular values of a batch of 3x2 matrices, frames not computed.
-
-    The entries of F^T F are explicit sums of products over the batch,
-    added left to right (``x0*x0 + x1*x1 + x2*x2`` and so on, where
-    ``x`` and ``y`` are the columns), so each element's bits depend
-    neither on the batch nor on the memory layout.
+    """Singular values of one 3x2 matrix or a batch: ``svd32``'s
+    ``lamM`` and ``lamm``, without the frames.
 
     Parameters
     ----------
@@ -338,27 +334,15 @@ def singular_values(F):
 
     Returns
     -------
-    lamM, lamm : ndarray, shape (...)
+    lamM, lamm : float, or ndarray of shape (...) for a batch
+
+    Raises
+    ------
+    ValueError
+        As ``svd32``: for another shape or a non-finite entry.
     """
-    F = np.asarray(F, dtype=float)
-    lead = F.shape[:-2]
-    # Rows x0, y0, ..., y2 of the entries in row-major order, each a view
-    # over the batch; F^T F = [[a, b], [b, c]], each sum accumulated in
-    # place.
-    x0, y0, x1, y1, x2, y2 = F.reshape(-1, 6).T
-    a, b, c = x0 * x0, x0 * y0, y0 * y0
-    a += x1 * x1
-    b += x1 * y1
-    c += y1 * y1
-    a += x2 * x2
-    b += x2 * y2
-    c += y2 * y2
-    half_tr = 0.5 * (a + c)
-    disc = np.hypot(0.5 * (a - c), b)
-    # half_tr + disc is never negative; half_tr - disc can round below 0.
-    s1 = np.sqrt(half_tr + disc)
-    s2 = np.sqrt(np.maximum(half_tr - disc, 0.0))
-    return s1.reshape(lead)[()], s2.reshape(lead)[()]
+    sd = svd32(F)
+    return sd.lamM, sd.lamm
 
 
 def rank_one_gap(A, B):

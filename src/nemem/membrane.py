@@ -363,6 +363,12 @@ def plane_energy(Ft, params):
 
     Agrees with direct two-variable numerical minimization of the 3D
     density over the thickness vector and the director.
+
+    Raises
+    ------
+    ValueError
+        For another shape or a non-finite entry (``svd32``), and for a
+        stretch invariant above ``_INVARIANT_MAX``.
     """
     sd = svd32(Ft)
     return plane_energy_values(sd.lamM, sd.delta, params)
@@ -371,12 +377,19 @@ def plane_energy(Ft, params):
 def relaxed_energy(Ft, params):
     """Relaxed (effective) membrane energy of a 3x2 gradient.
 
-    Finite for every input, including rank-deficient matrices, and zero
+    Finite for every finite matrix whose invariants are at most
+    ``_INVARIANT_MAX``, including rank-deficient matrices, and zero
     exactly on region ``L``.
 
     Returns
     -------
     MembraneEval
+
+    Raises
+    ------
+    ValueError
+        For another shape or a non-finite entry (``svd32``), and for a
+        stretch invariant above ``_INVARIANT_MAX``.
     """
     sd = svd32(Ft)
     region = classify(sd.lamM, sd.delta, params)

@@ -324,19 +324,6 @@ def endpoint_estimate_reference(E, params, ladder):
     return out
 
 
-def singular_values_einsum(F):
-    """Singular values of a batch of 3x2 matrices with the Gram entries
-    from ``np.einsum``, on a C-ordered copy (einsum's rounding depends on
-    the layout of a single matrix): the reference for the explicit sums
-    of ``nemem.algebra.singular_values``."""
-    F = np.ascontiguousarray(F, dtype=float)
-    a = np.einsum("...ij,...ij->...j", F, F)
-    b = np.einsum("...i,...i->...", F[..., 0], F[..., 1])
-    half_tr = 0.5 * (a[..., 0] + a[..., 1])
-    disc = np.hypot(0.5 * (a[..., 0] - a[..., 1]), b)
-    return np.sqrt(np.maximum(half_tr + disc, 0.0)), np.sqrt(np.maximum(half_tr - disc, 0.0))
-
-
 def plane_energy_direct(Ft, params, n_az=64, n_pol=32, refine_iters=60):
     """Direct numerical minimization of the 3D density over the thickness
     vector and the director.

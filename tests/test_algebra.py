@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
 from nemem.algebra import _FRAME_TOL, _LANE_STACK, _svd32_batch, adj2, diag_embed, rank_one_gap, singular_values, svd32
+from nemem.constitutive import MaterialParams
+from nemem.membrane import plane_energy, plane_energy_values
 
-from helpers import random_orthogonal2, random_rotation, singular_values_einsum
+from helpers import random_orthogonal2, random_rotation
 
 
 @pytest.mark.parametrize(
@@ -127,16 +129,6 @@ def test_rank_one_gap_examples(A, B, expected):
     assert abs(rank_one_gap(A, B) - expected) <= 1e-14
 
 
-def test_singular_values_batch_agrees_with_svd32():
-    rng = np.random.default_rng(4)
-    F = rng.normal(size=(64, 3, 2))
-    lamM, lamm = singular_values(F)
-    for i in range(64):
-        sd = svd32(F[i])
-        assert abs(lamM[i] - sd.lamM) <= 1e-12 * max(1.0, sd.lamM)
-        assert abs(lamm[i] - sd.lamm) <= 1e-12 * max(1.0, sd.lamM)
-
-
 def _gram_inputs(rng, n):
     # Matrices at decades 1e-150..1e150 (F^T F stays finite), then rows
     # with a zero column, with signed zeros, and with each entry at a
@@ -150,24 +142,60 @@ def _gram_inputs(rng, n):
     return F
 
 
+def _bits(*xs):
+    return [np.asarray(x).tobytes() for x in xs]
+
+
 @pytest.mark.parametrize("shape", [(), (9,), (16, 80), (2, 24, 6, 28)])
-def test_singular_values_match_einsum_reference(shape):
-    # The explicit sums of products have einsum's bits, for one matrix
-    # (in any memory layout) and for batches and their views.
+def test_singular_values_are_svd32_values(shape):
+    # svd32's lamM and lamm, bit for bit: floats for one matrix in any
+    # memory layout, arrays of the batch shape for batches and their
+    # views, and each element of a batch the values of its own matrix.
     rng = np.random.default_rng(len(shape) + 30)
     F = _gram_inputs(rng, max(500 if not shape else 0, int(np.prod(shape))))
     if not shape:
         for G in F:
-            ref = [x.tobytes() for x in singular_values_einsum(G)]
+            sd = svd32(G)
             for view in (G, np.asfortranarray(G), G.T.copy().T, G[::-1][::-1]):
-                assert [np.asarray(x).tobytes() for x in singular_values(view)] == ref
+                got = singular_values(view)
+                assert all(type(x) is float for x in got) and _bits(*got) == _bits(sd.lamM, sd.lamm)
         return
     F = F.reshape(shape + (3, 2))
     views = [F, F[::-1], F[..., ::-1, :], np.asfortranarray(F), np.broadcast_to(F[:1], F.shape)]
     for view in views:
-        ref = singular_values_einsum(view)
+        sd = svd32(view)
         got = singular_values(view)
-        assert all(x.shape == shape and x.tobytes() == y.tobytes() for x, y in zip(got, ref))
+        assert all(x.shape == shape for x in got) and _bits(*got) == _bits(sd.lamM, sd.lamm)
+    F = F.reshape(-1, 3, 2)
+    lamM, lamm = singular_values(F)
+    for i in range(0, len(F), max(1, len(F) // 64)):
+        sd = svd32(F[i])
+        assert _bits(lamM[i], lamm[i]) == _bits(sd.lamM, sd.lamm)
+
+
+@pytest.mark.parametrize("d", [9e-8, 9e-9])
+def test_singular_values_keep_the_smaller_value_of_thin_matrices(d):
+    # lamm = d / 3 next to lamM = 3: a Gram-matrix difference
+    # (lamM^2 + lamm^2)/2 - disc loses it, and the plane energy with it.
+    F = diag_embed(3.0, d / 3.0)
+    lamM, lamm = singular_values(F)
+    assert abs(lamM * lamm - d) <= 1e-15 * d
+    params = MaterialParams(mu=2.0, r=8.0)
+    assert plane_energy_values(lamM, lamM * lamm, params) == plane_energy(F, params)
+
+
+@pytest.mark.parametrize(
+    "F", [np.zeros((2, 3)), np.zeros((6, 1)), np.full((3, 2), np.nan)], ids=["2x3", "6x1", "nan"]
+)
+def test_singular_values_reject_bad_input(F):
+    with pytest.raises(ValueError):
+        singular_values(F)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_values_of_huge_entries_do_not_warn():
+    lamM, lamm = singular_values(np.full((3, 2), 1e200))
+    assert abs(lamM - np.sqrt(6.0) * 1e200) <= 1e-15 * lamM and lamm <= 1e-15 * lamM
 
 
 @pytest.mark.filterwarnings("error")
@@ -204,7 +232,7 @@ def test_svd32_scales_small_matrices():
     # Gram matrix does not underflow and the tie and thin tests see the
     # matrix at unit size, not against their absolute floors.
     F0 = np.array([[1.0, 0.3], [0.1, 2.0], [0.5, 0.0]])
-    s1, s2 = singular_values(F0)
+    s1, s2 = np.linalg.svd(F0, compute_uv=False)
     for x in 10.0 ** np.arange(-300.0, -7.0):
         sd = svd32(x * F0)
         assert abs(sd.lamM - x * s1) <= 1e-14 * x * s1 and abs(sd.lamm - x * s2) <= 1e-14 * x * s1

@@ -1,7 +1,10 @@
-"""Every name a library module imports is used in it, and every private
-name it defines is read elsewhere in the library."""
+"""Every name a library module imports is used in it, every private
+name it defines is read elsewhere in the library, and every name the
+benchmark traces exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -68,3 +71,18 @@ def test_every_private_name_has_a_consumer_in_the_library(path):
             ):
                 dead.append(name)
     assert not dead, f"private names with no consumer in the library: {dead}"
+
+
+def test_every_traced_name_is_a_library_callable():
+    # perfbench/spans.py traces these names and its own tests fail on a
+    # missing one; this checks them with the library's tests.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for traced in spans.TRACED:
+        module, name = traced.split(".")
+        if not callable(getattr(importlib.import_module(f"nemem.{module}"), name, None)):
+            missing.append(traced)
+    assert not missing, f"traced names that are not callables of nemem: {missing}"

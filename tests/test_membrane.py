@@ -80,6 +80,20 @@ def test_negative_invariants_are_rejected_on_both_lanes(lam, dlt):
             f(np.array([lam]), np.array([dlt]), P8)
 
 
+@pytest.mark.parametrize("f", [relaxed_energy, plane_energy])
+@pytest.mark.parametrize(
+    "F, match",
+    [(diag_embed(1e60, 1e60), "at most 1e\\+100"), (np.full((3, 2), np.nan), "entries must be finite")],
+    ids=["1e60", "nan"],
+)
+def test_matrix_energies_raise_value_error_not_domain_error(f, F, match):
+    # A delta above _INVARIANT_MAX and a NaN entry are bad input, not an
+    # evaluation outside the proven domain: the CLI exits 2 for them.
+    with pytest.raises(ValueError, match=match) as exc:
+        f(F, P8)
+    assert type(exc.value) is ValueError
+
+
 def _float_lane_pairs(r):
     """Invariant pairs where the float and array lanes could part: seeded
     interior pairs, region boundaries, the closed edges of the third
