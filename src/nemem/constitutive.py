@@ -26,18 +26,27 @@ __all__ = [
 DET_TOL = 1e-9
 
 _UNIT_TOL = 1e-12
+# Largest magnitude accepted for an entry of F or n here, and for a
+# stretch invariant in ``membrane``: squares and products of two such
+# numbers, the largest powers in the energy and stress formulas, stay
+# below 1e200, far from overflow.
+_INVARIANT_MAX = 1e100
 
 
 def _finite(x, name, shape):
     """``x`` as a float array of ``shape``; ``ValueError`` when its shape
     differs (a 2x2 ``F`` would pass the shell test and get a value below
-    the density's minimum) or an entry is not finite (a NaN would slip
-    past every shell and unit-length test)."""
+    the density's minimum), an entry is not finite (a NaN would slip past
+    every shell and unit-length test) or an entry is above
+    ``_INVARIANT_MAX`` in magnitude (the squares of a finite shell matrix
+    such as ``diag(1e155, 1e-155, 1)`` would overflow)."""
     x = np.asarray(x, dtype=float)
     if x.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
+    if np.abs(x).max() > _INVARIANT_MAX:
+        raise ValueError(f"{name} entries must be at most {_INVARIANT_MAX:g} in magnitude")
     return x
 
 
@@ -79,7 +88,8 @@ def step_length_tensor(n, params):
     Raises
     ------
     ValueError
-        When ``n`` is not a finite unit 3-vector.
+        When ``n`` is not a finite unit 3-vector, or has an entry above
+        ``_INVARIANT_MAX`` in magnitude.
     """
     n = _finite(n, "director", (3,))
     if abs(np.linalg.norm(n) - 1.0) > _UNIT_TOL:
@@ -93,9 +103,7 @@ def entropic_energy(F, n, params):
 
     Returns (mu/2) (r^(1/3) (|F|^2 - ((r-1)/r) |F^T n|^2) - 3) on the
     incompressibility shell |det F - 1| <= DET_TOL with a unit director,
-    and +inf otherwise (infinity is a value, not an error).  Non-finite
-    entries of ``F`` or ``n``, or shapes other than (3, 3) and (3,), raise
-    ``ValueError``.
+    and +inf otherwise (infinity is a value, not an error).
 
     Parameters
     ----------
@@ -106,6 +114,13 @@ def entropic_energy(F, n, params):
     Returns
     -------
     float
+
+    Raises
+    ------
+    ValueError
+        When ``F`` or ``n`` has a shape other than (3, 3) and (3,), or an
+        entry that is not finite or is above ``_INVARIANT_MAX`` (1e100) in
+        magnitude.
     """
     F = _finite(F, "F", (3, 3))
     n = _finite(n, "director", (3,))
@@ -125,8 +140,7 @@ def bulk_energy(F, params):
 
     Equals ``inf over unit n of entropic_energy(F, n)``; the optimal
     director is the largest left singular direction, so the closed form
-    uses the largest singular value of F.  +inf off the shell; non-finite
-    entries of ``F``, or a shape other than (3, 3), raise ``ValueError``.
+    uses the largest singular value of F.  +inf off the shell.
 
     Parameters
     ----------
@@ -136,6 +150,12 @@ def bulk_energy(F, params):
     Returns
     -------
     float
+
+    Raises
+    ------
+    ValueError
+        When ``F`` has a shape other than (3, 3), or an entry that is not
+        finite or is above ``_INVARIANT_MAX`` (1e100) in magnitude.
     """
     F = _finite(F, "F", (3, 3))
     if abs(np.linalg.det(F) - 1.0) > DET_TOL:

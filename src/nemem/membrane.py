@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import adj2, svd32
-from .constitutive import step_length_tensor
+from .constitutive import _INVARIANT_MAX, step_length_tensor
 
 __all__ = [
     "DomainError",
@@ -49,10 +49,6 @@ __all__ = [
 
 # Relative slack accepted before (lamM, delta) is declared unrealizable.
 _INVALID_TOL = 1e-12
-# Largest invariant accepted: squares and products of invariants, the
-# largest powers in the energy and stress formulas, stay below 1e200, far
-# from overflow.
-_INVARIANT_MAX = 1e100
 # A 3x2 matrix counts as rank two when delta exceeds this relative floor.
 _RANK_TOL = 1e-12
 # Closed comparison tolerance for the finite window of the third branch.
@@ -314,9 +310,11 @@ def plane_energy_values(lamM, delta, params):
     of Python floats is evaluated on floats, with the same bits).
 
     The minimum of the three candidate branches produced by the exact
-    thickness/director minimization; +inf where the matrix would be
-    rank-deficient (``delta`` at rounding scale) and on the closed
-    complement of the finite window of the third branch.  Never below 0.
+    thickness/director minimization; +inf where ``lamM = 0`` or ``delta <=
+    _RANK_TOL max(1, lamM^2)``, with ``_RANK_TOL = 1e-12``, which is
+    ``lamm <= 1e-12 lamM`` once ``lamM >= 1`` (so also at full-rank pairs
+    such as ``(1e20, 1e20)``), and on the closed complement of the finite
+    window of the third branch.  Never below 0.
     """
     lamM, delta = _check_invariants(lamM, delta)
     # The least bracket, then the shared rc * x - 3 and mu/2: the same bits
@@ -359,7 +357,10 @@ def plane_energy_values(lamM, delta, params):
 
 def plane_energy(Ft, params):
     """Plane energy of a 3x2 gradient: thickness- and director-minimized
-    3D density.  +inf for rank-deficient input.
+    3D density.  +inf where ``delta <= 1e-12 max(1, lamM^2)``
+    (``plane_energy_values``): at rank-deficient input, and also at a
+    full-rank one with ``lamm <= 1e-12 lamM`` and ``lamM >= 1``, such as
+    ``diag_embed(1e20, 1.0)``.
 
     Agrees with direct two-variable numerical minimization of the 3D
     density over the thickness vector and the director.

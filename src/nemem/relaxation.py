@@ -9,14 +9,15 @@ One function, ``_chords``, scores such chords everywhere, and one
 kernel, ``_w2d``, evaluates every plane energy of a matrix: ``svd32``
 then ``plane_energy_values``, as ``membrane.plane_energy`` does.  The
 plane energy depends on a matrix only through its singular values, so
-along its six frame lines, the rank-one lines along pairs of its
-singular vectors, it has closed forms in two numbers (``_frame_lines``,
-which computes only the lines asked for).  One scorer, ``_frame_tables``,
-scores the frame lines from them, with no frame and no line matrix: four
-of the six lines are even in the offset, so their lowest chord is their
-lowest sample, taken on one side only, and only the other two get chord
-tables.  The scans rank by where the lowest chords lie
-(``_frame_chords``); the endpoint estimate takes only their values.
+along its five frame lines (``_LINES``), the distinct rank-one lines
+along pairs of its singular vectors, it has closed forms in two numbers
+(``_frame_lines``, which computes only the lines asked for).  One
+scorer, ``_frame_tables``, scores the frame lines from them, with no
+frame and no line matrix: three of the lines are even in the offset, so
+their lowest chord is their lowest sample, taken on one side only, and
+only the other two get chord tables.  The scans rank by where the lowest
+chords lie (``_frame_chords``); the endpoint estimate takes only their
+values.
 One split search, ``_best_splits``, serves both depths on a stack of
 singular values: one scan ranks each row's frame lines, and one zoom
 (``_zoom``) polishes the best along their own lines, a problem in the
@@ -60,7 +61,7 @@ _ZOOM_POINTS = 33  # grid points per side of a zoomed chord table
 _ZOOM_LEVELS = 9  # zoom levels of a split's polish
 # Lines of each matrix's scan ranking that a depth-one pass zooms.  Over
 # the 2340 default solves of the gap table every kept split came from the
-# first or second; a test checks on every region that zooming all six
+# first or second; a test checks on every region that zooming all five
 # finds the same splits, bit for bit.
 _ZOOM_LINES = 2
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
@@ -102,7 +103,7 @@ _ESTIMATE_SLICE = (128 * 1024) // (8 * 2 * len(_ENDPOINT_LADDER) ** 2)
 class OracleConfig:
     """Lamination depth of the oracle.
 
-    The search budget is fixed: the six frame directions of each matrix
+    The search budget is fixed: the five frame lines of each matrix
     split, ``_T_SCAN`` offsets per side of each rank-one line, and a
     polish of the best single splits (the ``_ZOOM_LINES`` best-ranked
     lines of the target, and of each atom of a level step) and of a
@@ -180,15 +181,15 @@ def _off_diagonal(l1, l2, c):
     return m, l1 * l2 / m
 
 
-# Both singular values of each frame line d = 2 i + j, in either order,
-# as functions of (l1, l2, c); see _frame_lines.
-_LINE_PAIRS = (
-    lambda l1, l2, c: (np.abs(l1 + c), l2),
-    _off_diagonal,
-    _off_diagonal,
-    lambda l1, l2, c: (l1, np.abs(l2 + c)),
-    lambda l1, l2, c: (np.hypot(l1, c), l2),
-    lambda l1, l2, c: (l1, np.hypot(l2, c)),
+# The frame lines, numbered by their place here, the two odd in c first:
+# each line's axes (i, j) and both singular values of D + c e_i e_j^T, in
+# either order, as functions of (l1, l2, c); see _frame_lines.
+_LINES = (
+    ((0, 0), lambda l1, l2, c: (np.abs(l1 + c), l2)),
+    ((1, 1), lambda l1, l2, c: (l1, np.abs(l2 + c))),
+    ((0, 1), _off_diagonal),
+    ((2, 0), lambda l1, l2, c: (np.hypot(l1, c), l2)),
+    ((2, 1), lambda l1, l2, c: (l1, np.hypot(l2, c))),
 )
 
 
@@ -198,21 +199,21 @@ def _frame_lines(l1, l2, c, lines, out=None):
     ``c`` (shape ``(..., n)``), written into ``out`` (a new array if None)
     of shape ``(2, ..., len(lines), n)``, which is returned.
 
-    With ``E = Q D R``, the frame line ``d = 2 i + j`` is the rank-one
-    line ``E + c Q[:, i] R[j, :]``, with the singular values of ``D + c
-    e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0, 0), ``l1`` and ``|l2 +
-    c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on (2, 0), ``l1`` and
-    ``hypot(l2, c)`` on (2, 1); on (0, 1) and (1, 0), which are one line,
-    the larger is ``m = (hypot(l1 + l2, c) + hypot(l1 - l2, c)) / 2`` and
-    the smaller ``l1 l2 / m``.  All but (0, 0) and (1, 1) are even in
-    ``c``.
+    With ``E = Q D R``, the frame line ``d`` with axes ``(i, j) =
+    _LINES[d][0]`` is the rank-one line ``E + c Q[:, i] R[j, :]``, with the
+    singular values of ``D + c e_i e_j^T``: ``|l1 + c|`` and ``l2`` on (0,
+    0), ``l1`` and ``|l2 + c|`` on (1, 1), ``hypot(l1, c)`` and ``l2`` on
+    (2, 0), ``l1`` and ``hypot(l2, c)`` on (2, 1); on (0, 1) the larger is
+    ``m = (hypot(l1 + l2, c) + hypot(l1 - l2, c)) / 2`` and the smaller
+    ``l1 l2 / m``, also those of (1, 0), whose block is (0, 1)'s transposed.
+    All but (0, 0) and (1, 1) are even in ``c``.
     """
     l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
     if out is None:
         shape = np.broadcast_shapes(l1.shape, np.shape(c))
         out = np.empty((2,) + shape[:-1] + (len(lines),) + shape[-1:])
     for k, d in enumerate(lines):
-        x, y = _LINE_PAIRS[d](l1, l2, c)
+        x, y = _LINES[d][1](l1, l2, c)
         np.maximum(x, y, out=out[0, ..., k, :])
         np.minimum(x, y, out=out[1, ..., k, :])
     return out
@@ -222,26 +223,26 @@ def _frame_tables(l1, l2, s, value):
     """The one scorer of frame lines.  For matrices with singular values
     ``l1 >= l2`` (shape ``(...)``) and offsets ``s > 0`` (shape ``(...,
     n)``), returns ``(own, chords, even)``: each matrix's own value; the
-    chords through it along (0, 0) and (1, 1), between ``s[i]`` and
+    chords through it along the odd lines 0 and 1, between ``s[i]`` and
     ``-s[j]``, shape ``(..., 2, n, n)``; and the samples of the even lines
-    (0, 1), (2, 0) and (2, 1) at ``s``, shape ``(..., 3, n)``.  ``value``
+    2, 3 and 4 at ``s``, shape ``(..., 3, n)`` (``_LINES``).  ``value``
     maps singular values ``(hi, lo)`` to values and is called once.
 
     The lowest chord of a line even in the offset is its lowest sample
-    (no chord is below its lower end), so only (0, 0) and (1, 1) get chord
-    tables, and (1, 0) is (0, 1).
+    (no chord is below its lower end), so only the odd lines get chord
+    tables.
     """
     s = np.asarray(s)
     n = s.shape[-1]
     lead = np.broadcast_shapes(np.shape(l1), s.shape[:-1])
-    # The values' input: the matrix itself, (0, 0) and (1, 1) at s and -s,
+    # The values' input: the matrix itself, the odd lines at s and -s,
     # and the even lines at s, each line written in place by _frame_lines.
     V = np.empty((2,) + lead + (7 * n + 1,))
     V[0, ..., 0] = l1
     V[1, ..., 0] = l2
     c = np.concatenate([s, -s], axis=-1)
-    _frame_lines(l1, l2, c, (0, 3), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
-    _frame_lines(l1, l2, s, (1, 4, 5), V[..., 4 * n + 1 :].reshape((2,) + lead + (3, n)))
+    _frame_lines(l1, l2, c, (0, 1), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
+    _frame_lines(l1, l2, s, (2, 3, 4), V[..., 4 * n + 1 :].reshape((2,) + lead + (3, n)))
     W = value(V[0], V[1])
     odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
     chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
@@ -251,18 +252,17 @@ def _frame_tables(l1, l2, s, value):
 def _frame_chords(l1, l2, s, value):
     """The lowest chord along each frame line and where it lies: from
     ``_frame_tables``, ``(own, low, i, j)`` with ``low`` of shape ``(...,
-    6)`` indexed by frame line (``_frame_lines``), the chord between
+    5)`` indexed by frame line (``_LINES``), the chord between
     ``s[i]`` and ``-s[j]``; ties go to the first chord in row-major order.
     An even line's lowest sample ``k`` is taken as ``i = j = k``.
     """
     own, chords, even = _frame_tables(l1, l2, s, value)
     n = even.shape[-1]
     chords = chords.reshape(chords.shape[:-2] + (n * n,))
-    # Rows (0, 0), (1, 1), (0, 1), (2, 0), (2, 1); a sample k is the chord k (n + 1).
-    rows = [0, 2, 2, 1, 3, 4]
-    low = np.concatenate([chords.min(axis=-1), even.min(axis=-1)], axis=-1)[..., rows]
+    # A sample k is the chord k (n + 1).
+    low = np.concatenate([chords.min(axis=-1), even.min(axis=-1)], axis=-1)
     k = np.concatenate([chords.argmin(axis=-1), even.argmin(axis=-1) * (n + 1)], axis=-1)
-    return (own, low, *np.divmod(k[..., rows], n))
+    return (own, low, *np.divmod(k, n))
 
 
 def _endpoint_estimate(params):
@@ -390,18 +390,17 @@ def _best_splits(l1, l2, ladder, value, top_k, bound):
 
 def _frame_split(Q, R, d, s_pos, s_neg):
     """The split ``(a, b, t, theta)`` of the chord from ``s_pos`` to
-    ``-s_neg`` along the frame line ``d`` of ``F = Q D R``
-    (``_frame_lines``): ``a = Q[:, d // 2]``, ``b = R[d % 2, :]``, ``t =
-    s_pos + s_neg`` and weight ``theta = s_neg / t`` on ``F + (1 - theta)
-    t a b^T``."""
-    t = s_pos + s_neg
-    return Q[:, d // 2], R[d % 2, :], t, s_neg / t
+    ``-s_neg`` along the frame line ``d`` of ``F = Q D R`` (``_LINES``),
+    axes ``(i, j)``: ``a = Q[:, i]``, ``b = R[j, :]``, ``t = s_pos +
+    s_neg`` and weight ``theta = s_neg / t`` on ``F + (1 - theta) t a b^T``."""
+    (i, j), _ = _LINES[d]
+    return Q[:, i], R[j, :], s_pos + s_neg, s_neg / (s_pos + s_neg)
 
 
 def _depth1(sd, params):
     """Best single split (or none) of one matrix or of each of a stack
     of shape ``(k, 3, 2)``, from its ``svd32`` ``sd``: one search
-    (``_best_splits``) of chords of the plane energy, all six lines scanned
+    (``_best_splits``) of chords of the plane energy, all five lines scanned
     on ``_SCAN_LADDER`` and the first ``_ZOOM_LINES`` of each matrix's
     ranking zoomed.
 
@@ -462,7 +461,7 @@ def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
     Takes the lowest chord through ``Ft`` along each searched rank-one
-    direction (the six of the target's singular frame) as a candidate
+    direction (the target's five frame lines) as a candidate
     split, and polishes the best ones along their lines by zoomed chord
     tables; at depth two, scans two-level trees whose endpoints are scored
     by their own depth-one relaxation, polishes and deepens the best one

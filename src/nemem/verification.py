@@ -340,6 +340,13 @@ def verify_stress_identities(params, n_samples=50, seed=0):
     """
     worst = _Worst(params)
     count = 0
+
+    def gradient_and_stress(G):
+        # One finite-difference plane gradient per atom, with its stress
+        # g G^T beside it, so one pairing reads both.
+        g = _fd_plane_gradient(G, params)
+        return np.hstack([g, g @ np.asarray(G).T])
+
     for Ft, sd in _region_samples(params, n_samples, seed):
         # Natural stress scale; keeps the checks relative where the
         # reference is O(mu) and absolute where the identity
@@ -351,11 +358,9 @@ def verify_stress_identities(params, n_samples=50, seed=0):
         worst.update("fd-gradient-vs-stress", err_a / 1e-5, sd.lamM, sd.delta)
 
         nu = young_measure_for(Ft, params)
-        grad_nu = measure_pairing(nu, lambda G: _fd_plane_gradient(G, params))
+        paired = measure_pairing(nu, gradient_and_stress)
+        grad_nu, sigma_nu = paired[:, :2], paired[:, 2:]
         err_b = np.linalg.norm(grad_nu - grad) / max(np.linalg.norm(grad), floor)
-        sigma_nu = measure_pairing(
-            nu, lambda G: _fd_plane_gradient(G, params) @ np.asarray(G).T
-        )
         err_c = np.linalg.norm(sigma_nu - sigma) / max(np.linalg.norm(sigma), floor)
         worst.update("measure-pairing-gradient", err_b / 1e-4, sd.lamM, sd.delta)
         worst.update("measure-pairing-stress", err_c / 1e-4, sd.lamM, sd.delta)

@@ -7,11 +7,13 @@ on a sphere grid with local descent; samplers build matrices from
 invariants and random frames only.
 """
 
+import itertools
+
 import numpy as np
 
 from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
-from nemem.relaxation import _SCAN_LADDER, _split_endpoints, _w2d
+from nemem.relaxation import _LINES, _SCAN_LADDER, _split_endpoints, _w2d
 from nemem.verification import region_window
 
 
@@ -224,39 +226,45 @@ def svd32_energies(params):
 
 
 def frame_axes(F):
-    """The six frame lines ``(Q[:, i], R[j, :])`` of ``F = Q D R``, ``i``
-    outer, from one ``svd32`` call."""
+    """The frame lines ``(Q[:, i], R[j, :])`` of ``F = Q D R``, one for the
+    axes ``(i, j)`` of each line of ``relaxation._LINES``, in its order,
+    from one ``svd32`` call."""
     sd = svd32(F)
-    return [(sd.Q[:, i], sd.R[j, :]) for i in range(3) for j in range(2)]
+    return [(sd.Q[:, i], sd.R[j, :]) for (i, j), _ in _LINES]
 
 
 def frame_lows_reference(F, params, offsets):
-    """The lowest chord through ``F`` along each of its six frame lines, on
-    matrices: the dyad ``Q[:, i] R[j, :]`` of each line (``frame_axes``),
-    its chord table between ``F + offsets[i] D`` and ``F - offsets[j] D``
-    with ``svd32`` plane energies, and its lowest chord found by a loop in
-    row-major order (the first of equal lows).  Returns ``(w0, lows)``,
-    ``lows`` a list of ``(value, i, j)`` in ``frame_axes`` order."""
+    """The lowest chord through ``F`` along each of its frame lines, on
+    matrices: the dyad ``Q[:, i] R[j, :]`` of each of the six axes ``(i,
+    j)``, its chord table between ``F + offsets[i] D`` and ``F - offsets[j]
+    D`` with ``svd32`` plane energies, and its lowest chord found by a loop
+    in row-major order (the first of equal lows).  The lows of (1, 0) are
+    checked equal, to 1e-12, to those of (0, 1), the one line the oracle
+    reads for both.  Returns ``(w0, lows)``, ``lows`` a list of ``(value,
+    i, j)`` of the other five, in ``frame_axes`` order."""
     energies = svd32_energies(params)
+    sd = svd32(F)
     s = np.asarray(offsets)[:, None]
-    lows = []
-    for a, b in frame_axes(F):
-        steps = s[:, :, None] * np.outer(a, b)
+    lows = {}
+    for i, j in itertools.product(range(3), range(2)):
+        steps = s[:, :, None] * np.outer(sd.Q[:, i], sd.R[j, :])
         w_pos, w_neg = energies(F + steps), energies(F - steps)
         chords = (s * w_neg + s.T * w_pos[:, None]) / (s + s.T)
         assert not np.isnan(chords).any()
         low = (float(chords[0, 0]), 0, 0)
-        for i in range(len(offsets)):
-            for j in range(len(offsets)):
-                if chords[i, j] < low[0]:
-                    low = (float(chords[i, j]), i, j)
-        lows.append(low)
-    return float(energies(F[None])[0]), lows
+        for k in range(len(offsets)):
+            for m in range(len(offsets)):
+                if chords[k, m] < low[0]:
+                    low = (float(chords[k, m]), k, m)
+        lows[i, j] = low
+    mirror, line = lows.pop((1, 0))[0], lows[0, 1][0]
+    assert mirror == line or abs(mirror - line) <= 1e-12 * max(1.0, abs(line)), (mirror, line)
+    return float(energies(F[None])[0]), [lows[axes] for axes, _ in _LINES]
 
 
 def frame_scan_reference(F, params, offsets, top_k):
     """The oracle's frame scan on matrices: ``frame_lows_reference``, the
-    finite lows ranked by value with ties broken on the direction index;
+    finite lows ranked by value with ties broken on the line index;
     ``(w0, candidates)`` with at most ``top_k`` candidates ``(value, d,
     s_pos, s_neg)``, the chord along line ``d`` from ``s_pos`` to
     ``-s_neg``.  The reference for the scan and ranking of
@@ -298,7 +306,7 @@ def angle_polish_reference(F, params, iters=100):
     energy and the polished values.  The reference that checks the
     oracle's frame-line polish for generality."""
     offsets = _SCAN_LADDER * max(1.0, float(np.linalg.norm(F)))
-    w0, candidates = frame_scan_reference(F, params, offsets, 6)
+    w0, candidates = frame_scan_reference(F, params, offsets, len(_LINES))
     axes = frame_axes(F)
     starts = [
         [*_angles_of(*axes[d]), np.log(s_pos + s_neg), s_neg / (s_pos + s_neg)]

@@ -102,6 +102,15 @@ def test_energy3d_non_finite_input_exit_2(capsys, argv):
     assert err.startswith("error:") and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["--n", "1 0 0"]], ids=["minimized", "director"])
+def test_energy3d_entries_above_the_bound_exit_2(capsys, argv):
+    # A finite shell matrix whose squares overflow ended in a traceback,
+    # or, with a director, in {"energy": "nan"} and exit 0.
+    code, out, err = run_cli(capsys, "energy3d", "--F", "1e200 0 0; 0 1e-200 0; 0 0 1", "--r", "8", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at most 1e+100" in err
+
+
 def test_energy3d_minimized_over_director(capsys):
     _, out_min, _ = run_cli(
         capsys, "energy3d", "--F", "1 0 0; 0 1 0; 0 0 1", "--r", "8", "--mu", "2"

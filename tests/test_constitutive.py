@@ -1,5 +1,7 @@
 """Pointwise 3D densities: trace form, director-minimized form, curvature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,28 @@ def test_wrong_shapes_are_rejected(call):
     # matmul raise.  Each is refused with the shape it should have.
     with pytest.raises(ValueError, match="must have shape"):
         call(MaterialParams(mu=2.0, r=8.0))
+
+
+@pytest.mark.parametrize(
+    "density, at_bound",
+    [
+        (bulk_energy, 1.25e199),
+        (lambda F, p: entropic_energy(F, np.array([0.0, 0.0, 1.0]), p), 1e200),
+    ],
+    ids=["bulk", "entropic"],
+)
+def test_entries_above_the_bound_are_rejected(density, at_bound):
+    # diag(x, 1/x, 1) lies on the shell for every x, but above 1e153 its
+    # squares overflow: the sums warned and then raised OverflowError or
+    # gave NaN.  Entries above 1e100 are refused before any arithmetic, with
+    # no warning; at 1e100 the value is finite.
+    p = MaterialParams(mu=1.0, r=8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e155, 1e200):
+            with pytest.raises(ValueError, match="at most 1e\\+100"):
+                density(np.diag([x, 1.0 / x, 1.0]), p)
+        assert density(np.diag([1e100, 1e-100, 1.0]), p) == pytest.approx(at_bound, rel=1e-12)
 
 
 def test_entropic_energy_identity():

@@ -46,6 +46,7 @@ from nemem.microstructure import measure_pairing
 from nemem.relaxation import (
     _ENDPOINT_LADDER,
     _LINE_NORM_MAX,
+    _LINES,
     _NORM_MAX,
     _PAIR_LADDER,
     _SCAN_LADDER,
@@ -385,9 +386,9 @@ def test_grid_candidates_are_the_splits_of_their_chords(region):
     F = matrix_from_invariants(lamM, delta, rng)
     offsets = _offsets(F, _SCAN_LADDER)
     sd = svd32(F)
-    w0, candidates = _ranked_candidates(F, P8, _SCAN_LADDER, 6)
+    w0, candidates = _ranked_candidates(F, P8, _SCAN_LADDER, 5)
     assert abs(w0 - plane_energy(F, P8)) <= 1e-12 * max(1.0, abs(w0))
-    assert len(candidates) == 6
+    assert len(candidates) == 5
     values = [value for value, _, _, _ in candidates]
     assert values == sorted(values)
     for value, d, s_pos, s_neg in candidates:
@@ -456,28 +457,33 @@ def test_frame_sign_maps_keep_the_ladder_plane_energies(F, r):
         assert err.max() <= 1e-12, (s3, s2)
 
 
+# The axes (i, j) of the frame lines, in the order of relaxation._LINES.
+_FRAME_AXES = [(0, 0), (1, 1), (0, 1), (2, 0), (2, 1)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_grid_lies_in_a_quarter_of_the_target_frame(region, seed):
-    # The scanned lines, the directions of the six frame lines' splits
+    # The scanned lines, the directions of the five frame lines' splits
     # (_frame_split), read back in the target's frame, a' = Q^T a and
-    # b' = R b, are the frame's axes (e_i, e_j) with i outer: every line
-    # has a'_1 >= 0, a'_3 >= 0 and b' in the first quadrant, the quarter
-    # the sign maps reduce the lines to.
+    # b' = R b, are the frame's axes (e_i, e_j) in the table's order, the
+    # two odd lines first: every line has a'_1 >= 0, a'_3 >= 0 and b' in
+    # the first quadrant, the quarter the sign maps reduce the lines to.
+    # (1, 0) is not among them: it has (0, 1)'s singular values.
     F = matrix_from_invariants(*sample_invariants(region, 8.0, 0.4, 0.6), np.random.default_rng(seed))
     sd = svd32(F)
-    a, b = (np.array(x) for x in zip(*(_frame_split(sd.Q, sd.R, d, 1.0, 1.0)[:2] for d in range(6))))
-    assert a.shape == (6, 3) and b.shape == (6, 2)
+    assert [axes for axes, _ in _LINES] == _FRAME_AXES
+    a, b = (np.array(x) for x in zip(*(_frame_split(sd.Q, sd.R, d, 1.0, 1.0)[:2] for d in range(5))))
+    assert a.shape == (5, 3) and b.shape == (5, 2)
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, rtol=1e-14)
     np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, rtol=1e-14)
     ap, bp = a @ sd.Q, b @ sd.R.T
     assert ap[:, 0].min() >= -1e-15 and ap[:, 2].min() >= -1e-15
     assert bp.min() >= -1e-15
-    axes = [(i, j) for i in range(3) for j in range(2)]
-    np.testing.assert_allclose(ap, np.eye(3)[[i for i, _ in axes]], atol=1e-14)
-    np.testing.assert_allclose(bp, np.eye(2)[[j for _, j in axes]], atol=1e-14)
-    # Six distinct lines.
-    assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 6
+    np.testing.assert_allclose(ap, np.eye(3)[[i for i, _ in _FRAME_AXES]], atol=1e-14)
+    np.testing.assert_allclose(bp, np.eye(2)[[j for _, j in _FRAME_AXES]], atol=1e-14)
+    # Five distinct lines.
+    assert len(np.unique(np.round(_dyads(a, b).reshape(-1, 6), 12), axis=0)) == 5
 
 
 def _offsets(F, ladder):
@@ -525,10 +531,11 @@ def _assert_scan_matches_reference(F, params, ladder, top_k):
 @pytest.mark.parametrize("r", [1.01, 2.0, 8.0, 100.0])
 @pytest.mark.parametrize("region", [Region.L, Region.M, Region.W, Region.S])
 def test_bounded_grid_search_matches_exhaustive_reference(region, r, ladder):
-    # The scan reads the six frame lines in closed form from the target's
+    # The scan reads the five frame lines in closed form from the target's
     # singular values, with chord tables only for (0, 0) and (1, 1); the
-    # reference scores every line on its matrices, one full chord table per
-    # line.  The per-line lows, and the ranked candidates, agree to 1e-12.
+    # reference scores all six dyads on their matrices, one full chord table
+    # per dyad, (1, 0) checked against (0, 1).  The per-line lows, and the
+    # ranked candidates, agree to 1e-12.
     params = MaterialParams(mu=2.0, r=r)
     lamM, delta = sample_invariants(region, r, 0.4, 0.6)
     assert classify(lamM, delta, params) is region
@@ -537,27 +544,36 @@ def test_bounded_grid_search_matches_exhaustive_reference(region, r, ladder):
     sd = svd32(F)
     _, low, _, _ = _frame_chords(sd.lamM, sd.lamm, offsets, _energies(params))
     _, lows = frame_lows_reference(F, params, offsets)
+    assert len(low) == len(lows) == 5
     for v, (ref, _, _) in zip(low, lows):
         assert v == ref or abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (v, ref)
-    assert len(_assert_scan_matches_reference(F, params, ladder, 6)) == 6
+    assert len(_assert_scan_matches_reference(F, params, ladder, 5)) == 5
 
 
-def test_bounded_grid_search_breaks_ties_on_the_lower_index():
-    # The frame lines (0, 1) and (1, 0) are one line, so the scan gives them
-    # the same low, an exact tie that the ranking breaks on the direction
-    # index: (0, 1) comes first, and a top_k that splits the pair keeps it.
-    F = matrix_from_invariants(*sample_invariants(Region.M, 8.0, 0.4, 0.6), np.random.default_rng(5))
-    sd = svd32(F)
-    _, low, i, j = _frame_chords(sd.lamM, sd.lamm, _offsets(F, _SCAN_LADDER), _energies(P8))
-    assert low[1] == low[2] and (i[1], j[1]) == (i[2], j[2])
+def test_bounded_grid_search_breaks_ties_on_the_lower_index(monkeypatch):
+    # A constant value of 1 makes every chord of every line exactly 1, an
+    # exact tie of all five lines that the ranking breaks on the line
+    # index: the lines are zoomed in the order 0..4, a top_k cut keeps the
+    # lowest indices, and the first, line 0, is the split of each row.
+    l1, l2 = np.array([1.3, 0.7]), np.array([0.4, 0.7])
 
-    def picked(candidates):
-        return [d for _, d, _, _ in candidates]
+    def value(hi, lo):
+        return np.ones(np.shape(hi))
 
-    full = picked(_assert_scan_matches_reference(F, P8, _SCAN_LADDER, 6))
-    k = full.index(1)
-    assert full[k + 1] == 2
-    assert picked(_ranked_candidates(F, P8, _SCAN_LADDER, k + 1)[1]) == full[: k + 1]
+    own, low, _, _ = _frame_chords(l1, l2, l1[:, None] * _SCAN_LADDER, value)
+    assert own.tolist() == [1.0] * 2 and low.tolist() == [[1.0] * 5] * 2
+    zoomed = []
+    zoom = relaxation._zoom
+
+    def recording(*args):
+        zoomed.append(args[2].tolist())
+        return zoom(*args)
+
+    monkeypatch.setattr(relaxation, "_zoom", recording)
+    for top_k in range(1, 6):
+        _, best, d, _, _ = _best_splits(l1, l2, _SCAN_LADDER, value, top_k, math.inf)
+        assert zoomed[-1] == list(range(top_k)) * 2
+        assert best.tolist() == [1.0] * 2 and d.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("F", [diag_embed(0.5, 1e-13), np.zeros((3, 2))], ids=["thin", "zero"])
@@ -567,8 +583,8 @@ def test_bounded_grid_search_with_fewer_finite_directions_than_top_k(F):
     # finite chord: every one of them is a candidate.
     _, lows = frame_lows_reference(F, P8, _offsets(F, _SCAN_LADDER))
     n_finite = sum(np.isfinite(v) for v, _, _ in lows)
-    assert n_finite < 6
-    assert len(_assert_scan_matches_reference(F, P8, _SCAN_LADDER, 6)) == n_finite
+    assert n_finite < 5
+    assert len(_assert_scan_matches_reference(F, P8, _SCAN_LADDER, 5)) == n_finite
 
 
 def _depth1_of(F, params):
@@ -638,8 +654,8 @@ def test_two_level_builds_no_matrices(region, monkeypatch):
 
 
 def test_full_depth_one_pass_builds_one_chord_table(monkeypatch):
-    # The full pass scans the six frame lines of the target (a stack of
-    # one), 40 offsets per side; four of them are even in the offset, so
+    # The full pass scans the five frame lines of the target (a stack of
+    # one), 40 offsets per side; three of them are even in the offset, so
     # one chord table holds the other two, however the scan is written.
     # The zoom then builds one table per level, 33 by 33 offsets, for the
     # two best-ranked candidates at once.
@@ -695,7 +711,7 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
         assert got[4][1] is None and all(res[1] is not None for res in got[5:])
         return
     ladder, value, top_k = {
-        "plane-scan": (_SCAN_LADDER, _energies(P2), 6),
+        "plane-scan": (_SCAN_LADDER, _energies(P2), 5),
         "pair-estimate": (_PAIR_LADDER, _endpoint_estimate(P2), 1),
     }[search]
     l1, l2 = sd.lamM, sd.lamm
@@ -714,9 +730,9 @@ def test_depth_one_pass_on_a_stack_is_each_matrix_alone(search):
         assert d[2] == -1 and np.isinf(low[2]) and np.all(np.delete(d, 2) >= 0)
 
 
-def test_depth_one_pass_zooms_two_lines_and_finds_what_six_find(monkeypatch):
+def test_depth_one_pass_zooms_two_lines_and_finds_what_five_find(monkeypatch):
     # The depth-one pass zooms the first _ZOOM_LINES = 2 lines of each
-    # matrix's ranking; zooming all six gives every (value, split), bit for
+    # matrix's ranking; zooming all five gives every (value, split), bit for
     # bit: on a stack of every region at each r, and on the level-step
     # atoms of an accepted two-level tree (the pin's first split).
     F2 = diag_embed(0.44, 0.08 / 0.44)
@@ -741,10 +757,10 @@ def test_depth_one_pass_zooms_two_lines_and_finds_what_six_find(monkeypatch):
     monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
     assert relaxation._ZOOM_LINES == 2
     two = [relaxation._depth1(svd32(G), params) for G, params in cases]
-    monkeypatch.setattr(relaxation, "_ZOOM_LINES", 6)
-    six = [relaxation._depth1(svd32(G), params) for G, params in cases]
+    monkeypatch.setattr(relaxation, "_ZOOM_LINES", 5)
+    five = [relaxation._depth1(svd32(G), params) for G, params in cases]
     assert sum(rows[: len(cases)]) < sum(rows[len(cases) :])
-    for got, want in zip(two, six):
+    for got, want in zip(two, five):
         for res, ref in zip(got, want):
             _assert_same_pass(res, ref)
     # Both atoms split, and every L, M and W target; no S target does.
@@ -857,9 +873,9 @@ def test_zoom_rows_do_not_depend_on_their_order(seeds):
     for seed in seeds:
         F = matrix_from_invariants(*sample_invariants(Region.L, 8.0, 0.3, 0.7), np.random.default_rng(seed))
         sd = svd32(F)
-        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _ranked_candidates(F, P8, _SCAN_LADDER, 6)[1]]
+        rows += [(sd.lamM, sd.lamm, *cand[1:]) for cand in _ranked_candidates(F, P8, _SCAN_LADDER, 5)[1]]
     l1, l2, d, s_pos, s_neg = (np.array(x) for x in zip(*rows))
-    assert len(d) == 6 * len(seeds) and len(set(d.tolist())) > 1
+    assert len(d) == 5 * len(seeds) and len(set(d.tolist())) > 1
     want = _zoom(l1, l2, d, s_pos, s_neg, _SCAN_LADDER, _energies(P8))
     for seed in range(3):
         p = np.random.default_rng(seed).permutation(len(d))
@@ -1090,7 +1106,7 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
     for r in (1.01, 2.0, 8.0, 100.0):
         params = MaterialParams(mu=2.0, r=r)
         own, low, _, _ = _frame_chords(sd.lamM, sd.lamm, s, _energies(params))
-        assert own.shape == (2, 24, 6) and low.shape == (2, 24, 6, 6)
+        assert own.shape == (2, 24, 6) and low.shape == (2, 24, 6, 5)
         est = np.minimum(own, low.min(axis=-1))
         ref = endpoint_estimate_reference(E, params, _ENDPOINT_LADDER)
         # The oracle's estimate takes only the lows, at offsets scaled by
@@ -1107,9 +1123,6 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
         assert np.all(np.abs(est - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
-_FRAME_AXES = [(i, j) for i in range(3) for j in range(2)]
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     l1=st.floats(1e-3, 1e3),
@@ -1123,26 +1136,28 @@ _FRAME_AXES = [(i, j) for i in range(3) for j in range(2)]
 )
 def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, seed):
     # With E = Q D R, the closed-form singular values of each frame line
-    # d = 2 i + j are those svd32 finds on
+    # d, with axes (i, j) = _LINES[d][0], are those svd32 finds on
     # Q (D + c e_i e_j^T) R, at both signs of c up to the top of the
-    # endpoint ladder, both to 1e-12 of the larger one.
+    # endpoint ladder, both to 1e-12 of the larger one; so are those of
+    # (0, 1) on the dyad (1, 0), the mirror the table leaves out.
     rng = np.random.default_rng(seed)
     Q, R = random_rotation(rng), random_orthogonal2(rng)
     l2 = l1 * ratio
     D = diag_embed(l1, l2)
     s = u * _ENDPOINT_LADDER[-1] * max(1.0, float(np.hypot(l1, l2)))
     c = np.array([s, -s])
-    hi, lo = _frame_lines(l1, l2, c, range(6))
-    assert hi.shape == lo.shape == (6, 2)
+    hi, lo = _frame_lines(l1, l2, c, range(5))
+    assert hi.shape == lo.shape == (5, 2)
     # A subset of the lines, new or written into a view as the scorer
-    # does, is bit for bit the matching rows of all six.
-    for lines in [(0,), (5,), (1, 4, 5), (3, 0), (2, 1)]:
+    # does, is bit for bit the matching rows of all five.
+    for lines in [(0,), (4,), (2, 3, 4), (1, 0), (3, 1)]:
         want = np.stack([hi, lo])[:, list(lines)]
         assert _frame_lines(l1, l2, c, lines).tobytes() == want.tobytes()
         out = np.full((2, 3 * len(lines) + 1), np.nan)
         _frame_lines(l1, l2, c, lines, out[:, 1:2 * len(lines) + 1].reshape(2, len(lines), 2))
         assert out[:, 1:2 * len(lines) + 1].tobytes() == want.reshape(2, -1).tobytes()
-    for d, (i, j) in enumerate(_FRAME_AXES):
+    checks = [(axes, d) for d, (axes, _) in enumerate(_LINES)] + [((1, 0), _FRAME_AXES.index((0, 1)))]
+    for (i, j), d in checks:
         for side, c in enumerate((s, -s)):
             X = D.copy()
             X[i, j] += c
@@ -1340,7 +1355,7 @@ def test_split_polish_matches_serial_reference(region):
         for seed in (0, 1):
             F = matrix_from_invariants(*sample_invariants(region, r, 0.3, 0.7), np.random.default_rng(seed))
             sd = svd32(F)
-            rows += [(F, sd, cand) for cand in _ranked_candidates(F, params, _SCAN_LADDER, 6)[1]]
+            rows += [(F, sd, cand) for cand in _ranked_candidates(F, params, _SCAN_LADDER, 5)[1]]
 
         def zoom(rows):
             l1 = np.array([sd.lamM for _, sd, _ in rows])

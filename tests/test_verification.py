@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nemem import verification
 from nemem.constitutive import MaterialParams
 from nemem.membrane import Region, classify
 from nemem.verification import (
@@ -42,6 +43,29 @@ def test_stress_suite_passes():
     rep = verify_stress_identities(MaterialParams(mu=2.0, r=8.0), n_samples=10, seed=0)
     assert rep.passed
     assert rep.worst_violation <= 1.0
+
+
+def test_stress_suite_takes_one_gradient_per_atom(monkeypatch):
+    # The measure-side checks pair each atom's finite-difference plane
+    # gradient and its stress g G^T in one pass: one gradient per atom of
+    # each sample's minimizing measure, not one per check.
+    calls, atoms = [], []
+    fd, young = verification._fd_plane_gradient, verification.young_measure_for
+
+    def counting_fd(G, params):
+        calls.append(1)
+        return fd(G, params)
+
+    def recording_young(Ft, params):
+        nu = young(Ft, params)
+        atoms.append(len(nu.atoms))
+        return nu
+
+    monkeypatch.setattr(verification, "_fd_plane_gradient", counting_fd)
+    monkeypatch.setattr(verification, "young_measure_for", recording_young)
+    rep = verify_stress_identities(MaterialParams(mu=2.0, r=8.0), n_samples=5, seed=7)
+    assert rep.passed and len(atoms) == rep.samples
+    assert len(calls) == sum(atoms) and max(atoms) > 1
 
 
 def test_envelope_suite_passes():
