@@ -290,7 +290,7 @@ def _build_parser():
     p = sub.add_parser("relax")
     p.add_argument("--F", required=True, help="3x2 matrix 'a b; c d; e f'")
     _add_material_flags(p)
-    p.add_argument("--depth", type=int, default=2, help="lamination depth (>= 1)")
+    p.add_argument("--depth", type=int, default=2, choices=(1, 2), help="lamination depth (1 or 2)")
     p.set_defaults(fn=_cmd_relax)
 
     p = sub.add_parser("scan")

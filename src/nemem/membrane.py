@@ -172,6 +172,14 @@ def _plane_branches(lamM, delta, r):
     return rc * b1 - 3.0, rc * b2 - 3.0, rc * b3 - 3.0, window
 
 
+def _soft_stretches(r):
+    """The ends ``r^(-1/6)``, ``r^(1/3)`` and geometric midpoint ``r^(1/12)``
+    of the soft segment ``lamm = r^(-1/6)``, ``lamM`` in ``[r^(-1/6),
+    r^(1/3)]``, where the plane energy is 0: the third bracket is ``3
+    r^(-1/3)`` there and ``lamM * delta`` is in its window."""
+    return r ** (-1.0 / 6.0), r ** (1.0 / 12.0), r ** (1.0 / 3.0)
+
+
 def _check_invariants(lamM, delta):
     # A pair of Python floats comes back as floats, anything else as float
     # arrays.  Written so that NaN fails the comparison too.

@@ -4,44 +4,32 @@ A depth-limited lamination search gives an upper bound on the rank-one
 convex envelope without trusting the closed-form relaxed energy.  Along
 one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
-through 0 that joins a sample with ``s > 0`` to one with ``s < 0``.
-One function, ``_chords``, scores such chords everywhere, and one
-kernel, ``_w2d``, evaluates every plane energy of a matrix: ``svd32``
-then ``plane_energy_values``, as ``membrane.plane_energy`` does.  The
-plane energy depends on a matrix only through its singular values, so
-along its five frame lines (``_LINES``), the distinct rank-one lines
+through 0 that joins a sample with ``s > 0`` to one with ``s < 0``
+(``_chords``, the one chord formula).  Every plane energy of a matrix is
+``_w2d``: ``svd32`` then ``plane_energy_values``, as ``plane_energy``.
+The plane energy depends on a matrix only through its singular values,
+so along its five frame lines (``_LINES``), the distinct rank-one lines
 along pairs of its singular vectors, it has closed forms in two numbers
-(``_frame_lines``, which computes only the lines asked for).  One
-scorer, ``_frame_tables``, scores the frame lines from them, with no
-frame and no line matrix: three of the lines are even in the offset, so
-their lowest chord is their lowest sample, taken on one side only, and
-only the other two get chord tables.  The scans rank by where the lowest
-chords lie (``_frame_chords``); the endpoint estimate takes only their
-values.
-One split search, ``_best_splits``, serves both depths on a stack of
-singular values: one scan ranks each row's frame lines, and one zoom
-(``_zoom``) polishes the best along their own lines, a problem in the
-two offsets of the chord solved by ``_ZOOM_LEVELS`` chord tables, each
-centred on the lowest chord of the one before and smaller.  Depth one
-searches chords of plane energies and zooms the first ``_ZOOM_LINES``
-lines of each row's ranking.  Depth two searches first splits of
-two-level trees along the target's frame lines, with chords of a
-depth-one estimate of both endpoints, the lowest chord along their own
-frame lines; the endpoints lie on the target's frame lines, so both
-levels are read from the target's two singular values.  The estimate
-scores its endpoints in slices (``_ESTIMATE_SLICE``) whose temporaries
-stay under the allocator's mmap threshold.  That first split is zoomed
-only when its scan's lowest chord is not above the best single split's
-value by more than rounding noise; one split or none is the answer in
-most targets, and then the two-level phase is one scan.
-A witness grows by one level step, ``_deepen``: the target's depth-one
-pass over all its atoms (both endpoints of a two-level tree, every atom
-of a deeper level) in one zoom.  A split, or a deeper tree, is taken
-only when its value is lower by more than rounding noise (``_lower``).
-The reported value is always the pairing of an explicit witness measure
-with ``plane_energy``, bit for bit.
-The search budget (directions, offsets, zoom levels) is a set of module
-constants; ``OracleConfig`` chooses only the depth.
+(``_frame_lines``).  It is 0 only on a short segment, which a ladder of
+offsets steps over, so the lines also reach the segment's ends and
+midpoint (``membrane._soft_stretches``) in closed form: nine well points
+per matrix (``_wells``).  One scorer, ``_frame_tables``, scores the lines
+at a ladder and at the wells, with chord tables for the two lines odd in
+the offset only.  One split search, ``_best_splits``, serves both depths
+on a stack of singular values: one scan ranks each row's lines
+(``_frame_chords``), and one zoom (``_zoom``) polishes the best along
+their own lines, unless their chord is 0, the least a chord can be.
+Depth one searches chords of plane energies.  Depth two searches first
+splits of two-level trees along the target's frame lines, with chords
+of an estimate of both endpoints (``_endpoint_estimate``) from their
+wells alone, all read from the target's two singular values; that first
+split is zoomed only when its scan's lowest chord is not above the best
+single split's value by more than rounding noise (``_lower``), and
+``_deepen`` splits its endpoints by one depth-one pass.  A split, or a
+two-level tree, is taken only when its value is lower by more than
+rounding noise.  The reported value is always the pairing of an explicit
+witness measure with ``plane_energy``, bit for bit.  The search budget
+is a set of module constants; ``OracleConfig`` chooses only the depth.
 """
 
 import math
@@ -51,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import svd32
-from .membrane import _INVARIANT_MAX, DomainError, plane_energy_values, psi
+from .membrane import _INVARIANT_MAX, DomainError, _soft_stretches, plane_energy_values, psi
 from .microstructure import DiscreteYoungMeasure, _split
 
 __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination"]
@@ -66,60 +54,44 @@ _ZOOM_LEVELS = 9  # zoom levels of a split's polish
 _ZOOM_LINES = 2
 _LINE_SAMPLES = 800  # offsets per side of relax_along_line
 # Largest offsets, in units of max(1, |F|) of the matrix split: single
-# splits, first splits of two-level trees, and the frame chords that
-# score their endpoints.
+# splits and first splits of two-level trees.
 _SPLIT_TOP = 10.0
 _PAIR_TOP = 6.0
-_ENDPOINT_TOP = 8.0
 # A two-level tree's endpoints lie within (1 + _PAIR_TOP) max(1, |F|), and
-# the ladders from there reach (1 + max(_SPLIT_TOP, _ENDPOINT_TOP)) times
-# farther.  A matrix of norm R has delta <= R^2 / 2, so targets up to this
-# norm keep every laddered invariant within _INVARIANT_MAX.
-_NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / (
-    (1.0 + _PAIR_TOP) * (1.0 + max(_SPLIT_TOP, _ENDPOINT_TOP))
-)
+# the ladder from there reaches (1 + _SPLIT_TOP) times farther.  A matrix
+# of norm R has delta <= R^2 / 2, so targets up to this norm keep every
+# laddered invariant within _INVARIANT_MAX.
+_NORM_MAX = math.sqrt(2.0 * _INVARIANT_MAX) / ((1.0 + _PAIR_TOP) * (1.0 + _SPLIT_TOP))
 # relax_along_line samples F + s a b^T with |s| <= _SPLIT_TOP max(1, |F|).
 # A unit rank-one term moves the larger singular value by at most |s| and
 # leaves the smaller at most F's larger one, so a sample has lamM <= |F| +
 # |s| and delta <= |F| (|F| + |s|): lines through matrices up to this norm
 # keep every sampled invariant within _INVARIANT_MAX.
 _LINE_NORM_MAX = math.sqrt(_INVARIANT_MAX / (1.0 + _SPLIT_TOP))
-# Unit ladders of offsets, scaled by max(1, |F|) per matrix: single
-# splits, the first splits of two-level trees, and the endpoint estimate's
-# frame chords.
+# Unit ladders of offsets, scaled by max(1, |F|) per matrix: single splits
+# and the first splits of two-level trees.
 _SCAN_LADDER = np.geomspace(1e-3, _SPLIT_TOP, _T_SCAN)
 _PAIR_LADDER = np.geomspace(1e-2, _PAIR_TOP, 24)
-_ENDPOINT_LADDER = np.geomspace(1e-2, _ENDPOINT_TOP, 14)
-# Endpoints per slice of the endpoint estimate.  Its largest temporary, the
-# chord tables of an endpoint's two odd frame lines, holds 2 n^2 float64 for
-# n = len(_ENDPOINT_LADDER); a slice keeps it under glibc's default mmap
-# threshold of 128 KiB, so no temporary is mapped and unmapped per call, and
-# a solve's peak heap use stays near 0.5 MB, which the heap keeps between
-# solves instead of trimming it and faulting it in again.
-_ESTIMATE_SLICE = (128 * 1024) // (8 * 2 * len(_ENDPOINT_LADDER) ** 2)
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Lamination depth of the oracle.
-
-    The search budget is fixed: the five frame lines of each matrix
-    split, ``_T_SCAN`` offsets per side of each rank-one line, and a
-    polish of the best single splits (the ``_ZOOM_LINES`` best-ranked
-    lines of the target, and of each atom of a level step) and of a
-    two-level tree's first split (unless its scan is above the best
-    single split) by ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS``
-    offsets per side along their frame lines.
-    ``depth`` is the lamination order searched (1 or 2, deeper levels
-    split witness atoms further).  The search is deterministic.
+    """Lamination depth of the oracle: 1 (single splits) or 2 (also
+    two-level trees).  The search budget is fixed: the five frame lines of
+    each matrix split, ``_T_SCAN`` offsets per side and the line's wells,
+    and a polish of the ``_ZOOM_LINES`` best single splits of the target
+    and of each endpoint of a two-level tree, and of a two-level tree's
+    first split, by ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS``
+    offsets per side.  The search is deterministic.
     """
 
     depth: int = 2
 
     def __post_init__(self):
         # bool is an Integral, but a flag passed as a depth is a mistake.
-        if isinstance(self.depth, bool) or not isinstance(self.depth, numbers.Integral) or self.depth < 1:
-            raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
+        depth = self.depth
+        if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth not in (1, 2):
+            raise ValueError(f"depth must be 1 or 2, got {self.depth!r}")
 
 
 @dataclass(frozen=True)
@@ -219,76 +191,109 @@ def _frame_lines(l1, l2, c, lines, out=None):
     return out
 
 
-def _frame_tables(l1, l2, s, value):
-    """The one scorer of frame lines.  For matrices with singular values
-    ``l1 >= l2`` (shape ``(...)``) and offsets ``s > 0`` (shape ``(...,
-    n)``), returns ``(own, chords, even)``: each matrix's own value; the
-    chords through it along the odd lines 0 and 1, between ``s[i]`` and
-    ``-s[j]``, shape ``(..., 2, n, n)``; and the samples of the even lines
-    2, 3 and 4 at ``s``, shape ``(..., 3, n)`` (``_LINES``).  ``value``
-    maps singular values ``(hi, lo)`` to values and is called once.
+def _wells(l1, l2, soft):
+    """The well points of matrices with singular values ``l1 >= l2`` (shape
+    ``(...)``) for the stretches ``soft`` (``m`` of them), and the offsets
+    that reach them along the frame lines, at most 0 where none does.  Each
+    ``c`` gives ``(c, l1 l2 / c)`` on (0, 1), ``(c, l2)`` on (0, 0) and (2,
+    0), and ``(l1, c)`` on (1, 1) and (2, 1): ``hi, lo`` of shape ``(2, ...,
+    3, m)``.  The offsets: ``c - l`` (``l = l1, l2``) on the positive side
+    of the odd lines, ``l - c`` then ``c + l`` on their negative side, and
+    on the even lines, where the squared norm grows by the squared offset,
+    ``sqrt(hi^2 + lo^2 - l1^2 - l2^2)``.
+    """
+    c = np.asarray(soft, dtype=float)
+    l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
+    xy = np.empty((2,) + l1.shape[:-1] + (3, len(c)))
+    xy[0, ..., :2, :], xy[0, ..., 2, :] = c, l1
+    xy[1, ..., 0, :], xy[1, ..., 1, :], xy[1, ..., 2, :] = l1 * l2 / c, l2, c
+    square = (xy * xy).sum(axis=0) - (l1 * l1 + l2 * l2)[..., None]
+    l = np.stack([l1, l2], axis=-2)
+    offsets = (c - l, np.concatenate([l - c, c + l], axis=-1), np.sqrt(np.maximum(square, 0.0)))
+    points = np.sort(xy, axis=0)[::-1]
+    # At an extreme r a point can lie beyond the kernel's invariant range:
+    # it is not reached, and (1, 1) is evaluated in its place.
+    far = (points[0] > _INVARIANT_MAX) | (points[0] * points[1] > _INVARIANT_MAX)
+    if far.any():
+        points[:, far] = 1.0
+        for off, mask in zip(offsets, (far[..., 1:, :], np.tile(far[..., 1:, :], 2), far)):
+            off[mask] = 0.0
+    return points, offsets
 
-    The lowest chord of a line even in the offset is its lowest sample
-    (no chord is below its lower end), so only the odd lines get chord
-    tables.
+
+def _frame_tables(l1, l2, s, value, soft=()):
+    """The one scorer of frame lines.  For matrices with singular values
+    ``l1 >= l2`` (shape ``(...)``), offsets ``s > 0`` (shape ``(..., n)``)
+    and ``m`` stretches ``soft``, returns ``(own, chords, even, ends)``:
+    each matrix's own value; the chords along the odd lines 0 and 1 from
+    ``s`` then the positive-side wells to ``-s`` then the negative-side
+    ones, shape ``(..., 2, n + m, n + 2 m)``; the samples of the even lines
+    2, 3 and 4 at ``s`` then at their wells, shape ``(..., 3, n + m)``; and
+    the offsets of those three axes.  A well not reached is +inf, at offset
+    1.  ``value`` maps ``(hi, lo)`` to values and is called once.  An even
+    line's lowest chord is its lowest sample, so it gets no chord table.
     """
     s = np.asarray(s)
-    n = s.shape[-1]
+    n, m = s.shape[-1], len(soft)
     lead = np.broadcast_shapes(np.shape(l1), s.shape[:-1])
-    # The values' input: the matrix itself, the odd lines at s and -s,
-    # and the even lines at s, each line written in place by _frame_lines.
-    V = np.empty((2,) + lead + (7 * n + 1,))
-    V[0, ..., 0] = l1
-    V[1, ..., 0] = l2
+    points, offsets = _wells(l1, l2, soft)
+    # The values' input: the matrix, the odd lines at s and -s and the even
+    # lines at s (in place, by _frame_lines), then the well points.
+    V = np.empty((2,) + lead + (7 * n + 1 + 3 * m,))
+    V[..., 0] = l1, l2
     c = np.concatenate([s, -s], axis=-1)
     _frame_lines(l1, l2, c, (0, 1), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
-    _frame_lines(l1, l2, s, (2, 3, 4), V[..., 4 * n + 1 :].reshape((2,) + lead + (3, n)))
+    _frame_lines(l1, l2, s, (2, 3, 4), V[..., 4 * n + 1 : 7 * n + 1].reshape((2,) + lead + (3, n)))
+    V[..., 7 * n + 1 :] = points.reshape(points.shape[:-2] + (3 * m,))
     W = value(V[0], V[1])
     odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
-    chords = _chords(odd[..., :n], odd[..., n:], s[..., None, :], s[..., None, :])
-    return W[..., 0], chords, W[..., 4 * n + 1 :].reshape(lead + (3, n))
+    wells = W[..., 7 * n + 1 :].reshape(lead + (3, m))
+    tables = []
+    for ladder, well, off in zip(
+        (odd[..., :n], odd[..., n:], W[..., 4 * n + 1 : 7 * n + 1].reshape(lead + (3, n))),
+        (wells[..., 1:, :], np.tile(wells[..., 1:, :], 2), wells),
+        offsets,
+    ):
+        values = np.concatenate([ladder, well], axis=-1)
+        at = np.empty(values.shape)
+        at[..., :n], at[..., n:] = s[..., None, :], off
+        unreached = at <= 0.0
+        values[unreached], at[unreached] = np.inf, 1.0
+        tables.append((values, at))
+    (w_pos, s_pos), (w_neg, s_neg), (even, s_even) = tables
+    return W[..., 0], _chords(w_pos, w_neg, s_pos, s_neg), even, (s_pos, s_neg, s_even)
 
 
-def _frame_chords(l1, l2, s, value):
-    """The lowest chord along each frame line and where it lies: from
-    ``_frame_tables``, ``(own, low, i, j)`` with ``low`` of shape ``(...,
-    5)`` indexed by frame line (``_LINES``), the chord between
-    ``s[i]`` and ``-s[j]``; ties go to the first chord in row-major order.
-    An even line's lowest sample ``k`` is taken as ``i = j = k``.
+def _frame_chords(l1, l2, s, value, soft=()):
+    """The lowest chord along each frame line and its ends, from
+    ``_frame_tables``: ``(own, low, s_pos, s_neg)``, the last three of shape
+    ``(..., 5)``, the chord from ``s_pos`` to ``-s_neg`` (ties to the first
+    in row-major order); an even line's lowest sample at ``s`` is ``s, s``.
     """
-    own, chords, even = _frame_tables(l1, l2, s, value)
-    n = even.shape[-1]
-    chords = chords.reshape(chords.shape[:-2] + (n * n,))
-    # A sample k is the chord k (n + 1).
-    low = np.concatenate([chords.min(axis=-1), even.min(axis=-1)], axis=-1)
-    k = np.concatenate([chords.argmin(axis=-1), even.argmin(axis=-1) * (n + 1)], axis=-1)
-    return (own, low, *np.divmod(k, n))
+    own, chords, even, (s_pos, s_neg, s_even) = _frame_tables(l1, l2, s, value, soft)
+    flat = chords.reshape(chords.shape[:-2] + (-1,))
+    i, j = np.divmod(flat.argmin(axis=-1), chords.shape[-1])
+
+    def at(x, k):
+        return np.take_along_axis(x, k[..., None], axis=-1)[..., 0]
+
+    s_k = at(s_even, even.argmin(axis=-1))
+    low = np.concatenate([flat.min(axis=-1), even.min(axis=-1)], axis=-1)
+    return own, low, np.concatenate([at(s_pos, i), s_k], -1), np.concatenate([at(s_neg, j), s_k], -1)
 
 
 def _endpoint_estimate(params):
     """The endpoint estimate as a function of singular values ``(hi,
-    lo)``: the least of a matrix's plane energy and the lowest chord
-    through it along its frame lines, offsets ``_ENDPOINT_LADDER`` times
-    ``max(1, |E|)``.  Only the lows are taken, not where they lie.
-
-    Each endpoint's estimate is elementwise in its own two numbers, so the
-    endpoints are taken in slices of ``_ESTIMATE_SLICE``, each slice's
-    temporaries freed before the next is scored.
+    lo)``: the least of a matrix's plane energy, its well samples on the
+    even lines, and the chords between its wells on either side of the odd
+    lines (``_frame_tables`` with no ladder).  Only the lows are taken,
+    not where they lie.
     """
-    energies = _energies(params)
-
-    def low(hi, lo):
-        s = np.maximum(1.0, np.hypot(hi, lo))[..., None] * _ENDPOINT_LADDER
-        own, chords, even = _frame_tables(hi, lo, s, energies)
-        return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
+    energies, soft = _energies(params), _soft_stretches(params.r)
 
     def estimate(hi, lo):
-        out = np.empty(np.shape(hi))
-        flat, hi, lo = out.reshape(-1), np.ravel(hi), np.ravel(lo)
-        for a in range(0, flat.size, _ESTIMATE_SLICE):
-            b = slice(a, a + _ESTIMATE_SLICE)
-            flat[b] = low(hi[b], lo[b])
-        return out
+        own, chords, even, _ = _frame_tables(hi, lo, np.empty(np.shape(hi) + (0,)), energies, soft)
+        return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
 
     return estimate
 
@@ -349,41 +354,39 @@ def _lower(new, old):
         return (new < old) & (np.isneginf(new) | (old - new > 1e-12 * np.maximum(1.0, abs(new))))
 
 
-def _best_splits(l1, l2, ladder, value, top_k, bound):
+def _best_splits(l1, l2, ladder, value, top_k, bound, soft=()):
     """The one split search: the best split along the frame lines of each
     matrix of a stack with singular values ``l1 >= l2`` (shape ``(k,)``),
-    of chords of ``value``, which maps singular values ``(hi, lo)`` to
-    values.
-
-    One scan (``_frame_chords``) on the offsets ``ladder`` times each
-    row's ``max(1, |F|) = max(1, hypot(l1, l2))`` ranks each row's lines
-    by their lowest chord, ties to the lower line.  Of the first
-    ``top_k``, the lines whose chord is finite and not above ``bound`` by
-    more than rounding noise (``_lower``) are zoomed (``_zoom``), all rows
-    in one call, and each row keeps its first lowest zoomed chord.
-    Returns ``(own, low, d, s_pos, s_neg)``, each of shape ``(k,)``: the
-    row's own value and its best chord, along line ``d`` from ``s_pos`` to
-    ``-s_neg``.  A row with no line zoomed has ``d = -1``, its scan's
-    lowest chord and infinite ends.
+    of chords of ``value``, which maps ``(hi, lo)`` to values at least 0.
+    One scan (``_frame_chords``) on ``ladder`` times each row's ``max(1,
+    |F|) = max(1, hypot(l1, l2))`` and at the wells of ``soft`` ranks each
+    row's lines, ties to the lower line.  Of the first ``top_k``, the lines
+    whose chord is finite and not above ``bound`` by more than rounding
+    noise (``_lower``) are kept, and those above 0 zoomed (``_zoom``), all
+    rows in one call.  Returns ``(own, low, d, s_pos, s_neg)`` of shape
+    ``(k,)``: each row's own value and its first lowest kept chord, along
+    line ``d`` from ``s_pos`` to ``-s_neg``; with no line kept, ``d = -1``,
+    the scan's lowest chord and infinite ends.
     """
     s = np.maximum(1.0, np.hypot(l1, l2))[:, None] * ladder
-    own, low, i, j = _frame_chords(l1, l2, s, value)
+    own, low, s_pos, s_neg = _frame_chords(l1, l2, s, value, soft)
     least = low.min(axis=1)
     first = float(least.min())
     if not first < math.inf or _lower(bound, first):  # most two-level scans: nothing to zoom
         inf = np.full(len(low), np.inf)
         return own, least, np.full(len(low), -1), inf, inf
-    rows = np.arange(len(low))
+    rows = np.arange(len(low))[:, None]
     rank = np.argsort(low, axis=1, kind="stable")[:, :top_k]
-    top = low[rows[:, None], rank]
-    kept = np.isfinite(top) & ~_lower(bound, top)
-    row, col = np.nonzero(kept)
-    # Each kept line's zoomed (low, s_pos, s_neg); +inf in the slots not kept.
-    zoomed = np.full((3,) + top.shape, np.inf)
-    d = rank[row, col]
-    zoomed[:, row, col] = _zoom(l1[row], l2[row], d, s[row, i[row, d]], s[row, j[row, d]], ladder, value)
-    best = np.argmin(zoomed[0], axis=1)
-    low, s_pos, s_neg = zoomed[:, rows, best]
+    # Each kept line's (low, s_pos, s_neg), zoomed where its chord is above
+    # 0; +inf in the slots not kept.
+    found = np.stack([low[rows, rank], s_pos[rows, rank], s_neg[rows, rank]])
+    kept = np.isfinite(found[0]) & ~_lower(bound, found[0])
+    found[:, ~kept] = np.inf
+    row, col = np.nonzero(kept & (found[0] > 0.0))
+    if len(row):
+        found[:, row, col] = _zoom(l1[row], l2[row], rank[row, col], *found[1:, row, col], ladder, value)
+    rows, best = rows[:, 0], np.argmin(found[0], axis=1)
+    low, s_pos, s_neg = found[:, rows, best]
     hit = kept.any(axis=1)
     return own, np.where(hit, low, least), np.where(hit, rank[rows, best], -1), s_pos, s_neg
 
@@ -400,16 +403,16 @@ def _frame_split(Q, R, d, s_pos, s_neg):
 def _depth1(sd, params):
     """Best single split (or none) of one matrix or of each of a stack
     of shape ``(k, 3, 2)``, from its ``svd32`` ``sd``: one search
-    (``_best_splits``) of chords of the plane energy, all five lines scanned
-    on ``_SCAN_LADDER`` and the first ``_ZOOM_LINES`` of each matrix's
-    ranking zoomed.
-
+    (``_best_splits``) of chords of the plane energy on ``_SCAN_LADDER``
+    and the wells, the first ``_ZOOM_LINES`` lines of each ranking kept.
     Returns a list of ``(value, split_or_None)``, one per matrix, with
-    ``split = (a, b, t, theta)`` (``_frame_split``).  A split that wins by
+    ``split = (a, b, t, theta)`` (``_frame_split``); a split that wins by
     rounding noise only is reported as no split.
     """
     l1, l2 = np.reshape([sd.lamM, sd.lamm], (2, -1))
-    own, low, d, s_pos, s_neg = _best_splits(l1, l2, _SCAN_LADDER, _energies(params), _ZOOM_LINES, math.inf)
+    own, low, d, s_pos, s_neg = _best_splits(
+        l1, l2, _SCAN_LADDER, _energies(params), _ZOOM_LINES, math.inf, _soft_stretches(params.r)
+    )
     Q, R = np.reshape(sd.Q, (-1, 3, 3)), np.reshape(sd.R, (-1, 2, 2))
     return [
         (v, _frame_split(Q[k], R[k], dk, s_pos[k], s_neg[k])) if dk >= 0 and _lower(v, w0) else (w0, None)
@@ -420,11 +423,10 @@ def _depth1(sd, params):
 def _two_level(sd, params, bound):
     """Best two-level tree of the matrix whose ``svd32`` is ``sd``: one
     search (``_best_splits``) of its first split on ``_PAIR_LADDER`` with
-    chords of the endpoint estimate (``_endpoint_estimate``), read from
-    the target's singular values alone.  Only the top line is zoomed, and
-    only when its chord is not above ``bound`` by more than rounding
+    chords of the endpoint estimate, read from the target's singular values
+    alone, its top line kept unless above ``bound`` by more than rounding
     noise.  Returns ``(estimate, first_split)``, or ``(lowest_chord,
-    None)`` when no zoom ran.
+    None)`` when the line is not kept.
     """
     _, [est], [d], [s_pos], [s_neg] = _best_splits(
         np.array([sd.lamM]), np.array([sd.lamm]), _PAIR_LADDER, _endpoint_estimate(params), 1, bound
@@ -442,12 +444,13 @@ def _split_atom(w, G, split, level):
     return [(w * theta, Gp), (w * (1.0 - theta), Gm)], [_split(level, a, b, t, theta)]
 
 
-def _deepen(atoms, tree, level, params):
-    """One level step of a witness: the depth-one pass the target gets
-    (``_depth1``), over all ``atoms`` in one zoom.  Returns the atoms after the splits it finds
-    and ``tree`` followed by their records at ``level``, as new lists."""
+def _deepen(atoms, tree, params):
+    """The level step of a two-level tree: the depth-one pass the target
+    gets (``_depth1``), over both endpoints ``atoms`` in one zoom.  Returns
+    the atoms after the splits it finds and ``tree`` followed by their
+    records at level 2, as new lists."""
     subs = _depth1(svd32(np.stack([G for _, G in atoms])), params)
-    steps = [_split_atom(w, G, sub, level) for (w, G), (_, sub) in zip(atoms, subs)]
+    steps = [_split_atom(w, G, sub, 2) for (w, G), (_, sub) in zip(atoms, subs)]
     return [atom for step, _ in steps for atom in step], tree + [r for _, records in steps for r in records]
 
 
@@ -460,14 +463,15 @@ def _witness_pairing(atoms, params):
 def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
-    Takes the lowest chord through ``Ft`` along each searched rank-one
-    direction (the target's five frame lines) as a candidate
-    split, and polishes the best ones along their lines by zoomed chord
-    tables; at depth two, scans two-level trees whose endpoints are scored
-    by their own depth-one relaxation, polishes and deepens the best one
-    unless its scanned estimate is above the best single split's value,
-    and keeps a deeper tree only when its pairing is lower.  "Above" and
-    "lower" mean by more than 1e-12 relative.  The value is the
+    Takes the lowest chord through ``Ft`` along each of the target's five
+    frame lines, at a ladder of offsets and at the offsets that reach the
+    plane energy's zero set, as a candidate split, and polishes the best
+    ones along their lines by zoomed chord tables; at depth two, scans
+    two-level trees whose endpoints are scored by chords between their own
+    points of the zero set, polishes the best one unless its estimate is
+    above the best single split's value, splits its endpoints by their
+    depth-one pass, and keeps it only when its pairing is lower.  "Above"
+    and "lower" mean by more than 1e-12 relative.  The value is the
     plane-energy pairing of the returned witness measure, an upper bound
     on the rank-one convex envelope by construction.
 
@@ -517,10 +521,10 @@ def relax_lamination(Ft, params, cfg=None):
     # pass through high-energy intermediates), so rank first splits by
     # estimated two-level value, not by their depth-one objective.  A
     # first split whose scan is above the best single split is not zoomed.
-    if cfg.depth >= 2 and value1 > 1e-9 * params.mu:
+    if cfg.depth == 2 and value1 > 1e-9 * params.mu:
         _, split = _two_level(sd, params, value1)
         if split is not None:
-            deeper, deeper_tree = _deepen(*_split_atom(1.0, F, split, 1), 2, params)
+            deeper, deeper_tree = _deepen(*_split_atom(1.0, F, split, 1), params)
             paired = _witness_pairing(deeper, params)
             if _lower(paired, best_pairing):
                 best_pairing, atoms, tree = paired, deeper, deeper_tree
@@ -529,19 +533,6 @@ def relax_lamination(Ft, params, cfg=None):
             f"no lamination witness with finite plane energy was found for "
             f"(lamM, delta) = ({sd.lamM}, {sd.delta})"
         )
-
-    # Exploration depths beyond two: keep splitting witness atoms, all
-    # atoms of a level in one step, while it pays.  Each step is the level
-    # below the deepest of the kept tree.
-    for _ in range(cfg.depth - 2):
-        level = 1 + max((e["level"] for e in tree), default=0)
-        deeper, deeper_tree = _deepen(atoms, tree, level, params)
-        if len(deeper) == len(atoms):  # no atom split
-            break
-        paired = _witness_pairing(deeper, params)
-        if not _lower(paired, best_pairing):
-            break
-        best_pairing, atoms, tree = paired, deeper, deeper_tree
     return OracleResult(
         value=best_pairing,
         best_measure=DiscreteYoungMeasure(atoms=tuple(atoms), tree=tuple(tree)),

@@ -7,14 +7,28 @@ on a sphere grid with local descent; samplers build matrices from
 invariants and random frames only.
 """
 
+import importlib.util
 import itertools
+import pathlib
 
 import numpy as np
+import pytest
 
+from nemem import relaxation
 from nemem.algebra import adj2, diag_embed, rank_one_gap, svd32
 from nemem.membrane import plane_energy_values
 from nemem.relaxation import _LINES, _SCAN_LADDER, _split_endpoints, _w2d
 from nemem.verification import region_window
+
+
+def bench_targets():
+    """The oracle bench's seeded targets, ``perfbench/targets.py``, loaded by
+    path (the benchmark is not a package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "targets.py"
+    spec = importlib.util.spec_from_file_location("perfbench_targets", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def halton(n, base):
@@ -235,27 +249,35 @@ def frame_axes(F):
 
 def frame_lows_reference(F, params, offsets):
     """The lowest chord through ``F`` along each of its frame lines, on
-    matrices: the dyad ``Q[:, i] R[j, :]`` of each of the six axes ``(i,
-    j)``, its chord table between ``F + offsets[i] D`` and ``F - offsets[j]
-    D`` with ``svd32`` plane energies, and its lowest chord found by a loop
-    in row-major order (the first of equal lows).  The lows of (1, 0) are
-    checked equal, to 1e-12, to those of (0, 1), the one line the oracle
-    reads for both.  Returns ``(w0, lows)``, ``lows`` a list of ``(value,
-    i, j)`` of the other five, in ``frame_axes`` order."""
+    matrices: the dyad ``D = Q[:, i] R[j, :]`` of each of the six axes ``(i,
+    j)``, its chord table between ``F + s_pos[k] D`` and ``F - s_neg[m] D``
+    with ``svd32`` plane energies, and its lowest chord found by a loop in
+    row-major order (the first of equal lows; +inf when a side has no
+    offset).  ``offsets`` is one array of offsets for every line and both
+    sides, or a list of ``(s_pos, s_neg)`` per line of ``relaxation._LINES``
+    (then (1, 0) takes those of (0, 1)).  The lows of (1, 0) are checked
+    equal, to 1e-12, to those of (0, 1), the one line the oracle reads for
+    both.  Returns ``(w0, lows)``, ``lows`` a list of ``(value, s_pos,
+    s_neg)`` of the other five, in ``frame_axes`` order."""
     energies = svd32_energies(params)
     sd = svd32(F)
-    s = np.asarray(offsets)[:, None]
+    if isinstance(offsets, np.ndarray):
+        offsets = [(offsets, offsets)] * len(_LINES)
+    per_axes = {axes: sides for (axes, _), sides in zip(_LINES, offsets)}
+    per_axes[1, 0] = per_axes[0, 1]
     lows = {}
     for i, j in itertools.product(range(3), range(2)):
-        steps = s[:, :, None] * np.outer(sd.Q[:, i], sd.R[j, :])
-        w_pos, w_neg = energies(F + steps), energies(F - steps)
-        chords = (s * w_neg + s.T * w_pos[:, None]) / (s + s.T)
-        assert not np.isnan(chords).any()
-        low = (float(chords[0, 0]), 0, 0)
-        for k in range(len(offsets)):
-            for m in range(len(offsets)):
+        s_pos, s_neg = (np.asarray(x, dtype=float) for x in per_axes[i, j])
+        low = (np.inf, np.nan, np.nan)
+        if len(s_pos) and len(s_neg):
+            D = np.outer(sd.Q[:, i], sd.R[j, :])
+            w_pos = energies(F + s_pos[:, None, None] * D)
+            w_neg = energies(F - s_neg[:, None, None] * D)
+            chords = (s_pos[:, None] * w_neg + s_neg * w_pos[:, None]) / (s_pos[:, None] + s_neg)
+            assert not np.isnan(chords).any()
+            for k, m in itertools.product(range(len(s_pos)), range(len(s_neg))):
                 if chords[k, m] < low[0]:
-                    low = (float(chords[k, m]), k, m)
+                    low = (float(chords[k, m]), float(s_pos[k]), float(s_neg[m]))
         lows[i, j] = low
     mirror, line = lows.pop((1, 0))[0], lows[0, 1][0]
     assert mirror == line or abs(mirror - line) <= 1e-12 * max(1.0, abs(line)), (mirror, line)
@@ -271,7 +293,64 @@ def frame_scan_reference(F, params, offsets, top_k):
     ``relaxation._best_splits``."""
     w0, lows = frame_lows_reference(F, params, offsets)
     finite = sorted((v, d, i, j) for d, (v, i, j) in enumerate(lows) if np.isfinite(v))
-    return w0, [(v, d, float(offsets[i]), float(offsets[j])) for v, d, i, j in finite[:top_k]]
+    return w0, [(v, d, i, j) for v, d, i, j in finite[:top_k]]
+
+
+def well_offsets_reference(F, r):
+    """The offsets at which the frame lines of ``F`` reach a matrix with
+    one singular value ``c``, for ``c`` the ends ``r^(-1/6)``, ``r^(1/3)``
+    and the geometric midpoint ``r^(1/12)`` of the plane energy's zero set,
+    written from ``F``'s ``svd32`` singular values ``l1 >= l2``.  A list of
+    ``(s_pos, s_neg)`` per line of ``relaxation._LINES``, only offsets above
+    0 kept: ``c - l`` and ``-(c + l)``, ``l - c`` along (0, 0) (``l = l1``)
+    and (1, 1) (``l = l2``); on the other three, along which the squared
+    norm grows by ``s^2``, ``s`` on both sides with ``s^2 = c^2 + (l1 l2 /
+    c)^2 - l1^2 - l2^2`` on (0, 1), ``c^2 - l1^2`` on (2, 0) and ``c^2 -
+    l2^2`` on (2, 1)."""
+    sd = svd32(F)
+    l1, l2 = sd.lamM, sd.lamm
+    stretches = [r ** (-1.0 / 6.0), r ** (1.0 / 12.0), r ** (1.0 / 3.0)]
+
+    def odd(l):
+        return [c - l for c in stretches if c > l], [l - c for c in stretches if c < l] + [c + l for c in stretches]
+
+    def even(squares):
+        s = [float(np.sqrt(x)) for x in squares if x > 0.0]
+        return s, s
+
+    return [
+        odd(l1),
+        odd(l2),
+        even([c * c + (l1 * l2 / c) ** 2 - l1 * l1 - l2 * l2 for c in stretches]),
+        even([c * c - l1 * l1 for c in stretches]),
+        even([c * c - l2 * l2 for c in stretches]),
+    ]
+
+
+def work_counts(run):
+    """The oracle's work in ``run()``: the number of
+    ``relaxation.plane_energy_values`` calls, the elements they evaluate,
+    and the chord elements ``relaxation._chords`` returns, counted by
+    wrapping both names while ``run`` is called.  Deterministic, so unlike
+    a time it does not depend on the machine."""
+    counts = [0, 0, 0]
+    energies, chords = relaxation.plane_energy_values, relaxation._chords
+
+    def counting_energies(lamM, delta, params):
+        counts[0] += 1
+        counts[1] += np.size(lamM)
+        return energies(lamM, delta, params)
+
+    def counting_chords(*args):
+        out = chords(*args)
+        counts[2] += out.size
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relaxation, "plane_energy_values", counting_energies)
+        mp.setattr(relaxation, "_chords", counting_chords)
+        run()
+    return tuple(counts)
 
 
 def _unit_vectors(pol, az, beta):
@@ -317,17 +396,17 @@ def angle_polish_reference(F, params, iters=100):
     return min([w0] + [v for v, _ in polished])
 
 
-def endpoint_estimate_reference(E, params, ladder):
+def endpoint_estimate_reference(E, params):
     """The endpoint estimate on matrices: for each endpoint of ``E``
     (shape ``(..., 3, 2)``), the least of its own plane energy and the
     lowest chord through it along each of its frame lines
-    (``frame_lows_reference``), offsets ``ladder`` times ``max(1, |E|)``.
-    The reference for the oracle's closed-form frame lines."""
+    (``frame_lows_reference``) between the offsets that reach the zero
+    set's stretches (``well_offsets_reference``).  The reference for the
+    oracle's closed-form wells."""
     E = np.asarray(E, dtype=float)
     out = np.empty(E.shape[:-2])
     for idx in np.ndindex(*out.shape):
-        G = E[idx]
-        w0, lows = frame_lows_reference(G, params, max(1.0, float(np.linalg.norm(G))) * ladder)
+        w0, lows = frame_lows_reference(E[idx], params, well_offsets_reference(E[idx], params.r))
         out[idx] = min(w0, *(v for v, _, _ in lows))
     return out
 

@@ -467,15 +467,17 @@ def test_scan_is_deterministic(tmp_path, capsys):
     [
         ["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--n-dirs", "128"],
         ["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--seed", "0"],
+        ["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--depth", "0"],
+        ["relax", "--F", "1 0; 0 1; 0 0", "--r", "8", "--depth", "3"],
         ["energy", "--lamM", "3", "--delta", "1", "--kappa", "2"],
         ["--config", "nemem.cfg", "energy", "--lamM", "3", "--delta", "1"],
     ],
-    ids=["n-dirs", "seed", "kappa", "config"],
+    ids=["n-dirs", "seed", "depth-0", "depth-3", "kappa", "config"],
 )
 def test_relax_budget_flag_is_a_usage_error(capsys, argv):
-    # The oracle's search budget is fixed and has no random part, kappa is
-    # read by no command, and there is no defaults file: each is an
-    # argparse usage error.
+    # The oracle's search budget is fixed and has no random part, its depth
+    # is 1 or 2, kappa is read by no command, and there is no defaults
+    # file: each is an argparse usage error.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -530,16 +532,11 @@ def _readme_commands():
 def test_readme_commands_succeed(tmp_path, capsys):
     ran = set()
     for argv in _readme_commands():
-        # verify --suite all --seed 7 is left out only because it still
-        # exits 1 on the r=1.01 envelope check, an oracle gap that ROADMAP
-        # item 1 fixes; it runs in about 2 s.
-        if argv == ["verify", "--suite", "all", "--seed", "7"]:
-            continue
         if "--out" in argv:
             i = argv.index("--out") + 1
             argv[i] = str(tmp_path / argv[i])
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv, err)
         ran.add(argv[0])
-    assert ran == {"energy", "region", "stress", "energy3d", "laminate", "relax", "scan"}
+    assert ran == {"energy", "region", "stress", "energy3d", "laminate", "relax", "scan", "verify"}
     assert (tmp_path / "landscape.csv").exists()
