@@ -44,6 +44,8 @@ _LANE_MAX = 1e75
 # at a time: a matrix there costs about a tenth of the array kernel's
 # fixed cost, which is most of the kernel's time on a stack this small.
 _LANE_STACK = 8
+# The smallest normal float: a sum of squares below it has lost bits.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,18 @@ def _svd32_batch(F):
     # Rows w1 = F v1, w2 = F v2 and their lengths lamM, lamm.
     W = F[:, None] * R[:, :, None]
     W = W[..., 0] + W[..., 1]
-    lam = np.sqrt(_sum3(W * W))
+    lam2 = _sum3(W * W)
+    lam = np.sqrt(lam2)
+    small = lam2 < _TINY
+    if np.count_nonzero(small):
+        # Squares below the normal range lose bits or flush to 0, as a
+        # negligible lamm's can, even after the scaling: such a row's length
+        # is taken on the row divided by its largest entry (1 for a zero row).
+        w = W[small]
+        top = np.abs(w).max(axis=1)
+        top[top == 0.0] = 1.0
+        w /= top[:, None]
+        lam[small] = top * np.sqrt(_sum3(w * w))
     swap = lam[:, 1] > lam[:, 0]
     if np.count_nonzero(swap):
         # Rounding near a repeated value can swap the order; restore it:

@@ -126,42 +126,28 @@ def _region_tests(lamM, delta, r):
     )
 
 
-def _plane_brackets(lamM, delta, r, out=None):
-    """Brackets ``b1``, ``b2``, ``b3`` of the plane energy's branches, then
-    the third branch's ``window``, one at a time, on floats or arrays.
+def _plane_brackets(lamM, delta, r):
+    """Brackets ``(b1, b2, b3, window)`` of the plane energy's branches, on
+    floats or arrays.
 
     The one copy of the branch formulas: branch ``k`` is
     ``r**(1/3) * bk - 3`` (``_plane_branches``), and the plane energy is
     ``mu/2`` times the least of branches 1, 2 and, where the closed test
     ``window`` holds, 3.  ``lamM`` and ``delta`` must be positive and, as
-    arrays, of one shape.  Each bracket is built in place (``b1`` in
-    ``out`` when given, an array of that shape), and a shared term is
-    dropped once the last bracket that reads it is made, so a caller that
-    folds the brackets as they come holds few arrays at once.
+    arrays, of one shape.
     """
     sqr = math.sqrt(r)
     # Squares are products: float ** 2 calls libm pow, array ** 2 multiplies.
-    ratio2 = delta / lamM
-    ratio2 *= ratio2
+    ratio2 = (delta / lamM) * (delta / lamM)
     inv_t2 = 1.0 / (delta * delta)
     square = lamM * lamM
-    bracket = square / r if out is None else np.divide(square, r, out=out)
-    bracket += ratio2
-    bracket += inv_t2
-    yield bracket
-    square += ratio2
-    inv_t2 /= r
-    square += inv_t2
-    del inv_t2
-    yield square
-    del square
-    bracket = 2.0 * lamM
-    bracket /= sqr * delta
-    ratio2 += bracket
-    del bracket
-    yield ratio2
     prod = lamM * delta
-    yield (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr)
+    return (
+        square / r + ratio2 + inv_t2,
+        square + ratio2 + inv_t2 / r,
+        ratio2 + 2.0 * lamM / (sqr * delta),
+        (prod >= (1.0 - _GATE_TOL) / sqr) & (prod <= (1.0 + _GATE_TOL) * sqr),
+    )
 
 
 def _plane_branches(lamM, delta, r):
@@ -303,7 +289,7 @@ def _region_energy(lamM, delta, region, params):
     r = params.r
     rc = r ** (1.0 / 3.0)
     if region is Region.S:
-        phi = rc * next(_plane_brackets(lamM, delta, r)) - 3.0
+        phi = rc * _plane_brackets(lamM, delta, r)[0] - 3.0
     elif region is Region.W:
         phi = rc * (lamM * lamM / r + 2.0 / lamM) - 3.0
     elif region is Region.M:
@@ -339,27 +325,20 @@ def plane_energy_values(lamM, delta, params):
     if lamM.shape != delta.shape:
         lamM, delta = np.broadcast_arrays(lamM, delta)
 
-    def energy(s, t, out):
-        brackets = _plane_brackets(s, t, params.r, out)
-        least = next(brackets)
-        np.minimum(least, next(brackets), out=least)
-        b3 = next(brackets)
-        np.minimum(least, b3, out=least, where=next(brackets))
-        np.multiply(least, rc, out=least)
-        np.subtract(least, 3.0, out=least)
-        np.multiply(0.5 * params.mu, least, out=least)
-        return np.maximum(least, 0.0, out=least)
+    def energy(s, t):
+        b1, b2, b3, window = _plane_brackets(s, t, params.r)
+        least = np.minimum(np.minimum(b1, b2), np.where(window, b3, np.inf))
+        return np.maximum(0.5 * params.mu * (rc * least - 3.0), 0.0)
 
     # Rank-deficient pairs (and lamM = 0, as on floats) are +inf: a mask,
-    # skipped when every pair is rank two.  The output is allocated before
-    # the branch temporaries: the other order raised the oracle's peak RSS
-    # by about 3 MiB.
+    # skipped when every pair is rank two.
     rank_ok = (delta > _RANK_TOL * np.maximum(1.0, lamM * lamM)) & (lamM > 0.0)
-    out = np.full(lamM.shape, np.inf)
     if np.count_nonzero(rank_ok) == rank_ok.size:
-        energy(lamM, delta, out)
-    elif np.any(rank_ok):
-        out[rank_ok] = energy(lamM[rank_ok], delta[rank_ok], None)
+        out = energy(lamM, delta)
+    else:
+        out = np.full(lamM.shape, np.inf)
+        if np.any(rank_ok):
+            out[rank_ok] = energy(lamM[rank_ok], delta[rank_ok])
     return float(out) if lamM.ndim == 0 else out
 
 

@@ -165,11 +165,11 @@ _LINES = (
 )
 
 
-def _frame_lines(l1, l2, c, lines, out=None):
+def _frame_lines(l1, l2, c, lines, out):
     """Singular values ``hi, lo`` along the frame ``lines`` of matrices
     with singular values ``l1 >= l2`` (shape ``(...)``) at signed offsets
-    ``c`` (shape ``(..., n)``), written into ``out`` (a new array if None)
-    of shape ``(2, ..., len(lines), n)``, which is returned.
+    ``c`` (shape ``(..., n)``), written into ``out`` of shape ``(2, ...,
+    len(lines), n)``, which is returned.
 
     With ``E = Q D R``, the frame line ``d`` with axes ``(i, j) =
     _LINES[d][0]`` is the rank-one line ``E + c Q[:, i] R[j, :]``, with the
@@ -181,9 +181,6 @@ def _frame_lines(l1, l2, c, lines, out=None):
     All but (0, 0) and (1, 1) are even in ``c``.
     """
     l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
-    if out is None:
-        shape = np.broadcast_shapes(l1.shape, np.shape(c))
-        out = np.empty((2,) + shape[:-1] + (len(lines),) + shape[-1:])
     for k, d in enumerate(lines):
         x, y = _LINES[d][1](l1, l2, c)
         np.maximum(x, y, out=out[0, ..., k, :])
@@ -460,6 +457,21 @@ def _witness_pairing(atoms, params):
     return sum(w * v for (w, _), v in zip(atoms, W.tolist()))
 
 
+def _check_norm(F, bound, offsets):
+    """The norm of the 3x2 matrix ``F``; a ``DomainError`` when it is
+    above ``bound``, the largest norm whose ``offsets`` keep the invariants
+    at most ``_INVARIANT_MAX``.  Non-finite entries are left to the caller."""
+    # A finite matrix's norm can overflow; math.hypot scales, for the message.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(F))
+    if norm > bound and np.isfinite(F).all():
+        raise DomainError(
+            f"|F| = {math.hypot(*F.flat):.6g} is above {bound:.6g}, the largest norm whose "
+            f"{offsets} keep the invariants at most {_INVARIANT_MAX:g}"
+        )
+    return norm
+
+
 def relax_lamination(Ft, params, cfg=None):
     """Depth-limited lamination estimate of the relaxed energy.
 
@@ -500,16 +512,8 @@ def relax_lamination(Ft, params, cfg=None):
         raise TypeError(f"cfg must be an OracleConfig or None, got {type(cfg).__name__}")
     F = np.asarray(Ft, dtype=float)
     # The bound is checked before svd32 and psi, which would refuse the
-    # invariants of a target far above it with a plain ValueError.  Its norm
-    # can overflow; math.hypot scales, for the message.  Non-finite entries
-    # are left to svd32's ValueError.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(F))
-    if norm > _NORM_MAX and np.isfinite(F).all():
-        raise DomainError(
-            f"|F| = {math.hypot(*F.flat):.6g} is above {_NORM_MAX:.6g}, the largest norm whose "
-            f"search offsets keep the invariants at most {_INVARIANT_MAX:g}"
-        )
+    # invariants of a target far above it with a plain ValueError.
+    _check_norm(F, _NORM_MAX, "search offsets")
     sd = svd32(F)
     closed = psi(sd.lamM, sd.delta, params)
 
@@ -568,14 +572,7 @@ def relax_along_line(Ft, a, b, params):
     # Written so that a NaN norm fails the test.
     if not (abs(np.linalg.norm(a) - 1.0) <= 1e-12 and abs(np.linalg.norm(b) - 1.0) <= 1e-12):
         raise ValueError("line direction must be a unit rank-one pair")
-    # A finite matrix's norm can overflow; math.hypot scales, for the message.
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(F))
-    if not norm <= _LINE_NORM_MAX:
-        raise DomainError(
-            f"|F| = {math.hypot(*F.flat):.6g} is above {_LINE_NORM_MAX:.6g}, the largest norm whose "
-            f"line samples keep the invariants at most {_INVARIANT_MAX:g}"
-        )
+    norm = _check_norm(F, _LINE_NORM_MAX, "line samples")
     span = _SPLIT_TOP * max(1.0, norm)
     s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
     W = _w2d(F + np.concatenate([s, -s])[:, None, None] * _dyads(a, b), params)

@@ -4,23 +4,17 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 live).  Tolerances are pinned here and nowhere else.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from nemem.algebra import diag_embed, singular_values, svd32
 from nemem.cli import main as cli_main
 from nemem.constitutive import MaterialParams
-from nemem.membrane import Region, classify, plane_energy, psi, relaxed_energy
+from nemem.membrane import Region, plane_energy, psi, relaxed_energy
 from nemem.microstructure import check_support_M, check_support_W, measure_pairing, young_measure_for
 from nemem.relaxation import OracleConfig, relax_lamination
-from nemem.verification import (
-    regions_for,
-    verify_energy_bounds,
-    verify_stress_identities,
-)
+from nemem.verification import verify_energy_bounds, verify_stress_identities
 
 from helpers import (
     halton,

@@ -261,6 +261,25 @@ def test_svd32_scales_small_matrices():
             assert np.asarray(getattr(one, name)).tobytes() == getattr(sd, name)[i].tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "a, b", [(1e100, 1e-100), (1e80, 1e-200), (1.0, 1e-160), (1.0, 1e-300), (1e-10, 1e-300)]
+)
+def test_svd32_keeps_a_smaller_value_whose_square_underflows(a, b):
+    # The squares of the second row are below the normal range (after the
+    # scaling of huge entries, or at unit size): its length must still be
+    # b to rounding, and delta = a b, on one matrix, on its exact frame
+    # permutations (rows cycled, columns swapped) and in a batch.
+    F = diag_embed(a, b)
+    for G in [F, F[[2, 0, 1]], F[:, ::-1], -F[[1, 2, 0]][:, ::-1]]:
+        sd = svd32(G)
+        assert sd.lamM == a and abs(sd.lamm - b) <= 1e-15 * b
+        assert abs(sd.delta - a * b) <= 1e-15 * (a * b)
+        assert np.abs(sd.reconstruct() - G).max() <= 1e-15 * a
+    lamM, lamm = singular_values(np.stack([F, diag_embed(2.0, 1.0)]))
+    assert lamM.tolist() == [a, 2.0] and abs(lamm[0] - b) <= 1e-15 * b and lamm[1] == 1.0
+
+
 def test_svd32_resolves_near_ties_of_small_matrices():
     # Entries near 1e-6 take no scaling: the tie and thin tests must be
     # relative there too, or squared singular values within about 1e-3 of

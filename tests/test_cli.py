@@ -151,6 +151,14 @@ def test_huge_entries_keep_their_invariants(capsys):
         assert "at most 1e+100" in err
 
 
+def test_invariants_with_a_tiny_smaller_stretch_keep_their_delta(capsys):
+    # (1e100, 1) is built as diag(1e100, 1e-100), whose second row's
+    # squares underflow once svd32 scales the matrix: delta must stay 1.
+    code, out, err = run_cli(capsys, "stress", "--lamM", "1e100", "--delta", "1", "--r", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["region"] == "W"
+
+
 def test_non_finite_energy_is_a_json_string(capsys):
     # Off the incompressibility shell the 3D density is +inf; standard JSON
     # has no token for it.

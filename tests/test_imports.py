@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in it, every private
+"""Every name a library module, test or demo imports is used in it, every private
 name it defines is read elsewhere in the library, and every name the
 benchmark traces exists."""
 
@@ -13,9 +13,14 @@ import nemem
 
 _PACKAGE = sorted(pathlib.Path(nemem.__file__).parent.glob("*.py"))
 _MODULES = [p for p in _PACKAGE if p.name != "__init__.py"]
+# The tests and the demos (not the benchmark, which has its own checks).
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SCRIPTS = sorted(_ROOT.glob("tests/*.py")) + sorted(_ROOT.glob("demos/*.py"))
 
 
-@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", _MODULES + _SCRIPTS, ids=lambda p: p.name if p in _MODULES else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}

@@ -1110,13 +1110,13 @@ def test_frame_lines_are_the_singular_values_of_the_frame_dyads(l1, ratio, u, se
     D = diag_embed(l1, l2)
     s = u * _SPLIT_TOP * max(1.0, float(np.hypot(l1, l2)))
     c = np.array([s, -s])
-    hi, lo = _frame_lines(l1, l2, c, range(5))
+    out = np.full((2, 5, 2), np.nan)
+    hi, lo = _frame_lines(l1, l2, c, range(5), out)
     assert hi.shape == lo.shape == (5, 2)
-    # A subset of the lines, new or written into a view as the scorer
-    # does, is bit for bit the matching rows of all five.
+    # A subset of the lines, written into a view as the scorer does, is
+    # bit for bit the matching rows of all five.
     for lines in [(0,), (4,), (2, 3, 4), (1, 0), (3, 1)]:
         want = np.stack([hi, lo])[:, list(lines)]
-        assert _frame_lines(l1, l2, c, lines).tobytes() == want.tobytes()
         out = np.full((2, 3 * len(lines) + 1), np.nan)
         _frame_lines(l1, l2, c, lines, out[:, 1:2 * len(lines) + 1].reshape(2, len(lines), 2))
         assert out[:, 1:2 * len(lines) + 1].tobytes() == want.reshape(2, -1).tobytes()
