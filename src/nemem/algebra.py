@@ -181,7 +181,7 @@ def _svd32_batch(F):
     # _LANE_MIN is a rare case: such a matrix is decomposed as 2^-e F,
     # largest entry in [1/2, 1), and its singular values are scaled back by
     # 2^e (exact, frames unchanged).  The zero matrix keeps e = 0.
-    exp = None
+    exp, unscaled = None, F
     peak = np.abs(F).max(axis=(1, 2))
     if not (_LANE_MIN <= peak.min(initial=_LANE_MIN) and peak.max(initial=0.0) < _LANE_MAX):
         if not np.all(peak < np.inf):
@@ -225,15 +225,21 @@ def _svd32_batch(F):
     lam2 = _sum3(W * W)
     lam = np.sqrt(lam2)
     small = lam2 < _TINY
-    if np.count_nonzero(small):
+    any_small = np.count_nonzero(small)
+    if any_small:
         # Squares below the normal range lose bits or flush to 0, as a
-        # negligible lamm's can, even after the scaling: such a row's length
-        # is taken on the row divided by its largest entry (1 for a zero row).
-        w = W[small]
+        # negligible lamm's can, even after the scaling, which can make the
+        # row's entries subnormal too: such a row's length is taken on the
+        # row of the unscaled F v divided by its largest entry (1 for a zero
+        # row).  The tests below see it at the scaled size.
+        k = np.nonzero(small)[0]
+        w = unscaled[k] * R[small][:, None]
+        w = w[..., 0] + w[..., 1]
         top = np.abs(w).max(axis=1)
         top[top == 0.0] = 1.0
         w /= top[:, None]
-        lam[small] = top * np.sqrt(_sum3(w * w))
+        tiny = top * np.sqrt(_sum3(w * w))
+        lam[small] = tiny if exp is None else np.ldexp(tiny, -exp[k])
     swap = lam[:, 1] > lam[:, 0]
     if np.count_nonzero(swap):
         # Rounding near a repeated value can swap the order; restore it:
@@ -255,6 +261,10 @@ def _svd32_batch(F):
         thin = lam[:, 1] <= _FRAME_TOL * lam[:, 0]
         if exp is not None:
             lam = np.ldexp(lam, exp[:, None])
+            if any_small:
+                # Only the smaller value of a nonzero matrix, or both of the
+                # zero matrix, can be that small, so no swap has moved it.
+                lam[small] = tiny
         # Beyond the float range delta is inf, which the invariant bound
         # downstream rejects.
         delta = lam[:, 0] * lam[:, 1]

@@ -21,8 +21,9 @@ on a stack of singular values: one scan ranks each row's lines
 their own lines, unless their chord is 0, the least a chord can be.
 Depth one searches chords of plane energies.  Depth two searches first
 splits of two-level trees along the target's frame lines, with chords
-of an estimate of both endpoints (``_endpoint_estimate``) from their
-wells alone, all read from the target's two singular values; that first
+of an estimate of both endpoints (``_endpoint_estimate``, a small kernel
+of its own that scores their wells alone as ``_frame_tables`` would),
+all read from the target's two singular values; that first
 split is zoomed only when its scan's lowest chord is not above the best
 single split's value by more than rounding noise (``_lower``), and
 ``_deepen`` splits its endpoints by one depth-one pass.  A split, or a
@@ -194,7 +195,9 @@ def _wells(l1, l2, soft):
     that reach them along the frame lines, at most 0 where none does.  Each
     ``c`` gives ``(c, l1 l2 / c)`` on (0, 1), ``(c, l2)`` on (0, 0) and (2,
     0), and ``(l1, c)`` on (1, 1) and (2, 1): ``hi, lo`` of shape ``(2, ...,
-    3, m)``.  The offsets: ``c - l`` (``l = l1, l2``) on the positive side
+    3, m)``, each point's two coordinates ordered by ``np.maximum`` and
+    ``np.minimum`` (the bits of sorting each pair, one elementwise call
+    each).  The offsets: ``c - l`` (``l = l1, l2``) on the positive side
     of the odd lines, ``l - c`` then ``c + l`` on their negative side, and
     on the even lines, where the squared norm grows by the squared offset,
     ``sqrt(hi^2 + lo^2 - l1^2 - l2^2)``.
@@ -205,9 +208,11 @@ def _wells(l1, l2, soft):
     xy[0, ..., :2, :], xy[0, ..., 2, :] = c, l1
     xy[1, ..., 0, :], xy[1, ..., 1, :], xy[1, ..., 2, :] = l1 * l2 / c, l2, c
     square = (xy * xy).sum(axis=0) - (l1 * l1 + l2 * l2)[..., None]
-    l = np.stack([l1, l2], axis=-2)
+    l = np.concatenate([l1, l2], axis=-1)[..., None]
     offsets = (c - l, np.concatenate([l - c, c + l], axis=-1), np.sqrt(np.maximum(square, 0.0)))
-    points = np.sort(xy, axis=0)[::-1]
+    points = np.empty_like(xy)
+    np.maximum(xy[0], xy[1], out=points[0])
+    np.minimum(xy[0], xy[1], out=points[1])
     # At an extreme r a point can lie beyond the kernel's invariant range:
     # it is not reached, and (1, 1) is evaluated in its place.
     far = (points[0] > _INVARIANT_MAX) | (points[0] * points[1] > _INVARIANT_MAX)
@@ -219,16 +224,19 @@ def _wells(l1, l2, soft):
 
 
 def _frame_tables(l1, l2, s, value, soft=()):
-    """The one scorer of frame lines.  For matrices with singular values
-    ``l1 >= l2`` (shape ``(...)``), offsets ``s > 0`` (shape ``(..., n)``)
-    and ``m`` stretches ``soft``, returns ``(own, chords, even, ends)``:
-    each matrix's own value; the chords along the odd lines 0 and 1 from
-    ``s`` then the positive-side wells to ``-s`` then the negative-side
-    ones, shape ``(..., 2, n + m, n + 2 m)``; the samples of the even lines
-    2, 3 and 4 at ``s`` then at their wells, shape ``(..., 3, n + m)``; and
-    the offsets of those three axes.  A well not reached is +inf, at offset
-    1.  ``value`` maps ``(hi, lo)`` to values and is called once.  An even
-    line's lowest chord is its lowest sample, so it gets no chord table.
+    """The scorer of frame lines at a ladder of offsets and at the wells.
+    For matrices with singular values ``l1 >= l2`` (shape ``(...)``),
+    offsets ``s > 0`` (shape ``(..., n)``) and ``m`` stretches ``soft``,
+    returns ``(own, chords, even, ends)``: each matrix's own value; the
+    chords along the odd lines 0 and 1 from ``s`` then the positive-side
+    wells to ``-s`` then the negative-side ones, shape ``(..., 2, n + m, n
+    + 2 m)``; the samples of the even lines 2, 3 and 4 at ``s`` then at
+    their wells, shape ``(..., 3, n + m)``; and the offsets of those three
+    axes.  A well not reached is +inf, at offset 1.  ``value`` maps ``(hi,
+    lo)`` to values and is called once.  An even line's lowest chord is its
+    lowest sample, so it gets no chord table.  The endpoint estimate, which
+    has no ladder, scores the wells in its own kernel
+    (``_endpoint_estimate``), to the bits this gives at ``n = 0``.
     """
     s = np.asarray(s)
     n, m = s.shape[-1], len(soft)
@@ -272,7 +280,9 @@ def _frame_chords(l1, l2, s, value, soft=()):
     i, j = np.divmod(flat.argmin(axis=-1), chords.shape[-1])
 
     def at(x, k):
-        return np.take_along_axis(x, k[..., None], axis=-1)[..., 0]
+        # x[..., k] row by row, on x seen as rows of its last axis.
+        rows = x.reshape(-1, x.shape[-1])
+        return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
     s_k = at(s_even, even.argmin(axis=-1))
     low = np.concatenate([flat.min(axis=-1), even.min(axis=-1)], axis=-1)
@@ -283,14 +293,30 @@ def _endpoint_estimate(params):
     """The endpoint estimate as a function of singular values ``(hi,
     lo)``: the least of a matrix's plane energy, its well samples on the
     even lines, and the chords between its wells on either side of the odd
-    lines (``_frame_tables`` with no ladder).  Only the lows are taken,
-    not where they lie.
+    lines, what ``_frame_tables`` scores with no ladder.  It is a small
+    kernel of its own, because the first-split zoom calls it at every
+    level: one call of the plane energy on each matrix and its nine wells,
+    and ``np.where`` for the wells not reached (``_wells``), +inf at offset
+    1.  Only the lows are taken, not where they lie.
     """
     energies, soft = _energies(params), _soft_stretches(params.r)
+    m = len(soft)
 
     def estimate(hi, lo):
-        own, chords, even, _ = _frame_tables(hi, lo, np.empty(np.shape(hi) + (0,)), energies, soft)
-        return np.minimum(own, np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
+        points, (s_pos, s_neg, s_even) = _wells(hi, lo, soft)
+        # The values' input: the matrix, then its wells.
+        V = np.empty((2,) + np.shape(hi) + (1 + 3 * m,))
+        V[..., 0] = hi, lo
+        V[..., 1:] = points.reshape(V.shape[:-1] + (3 * m,))
+        W = energies(V[0], V[1])
+        wells = W[..., 1:].reshape(W.shape[:-1] + (3, m))
+        odd = wells[..., 1:, :]
+        off_pos, off_neg = s_pos <= 0.0, s_neg <= 0.0
+        w_pos = np.where(off_pos, np.inf, odd)
+        w_neg = np.where(off_neg, np.inf, np.concatenate([odd, odd], axis=-1))
+        chords = _chords(w_pos, w_neg, np.where(off_pos, 1.0, s_pos), np.where(off_neg, 1.0, s_neg))
+        even = np.where(s_even <= 0.0, np.inf, wells)
+        return np.minimum(W[..., 0], np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
 
     return estimate
 
@@ -313,7 +339,8 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
     0``), so a row's value never rises.  Every step is elementwise, so a
     row's result does not depend on the other rows: the rows are worked
     on ordered by line, each line's rows one contiguous slice, and
-    returned in the caller's order.
+    returned in the caller's order.  The level's arrays are allocated
+    once per call and filled in place, so a level does only its arithmetic.
     """
     g = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     n, rows = len(g), np.arange(len(lines))
@@ -322,18 +349,24 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
     line_ids, first = np.unique(lines[order], return_index=True)
     spans = list(zip(line_ids.tolist(), first.tolist(), first[1:].tolist() + [len(rows)]))
     h = 2.0 * math.log(ladder[1] / ladder[0])
-    X = np.log(np.stack([s_pos[order], s_neg[order]], axis=-1))
-    hl = np.empty((2, len(rows), 2 * n))
+    # The log ends X, the log offsets E, the offsets s, the signed offsets
+    # c and the lines' singular values hl.
+    X = np.empty((len(rows), 2))
+    np.log(s_pos[order], out=X[:, 0])
+    np.log(s_neg[order], out=X[:, 1])
+    E, s = np.empty((2, len(rows), 2, n))
+    c, hl = np.empty((len(rows), 2 * n)), np.empty((2, len(rows), 2 * n))
     for _ in range(_ZOOM_LEVELS):
-        E = X[..., None] + h * g
-        s = np.exp(E)
-        c = np.concatenate([s[:, 0], -s[:, 1]], axis=-1)
+        np.add(X[..., None], h * g, out=E)
+        np.exp(E, out=s)
+        c[:, :n] = s[:, 0]
+        np.negative(s[:, 1], out=c[:, n:])
         for d, a, b in spans:
             _frame_lines(l1[a:b], l2[a:b], c[a:b], (d,), hl[:, a:b, None, :])
         W = value(hl[0], hl[1])
         table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(len(rows), n * n)
         i, j = np.divmod(table.argmin(axis=1), n)
-        X = np.stack([E[rows, 0, i], E[rows, 1, j]], axis=-1)
+        X[:, 0], X[:, 1] = E[rows, 0, i], E[rows, 1, j]
         h *= 4.0 / (n - 1)
     back = np.argsort(order)
     return table.min(axis=1)[back], s[rows, 0, i][back], s[rows, 1, j][back]

@@ -7,6 +7,7 @@ on a sphere grid with local descent; samplers build matrices from
 invariants and random frames only.
 """
 
+import hashlib
 import importlib.util
 import itertools
 import pathlib
@@ -325,6 +326,25 @@ def well_offsets_reference(F, r):
         even([c * c - l1 * l1 for c in stretches]),
         even([c * c - l2 * l2 for c in stretches]),
     ]
+
+
+def solve_digest(results):
+    """The SHA-256, in hex, of the oracle results ``results`` (an iterable
+    of ``OracleResult``), as bytes: each solve's value, gap and closed
+    form, its atoms' weights and matrices, and its tree records' levels,
+    directions, magnitudes and weights, each list led by its length.  Two
+    runs give one digest exactly when every solve is bit-identical."""
+    h = hashlib.sha256()
+    for res in results:
+        nu = res.best_measure
+        h.update(np.array([res.value, res.gap, res.closed_form]).tobytes())
+        h.update(np.array([len(nu.atoms), len(nu.tree)]).tobytes())
+        for w, G in nu.atoms:
+            h.update(np.float64(w).tobytes() + np.asarray(G, dtype=float).tobytes())
+        for s in nu.tree:
+            h.update(np.int64(s["level"]).tobytes() + s["a"].tobytes() + s["b"].tobytes())
+            h.update(np.array([s["magnitude"], s["weight"]]).tobytes())
+    return h.hexdigest()
 
 
 def work_counts(run):

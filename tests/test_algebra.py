@@ -263,13 +263,24 @@ def test_svd32_scales_small_matrices():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "a, b", [(1e100, 1e-100), (1e80, 1e-200), (1.0, 1e-160), (1.0, 1e-300), (1e-10, 1e-300)]
+    "a, b",
+    [
+        (1e100, 1e-100),
+        (1e80, 1e-200),
+        (1.0, 1e-160),
+        (1.0, 1e-300),
+        (1e-10, 1e-300),
+        (1e80, 1e-240),
+        (1e300, 1e-20),
+    ],
 )
 def test_svd32_keeps_a_smaller_value_whose_square_underflows(a, b):
     # The squares of the second row are below the normal range (after the
     # scaling of huge entries, or at unit size): its length must still be
     # b to rounding, and delta = a b, on one matrix, on its exact frame
-    # permutations (rows cycled, columns swapped) and in a batch.
+    # permutations (rows cycled, columns swapped) and in a batch.  In the
+    # last two cases b / a is below the normal range, so the scaling by a
+    # power of two makes b's entry itself subnormal.
     F = diag_embed(a, b)
     for G in [F, F[[2, 0, 1]], F[:, ::-1], -F[[1, 2, 0]][:, ::-1]]:
         sd = svd32(G)

@@ -285,6 +285,28 @@ def test_psi_invariant_spots(lam, dlt, expected):
     assert abs(psi(lam, dlt, P8) - expected) <= 1e-8
 
 
+def test_psi_at_r_1_is_pipkins_relaxed_membrane_energy():
+    # At r = 1 the relaxed energy is the relaxed incompressible neo-Hookean
+    # membrane energy of the tension-field limit (Pipkin, "The relaxed
+    # energy density for isotropic elastic membranes", IMA J. Appl. Math.
+    # 36 (1986) 85-99), written here from the principal stretches l1 >= l2
+    # with W(a, b) = (mu/2)(a^2 + b^2 + (a b)^-2 - 3): 0 when l1 <= 1 (slack),
+    # W(l1, l1^(-1/2)) when l2 < l1^(-1/2) (tense in one direction,
+    # wrinkled), and W(l1, l2) otherwise (taut).
+    mu = 2.0
+    l = 10.0 ** np.random.default_rng(55).uniform(-3.0, 3.0, (2, 20000))
+    l1, l2 = l.max(axis=0), l.min(axis=0)
+
+    def W(a, b):
+        return 0.5 * mu * (a * a + b * b + 1.0 / (a * b) ** 2 - 3.0)
+
+    slack, wrinkled = l1 <= 1.0, l2 < l1**-0.5
+    assert slack.sum() > 4000 and (wrinkled & ~slack).sum() > 4000 and (~wrinkled).sum() > 4000
+    ref = np.where(slack, 0.0, np.where(wrinkled, W(l1, l1**-0.5), W(l1, l2)))
+    got = psi(l1, l1 * l2, MaterialParams(mu=mu, r=1.0))
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_stress_zero_in_liquid_region():
     st = membrane_stress(matrix_from_invariants(1.5, 1.0), P8)
     assert st.classification == "zero"

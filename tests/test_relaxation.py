@@ -29,6 +29,7 @@ from helpers import (
     random_orthogonal2,
     random_rotation,
     sample_invariants,
+    solve_digest,
     well_offsets_reference,
     work_counts,
 )
@@ -67,6 +68,7 @@ from nemem.relaxation import (
     _split_endpoints,
     _two_level,
     _w2d,
+    _wells,
     _zoom,
     relax_along_line,
     relax_lamination,
@@ -1068,15 +1070,30 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
     E[0, 1, 3] = diag_embed(8.0 ** (1.0 / 12.0), 8.0 ** (-1.0 / 6.0))
     E[0, 1, 4] = diag_embed(1.5, 0.5)
     sd = svd32(E)
-    no_ladder = np.empty(sd.lamM.shape + (0,))
-    for r in (1.01, 2.0, 8.0, 100.0):
-        params = MaterialParams(mu=2.0, r=r)
-        got = _endpoint_estimate(params)(sd.lamM, sd.lamm)
-        assert got.shape == (2, 24, 6)
-        # Bit for bit the least of the own value and the scorer's lows at the
-        # wells alone.
-        own, low, _, _ = _frame_chords(sd.lamM, sd.lamm, no_ladder, _energies(params), _soft_stretches(r))
+    # At r = 1e13 the well (c, l1 l2 / c) at c = r^(-1/6) of the first lies
+    # beyond the invariant bound, and at r = 1e300 that of both: _wells
+    # marks them not reached.
+    far = svd32(np.stack([diag_embed(1e49, 1e49), diag_embed(9e30, 9e30)]))
+
+    def estimate_bits(params, l1, l2):
+        # Bit for bit the least of the own value and the scorer's lows at
+        # the wells alone.
+        got = _endpoint_estimate(params)(l1, l2)
+        no_ladder = np.empty(np.shape(l1) + (0,))
+        own, low, _, _ = _frame_chords(l1, l2, no_ladder, _energies(params), _soft_stretches(params.r))
         assert got.tobytes() == np.minimum(own, low.min(axis=-1)).tobytes()
+        return got
+
+    for r in (1.01, 2.0, 8.0, 100.0, 1e13, 1e300):
+        params = MaterialParams(mu=2.0, r=r)
+        got = estimate_bits(params, sd.lamM, sd.lamm)
+        assert got.shape == (2, 24, 6)
+        if r > 100.0:
+            reach = far.lamM * far.lamm / min(_soft_stretches(r))
+            assert (reach > _INVARIANT_MAX).tolist() == [True, r > 1e13]
+            estimate_bits(params, far.lamM, far.lamm)
+            # The reference does not know the invariant bound.
+            continue
         ref = endpoint_estimate_reference(E, params)
         assert np.array_equal(np.isinf(got), np.isinf(ref))
         assert np.isinf(got[0, 0, 4])
@@ -1085,6 +1102,29 @@ def test_endpoint_estimate_matches_one_frame_per_endpoint():
         if r == 8.0:
             assert got[0, 1, 2:5].tolist() == [0.0] * 3
             assert plane_energy_values(1.5, 0.75, params) > 0.1
+
+
+def test_wells_order_each_point_as_a_sort():
+    # _wells orders each point's two singular values by np.maximum and
+    # np.minimum: the bits of sorting the pair in decreasing order, ties
+    # included, here where a stretch c equals l1 (point (l1, c) of the
+    # lines (1, 1) and (2, 1)) or l2 (point (c, l2) of (0, 0) and (2, 0)).
+    soft = np.asarray(_soft_stretches(8.0))
+    rng = np.random.default_rng(34)
+    l1 = rng.uniform(0.1, 3.0, 40)
+    l2 = l1 * rng.uniform(0.0, 1.0, 40)
+    l1[:3] = soft
+    l2[:3] = soft * rng.uniform(0.0, 1.0, 3)
+    l1[3:6], l2[3:6] = soft * 1.5, soft
+    l1[6:9] = l2[6:9] = soft
+    l2[9] = 0.0
+    points, _ = _wells(l1, l2, soft)
+    L1, L2 = l1[:, None], l2[:, None]
+    x = np.stack(np.broadcast_arrays(soft, soft, L1), axis=-2)
+    y = np.stack(np.broadcast_arrays(L1 * L2 / soft, L2, soft), axis=-2)
+    assert points.shape == (2, 40, 3, 3)
+    assert points.tobytes() == np.sort(np.stack([x, y]), axis=0)[::-1].tobytes()
+    assert (points[0] == points[1]).sum() >= 12
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1405,14 +1445,19 @@ def test_work_counts_are_pinned():
     # The oracle's work over the 180 default solves of the bench's seed 41:
     # plane-energy calls, their elements and chord elements
     # (helpers.work_counts).  The counts do not depend on the machine, so a
-    # change to the search's work shows here.
+    # change to the search's work shows here.  The same solves' results are
+    # pinned bit for bit by their digest (helpers.solve_digest), so a change
+    # meant to keep every value, atom and split shows here if it does not.
     targets = bench_targets()
+    results = []
 
     def run():
         for t in targets.region_targets(41, 12):
-            relax_lamination(t["F"], MaterialParams(mu=targets.MU, r=t["r"]), CFG)
+            results.append(relax_lamination(t["F"], MaterialParams(mu=targets.MU, r=t["r"]), CFG))
 
     assert work_counts(run) == (2229, 597162, 5700816)
+    assert len(results) == 180
+    assert solve_digest(results) == "76b1c036bbac29d40f543bf80ab48e95803c97579041009bbd94e8518f34b3b4"
 
 
 # S targets of the oracle bench (seed 11 #51 at r = 2, seed 12 #17 at
