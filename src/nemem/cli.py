@@ -166,17 +166,29 @@ def _cmd_relax(args):
     return 0
 
 
+def _cell_texts(col):
+    # The cells of an object column of floats and None, each distinct float
+    # formatted once: keyed by its bits, so that -0.0 keeps its own
+    # spelling, and a missing cell (None) empty.
+    present = np.not_equal(col, None)
+    keys, index = np.unique(np.where(present, col, 0.0).astype(float).view(np.int64), return_inverse=True)
+    index[~present] = len(keys)
+    texts = list(map(repr, keys.view(float).tolist())) + [""]
+    return np.array(texts, dtype=object)[index].tolist()
+
+
 def _csv_rows(lam_axis, dlt_axis, tags, energy, s1, s2):
     # The scan's CSV lines, lamM outer and delta inner, built by columns so
-    # that each grid value is formatted once.  tolist() gives Python floats,
-    # whose repr is the shortest round trip; a missing cell (None) is empty.
+    # that each grid value, and each distinct energy and stress, is
+    # formatted once.  tolist() gives Python floats, whose repr is the
+    # shortest round trip; a missing cell (None) is empty.
     lam_text = list(map(repr, lam_axis.tolist()))
     dlt_text = list(map(repr, dlt_axis.tolist()))
     columns = (
         [text for text in lam_text for _ in dlt_text],
         dlt_text * len(lam_text),
         tags.tolist(),
-        *(["" if v is None else repr(v) for v in col.tolist()] for col in (energy, s1, s2)),
+        *map(_cell_texts, (energy, s1, s2)),
     )
     return (",".join(row) + "\n" for row in zip(*columns))
 

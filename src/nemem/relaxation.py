@@ -18,12 +18,14 @@ at a ladder and at the wells, with chord tables for the two lines odd in
 the offset only.  One split search, ``_best_splits``, serves both depths
 on a stack of singular values: one scan ranks each row's lines
 (``_frame_chords``), and one zoom (``_zoom``) polishes the best along
-their own lines, unless their chord is 0, the least a chord can be.
-Depth one searches chords of plane energies.  Depth two searches first
-splits of two-level trees along the target's frame lines, with chords
-of an estimate of both endpoints (``_endpoint_estimate``, a small kernel
-of its own that scores their wells alone as ``_frame_tables`` would),
-all read from the target's two singular values; that first
+their own lines, unless their chord is 0, the least a chord can be; its
+levels stop where a further level moves a value by rounding noise only.
+Depth one searches chords of plane energies, at a ladder and the wells.
+Depth two searches first splits of two-level trees along the target's
+frame lines, at a ladder alone, with chords of an estimate of both
+endpoints (``_endpoint_estimate``, a small kernel of its own that scores
+their wells alone as ``_frame_tables`` would), all read from the
+target's two singular values; that first
 split is zoomed only when its scan's lowest chord is not above the best
 single split's value by more than rounding noise (``_lower``), and
 ``_deepen`` splits its endpoints by one depth-one pass.  A split, or a
@@ -47,7 +49,8 @@ __all__ = ["OracleConfig", "OracleResult", "relax_along_line", "relax_lamination
 
 _T_SCAN = 40  # offsets per side of each frame line of the full depth-one scan
 _ZOOM_POINTS = 33  # grid points per side of a zoomed chord table
-_ZOOM_LEVELS = 9  # zoom levels of a split's polish
+_ZOOM_LEVELS = 7  # zoom levels of a split's polish
+_ZOOM_GRID = np.linspace(-1.0, 1.0, _ZOOM_POINTS)  # a zoom level's points, in units of h
 # Lines of each matrix's scan ranking that a depth-one pass zooms.  Over
 # the 2340 default solves of the gap table every kept split came from the
 # first or second; a test checks on every region that zooming all five
@@ -83,7 +86,8 @@ class OracleConfig:
     and a polish of the ``_ZOOM_LINES`` best single splits of the target
     and of each endpoint of a two-level tree, and of a two-level tree's
     first split, by ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS``
-    offsets per side.  The search is deterministic.
+    offsets per side, as many as reach the oracle's rounding noise.  The
+    search is deterministic.
     """
 
     depth: int = 2
@@ -234,14 +238,15 @@ def _frame_tables(l1, l2, s, value, soft=()):
     their wells, shape ``(..., 3, n + m)``; and the offsets of those three
     axes.  A well not reached is +inf, at offset 1.  ``value`` maps ``(hi,
     lo)`` to values and is called once.  An even line's lowest chord is its
-    lowest sample, so it gets no chord table.  The endpoint estimate, which
-    has no ladder, scores the wells in its own kernel
-    (``_endpoint_estimate``), to the bits this gives at ``n = 0``.
+    lowest sample, so it gets no chord table.  With no stretches (the pair
+    scan) there are no wells, and each axis's offsets are ``s`` itself, of
+    shape ``(..., 1, n)``.  The endpoint estimate, which has no ladder,
+    scores the wells in its own kernel (``_endpoint_estimate``), to the bits
+    this gives at ``n = 0``.
     """
     s = np.asarray(s)
     n, m = s.shape[-1], len(soft)
     lead = np.broadcast_shapes(np.shape(l1), s.shape[:-1])
-    points, offsets = _wells(l1, l2, soft)
     # The values' input: the matrix, the odd lines at s and -s and the even
     # lines at s (in place, by _frame_lines), then the well points.
     V = np.empty((2,) + lead + (7 * n + 1 + 3 * m,))
@@ -249,13 +254,19 @@ def _frame_tables(l1, l2, s, value, soft=()):
     c = np.concatenate([s, -s], axis=-1)
     _frame_lines(l1, l2, c, (0, 1), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
     _frame_lines(l1, l2, s, (2, 3, 4), V[..., 4 * n + 1 : 7 * n + 1].reshape((2,) + lead + (3, n)))
-    V[..., 7 * n + 1 :] = points.reshape(points.shape[:-2] + (3 * m,))
+    if m:
+        points, offsets = _wells(l1, l2, soft)
+        V[..., 7 * n + 1 :] = points.reshape(points.shape[:-2] + (3 * m,))
     W = value(V[0], V[1])
     odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
+    even = W[..., 4 * n + 1 : 7 * n + 1].reshape(lead + (3, n))
+    if not m:
+        at = s[..., None, :]
+        return W[..., 0], _chords(odd[..., :n], odd[..., n:], at, at), even, (at, at, at)
     wells = W[..., 7 * n + 1 :].reshape(lead + (3, m))
     tables = []
     for ladder, well, off in zip(
-        (odd[..., :n], odd[..., n:], W[..., 4 * n + 1 : 7 * n + 1].reshape(lead + (3, n))),
+        (odd[..., :n], odd[..., n:], even),
         (wells[..., 1:, :], np.tile(wells[..., 1:, :], 2), wells),
         offsets,
     ):
@@ -280,8 +291,9 @@ def _frame_chords(l1, l2, s, value, soft=()):
     i, j = np.divmod(flat.argmin(axis=-1), chords.shape[-1])
 
     def at(x, k):
-        # x[..., k] row by row, on x seen as rows of its last axis.
-        rows = x.reshape(-1, x.shape[-1])
+        # x[..., k] row by row, on x (broadcast to k's rows) seen as rows of
+        # its last axis.
+        rows = np.broadcast_to(x, k.shape + x.shape[-1:]).reshape(-1, x.shape[-1])
         return rows[np.arange(len(rows)), k.ravel()].reshape(k.shape)
 
     s_k = at(s_even, even.argmin(axis=-1))
@@ -332,39 +344,51 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
 
     Each of ``_ZOOM_LEVELS`` levels scores the chords from ``exp(u + h g)``
     to ``-exp(v + h g)``, with ``(u, v)`` the logs of the row's ends and
-    ``g`` on ``_ZOOM_POINTS`` points of [-1, 1], in closed form
-    (``_frame_lines``), moves the ends to the lowest chord (ties to the
-    first in row-major order) and shrinks ``h`` to two grid cells.  ``h``
-    starts at two steps of the ladder.  The grid holds its centre (``g =
-    0``), so a row's value never rises.  Every step is elementwise, so a
-    row's result does not depend on the other rows: the rows are worked
-    on ordered by line, each line's rows one contiguous slice, and
-    returned in the caller's order.  The level's arrays are allocated
-    once per call and filled in place, so a level does only its arithmetic.
+    ``g`` on ``_ZOOM_POINTS`` points of [-1, 1] (``_ZOOM_GRID``), in closed
+    form (the line's ``_LINES`` formula, as ``_frame_lines``), moves the
+    ends to the lowest chord (ties to the first in row-major order) and
+    shrinks ``h`` to two grid cells, 8 times narrower.  ``h`` starts at two
+    steps of the ladder; the last level's cells are about 1e-7 relative in
+    the offsets, so the zoom stops at the oracle's noise floor: two more
+    levels move no value of the 5940 default solves of the bench's seeds
+    11-13, 41-50 and 61-80 by more than 1.1e-14 relative, a tie by
+    ``_lower``.  The grid holds its centre (``g = 0``), so a row's value
+    never rises.  Every step is elementwise, so a row's result does not
+    depend on the other rows: the rows are worked on ordered by line, each
+    line's rows one contiguous slice, and returned in the caller's order.
+    What no level changes (the order, each line's formula, singular values
+    and rows, and the level's arrays) is set up once per call, so a level
+    does only its arithmetic.
     """
-    g = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    n, rows = len(g), np.arange(len(lines))
+    g, n, k = _ZOOM_GRID, _ZOOM_POINTS, len(lines)
+    rows = np.arange(k)
     order = np.argsort(lines, kind="stable")
-    l1, l2 = l1[order], l2[order]
-    line_ids, first = np.unique(lines[order], return_index=True)
-    spans = list(zip(line_ids.tolist(), first.tolist(), first[1:].tolist() + [len(rows)]))
+    l1, l2, sorted_lines = l1[order, None], l2[order, None], lines[order].tolist()
+    # Each line's formula, its rows' singular values and its row slice.
+    spans, a = [], 0
+    for b in range(1, k + 1):
+        if b == k or sorted_lines[b] != sorted_lines[a]:
+            spans.append((_LINES[sorted_lines[a]][1], l1[a:b], l2[a:b], slice(a, b)))
+            a = b
     h = 2.0 * math.log(ladder[1] / ladder[0])
     # The log ends X, the log offsets E, the offsets s, the signed offsets
     # c and the lines' singular values hl.
-    X = np.empty((len(rows), 2))
+    X = np.empty((k, 2))
     np.log(s_pos[order], out=X[:, 0])
     np.log(s_neg[order], out=X[:, 1])
-    E, s = np.empty((2, len(rows), 2, n))
-    c, hl = np.empty((len(rows), 2 * n)), np.empty((2, len(rows), 2 * n))
+    E, s = np.empty((2, k, 2, n))
+    c, hl = np.empty((k, 2 * n)), np.empty((2, k, 2 * n))
     for _ in range(_ZOOM_LEVELS):
         np.add(X[..., None], h * g, out=E)
         np.exp(E, out=s)
         c[:, :n] = s[:, 0]
         np.negative(s[:, 1], out=c[:, n:])
-        for d, a, b in spans:
-            _frame_lines(l1[a:b], l2[a:b], c[a:b], (d,), hl[:, a:b, None, :])
+        for line, x1, x2, at in spans:
+            x, y = line(x1, x2, c[at])
+            np.maximum(x, y, out=hl[0, at])
+            np.minimum(x, y, out=hl[1, at])
         W = value(hl[0], hl[1])
-        table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(len(rows), n * n)
+        table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(k, n * n)
         i, j = np.divmod(table.argmin(axis=1), n)
         X[:, 0], X[:, 1] = E[rows, 0, i], E[rows, 1, j]
         h *= 4.0 / (n - 1)

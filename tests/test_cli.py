@@ -417,6 +417,25 @@ def test_scan_csv_matches_the_row_writer(tmp_path, capsys, args):
         assert {row[2] for row in rows} >= {"Invalid", "L"} and (0.5, 0.0, "L", 0.0, None, None) in rows
 
 
+def test_scan_csv_formats_each_distinct_float_once_by_its_bits():
+    # The energy and stress columns are formatted once per distinct float,
+    # keyed by its bits: 0.0 and -0.0 compare equal but keep their own
+    # spellings, a missing cell stays empty, and equal sigmas (region M)
+    # repeat one text.  The rows are the row-by-row reference writer's.
+    lam_axis, dlt_axis = np.array([0.5, 1.0, 2.0]), np.array([-0.0, 0.0])
+    tags = np.array(["Invalid", "L", "M", "M", "W", "S"], dtype=object)
+    energy = np.array([None, 0.0, -0.0, 0.75, 0.75, 1.0 / 3.0], dtype=object)
+    s1 = np.array([None, None, 0.0, 2.5, 2.5, -0.0], dtype=object)
+    s2 = np.array([None, -0.0, 0.0, 2.5, 1.25, 0.1 + 0.2], dtype=object)
+    grid = [(lam, dlt) for lam in lam_axis.tolist() for dlt in dlt_axis.tolist()]
+    rows = [point + cells for point, cells in zip(grid, zip(tags, energy, s1, s2))]
+    text = "lamM,delta,region,energy,sigma1,sigma2\n" + "".join(
+        cli._csv_rows(lam_axis, dlt_axis, tags, energy, s1, s2)
+    )
+    assert text == scan_csv_reference(rows)
+    assert text.splitlines()[1:4] == ["0.5,-0.0,Invalid,,,", "0.5,0.0,L,0.0,,-0.0", "1.0,-0.0,M,-0.0,0.0,0.0"]
+
+
 @_SCAN_CASES
 def test_scan_json_matches_the_dict_writer(tmp_path, capsys, args):
     # The JSON converts non-finite floats once per column; it must be the

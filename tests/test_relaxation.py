@@ -58,12 +58,14 @@ from nemem.relaxation import (
     OracleConfig,
     OracleResult,
     _best_splits,
+    _chords,
     _dyads,
     _energies,
     _endpoint_estimate,
     _frame_chords,
     _frame_lines,
     _frame_split,
+    _frame_tables,
     _lower,
     _split_endpoints,
     _two_level,
@@ -795,12 +797,12 @@ def test_depth_one_pass_zooms_two_lines_and_finds_what_five_find(monkeypatch):
     assert [sum(sub is not None for _, sub in got) for got in two] == [2, 9, 9, 9, 9]
 
 
-# An L target at r = 1.01 (seed 23 #15 of the oracle bench's list) whose
+# An L target at r = 1.01 (seed 30 #60 of the oracle bench's list) whose
 # two-level tree is taken and none of whose kept chords is 0 before its
 # zoom: its entries as hex.
 _ZOOMED_TWO_LEVEL = [
-    "-0x1.bd3db6976e0afp-2", "-0x1.3c185107308f9p-8", "0x1.a7294059348f1p-5",
-    "0x1.7ed117d3537f2p-1", "-0x1.6eb8494fff8d3p-2", "0x1.f22e835f2d7c6p-5",
+    "0x1.c8d180929fd3ep-3", "-0x1.3b05d56fbfc37p-1", "-0x1.338516231010dp-4",
+    "0x1.b542ab763e15fp-3", "0x1.c8c0b066dfb71p-4", "0x1.11b72ea68aeb0p-1",
 ]
 
 
@@ -973,14 +975,14 @@ _SOLVE_PINS = {
     "M": (
         (Region.M, 11),
         8.0,
-        "0x1.c72bae8220088p+2",
-        [(1, "0x1.5396fc55c4b11p+2", "0x1.0000002201e5bp-1")],
+        "0x1.c72bae822008ep+2",
+        [(1, "0x1.5396fd7379a20p+2", "0x1.0000000000000p-1")],
     ),
     "W": (
         (Region.W, 11),
         8.0,
-        "0x1.ee35506f475fep+0",
-        [(1, "0x1.a6cd286c4e65ap-1", "0x1.0000003c75268p-1")],
+        "0x1.ee35506f475fcp+0",
+        [(1, "0x1.a6cd27ef7e709p-1", "0x1.0000000000000p-1")],
     ),
     "S": (
         (Region.S, 11),
@@ -1125,6 +1127,41 @@ def test_wells_order_each_point_as_a_sort():
     assert points.shape == (2, 40, 3, 3)
     assert points.tobytes() == np.sort(np.stack([x, y]), axis=0)[::-1].tobytes()
     assert (points[0] == points[1]).sum() >= 12
+
+
+@pytest.mark.parametrize("value", ["plane-energy", "estimate"])
+def test_frame_chords_without_stretches_read_no_wells(value):
+    # With no stretches, the pair scan's call, the scorer reads no wells:
+    # on a stack of matrices its tables, lows and ends are, bit for bit,
+    # those of the layout _frame_tables documents, built here from
+    # _frame_lines and _chords: the odd lines 0 and 1 at s and -s, one
+    # chord table each, and the even lines 2, 3 and 4 at s.
+    params = MaterialParams(mu=2.0, r=1.01)
+    value = _energies(params) if value == "plane-energy" else _endpoint_estimate(params)
+    rng = np.random.default_rng(34)
+    l1 = rng.uniform(0.1, 3.0, 7)
+    l2 = l1 * rng.uniform(0.0, 1.0, 7)
+    s = np.maximum(1.0, np.hypot(l1, l2))[:, None] * _PAIR_LADDER
+    k, n = s.shape
+    odd = value(*_frame_lines(l1, l2, np.concatenate([s, -s], axis=-1), (0, 1), np.empty((2, k, 2, 2 * n))))
+    even = value(*_frame_lines(l1, l2, s, (2, 3, 4), np.empty((2, k, 3, n))))
+    chords = _chords(odd[..., :n], odd[..., n:], s[:, None], s[:, None])
+    own, got, got_even, ends = _frame_tables(l1, l2, s, value, ())
+    assert own.tobytes() == value(l1, l2).tobytes()
+    assert got.shape == (k, 2, n, n) and got.tobytes() == chords.tobytes()
+    assert got_even.shape == (k, 3, n) and got_even.tobytes() == even.tobytes()
+    assert all(np.array_equal(np.broadcast_to(x, (k, 1, n)), s[:, None]) for x in ends)
+    rows = np.arange(k)[:, None]
+    i, j = np.divmod(chords.reshape(k, 2, n * n).argmin(axis=-1), n)
+    e = even.argmin(axis=-1)
+    want = (
+        value(l1, l2),
+        np.concatenate([chords.reshape(k, 2, n * n).min(axis=-1), even.min(axis=-1)], axis=-1),
+        np.concatenate([s[rows, i], s[rows, e]], axis=-1),
+        np.concatenate([s[rows, j], s[rows, e]], axis=-1),
+    )
+    for x, y in zip(_frame_chords(l1, l2, s, value, ()), want):
+        assert x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1455,9 +1492,25 @@ def test_work_counts_are_pinned():
         for t in targets.region_targets(41, 12):
             results.append(relax_lamination(t["F"], MaterialParams(mu=targets.MU, r=t["r"]), CFG))
 
-    assert work_counts(run) == (2229, 597162, 5700816)
+    assert work_counts(run) == (1854, 538422, 4880106)
     assert len(results) == 180
-    assert solve_digest(results) == "76b1c036bbac29d40f543bf80ab48e95803c97579041009bbd94e8518f34b3b4"
+    assert solve_digest(results) == "c2729da8d99a63e4b625abf06016aa0780a3d84739a988113de9d69049811fd1"
+
+
+def test_nine_zoom_levels_move_no_value_beyond_rounding_noise(monkeypatch):
+    # The zoom stops at the oracle's own noise floor: over the 180 default
+    # solves of the bench's seed 41, zooming two levels deeper than the
+    # 7 it takes, to 9, moves some values, but none by more than rounding
+    # noise (_lower, 1e-12 relative) in either direction.  A cut to 5
+    # levels shows here, and one to 6 in the gap table's cells
+    # (test_gap_table_gates_hold_on_two_bench_seeds).
+    targets = bench_targets()
+    jobs = [(t["F"], MaterialParams(mu=targets.MU, r=t["r"])) for t in targets.region_targets(41, 12)]
+    values = [relax_lamination(F, params, CFG).value for F, params in jobs]
+    monkeypatch.setattr(relaxation, "_ZOOM_LEVELS", 9)
+    deeper = [relax_lamination(F, params, CFG).value for F, params in jobs]
+    assert values != deeper
+    assert [(a, b) for a, b in zip(values, deeper) if _lower(a, b) or _lower(b, a)] == []
 
 
 # S targets of the oracle bench (seed 11 #51 at r = 2, seed 12 #17 at
@@ -1514,8 +1567,9 @@ _TIED_SCAN_TARGET = [
 def test_two_level_zooms_a_scan_that_ties_its_bound(monkeypatch):
     # A pair scan that ties the best single split, above it by rounding
     # only, is zoomed.  In M one split is the answer: the zoom comes back to
-    # the single split's value, the deepened tree is not lower, and the
-    # solve keeps the single split at the closed form.
+    # the single split's value (a tie, not lower by more than rounding
+    # noise), the deepened tree is not lower, and the solve keeps the
+    # single split at the closed form.
     F = np.array([float.fromhex(x) for x in _TIED_SCAN_TARGET]).reshape(3, 2)
     params = MaterialParams(mu=2.0, r=2.0)
     sd = svd32(F)
@@ -1533,7 +1587,7 @@ def test_two_level_zooms_a_scan_that_ties_its_bound(monkeypatch):
 
     monkeypatch.setattr(relaxation, "_zoom", counting_zoom)
     est, split = _two_level(sd, params, value1)
-    assert calls == [1] and split is not None and est <= value1
+    assert calls == [1] and split is not None and not _lower(value1, est)
     res = relax_lamination(F, params, CFG)
     assert [e["level"] for e in res.best_measure.tree] == [1]
     assert abs(res.gap) <= 1e-12
