@@ -5,8 +5,9 @@ convex envelope without trusting the closed-form relaxed energy.  Along
 one rank-one line ``F + s a b^T`` the best single split is the lower
 convex envelope of the plane energy at ``s = 0``: the lowest chord
 through 0 that joins a sample with ``s > 0`` to one with ``s < 0``
-(``_chords``, the one chord formula).  Every plane energy of a matrix is
-``_w2d``: ``svd32`` then ``plane_energy_values``, as ``plane_energy``.
+(``_chords``, the one chord formula, on operands its caller has laid out
+as a table).  Every plane energy of a matrix is ``_w2d``: ``svd32`` then
+``plane_energy_values``, as ``plane_energy``.
 The plane energy depends on a matrix only through its singular values,
 so along its five frame lines (``_LINES``), the distinct rank-one lines
 along pairs of its singular vectors, it has closed forms in two numbers
@@ -18,17 +19,21 @@ at a ladder and at the wells, with chord tables for the two lines odd in
 the offset only.  One split search, ``_best_splits``, serves both depths
 on a stack of singular values: one scan ranks each row's lines
 (``_frame_chords``), and one zoom (``_zoom``) polishes the best along
-their own lines, unless their chord is 0, the least a chord can be; its
+their own lines, unless their chord is 0, the least a chord can be, or
+above the search's bound by more than rounding noise (``_lower``); its
 levels stop where a further level moves a value by rounding noise only.
-Depth one searches chords of plane energies, at a ladder and the wells.
-Depth two searches first splits of two-level trees along the target's
-frame lines, at a ladder alone, with chords of an estimate of both
-endpoints (``_endpoint_estimate``, a small kernel of its own that scores
-their wells alone as ``_frame_tables`` would), all read from the
-target's two singular values; that first
-split is zoomed only when its scan's lowest chord is not above the best
-single split's value by more than rounding noise (``_lower``), and
-``_deepen`` splits its endpoints by one depth-one pass.  A split, or a
+Depth one searches chords of plane energies, at a ladder and the wells,
+bounded by each matrix's own plane energy, since a split whose scan starts
+above it stays above it when zoomed (``_best_splits``): in S, where the
+plane energy is its own envelope, nothing is zoomed.  Depth two searches
+first splits of two-level trees along the target's frame lines, at a
+ladder alone, with chords of an estimate of both endpoints
+(``_endpoint_estimate``, a small kernel of its own that scores their
+wells alone as ``_frame_tables`` would, laid out endpoint-last), all read
+from the target's two singular values; that first split is zoomed only
+when its scan's lowest chord is not above the best single split's value
+by more than rounding noise, and ``_deepen`` splits its endpoints by one
+depth-one pass.  A split, or a
 two-level tree, is taken only when its value is lower by more than
 rounding noise.  The reported value is always the pairing of an explicit
 witness measure with ``plane_energy``, bit for bit.  The search budget
@@ -84,10 +89,11 @@ class OracleConfig:
     two-level trees).  The search budget is fixed: the five frame lines of
     each matrix split, ``_T_SCAN`` offsets per side and the line's wells,
     and a polish of the ``_ZOOM_LINES`` best single splits of the target
-    and of each endpoint of a two-level tree, and of a two-level tree's
-    first split, by ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS``
-    offsets per side, as many as reach the oracle's rounding noise.  The
-    search is deterministic.
+    and of each endpoint of a two-level tree, those that start not above
+    their matrix's own value, and of a two-level tree's first split, by
+    ``_ZOOM_LEVELS`` chord tables of ``_ZOOM_POINTS`` offsets per side, as
+    many as reach the oracle's rounding noise.  The search is
+    deterministic.
     """
 
     depth: int = 2
@@ -120,16 +126,14 @@ def _w2d(G, params):
 
 
 def _chords(w_pos, w_neg, s_pos, s_neg):
-    """Values at offset 0 of the chords from ``(s_pos[i], w_pos[..., i])``
-    to ``(-s_neg[j], w_neg[..., j])``, with shape ``(..., i, j)``.
+    """Values at offset 0 of the chords from ``(s_pos, w_pos)`` to
+    ``(-s_neg, w_neg)``, elementwise on operands the caller has broadcast
+    to its table's axes.
 
-    The one copy of the chord formula.  The offsets are positive and
-    broadcast against the leading axes of the values; a chord with an
-    infinite end is infinite.
+    The one copy of the chord formula.  The offsets are positive; a chord
+    with an infinite end is infinite.
     """
-    sp = np.asarray(s_pos)[..., :, None]
-    sm = np.asarray(s_neg)[..., None, :]
-    return (sp * w_neg[..., None, :] + sm * w_pos[..., :, None]) / (sp + sm)
+    return (s_pos * w_neg + s_neg * w_pos) / (s_pos + s_neg)
 
 
 def _dyads(a, b):
@@ -196,24 +200,25 @@ def _frame_lines(l1, l2, c, lines, out):
 def _wells(l1, l2, soft):
     """The well points of matrices with singular values ``l1 >= l2`` (shape
     ``(...)``) for the stretches ``soft`` (``m`` of them), and the offsets
-    that reach them along the frame lines, at most 0 where none does.  Each
-    ``c`` gives ``(c, l1 l2 / c)`` on (0, 1), ``(c, l2)`` on (0, 0) and (2,
-    0), and ``(l1, c)`` on (1, 1) and (2, 1): ``hi, lo`` of shape ``(2, ...,
-    3, m)``, each point's two coordinates ordered by ``np.maximum`` and
-    ``np.minimum`` (the bits of sorting each pair, one elementwise call
-    each).  The offsets: ``c - l`` (``l = l1, l2``) on the positive side
-    of the odd lines, ``l - c`` then ``c + l`` on their negative side, and
-    on the even lines, where the squared norm grows by the squared offset,
-    ``sqrt(hi^2 + lo^2 - l1^2 - l2^2)``.
+    that reach them along the frame lines, at most 0 where none does, laid
+    out matrix-last.  Each ``c`` gives ``(c, l1 l2 / c)`` on (0, 1), ``(c,
+    l2)`` on (0, 0) and (2, 0), and ``(l1, c)`` on (1, 1) and (2, 1): ``hi,
+    lo`` of shape ``(2, 3, m, ...)``, each point's two coordinates ordered
+    by ``np.maximum`` and ``np.minimum`` (the bits of sorting each pair, one
+    elementwise call each).  The offsets, of shapes ``(2, m, ...)``, ``(2,
+    2 m, ...)`` and ``(3, m, ...)``: ``c - l`` (``l = l1, l2``) on the
+    positive side of the odd lines, ``l - c`` then ``c + l`` on their
+    negative side, and on the even lines, where the squared norm grows by
+    the squared offset, ``sqrt(hi^2 + lo^2 - l1^2 - l2^2)``.
     """
-    c = np.asarray(soft, dtype=float)
-    l1, l2 = np.asarray(l1)[..., None], np.asarray(l2)[..., None]
-    xy = np.empty((2,) + l1.shape[:-1] + (3, len(c)))
-    xy[0, ..., :2, :], xy[0, ..., 2, :] = c, l1
-    xy[1, ..., 0, :], xy[1, ..., 1, :], xy[1, ..., 2, :] = l1 * l2 / c, l2, c
-    square = (xy * xy).sum(axis=0) - (l1 * l1 + l2 * l2)[..., None]
-    l = np.concatenate([l1, l2], axis=-1)[..., None]
-    offsets = (c - l, np.concatenate([l - c, c + l], axis=-1), np.sqrt(np.maximum(square, 0.0)))
+    l1, l2 = np.asarray(l1), np.asarray(l2)
+    c = np.asarray(soft, dtype=float).reshape((-1,) + (1,) * l1.ndim)
+    xy = np.empty((2, 3) + c.shape[:1] + l1.shape)
+    xy[0, :2], xy[0, 2] = c, l1
+    xy[1, 0], xy[1, 1], xy[1, 2] = l1 * l2 / c, l2, c
+    square = (xy * xy).sum(axis=0) - (l1 * l1 + l2 * l2)
+    l = np.array([l1, l2])[:, None]
+    offsets = (c - l, np.concatenate([l - c, c + l], axis=1), np.sqrt(np.maximum(square, 0.0)))
     points = np.empty_like(xy)
     np.maximum(xy[0], xy[1], out=points[0])
     np.minimum(xy[0], xy[1], out=points[1])
@@ -222,7 +227,7 @@ def _wells(l1, l2, soft):
     far = (points[0] > _INVARIANT_MAX) | (points[0] * points[1] > _INVARIANT_MAX)
     if far.any():
         points[:, far] = 1.0
-        for off, mask in zip(offsets, (far[..., 1:, :], np.tile(far[..., 1:, :], 2), far)):
+        for off, mask in zip(offsets, (far[1:], np.concatenate([far[1:], far[1:]], axis=1), far)):
             off[mask] = 0.0
     return points, offsets
 
@@ -255,14 +260,19 @@ def _frame_tables(l1, l2, s, value, soft=()):
     _frame_lines(l1, l2, c, (0, 1), V[..., 1 : 4 * n + 1].reshape((2,) + lead + (2, 2 * n)))
     _frame_lines(l1, l2, s, (2, 3, 4), V[..., 4 * n + 1 : 7 * n + 1].reshape((2,) + lead + (3, n)))
     if m:
+        # _wells lays its arrays out matrix-last; here the matrix axes lead.
         points, offsets = _wells(l1, l2, soft)
-        V[..., 7 * n + 1 :] = points.reshape(points.shape[:-2] + (3 * m,))
+        k = np.ndim(l1)
+        wells_in = V[..., 7 * n + 1 :].reshape((2,) + lead + (3, m))
+        wells_in[...] = points.transpose(0, *range(3, 3 + k), 1, 2)
+        offsets = [off.transpose(*range(2, 2 + k), 0, 1) for off in offsets]
     W = value(V[0], V[1])
     odd = W[..., 1 : 4 * n + 1].reshape(lead + (2, 2 * n))
     even = W[..., 4 * n + 1 : 7 * n + 1].reshape(lead + (3, n))
     if not m:
         at = s[..., None, :]
-        return W[..., 0], _chords(odd[..., :n], odd[..., n:], at, at), even, (at, at, at)
+        chords = _chords(odd[..., :n, None], odd[..., None, n:], at[..., :, None], at[..., None, :])
+        return W[..., 0], chords, even, (at, at, at)
     wells = W[..., 7 * n + 1 :].reshape(lead + (3, m))
     tables = []
     for ladder, well, off in zip(
@@ -277,7 +287,8 @@ def _frame_tables(l1, l2, s, value, soft=()):
         values[unreached], at[unreached] = np.inf, 1.0
         tables.append((values, at))
     (w_pos, s_pos), (w_neg, s_neg), (even, s_even) = tables
-    return W[..., 0], _chords(w_pos, w_neg, s_pos, s_neg), even, (s_pos, s_neg, s_even)
+    chords = _chords(w_pos[..., :, None], w_neg[..., None, :], s_pos[..., :, None], s_neg[..., None, :])
+    return W[..., 0], chords, even, (s_pos, s_neg, s_even)
 
 
 def _frame_chords(l1, l2, s, value, soft=()):
@@ -306,10 +317,13 @@ def _endpoint_estimate(params):
     lo)``: the least of a matrix's plane energy, its well samples on the
     even lines, and the chords between its wells on either side of the odd
     lines, what ``_frame_tables`` scores with no ladder.  It is a small
-    kernel of its own, because the first-split zoom calls it at every
-    level: one call of the plane energy on each matrix and its nine wells,
-    and ``np.where`` for the wells not reached (``_wells``), +inf at offset
-    1.  Only the lows are taken, not where they lie.
+    kernel of its own, because the pair scan and the first-split zoom call
+    it on hundreds of endpoints at once: one call of the plane energy on
+    each matrix and its nine wells (``_wells``), ``np.where`` for the wells
+    not reached, +inf at offset 1, and every array laid out endpoint-last,
+    wells ``(2, 3, m, ...)`` and chords ``(2, m, 2 m, ...)``, so that each
+    operation runs along the endpoints, not along rows of 3 or 6.  Only
+    the lows are taken, not where they lie.
     """
     energies, soft = _energies(params), _soft_stretches(params.r)
     m = len(soft)
@@ -317,18 +331,19 @@ def _endpoint_estimate(params):
     def estimate(hi, lo):
         points, (s_pos, s_neg, s_even) = _wells(hi, lo, soft)
         # The values' input: the matrix, then its wells.
-        V = np.empty((2,) + np.shape(hi) + (1 + 3 * m,))
-        V[..., 0] = hi, lo
-        V[..., 1:] = points.reshape(V.shape[:-1] + (3 * m,))
+        V = np.empty((2, 1 + 3 * m) + np.shape(hi))
+        V[:, 0] = hi, lo
+        V[:, 1:] = points.reshape(V[:, 1:].shape)
         W = energies(V[0], V[1])
-        wells = W[..., 1:].reshape(W.shape[:-1] + (3, m))
-        odd = wells[..., 1:, :]
+        wells = W[1:].reshape((3, m) + W.shape[1:])
+        odd = wells[1:]
         off_pos, off_neg = s_pos <= 0.0, s_neg <= 0.0
         w_pos = np.where(off_pos, np.inf, odd)
-        w_neg = np.where(off_neg, np.inf, np.concatenate([odd, odd], axis=-1))
-        chords = _chords(w_pos, w_neg, np.where(off_pos, 1.0, s_pos), np.where(off_neg, 1.0, s_neg))
+        w_neg = np.where(off_neg, np.inf, np.concatenate([odd, odd], axis=1))
+        s_pos, s_neg = np.where(off_pos, 1.0, s_pos), np.where(off_neg, 1.0, s_neg)
+        chords = _chords(w_pos[:, :, None], w_neg[:, None], s_pos[:, :, None], s_neg[:, None])
         even = np.where(s_even <= 0.0, np.inf, wells)
-        return np.minimum(W[..., 0], np.minimum(chords.min(axis=(-3, -2, -1)), even.min(axis=(-2, -1))))
+        return np.minimum(W[0], np.minimum(chords.min(axis=(0, 1, 2)), even.min(axis=(0, 1))))
 
     return estimate
 
@@ -388,7 +403,8 @@ def _zoom(l1, l2, lines, s_pos, s_neg, ladder, value):
             np.maximum(x, y, out=hl[0, at])
             np.minimum(x, y, out=hl[1, at])
         W = value(hl[0], hl[1])
-        table = _chords(W[:, :n], W[:, n:], s[:, 0], s[:, 1]).reshape(k, n * n)
+        table = _chords(W[:, :n, None], W[:, None, n:], s[:, 0, :, None], s[:, 1, None, :])
+        table = table.reshape(k, n * n)
         i, j = np.divmod(table.argmin(axis=1), n)
         X[:, 0], X[:, 1] = E[rows, 0, i], E[rows, 1, j]
         h *= 4.0 / (n - 1)
@@ -417,16 +433,22 @@ def _best_splits(l1, l2, ladder, value, top_k, bound, soft=()):
     row's lines, ties to the lower line.  Of the first ``top_k``, the lines
     whose chord is finite and not above ``bound`` by more than rounding
     noise (``_lower``) are kept, and those above 0 zoomed (``_zoom``), all
-    rows in one call.  Returns ``(own, low, d, s_pos, s_neg)`` of shape
-    ``(k,)``: each row's own value and its first lowest kept chord, along
-    line ``d`` from ``s_pos`` to ``-s_neg``; with no line kept, ``d = -1``,
-    the scan's lowest chord and infinite ends.
+    rows in one call.  ``bound`` is one float for every row, or None for
+    each row's own value: over the 5940 default solves of the bench's
+    seeds 11-13, 41-50 and 61-80, every line whose scan starts above its
+    own value, zoomed anyway, ends above it by at least 1.39e-8 relative,
+    so it never gives a split lower than no split.  Returns ``(own, low,
+    d, s_pos, s_neg)`` of shape ``(k,)``: each row's own value and its
+    first lowest kept chord, along line ``d`` from ``s_pos`` to ``-s_neg``;
+    with no line kept, ``d = -1``, the scan's lowest chord and infinite
+    ends.
     """
     s = np.maximum(1.0, np.hypot(l1, l2))[:, None] * ladder
     own, low, s_pos, s_neg = _frame_chords(l1, l2, s, value, soft)
     least = low.min(axis=1)
-    first = float(least.min())
-    if not first < math.inf or _lower(bound, first):  # most two-level scans: nothing to zoom
+    # Each row's bound, as a column.
+    bound = np.reshape(own if bound is None else bound, (-1, 1))
+    if not (np.isfinite(least) & ~_lower(bound[:, 0], least)).any():  # S rows, most two-level scans
         inf = np.full(len(low), np.inf)
         return own, least, np.full(len(low), -1), inf, inf
     rows = np.arange(len(low))[:, None]
@@ -458,14 +480,15 @@ def _depth1(sd, params):
     """Best single split (or none) of one matrix or of each of a stack
     of shape ``(k, 3, 2)``, from its ``svd32`` ``sd``: one search
     (``_best_splits``) of chords of the plane energy on ``_SCAN_LADDER``
-    and the wells, the first ``_ZOOM_LINES`` lines of each ranking kept.
+    and the wells, the first ``_ZOOM_LINES`` lines of each ranking kept
+    unless above the matrix's own value by more than rounding noise.
     Returns a list of ``(value, split_or_None)``, one per matrix, with
     ``split = (a, b, t, theta)`` (``_frame_split``); a split that wins by
     rounding noise only is reported as no split.
     """
     l1, l2 = np.reshape([sd.lamM, sd.lamm], (2, -1))
     own, low, d, s_pos, s_neg = _best_splits(
-        l1, l2, _SCAN_LADDER, _energies(params), _ZOOM_LINES, math.inf, _soft_stretches(params.r)
+        l1, l2, _SCAN_LADDER, _energies(params), _ZOOM_LINES, None, _soft_stretches(params.r)
     )
     Q, R = np.reshape(sd.Q, (-1, 3, 3)), np.reshape(sd.R, (-1, 2, 2))
     return [
@@ -633,5 +656,5 @@ def relax_along_line(Ft, a, b, params):
     span = _SPLIT_TOP * max(1.0, norm)
     s = span * np.arange(1, _LINE_SAMPLES + 1) / _LINE_SAMPLES
     W = _w2d(F + np.concatenate([s, -s])[:, None, None] * _dyads(a, b), params)
-    chords = _chords(W[:_LINE_SAMPLES], W[_LINE_SAMPLES:], s, s)
+    chords = _chords(W[:_LINE_SAMPLES, None], W[None, _LINE_SAMPLES:], s[:, None], s)
     return float(np.min(chords, initial=_w2d(F, params)))

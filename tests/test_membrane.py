@@ -1,5 +1,7 @@
 """Relaxed energy, region map, thickness minimizer, and effective stress."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from nemem.verification import region_window
 
 from helpers import (
     analytic_solid_gradient,
+    bench_targets,
     matrix_from_invariants,
     plane_energy_direct,
     random_orthogonal2,
@@ -305,6 +308,47 @@ def test_psi_at_r_1_is_pipkins_relaxed_membrane_energy():
     ref = np.where(slack, 0.0, np.where(wrinkled, W(l1, l1**-0.5), W(l1, l2)))
     got = psi(l1, l1 * l2, MaterialParams(mu=mu, r=1.0))
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_psi_is_the_3d_relaxed_energy_of_the_membrane_in_m_and_s():
+    # The 3D relaxed energy of DeSimone & Dolzmann ("Macroscopic response
+    # of nematic elastomers via relaxation of a class of SO(3)-invariant
+    # energies", ARMA 161 (2002) 181-204), written here from the singular
+    # values l1 >= l2 >= l3 of a G with det G = 1 and the "- 3" convention
+    # of bulk_energy: 0 when l3 >= r^(-1/6), (mu/2)(r^(1/3)(l1^2/r + l2^2 +
+    # l3^2) - 3) when l1 >= sqrt(r) l2, and (mu/2)(r^(1/3)(2 l1 l2 / sqrt(r)
+    # + l3^2) - 3) otherwise.  With the thickness column b = adj2(F) /
+    # delta^2, so that det(F | b) = 1, it equals psi(F) in M and S, where
+    # every fine-scale feature lies in the plane, and is above it in W and L,
+    # which need wrinkles.  On the oracle bench's targets of seed 5, 15 per
+    # (region, r) cell at r = 1.01, 2, 8 and 100.
+    mu = 2.0
+
+    def W_DD(G, r):
+        l1, l2, l3 = np.linalg.svd(G, compute_uv=False)
+        if l3 >= r ** (-1.0 / 6.0):
+            return 0.0
+        if l1 >= math.sqrt(r) * l2:
+            return 0.5 * mu * (r ** (1.0 / 3.0) * (l1 * l1 / r + l2 * l2 + l3 * l3) - 3.0)
+        return 0.5 * mu * (r ** (1.0 / 3.0) * (2.0 * l1 * l2 / math.sqrt(r) + l3 * l3) - 3.0)
+
+    regions = set()
+    for t in bench_targets().region_targets(5, 15):
+        F, r = t["F"], t["r"]
+        sd = svd32(F)
+        G = np.column_stack([F, adj2(F) / sd.delta**2])
+        assert abs(np.linalg.det(G) - 1.0) <= 1e-12
+        ref = W_DD(G, r)
+        got = float(psi(sd.lamM, sd.delta, MaterialParams(mu=mu, r=r)))
+        slack = 1e-13 * max(1.0, abs(ref))
+        if t["region"] in ("M", "S"):
+            assert abs(got - ref) <= slack, (t["region"], r, got, ref)
+        else:
+            assert got <= ref + slack, (t["region"], r, got, ref)
+        if t["region"] == "W":
+            assert ref - got > slack, (r, got, ref)
+        regions.add((t["region"], r))
+    assert len(regions) == 15
 
 
 def test_stress_zero_in_liquid_region():
